@@ -287,18 +287,19 @@ def criterion_11_undeformed_diagram() -> str:
     return f"H = +-{max(hs)!r} at z = -1/sqrt(3); pole values (+-1, 0) exact"
 
 
-def _plus_points(g, j, cells=models.CRITICAL_GRID_CELLS):
-    return [p for p in models.jc_reduced_critical_values(g, j, cells=cells)
+def _plus_points(g, j):
+    """Critical points of the upper branch h_+ at momentum ``j``."""
+    return [p for p in models.jc_reduced_critical_values(g, j)
             if p.branch is models.Branch.PLUS]
 
 
-def _fold_edge(g, j_out, j_in, cells=100_000, tol=1e-6) -> float:
+def _fold_edge(g, j_out, j_in, tol=1e-6) -> float:
     """Bisect the J at which the folded branch gains its extra critical pair."""
-    inside_has_three = len(_plus_points(g, j_in, cells)) >= 3
-    assert inside_has_three and len(_plus_points(g, j_out, cells)) < 3
+    inside_has_three = len(_plus_points(g, j_in)) >= 3
+    assert inside_has_three and len(_plus_points(g, j_out)) < 3
     while abs(j_in - j_out) > tol:
         mid = 0.5 * (j_in + j_out)
-        if len(_plus_points(g, mid, cells)) >= 3:
+        if len(_plus_points(g, mid)) >= 3:
             j_in = mid
         else:
             j_out = mid
@@ -355,7 +356,7 @@ def criterion_12_post_hopf_loop() -> str:
                         (grid[min(len(grid) - 1, i1 + 1)], grid[i1 - 2])):
         edge = _fold_edge(g, float(j_out), float(j_in))
         probe = edge + np.sign(float(j_in) - edge) * 1e-5
-        pts = _plus_points(g, probe, cells=400_000)
+        pts = _plus_points(g, probe)
         assert len(pts) == 3, f"probe at J={probe} sees {len(pts)} points"
         pts.sort(key=lambda p: p.z_at)
         pairs = [(pts[k], pts[k + 1]) for k in range(2)]

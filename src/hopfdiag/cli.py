@@ -178,8 +178,12 @@ def cmd_jc_spectrum(args) -> int:
         return 2
     g = models.PolyG(args.gamma)
     rows: list[models.CriticalValuePoint] = []
-    for j in np.linspace(args.j_min, args.j_max, args.j_steps):
-        rows.extend(models.jc_reduced_critical_values(g, float(j)))
+    try:
+        for j in np.linspace(args.j_min, args.j_max, args.j_steps):
+            rows.extend(models.jc_reduced_critical_values(g, float(j)))
+    except ValueError as exc:
+        print(f"jc-spectrum: {exc}", file=sys.stderr)
+        return 2
     cloud = models.jc_spectrum_sample(g, samples, args.j_max, seed)
     try:
         spectrum.write_jc_critical_csv(rows, f"{args.out}_critical.csv")

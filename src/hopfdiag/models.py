@@ -20,6 +20,15 @@ critical points sit on the branches w1 = +-R(z), w2 = 0, i.e. at interior
 critical points of
 
     h_pm(z) = +- sqrt(2 (J - z)(1 - z^2)) / 2 + G(z).
+
+With R(z) = sqrt(2 (J - z)(1 - z^2)) and G(z) = gamma z^2, h_pm'(z) = 0 reads
+sb (3z^2 - 2Jz - 1) = -4 gamma z R (sb = +-1), and squaring it gives the quintic
+
+    p_J(z) = (3z^2 - 2Jz - 1)^2 - 32 gamma^2 z^2 (1 - z^2)(J - z)
+           = -4 R^2 h_+' h_-',
+
+so the critical z are its real roots in (-1, min(J, 1)), on the branch
+sb = -sign(gamma z (3z^2 - 2Jz - 1)).
 """
 
 from __future__ import annotations
@@ -38,10 +47,10 @@ SPHERE_TOL = 1e-12
 CUSP_TOL = 1e-8          # |h''| below this classifies as a degenerate cusp
 RANK_TOL = 1e-8          # relative second singular value in the rank test
 BRACKET_FD_STEP = 1e-6   # fallback finite-difference step in poisson_bracket
-CRITICAL_GRID_CELLS = 2000
-BISECT_TOL = 1e-12
-ROOT_DEDUP_TOL = 1e-9
-LADDER_STEPS = 36        # geometric end-cell probes for the bracketing scan
+NEWTON_STEPS = 100       # cap on bracketed Newton/bisection steps per point
+J_LIMIT = 1e100          # |J| below this keeps every chart coefficient finite
+GAMMA_LIMIT = 1e6        # from |gamma| ~ 1e7 critical points sit closer to the
+                         # far end of the domain than a float can resolve
 
 
 @dataclass(frozen=True)
@@ -285,13 +294,6 @@ def branch_value(z, j: float, g: PolyG, branch: Branch):
     return sb * np.sqrt(reduced_radius_sq(j, z)) / 2.0 + g.gamma * z * z
 
 
-def branch_deriv(z, j: float, g: PolyG, branch: Branch):
-    sb = _branch_sign(branch)
-    gg = reduced_radius_sq(j, z)
-    dg = 2.0 * (3.0 * z * z - 2.0 * j * z - 1.0)
-    return sb * dg / (4.0 * np.sqrt(gg)) + 2.0 * g.gamma * z
-
-
 def branch_second_deriv(z, j: float, g: PolyG, branch: Branch):
     sb = _branch_sign(branch)
     gg = reduced_radius_sq(j, z)
@@ -301,98 +303,151 @@ def branch_second_deriv(z, j: float, g: PolyG, branch: Branch):
     return sb * (d2g / (4.0 * r) - dg * dg / (8.0 * r ** 3)) + 2.0 * g.gamma
 
 
-def _bisect(f, a: float, b: float, tol: float = BISECT_TOL) -> float:
-    fa = f(a)
-    if fa == 0.0:
-        return a
-    neg = fa < 0.0
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == neg:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+# ---------------------------------------------------------------------------
+# critical points in the pole chart z = sigma (1 - x), r = sigma J - 1
 
 
-def _interior_critical_zs(j: float, g: PolyG, branch: Branch,
-                          cells: int = CRITICAL_GRID_CELLS) -> list[float]:
-    """All interior zeros of dh/dz on the open reduced domain.
+def _quintic(k: float, r: float) -> list[float]:
+    """p_J in the chart variable x, highest power first; k = sigma gamma^2.
 
-    Uniform grid of ``cells`` cells plus geometric ladders inside the two end
-    cells (the derivative diverges at the ends except at the J = 1 pole), then
-    bisection to BISECT_TOL on each sign change.
+    Each coefficient is formed from r = sigma (J - sigma), not from J,
+    so the roots that approach the pole as J -> +-1 keep their relative
+    accuracy, and at J = 1 the double root x = 0 is exact.
     """
-    dom = reduced_domain(j)
-    if dom is None:
-        return []
-    lo, hi = dom
-    if not hi > lo:
-        return []
-    width = hi - lo
-    cell = width / cells
-    eps = cell * 2.0 ** -np.arange(1.0, float(LADDER_STEPS) + 1.0)
-    zs = np.concatenate([
-        lo + eps[::-1],
-        np.linspace(lo, hi, cells + 1)[1:-1],
-        hi - eps,
-    ])
-    vals = branch_deriv(zs, j, g, branch)
-    good = np.isfinite(vals)
-    zs, vals = zs[good], vals[good]
-
-    def f(z):
-        return float(branch_deriv(z, j, g, branch))
-
-    roots = []
-    for i in range(len(zs) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(zs[i]))
-        elif va * vb < 0.0:
-            roots.append(_bisect(f, float(zs[i]), float(zs[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(float(zs[-1]))
-    roots.sort()
-    dedup: list[float] = []
-    for r in roots:
-        if not dedup or r - dedup[-1] > ROOT_DEDUP_TOL:
-            dedup.append(r)
-    return dedup
+    return [32.0 * k,
+            32.0 * k * r - 128.0 * k + 9.0,
+            -4.0 * (32.0 * k * r - 40.0 * k - 3.0 * r + 6.0),
+            4.0 * (40.0 * k * r - 16.0 * k + r * r - 7.0 * r + 4.0),
+            -8.0 * r * (8.0 * k + r - 2.0),
+            4.0 * r * r]
 
 
-def _classify(z: float, j: float, g: PolyG, branch: Branch) -> CriticalKind:
-    h2 = float(branch_second_deriv(z, j, g, branch))
+def _chart_terms(x: float, sigma: float, r: float) -> tuple[float, float, float]:
+    """(A, dA/dx, R) at chart point x: A = 3z^2 - 2Jz - 1, R as above."""
+    da = 6.0 * x - 4.0 + 2.0 * r
+    a = x * (3.0 * x - 4.0 + 2.0 * r) - 2.0 * r
+    return a, da, math.sqrt(2.0 * sigma * (r + x) * x * (2.0 - x))
+
+
+def _critical_numerator(x: float, sb: float, gamma: float, sigma: float,
+                        r: float) -> tuple[float, float]:
+    """F = 2 R h_sb' = sb A + 4 gamma z R and dF/dx at an interior x."""
+    a, da, rad = _chart_terms(x, sigma, r)
+    c = 4.0 * gamma * sigma * (1.0 - x)
+    return (sb * a + c * rad,
+            sb * da - 4.0 * gamma * sigma * rad - c * sigma * a / rad)
+
+
+def _bracketed_newton(f, x: float, a: float, b: float, fa: float) -> float:
+    """Zero of f in (a, b), where f has the sign of fa at a and not at b.
+
+    Newton from x; a step that leaves the bracket is replaced by bisection.
+    """
+    for _ in range(NEWTON_STEPS):
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a = x
+        else:
+            b = x
+        step = fx / dfx if dfx else math.inf
+        if abs(step) <= 1e-15 * x:     # a few ulps of x > 0
+            return x - step
+        x = x - step if a < x - step < b else 0.5 * (a + b)
+    return x
+
+
+def _chart_roots(gamma: float, sigma: float, r: float, lo: float,
+                 hi: float) -> list[tuple[float, float]]:
+    """(x, sb) of every interior critical point in the chart interval (lo, hi).
+
+    The zeros of F_sb are the critical points of h_sb, and F_+ F_- = -p_J.
+    The real parts of the quintic's eigenvalues in (lo, hi), with cuts
+    halfway between neighbours, give one bracket per eigenvalue.  A branch
+    has a critical point in a bracket when F_sb changes sign across it; the
+    point is then polished by bracketed Newton on F_sb itself, which stays
+    well conditioned where p_J does not (as gamma -> 0, p_J tends to A^2 and
+    its root pairs, one per branch, come out of the eigensolver complex).
+    """
+    coeffs = _quintic(sigma * gamma * gamma, r)
+    if abs(coeffs[0]) < 1e-17 * max(map(abs, coeffs)):
+        # a leading term below rounding in (lo, hi) only adds a root near
+        # -9/(32 k), far outside, and would overflow the companion matrix
+        coeffs = coeffs[1:]
+    # with no eigenvalue inside (huge |J| swamps the companion matrix) the
+    # whole interval is one bracket
+    xs = sorted({x for x in np.roots(coeffs).real.tolist() if lo < x < hi}) \
+        or [0.5 * (lo + hi)]
+    edges = [lo] + [0.5 * (u + v) for u, v in zip(xs, xs[1:])] + [hi]
+    a_lo, a_hi = _chart_terms(lo, sigma, r)[0], _chart_terms(hi, sigma, r)[0]
+    out = []
+    for sb in (1.0, -1.0):
+        def f(x, sb=sb):
+            return _critical_numerator(x, sb, gamma, sigma, r)
+        # R = 0 at both ends, so F = sb A there; at J = 1 A vanishes at the
+        # pole x = 0 too, and F/x -> 8 gamma - 4 sb there, or F/x ~ -2 sb x
+        # when that limit is 0 (gamma = sb/2, the Hopf parameter)
+        first = sb * a_lo if r != 0.0 else (8.0 * gamma - 4.0 * sb or -sb)
+        signs = [first] + [f(e)[0] for e in edges[1:-1]] + [sb * a_hi]
+        for k, x in enumerate(xs):
+            if min(signs[k], signs[k + 1]) < 0.0 < max(signs[k], signs[k + 1]):
+                out.append((_bracketed_newton(f, x, edges[k], edges[k + 1],
+                                              signs[k]), sb))
+            elif signs[k + 1] == 0.0:   # a cut that is itself a root
+                out.append((edges[k + 1], sb))
+    return out
+
+
+def _kind(h2: float, branch: Branch) -> CriticalKind:
     if abs(h2) < CUSP_TOL:
         return CriticalKind.CUSP
-    if branch is Branch.PLUS:
-        return (CriticalKind.TRANSVERSALLY_ELLIPTIC if h2 < 0.0
-                else CriticalKind.TRANSVERSALLY_HYPERBOLIC)
-    return (CriticalKind.TRANSVERSALLY_ELLIPTIC if h2 > 0.0
+    elliptic = h2 < 0.0 if branch is Branch.PLUS else h2 > 0.0
+    return (CriticalKind.TRANSVERSALLY_ELLIPTIC if elliptic
             else CriticalKind.TRANSVERSALLY_HYPERBOLIC)
 
 
-def jc_reduced_critical_values(g: PolyG, j: float,
-                               cells: int = CRITICAL_GRID_CELLS
-                               ) -> list[CriticalValuePoint]:
+def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
     """All critical values of the reduced system at momentum J = ``j``.
 
-    Interior critical points of both branches h_pm, classified by the sign
-    of h'' (saddles of the surface-restricted Hamiltonian are transversally
-    hyperbolic); |h''| < CUSP_TOL marks a degenerate cusp.  The pole
-    equilibria contribute (J, G(1)) exactly at j = +-1.
+    Interior critical points of both branches h_pm are the real roots of the
+    quintic p_J in (-1, min(J, 1)) (module docstring), solved in the chart
+    x = 1 - sigma z at the pole z = sigma nearer to J; at gamma = 0 they are
+    z = (J +- sqrt(J^2 + 3))/3 on both branches.  Each is classified by the
+    sign of h'' (saddles of the surface-restricted Hamiltonian are
+    transversally hyperbolic); |h''| < CUSP_TOL marks a degenerate cusp.
+    The pole equilibria contribute (J, G(1)) exactly at j = +-1.
     """
+    gamma = g.gamma
+    if not (abs(j) < J_LIMIT and abs(gamma) < GAMMA_LIMIT):
+        raise ValueError(f"need |J| < {J_LIMIT:g} and |gamma| < {GAMMA_LIMIT:g}, "
+                         f"got J = {j!r}, gamma = {gamma!r}")
     if j < -1.0:
         raise ValueError("reduced domain is empty for J < -1")
+    sigma = -1.0 if j <= 0.0 else 1.0
+    r = sigma * j - 1.0
+    lo, hi = (max(0.0, -r), 2.0) if sigma > 0.0 else (0.0, -r)
+    if gamma == 0.0:
+        # (J +- sqrt(J^2 + 3))/3, the smaller one as -1/q to avoid cancellation
+        q = j + math.copysign(math.sqrt(j * j + 3.0), j)
+        roots = [(1.0 - sigma * z, sb) for z in (q / 3.0, -1.0 / q)
+                 for sb in (1.0, -1.0)]
+    else:
+        roots = _chart_roots(gamma, sigma, r, lo, hi)
     out: list[CriticalValuePoint] = []
-    for branch in (Branch.PLUS, Branch.MINUS):
-        for z in _interior_critical_zs(j, g, branch, cells=cells):
-            out.append(CriticalValuePoint(
-                J=j, H=float(branch_value(z, j, g, branch)), z_at=z,
-                branch=branch, kind=_classify(z, j, g, branch)))
+    for x, sb in roots:
+        z = sigma * (1.0 - x)
+        if not (lo < x < hi and -1.0 < z < min(j, 1.0)):
+            continue    # outside the open domain, or rounds onto its end
+        a, da, rad = _chart_terms(x, sigma, r)
+        # h'' from chart quantities (d/dz = -sigma d/dx), which keep their
+        # relative accuracy next to the pole where the z form cancels
+        h2 = sb * (-sigma * da / (2.0 * rad) - a * a / (2.0 * rad ** 3)) \
+            + 2.0 * gamma
+        branch = Branch.PLUS if sb > 0.0 else Branch.MINUS
+        out.append(CriticalValuePoint(
+            J=j, H=sb * rad / 2.0 + gamma * z * z, z_at=z, branch=branch,
+            kind=_kind(h2, branch)))
     if j == 1.0 or j == -1.0:
         out.append(CriticalValuePoint(J=j, H=g.value(j), z_at=j, branch=None,
                                       kind=CriticalKind.EQUILIBRIUM_VALUE))

@@ -150,6 +150,15 @@ class TestJCSpectrum:
         assert run_cli(base + ["--j-min", "1", "--j-max", "0",
                                "--j-steps", "3"]) == 2
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "1e200"])
+    def test_unusable_gamma(self, tmp_path, capsys, gamma):
+        assert run_cli(["jc-spectrum", "--gamma", gamma, "--j-min", "0",
+                        "--j-max", "1", "--j-steps", "3",
+                        "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("jc-spectrum: ") and err.count("\n") == 1
+        assert not (tmp_path / "x_critical.csv").exists()
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out_env = tmp_path / "env"
         monkeypatch.setenv("HOPFDIAG_SEED", "123")

@@ -176,6 +176,13 @@ class TestReducedCriticalValues:
         with pytest.raises(ValueError):
             models.jc_reduced_critical_values(PolyG(0.0), -1.5)
 
+    @pytest.mark.parametrize("gamma,j", [(math.nan, 0.5), (0.8, math.inf),
+                                         (0.8, math.nan), (1e6, 2.0),
+                                         (0.8, 1e100)])
+    def test_rejects_unusable_input(self, gamma, j):
+        with pytest.raises(ValueError):
+            models.jc_reduced_critical_values(PolyG(gamma), j)
+
     def test_undeformed_slice(self):
         pts = models.jc_reduced_critical_values(PolyG(0.0), 0.0)
         assert len(pts) == 2
@@ -185,6 +192,12 @@ class TestReducedCriticalValues:
             assert p.z_at == pytest.approx(z_star, abs=1e-9)
         assert sorted(p.H for p in pts) == pytest.approx(
             [-0.43869133765083085, 0.43869133765083085], abs=1e-9)
+
+    def test_undeformed_root_far_out_is_not_cancelled(self):
+        # at J = 1e6 the root of 3z^2 - 2Jz - 1 is about -1/(2J)
+        j = 1e6
+        for p in models.jc_reduced_critical_values(PolyG(0.0), j):
+            assert abs(3.0 * p.z_at ** 2 - 2.0 * j * p.z_at - 1.0) < 1e-8
 
     @pytest.mark.parametrize("j", [-0.5, 0.0, 0.7, 1.3, 4.0])
     def test_undeformed_has_only_the_boundary(self, j):

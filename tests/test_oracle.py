@@ -175,3 +175,19 @@ class TestGoldenSection:
     def test_max_wrapper(self):
         x, fx = oracle.golden_max(lambda t: -(t - 1.0) ** 2, -3.0, 3.0)
         assert abs(x - 1.0) < 1e-6
+
+
+class TestSpinCriticalScan:
+    def test_undeformed_slice(self):
+        got = oracle.spin_critical_scan(0.0, 0.0)
+        assert [(sb, kind) for _, sb, kind in got] == [(-1, "E"), (1, "E")]
+        for z, _, _ in got:
+            assert abs(z + 1.0 / math.sqrt(3.0)) < 1e-12
+
+    def test_loop_slice(self):
+        got = oracle.spin_critical_scan(0.8, 1.5)
+        assert sorted(kind for _, sb, kind in got if sb == 1) == ["E", "E", "H"]
+        assert [kind for _, sb, kind in got if sb == -1] == ["E"]
+
+    def test_empty_domain(self):
+        assert oracle.spin_critical_scan(0.8, -1.0) == []
