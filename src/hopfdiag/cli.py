@@ -27,22 +27,19 @@ import sys
 import numpy as np
 
 from . import acceptance, hopf, models, spectrum, symplin
+from .spectrum import _fmt
 
 MIN_CURVE_SAMPLES = spectrum.MIN_DIAGRAM_SAMPLES
 
 
-def _env_int(name: str) -> int | None:
+def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
-        return None
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _fmt_complex(c: complex) -> str:
@@ -108,15 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_classify(args) -> int:
     if args.params is not None:
         if args.a is not None or args.b is not None:
-            print("classify: give either --a/--b or --params, not both",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("give either --a/--b or --params, not both")
         q = symplin.quartic_coeffs(*args.params)
     elif args.a is not None and args.b is not None:
         q = symplin.QuarticCoeffs(a=args.a, b=args.b)
     else:
-        print("classify: need --a and --b, or --params", file=sys.stderr)
-        return 2
+        raise ValueError("need --a and --b, or --params")
     eig = symplin.eigen_closed(q)
     print(f"(a, b) = ({_fmt(q.a)}, {_fmt(q.b)})")
     print(f"type = {symplin.classify(q)}")
@@ -127,16 +121,12 @@ def cmd_classify(args) -> int:
 def cmd_hopf_curve(args) -> int:
     samples = args.samples
     if samples is None:
-        samples = _env_int("HOPFDIAG_SAMPLES") or 400
-    try:
-        params = hopf.HopfParams(omega=args.omega, sigma=args.sigma,
-                                 nu=args.nu, D=args.D)
-        if samples < MIN_CURVE_SAMPLES:
-            raise ValueError(f"samples must be >= {MIN_CURVE_SAMPLES}")
-        diagram = spectrum.assemble_hopf_diagram(params, samples)
-    except ValueError as exc:
-        print(f"hopf-curve: {exc}", file=sys.stderr)
-        return 2
+        samples = _env_int("HOPFDIAG_SAMPLES", 400)
+    params = hopf.HopfParams(omega=args.omega, sigma=args.sigma,
+                             nu=args.nu, D=args.D)
+    if samples < MIN_CURVE_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_CURVE_SAMPLES}")
+    diagram = spectrum.assemble_hopf_diagram(params, samples)
     try:
         spectrum.write_curve_csv(diagram, f"{args.out}_curve.csv")
         spectrum.write_diagram_json(diagram, f"{args.out}_diagram.json")
@@ -148,8 +138,7 @@ def cmd_hopf_curve(args) -> int:
 
 def cmd_jc_scan(args) -> int:
     if args.steps < 2:
-        print("jc-scan: steps must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("steps must be >= 2")
     lines = ["gamma,a,b,type,eig1,eig2,eig3,eig4"]
     for gamma in np.linspace(args.gamma_min, args.gamma_max, args.steps):
         q, typ = models.jc_linearization(models.PolyG(float(gamma)))
@@ -168,22 +157,17 @@ def cmd_jc_scan(args) -> int:
 def cmd_jc_spectrum(args) -> int:
     samples = args.samples
     if samples is None:
-        samples = _env_int("HOPFDIAG_SAMPLES") or 10000
+        samples = _env_int("HOPFDIAG_SAMPLES", 10000)
     seed = args.seed
     if seed is None:
-        seed = _env_int("HOPFDIAG_SEED") or 0
+        seed = _env_int("HOPFDIAG_SEED", 0)
     if args.j_steps < 1 or samples < 1 or args.j_min < -1.0 \
             or args.j_max < args.j_min or args.j_max <= -1.0:
-        print("jc-spectrum: invalid ranges", file=sys.stderr)
-        return 2
+        raise ValueError("invalid ranges")
     g = models.PolyG(args.gamma)
     rows: list[models.CriticalValuePoint] = []
-    try:
-        for j in np.linspace(args.j_min, args.j_max, args.j_steps):
-            rows.extend(models.jc_reduced_critical_values(g, float(j)))
-    except ValueError as exc:
-        print(f"jc-spectrum: {exc}", file=sys.stderr)
-        return 2
+    for j in np.linspace(args.j_min, args.j_max, args.j_steps):
+        rows.extend(models.jc_reduced_critical_values(g, float(j)))
     cloud = models.jc_spectrum_sample(g, samples, args.j_max, seed)
     try:
         spectrum.write_jc_critical_csv(rows, f"{args.out}_critical.csv")
@@ -217,7 +201,13 @@ def main(argv=None) -> int:
         "jc-spectrum": cmd_jc_spectrum,
         "verify": cmd_verify,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as exc:
+        if handler is cmd_verify:   # takes no input: a ValueError is a bug
+            raise
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -74,6 +74,10 @@ class HopfParams:
     coeff_C: float = 0.0
 
     def __post_init__(self):
+        floats = (self.omega, self.nu, self.D, self.unfold_a, self.unfold_b,
+                  self.coeff_B, self.coeff_C)
+        if not all(map(math.isfinite, floats)):
+            raise ValueError("parameters must be finite")
         if self.sigma not in (-1, 1):
             raise ValueError("sigma must be -1 or +1")
         if self.omega == 0.0:

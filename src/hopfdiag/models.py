@@ -256,13 +256,6 @@ def invariant_coords(state) -> tuple[float, float, float]:
     return z, x * u + y * v, x * v - y * u
 
 
-def reduced_domain(j: float) -> tuple[float, float] | None:
-    """z-interval [-1, min(J, 1)] of the reduced surface; None if empty."""
-    if j < -1.0:
-        return None
-    return (-1.0, min(j, 1.0))
-
-
 class Branch(Enum):
     PLUS = "plus"
     MINUS = "minus"

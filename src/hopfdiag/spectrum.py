@@ -4,12 +4,14 @@ File formats (all floats as shortest round-trip decimals, '\\n' newlines):
  - curve CSV:        header ``s,J,H,z_double,hessdet,kind``, kind in {E,H,CUSP,END}
  - jc critical CSV:  header ``J,H,z,branch,kind``, branch in {plus,minus,none},
                      kind in {E,H,CUSP,EQ}
- - cloud CSV:        ``# seed=<s> count=<n>`` comment, then header ``J,H``
+ - cloud CSV:        ``# seed=<s> count=<n>`` comment, then header ``J,H``;
+                     the reader checks ``count=`` against the rows it reads
  - raster CSV:       header ``J,H,count`` (cell centers)
  - diagram JSON:     {params, regime, cusps, endpoints, slopes, anchor,
                       equilibrium, segments}
 
 Inadmissible curve regions are emitted as explicit gaps, never interpolated.
+Cloud points are finite: ``SpectrumCloud`` refuses NaN and infinity.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .hopf import CurveSample, HopfParams, Regime, SegmentKind
 
 MIN_DIAGRAM_SAMPLES = 16
 MIN_SEGMENT_SAMPLES = 5
+_CLOUD_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ class SpectrumCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        if not np.isfinite(pts).all():
+            raise ValueError("cloud points must be finite")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -200,15 +205,13 @@ def boundary(cloud: SpectrumCloud, bins: int) -> list[tuple[float, float, float]
     span = (j_max - j_min) or 1.0
     idx = np.minimum(((cloud.points[:, 0] - j_min) / span * bins).astype(int),
                      bins - 1)
-    out = []
-    for b in range(bins):
-        mask = idx == b
-        if not mask.any():
-            continue
-        h = cloud.points[mask, 1]
-        center = j_min + (b + 0.5) * span / bins
-        out.append((float(center), float(h.min()), float(h.max())))
-    return out
+    h_lo, h_hi = np.full(bins, np.inf), np.full(bins, -np.inf)
+    np.minimum.at(h_lo, idx, cloud.points[:, 1])
+    np.maximum.at(h_hi, idx, cloud.points[:, 1])
+    full = np.flatnonzero(np.bincount(idx, minlength=bins))
+    with np.errstate(over="ignore"):    # inf, silently, as scalar floats give
+        centers = j_min + (full + 0.5) * span / bins
+    return list(zip(centers.tolist(), h_lo[full].tolist(), h_hi[full].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -283,39 +286,48 @@ def read_jc_critical_csv(path) -> list[JCCriticalRow]:
 
 
 def write_cloud_csv(cloud: SpectrumCloud, path):
-    lines = [f"# seed={cloud.seed} count={cloud.count}", "J,H"]
-    for j, h in cloud.points:
-        lines.append(f"{_fmt(j)},{_fmt(h)}")
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# seed={cloud.seed} count={cloud.count}\nJ,H\n")
+        for start in range(0, cloud.count, _CLOUD_CHUNK_ROWS):
+            rows = cloud.points[start:start + _CLOUD_CHUNK_ROWS].tolist()
+            fh.write("".join([f"{j!r},{h!r}\n" for j, h in rows]))
 
 
 def read_cloud_csv(path) -> SpectrumCloud:
-    seed = 0
-    pts = []
+    """Cloud CSV reader; a bad row or a ``count=`` mismatch is a ValueError."""
+    seed, count, chunks = 0, None, []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "J,H":
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("seed="):
-                        seed = int(tok[5:])
-                continue
-            j, h = line.split(",")
-            pts.append((float(j), float(h)))
-    return SpectrumCloud(points=np.array(pts, dtype=float).reshape(-1, 2),
-                         seed=seed)
+        while lines := fh.readlines(1 << 20):
+            rows = []
+            for line in lines:
+                line = line.strip()
+                if not line or line == "J,H":
+                    continue
+                if line.startswith("#"):
+                    for tok in line[1:].split():
+                        if tok.startswith("seed="):
+                            seed = int(tok[5:])
+                        elif tok.startswith("count="):
+                            count = int(tok[6:])
+                    continue
+                if line.count(",") != 1:
+                    raise ValueError(f"cloud CSV row without two fields: {line!r}")
+                rows.append(line)
+            if rows:
+                chunks.append(np.array(",".join(rows).split(","), dtype=float))
+    pts = np.concatenate([np.empty(0), *chunks]).reshape(-1, 2)
+    if count is not None and count != pts.shape[0]:
+        raise ValueError(f"cloud CSV has {pts.shape[0]} rows, header says {count}")
+    return SpectrumCloud(points=pts, seed=seed)
 
 
 def write_raster_csv(grid: RasterGrid, path):
-    lines = ["J,H,count"]
-    for i, j in np.ndindex(grid.counts.shape):
-        lines.append(f"{_fmt(grid.j_centers[i])},{_fmt(grid.h_centers[j])},"
-                     f"{int(grid.counts[i, j])}")
+    j_text = [f"{j!r}" for j in grid.j_centers.tolist()]
+    h_text = [f"{h!r}" for h in grid.h_centers.tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("J,H,count\n")
+        for j, row in zip(j_text, grid.counts.astype(int).tolist()):
+            fh.write("".join([f"{j},{h},{c}\n" for h, c in zip(h_text, row)]))
 
 
 def _sample_to_dict(p: CurveSample) -> dict:

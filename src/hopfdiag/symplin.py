@@ -121,6 +121,10 @@ class QuarticCoeffs:
     a: float
     b: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("quartic coefficients must be finite")
+
 
 @dataclass(frozen=True)
 class EquilibriumType:

@@ -43,6 +43,65 @@ class TestClassify:
                         "--params", "1", "0", "1", "2"]) == 2
 
 
+class TestBadInput:
+    """Every bad input prints one line on stderr and exits 2."""
+
+    HOPF = ["hopf-curve", "--sigma", "1", "--nu", "0.5", "--D", "-2"]
+    JC = ["jc-spectrum", "--gamma", "0.8", "--j-min", "0", "--j-max", "1",
+          "--j-steps", "3"]
+
+    def one_line_exit_2(self, capsys, args, prefix):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + ": ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("args", [
+        ["--a", "nan", "--b", "1"], ["--a", "1", "--b", "nan"],
+        ["--a", "inf", "--b", "1"], ["--params", "nan", "0", "1", "2"],
+        ["--params", "1e200", "0", "0", "0"]])
+    def test_classify_non_finite(self, capsys, args):
+        err = self.one_line_exit_2(capsys, ["classify"] + args, "classify")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("flag, value", [("--omega", "nan"),
+                                             ("--nu", "inf"), ("--D", "nan")])
+    def test_hopf_curve_non_finite(self, tmp_path, capsys, flag, value):
+        args = self.HOPF + ["--omega", "1", "--out", str(tmp_path / "x")]
+        args[args.index(flag) + 1] = value
+        self.one_line_exit_2(capsys, args, "hopf-curve")
+        assert not (tmp_path / "x_curve.csv").exists()
+
+    @pytest.mark.parametrize("name", ["HOPFDIAG_SAMPLES", "HOPFDIAG_SEED"])
+    def test_env_not_an_integer(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        err = self.one_line_exit_2(
+            capsys, self.JC + ["--out", str(tmp_path / "x")], "jc-spectrum")
+        assert name in err and "'abc'" in err
+        if name == "HOPFDIAG_SAMPLES":
+            err = self.one_line_exit_2(
+                capsys, self.HOPF + ["--omega", "1", "--out",
+                                     str(tmp_path / "y")], "hopf-curve")
+            assert name in err
+
+    def test_env_zero_samples_is_not_the_default(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setenv("HOPFDIAG_SAMPLES", "0")
+        self.one_line_exit_2(capsys, self.HOPF + ["--omega", "1", "--out",
+                                                  str(tmp_path / "x")],
+                             "hopf-curve")
+        self.one_line_exit_2(capsys, self.JC + ["--out", str(tmp_path / "y")],
+                             "jc-spectrum")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken():
+            raise ValueError("bug")
+        monkeypatch.setattr(acceptance, "run_all", broken)
+        with pytest.raises(ValueError, match="bug"):
+            cli.main(["verify"])
+
+
 class TestHopfCurve:
     def test_reference_outputs(self, tmp_path, capsys):
         out = tmp_path / "ref"

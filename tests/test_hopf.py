@@ -15,6 +15,14 @@ coord = st.floats(min_value=-2.0, max_value=2.0,
 
 
 class TestParams:
+    @pytest.mark.parametrize("field", ["omega", "nu", "D", "unfold_a",
+                                       "unfold_b", "coeff_B", "coeff_C"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        fields = dict(omega=1.0, sigma=1, nu=0.5, D=-2.0)
+        with pytest.raises(ValueError, match="finite"):
+            HopfParams(**{**fields, field: bad})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HopfParams(omega=0.0, sigma=1, nu=0.1, D=1.0)

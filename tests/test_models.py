@@ -157,11 +157,6 @@ class TestLinearization:
 
 
 class TestReducedSurface:
-    def test_domain(self):
-        assert models.reduced_domain(0.0) == (-1.0, 0.0)
-        assert models.reduced_domain(2.0) == (-1.0, 1.0)
-        assert models.reduced_domain(-2.0) is None
-
     @given(zval, angle, oscval, oscval)
     def test_invariant_relation(self, z, phi, u, v):
         st_ = state_from(z, phi, u, v)

@@ -1,0 +1,53 @@
+"""Smoke tests: both sweep scripts run end to end at small sizes, and every
+file they write reads back through the ``spectrum`` readers."""
+
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+from hopfdiag import spectrum
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, *args: str):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_spin_oscillator_sweep(tmp_path):
+    run_script("spin_oscillator_sweep.py", "--out-dir", str(tmp_path),
+               "--samples", "2000", "--j-steps", "11")
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(["linearization_scan.csv"] + [
+        f"{tag}_{kind}.csv" for tag in ("undeformed", "deformed")
+        for kind in ("critical", "cloud", "raster")])
+
+    scan = (tmp_path / "linearization_scan.csv").read_text().splitlines()
+    assert scan[0] == "gamma,a,b,type" and len(scan) == 202
+    for tag, seed in (("undeformed", 0), ("deformed", 1)):
+        assert spectrum.read_jc_critical_csv(tmp_path / f"{tag}_critical.csv")
+        cloud = spectrum.read_cloud_csv(tmp_path / f"{tag}_cloud.csv")
+        assert (cloud.count, cloud.seed) == (2000, seed)
+        # hopfdiag has no raster reader; the format is J,H,count per cell
+        raster = (tmp_path / f"{tag}_raster.csv").read_text().splitlines()
+        assert raster[0] == "J,H,count"
+        rows = np.array([line.split(",") for line in raster[1:]], dtype=float)
+        assert rows.shape == (200 * 200, 3)
+        assert rows[:, 2].sum() == cloud.count
+
+
+def test_normal_form_sweep(tmp_path):
+    run_script("normal_form_sweep.py", "--out-dir", str(tmp_path),
+               "--samples", "64")
+    tags = [f"nu{n}_D{d}" for n in "pm" for d in ("p1", "m2")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{t}_{kind}" for t in tags for kind in ("curve.csv", "diagram.json"))
+    for tag in tags:
+        diagram = spectrum.read_diagram_json(tmp_path / f"{tag}_diagram.json")
+        rows = spectrum.read_curve_csv(tmp_path / f"{tag}_curve.csv")
+        assert rows == [p for seg in diagram.segments for p in seg.points]

@@ -1,14 +1,62 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hopfdiag import hopf, models, spectrum
 from hopfdiag.hopf import HopfParams, Regime, SegmentKind
-from hopfdiag.spectrum import SpectrumCloud
+from hopfdiag.spectrum import RasterGrid, SpectrumCloud
 
 REF = HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
 SUPER = HopfParams(omega=1.0, sigma=1, nu=0.5, D=1.0)
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 1.0 / 3.0]
+
+
+# Per-row reference implementations; the vectorized writers and `boundary`
+# must match them exactly.
+
+def reference_cloud_csv(cloud: SpectrumCloud) -> str:
+    lines = [f"# seed={cloud.seed} count={cloud.count}", "J,H"]
+    for j, h in cloud.points:
+        lines.append(f"{spectrum._fmt(j)},{spectrum._fmt(h)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_raster_csv(grid: RasterGrid) -> str:
+    lines = ["J,H,count"]
+    for i, j in np.ndindex(grid.counts.shape):
+        lines.append(f"{spectrum._fmt(grid.j_centers[i])},"
+                     f"{spectrum._fmt(grid.h_centers[j])},"
+                     f"{int(grid.counts[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_boundary(cloud: SpectrumCloud, bins: int):
+    if cloud.count == 0:
+        return []
+    j_min, j_max, _, _ = cloud.bounds
+    span = (j_max - j_min) or 1.0
+    idx = np.minimum(((cloud.points[:, 0] - j_min) / span * bins).astype(int),
+                     bins - 1)
+    out = []
+    for b in range(bins):
+        mask = idx == b
+        if mask.any():
+            h = cloud.points[mask, 1]
+            out.append((float(j_min + (b + 0.5) * span / bins),
+                        float(h.min()), float(h.max())))
+    return out
+
+
+def seeded_cloud(n: int, seed: int) -> SpectrumCloud:
+    """n points over many decades, led by the edge values in both columns."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+    pts[:len(EDGE_VALUES), 0] = EDGE_VALUES
+    pts[:len(EDGE_VALUES), 1] = EDGE_VALUES[::-1]
+    return SpectrumCloud(points=pts, seed=seed)
 
 
 class TestAssemble:
@@ -123,6 +171,32 @@ class TestBoundary:
         assert len(rows) == 1
         assert rows[0][1] == -1.0 and rows[0][2] == 2.0
 
+    @given(bins=st.integers(1, 50),
+           pts=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.25, 3.0])
+                                  | st.floats(-10.0, 10.0),
+                                  st.floats(-10.0, 10.0)), max_size=200),
+           flat=st.booleans())
+    def test_matches_per_bin_reference(self, bins, pts, flat):
+        pts = np.array(pts, dtype=float).reshape(-1, 2)
+        if flat and len(pts):
+            pts[:, 0] = pts[0, 0]      # zero J span
+        cloud = SpectrumCloud(points=pts, seed=0)
+        rows = spectrum.boundary(cloud, bins)
+        assert rows == reference_boundary(cloud, bins)
+        assert all(type(x) is float for row in rows for x in row)
+
+    def test_center_overflow_is_silent_inf(self):
+        cloud = SpectrumCloud(points=[[0.0, 0.0], [1e308, 1.0]], seed=0)
+        rows = spectrum.boundary(cloud, 2000)     # RuntimeWarnings are errors
+        assert rows == reference_boundary(cloud, 2000)
+        assert rows[-1] == (math.inf, 1.0, 1.0)
+
+    def test_centers_bit_identical_at_scale(self):
+        cloud = models.jc_spectrum_sample(models.PolyG(0.8), 20_000, 3.2, 4)
+        for bins in (1, 7, 2000):
+            assert spectrum.boundary(cloud, bins) == \
+                reference_boundary(cloud, bins)
+
 
 class TestSerialization:
     def test_curve_csv_round_trip(self, tmp_path):
@@ -178,6 +252,56 @@ class TestSerialization:
         with pytest.raises(ValueError):
             spectrum.read_jc_critical_csv(path)
 
+    def test_cloud_writer_matches_per_row_reference(self, tmp_path):
+        cloud = seeded_cloud(2 * 8192 + 1, seed=17)
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(cloud, path)
+        assert path.read_text() == reference_cloud_csv(cloud)
+        for n in (0, 1, len(EDGE_VALUES)):
+            small = SpectrumCloud(points=cloud.points[:n], seed=3)
+            spectrum.write_cloud_csv(small, path)
+            assert path.read_text() == reference_cloud_csv(small)
+
+    def test_raster_writer_matches_per_row_reference(self, tmp_path):
+        path = tmp_path / "raster.csv"
+        cloud = models.jc_spectrum_sample(models.PolyG(0.8), 2 * 8192 + 1,
+                                          3.2, seed=2)
+        grid = spectrum.rasterize(cloud, 37, 23)
+        edge = RasterGrid(counts=np.arange(20).reshape(4, 5),
+                          j_centers=np.array(EDGE_VALUES),
+                          h_centers=np.array(EDGE_VALUES + [-1e-300]))
+        for g in (grid, edge):
+            spectrum.write_raster_csv(g, path)
+            assert path.read_text() == reference_raster_csv(g)
+
+    def test_read_larger_than_one_chunk(self, tmp_path):
+        cloud = seeded_cloud(40_000, seed=23)
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(cloud, path)
+        assert path.stat().st_size > 1 << 20
+        back = spectrum.read_cloud_csv(path)
+        assert back == cloud
+        assert np.array_equal(back.points.view(np.int64),
+                              cloud.points.view(np.int64))   # keeps -0.0
+
+    def test_cloud_reader_checks_count(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(seeded_cloud(5, seed=1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-2]))          # 3 of 5 rows left
+        with pytest.raises(ValueError, match="header says 5"):
+            spectrum.read_cloud_csv(path)
+        path.write_text("# seed=4\nJ,H\n1.0,2.0\n")   # no count: not checked
+        assert spectrum.read_cloud_csv(path).count == 1
+
+    @pytest.mark.parametrize("rows", ["1.0", "1.0\n2.0", "1.0,2.0,3.0",
+                                      "1.0,", ",", "1.0;2.0"])
+    def test_cloud_reader_needs_two_fields(self, tmp_path, rows):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"J,H\n0.5,0.5\n{rows}\n")   # no count= to check
+        with pytest.raises(ValueError):
+            spectrum.read_cloud_csv(path)
+
     def test_float_round_trip_is_exact(self, tmp_path):
         # shortest round-trip decimals survive write/read bit-exactly
         vals = [1.0 / 3.0, 0.1 + 0.2, math.pi, 5e-324, -0.0]
@@ -186,3 +310,29 @@ class TestSerialization:
         spectrum.write_cloud_csv(SpectrumCloud(points=pts, seed=0), path)
         back = spectrum.read_cloud_csv(path)
         assert np.array_equal(back.points, pts)
+
+
+class TestNonFiniteCloud:
+    BAD = [[0.0, 1.0], [math.nan, 0.5], [1.0, 2.0]]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructor_refuses(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumCloud(points=np.array([[0.0, 0.0], [1.0, bad]]), seed=0)
+
+    def test_boundary_and_rasterize_refuse_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                spectrum.boundary(SpectrumCloud(points=self.BAD, seed=0), 4)
+            with pytest.raises(ValueError, match="finite"):
+                spectrum.rasterize(SpectrumCloud(points=self.BAD, seed=0), 4, 4)
+
+    @pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "1e400,0.0"])
+    def test_reader_refuses_without_warnings(self, tmp_path, row):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"# seed=0 count=2\nJ,H\n0.5,0.5\n{row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                spectrum.read_cloud_csv(path)

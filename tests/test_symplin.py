@@ -70,6 +70,15 @@ class TestQuarticCoeffs:
         eig = symplin.eigen_closed(q)
         assert oracle.match_eigensets(eig, [1j, 1j, -1j, -1j]) < 1e-12
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan),
+                                      (math.inf, 1.0), (0.0, -math.inf)])
+    def test_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            QuarticCoeffs(a=a, b=b)
+        # overflow in the family formula lands in the same check
+        with pytest.raises(ValueError, match="finite"):
+            symplin.quartic_coeffs(1e200, 0.0, 0.0, 0.0)
+
     def test_forced_boundary(self):
         # alpha_t^2 = gamma*delta exactly: a = omega_t^4, b = 2 omega_t^2
         q = symplin.quartic_coeffs(1.0, 2.0, 2.0, 2.0)
