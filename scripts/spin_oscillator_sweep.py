@@ -54,12 +54,10 @@ def main() -> int:
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = ["gamma,a,b,type"]
-    for gamma in np.linspace(0.0, 1.0, 201):
-        q, typ = models.jc_linearization(PolyG(float(gamma)))
-        lines.append(f"{gamma!r},{q.a!r},{q.b!r},{typ}")
-    (out / "linearization_scan.csv").write_text("\n".join(lines) + "\n")
-    print(f"linearization scan: {len(lines) - 1} rows")
+    scan = [(gamma, *models.jc_linearization(PolyG(float(gamma))))
+            for gamma in np.linspace(0.0, 1.0, 201)]
+    spectrum.write_linearization_csv(scan, out / "linearization_scan.csv")
+    print(f"linearization scan: {len(scan)} rows")
 
     emit_configuration(out, "undeformed", 0.0, (-1.0, 2.5), args.j_steps,
                        args.samples, args.seed)

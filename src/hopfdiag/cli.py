@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import acceptance, hopf, models, spectrum, symplin
-from .spectrum import _fmt
+from . import hopf, models, spectrum, symplin
 
 MIN_CURVE_SAMPLES = spectrum.MIN_DIAGRAM_SAMPLES
 
@@ -40,11 +40,6 @@ def _env_int(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _fmt_complex(c: complex) -> str:
-    sign = "+" if c.imag >= 0 else "-"
-    return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}j"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,9 +107,9 @@ def cmd_classify(args) -> int:
     else:
         raise ValueError("need --a and --b, or --params")
     eig = symplin.eigen_closed(q)
-    print(f"(a, b) = ({_fmt(q.a)}, {_fmt(q.b)})")
+    print(f"(a, b) = ({float(q.a)!r}, {float(q.b)!r})")
     print(f"type = {symplin.classify(q)}")
-    print("eigenvalues = " + ", ".join(_fmt_complex(e) for e in eig))
+    print("eigenvalues = " + ", ".join(map(spectrum.fmt_complex, eig)))
     return 0
 
 
@@ -139,15 +134,14 @@ def cmd_hopf_curve(args) -> int:
 def cmd_jc_scan(args) -> int:
     if args.steps < 2:
         raise ValueError("steps must be >= 2")
-    lines = ["gamma,a,b,type,eig1,eig2,eig3,eig4"]
+    if not math.isfinite(args.gamma_max - args.gamma_min):
+        raise ValueError("gamma range must be finite")
+    rows = []
     for gamma in np.linspace(args.gamma_min, args.gamma_max, args.steps):
         q, typ = models.jc_linearization(models.PolyG(float(gamma)))
-        eig = symplin.eigen_closed(q)
-        lines.append(",".join([_fmt(gamma), _fmt(q.a), _fmt(q.b), str(typ)]
-                              + [_fmt_complex(e) for e in eig]))
+        rows.append((gamma, q, typ, symplin.eigen_closed(q)))
     try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        spectrum.write_jc_scan_csv(rows, args.out)
     except OSError as exc:
         print(f"jc-scan: {exc}", file=sys.stderr)
         return 3
@@ -161,8 +155,8 @@ def cmd_jc_spectrum(args) -> int:
     seed = args.seed
     if seed is None:
         seed = _env_int("HOPFDIAG_SEED", 0)
-    if args.j_steps < 1 or samples < 1 or args.j_min < -1.0 \
-            or args.j_max < args.j_min or args.j_max <= -1.0:
+    if not (args.j_steps >= 1 and samples >= 1 and args.j_max > -1.0
+            and -1.0 <= args.j_min <= args.j_max < math.inf):
         raise ValueError("invalid ranges")
     g = models.PolyG(args.gamma)
     rows: list[models.CriticalValuePoint] = []
@@ -179,6 +173,8 @@ def cmd_jc_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance    # acceptance drives the CLI: import it late
+
     results = acceptance.run_all()
     if args.json:
         print(json.dumps([{"number": r.number, "name": r.name,

@@ -47,9 +47,7 @@ import numpy as np
 from . import oracle, symplin
 
 # Implementation constants (grids, steps, residual tolerances).
-CURVE_GRID = 401              # default s-grid for curve-wide identity checks
 TANGENT_FD_STEP = 1e-5
-DOUBLE_ROOT_RESIDUAL = 1e-10  # |Q(d)|, |Q'(d)| scaled by max(1, |coeffs|)
 STRATUM_TOL = 1e-12           # cusp / endpoint recognition in segment_kind
 ROOT_CLUSTER_TOL = 1e-7       # relative clustering of cubic roots (torus_count)
 REAL_ROOT_IMAG_TOL = 1e-9
@@ -124,6 +122,11 @@ class CurveSample:
     det2: float     # reduced Hessian determinant 2*(3 s^2 - nu) on the curve
     kind: SegmentKind
 
+    def __post_init__(self):
+        fields = (self.s, self.J, self.H, self.d, self.det2)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError(f"curve sample at s = {self.s!r} is not finite")
+
 
 @dataclass(frozen=True)
 class EliassonParams:
@@ -139,6 +142,9 @@ class EliassonParams:
     delta: float
 
     def __post_init__(self):
+        fields = (self.omega_t, self.alpha_t, self.delta)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError("parameters must be finite")
         if self.omega_t == 0.0 or self.alpha_t == 0.0 or self.delta == 0.0:
             raise ValueError("omega_t, alpha_t, delta must all be nonzero")
 

@@ -86,6 +86,10 @@ class PolyG:
 
     gamma: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+
     def value(self, z: float) -> float:
         return self.gamma * z * z
 
@@ -115,11 +119,6 @@ def jc_Htilde(state, g: PolyG) -> float:
 def jc_grad_J(state) -> np.ndarray:
     x, y, z, u, v = state
     return np.array([0.0, 0.0, 1.0, u, v])
-
-
-def jc_grad_H(state) -> np.ndarray:
-    x, y, z, u, v = state
-    return np.array([u / 2.0, v / 2.0, 0.0, x / 2.0, y / 2.0])
 
 
 def jc_grad_Htilde(state, g: PolyG) -> np.ndarray:

@@ -1,14 +1,19 @@
 """Assembly and serialization of bifurcation diagrams.
 
-File formats (all floats as shortest round-trip decimals, '\\n' newlines):
- - curve CSV:        header ``s,J,H,z_double,hessdet,kind``, kind in {E,H,CUSP,END}
- - jc critical CSV:  header ``J,H,z,branch,kind``, branch in {plus,minus,none},
-                     kind in {E,H,CUSP,EQ}
- - cloud CSV:        ``# seed=<s> count=<n>`` comment, then header ``J,H``;
-                     the reader checks ``count=`` against the rows it reads
- - raster CSV:       header ``J,H,count`` (cell centers)
- - diagram JSON:     {params, regime, cusps, endpoints, slopes, anchor,
-                      equilibrium, segments}
+Every CSV table goes through one codec (``_write_csv``/``_read_csv``): an
+optional ``# k=v ...`` first line, the header line, then rows with exactly
+the header's field count, floats as shortest round-trip decimals; a read
+fault is a ValueError that names the file.  Tables (header; notes):
+ - curve CSV:          ``s,J,H,z_double,hessdet,kind``, kind in {E,H,CUSP,END}
+ - jc critical CSV:    ``J,H,z,branch,kind``, branch in {plus,minus,none},
+                       kind in {E,H,CUSP,EQ}
+ - cloud CSV:          ``J,H`` after ``# seed=<s> count=<n>``; the reader
+                       checks ``count=`` against the rows it reads
+ - raster CSV:         ``J,H,count``, one row per cell centre, J-major
+ - jc-scan and linearization scan CSVs (written only):
+                       ``gamma,a,b,type[,eig1,eig2,eig3,eig4]``
+ - diagram JSON:       {params, regime, cusps, endpoints, slopes, anchor,
+                        equilibrium, segments}
 
 Inadmissible curve regions are emitted as explicit gaps, never interpolated.
 Cloud points are finite: ``SpectrumCloud`` refuses NaN and infinity.
@@ -16,9 +21,10 @@ Cloud points are finite: ``SpectrumCloud`` refuses NaN and infinity.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,7 +33,6 @@ from .hopf import CurveSample, HopfParams, Regime, SegmentKind
 
 MIN_DIAGRAM_SAMPLES = 16
 MIN_SEGMENT_SAMPLES = 5
-_CLOUD_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -175,6 +180,19 @@ class RasterGrid:
                 and bool(np.array_equal(self.h_centers, other.h_centers)))
 
 
+def _bins(x: np.ndarray, lo: float, hi: float, n: int):
+    """Index of each x among n equal bins over [lo, hi] (a zero span counts
+    as 1), and the bin centres lo + (k + 0.5) * span / n, inf where that
+    overflows, as scalar floats would give."""
+    span = (hi - lo) or 1.0
+    if not math.isfinite(span):
+        raise ValueError(f"span {lo!r} .. {hi!r} overflows a float")
+    idx = np.minimum(((x - lo) / span * n).astype(int), n - 1)
+    with np.errstate(over="ignore"):
+        centers = lo + (np.arange(n) + 0.5) * span / n
+    return idx, centers
+
+
 def rasterize(cloud: SpectrumCloud, n_j: int, n_h: int) -> RasterGrid:
     """Occupancy counts on the bounds-aligned grid; counts sum to cloud.count."""
     if cloud.count == 0:
@@ -182,16 +200,10 @@ def rasterize(cloud: SpectrumCloud, n_j: int, n_h: int) -> RasterGrid:
     if n_j < 1 or n_h < 1:
         raise ValueError("grid sizes must be >= 1")
     j_min, j_max, h_min, h_max = cloud.bounds
-    j_span = (j_max - j_min) or 1.0
-    h_span = (h_max - h_min) or 1.0
-    ji = np.minimum(((cloud.points[:, 0] - j_min) / j_span * n_j).astype(int),
-                    n_j - 1)
-    hi = np.minimum(((cloud.points[:, 1] - h_min) / h_span * n_h).astype(int),
-                    n_h - 1)
+    ji, j_centers = _bins(cloud.points[:, 0], j_min, j_max, n_j)
+    hi, h_centers = _bins(cloud.points[:, 1], h_min, h_max, n_h)
     counts = np.zeros((n_j, n_h), dtype=int)
     np.add.at(counts, (ji, hi), 1)
-    j_centers = j_min + (np.arange(n_j) + 0.5) * j_span / n_j
-    h_centers = h_min + (np.arange(n_h) + 0.5) * h_span / n_h
     return RasterGrid(counts=counts, j_centers=j_centers, h_centers=h_centers)
 
 
@@ -202,62 +214,102 @@ def boundary(cloud: SpectrumCloud, bins: int) -> list[tuple[float, float, float]
     if cloud.count == 0:
         return []
     j_min, j_max, _, _ = cloud.bounds
-    span = (j_max - j_min) or 1.0
-    idx = np.minimum(((cloud.points[:, 0] - j_min) / span * bins).astype(int),
-                     bins - 1)
+    idx, centers = _bins(cloud.points[:, 0], j_min, j_max, bins)
     h_lo, h_hi = np.full(bins, np.inf), np.full(bins, -np.inf)
     np.minimum.at(h_lo, idx, cloud.points[:, 1])
     np.maximum.at(h_hi, idx, cloud.points[:, 1])
     full = np.flatnonzero(np.bincount(idx, minlength=bins))
-    with np.errstate(over="ignore"):    # inf, silently, as scalar floats give
-        centers = j_min + (full + 0.5) * span / bins
-    return list(zip(centers.tolist(), h_lo[full].tolist(), h_hi[full].tolist()))
+    return list(zip(centers[full].tolist(), h_lo[full].tolist(),
+                    h_hi[full].tolist()))
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: one CSV codec for every table
+
+_CURVE_HEADER = "s,J,H,z_double,hessdet,kind"
+_JC_CRITICAL_HEADER = "J,H,z,branch,kind"
+_CLOUD_HEADER = "J,H"
+_RASTER_HEADER = "J,H,count"
+_WRITE_ROWS = 8192          # lines per write call
+_READ_BYTES = 1 << 20       # text per read call
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_curve_csv(diagram: Diagram, path):
-    lines = ["s,J,H,z_double,hessdet,kind"]
-    for seg in diagram.segments:
-        for p in seg.points:
-            lines.append(",".join([_fmt(p.s), _fmt(p.J), _fmt(p.H),
-                                   _fmt(p.d), _fmt(p.det2), p.kind.value]))
+def fmt_complex(c: complex) -> str:
+    """Shortest round-trip text of a complex number, e.g. ``0.5-1.0j``."""
+    sign = "+" if c.imag >= 0 else "-"
+    return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}j"
+
+
+def _write_csv(path, header: str, rows, meta: dict | None = None):
+    """Write ``# k=v ...`` if there is ``meta``, the header, then ``rows``
+    (tuples of field text), 8192 lines per write."""
+    comment = [" ".join(["#"] + [f"{k}={v}" for k, v in meta.items()])] \
+        if meta else []
+    lines = itertools.chain(comment, [header], map(",".join, rows))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        while chunk := list(itertools.islice(lines, _WRITE_ROWS)):
+            fh.write("\n".join(chunk) + "\n")
+
+
+def _read_csv(path, header: str, parse, build):
+    """Read a table written by ``_write_csv``: an optional ``# k=v ...``
+    line (``meta``), ``header``, then rows with the header's field count,
+    1 MiB at a time, each batch (a list of row strings) through ``parse``.
+    Returns ``build(meta, batches)``; every ValueError names the file."""
+    commas = header.count(",")
+    try:
+        with open(path) as fh:
+            line, line_no, meta = fh.readline(), 1, {}
+            if line.startswith("#"):
+                meta = dict(kv.split("=", 1) for kv in line[1:].split())
+                line, line_no = fh.readline(), 2
+            if line.rstrip("\n") != header:
+                raise ValueError(f"header {line.rstrip()!r} is not {header!r}")
+            batches = []
+            while lines := fh.readlines(_READ_BYTES):
+                rows = [s.rstrip("\n") for s in lines]
+                for i, row in enumerate(rows, line_no + 1):
+                    if row.count(",") != commas:
+                        raise ValueError(f"line {i} has {row.count(',') + 1} "
+                                         f"fields, not {commas + 1}")
+                line_no += len(rows)
+                batches.append(parse(rows))
+        return build(meta, batches)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _floats(rows) -> np.ndarray:
+    return np.array(",".join(rows).split(","), dtype=float)
+
+
+def _concat(meta, batches) -> list:
+    return [row for batch in batches for row in batch]
+
+
+def write_curve_csv(diagram: Diagram, path):
+    _write_csv(path, _CURVE_HEADER, (
+        (_fmt(p.s), _fmt(p.J), _fmt(p.H), _fmt(p.d), _fmt(p.det2),
+         p.kind.value) for seg in diagram.segments for p in seg.points))
 
 
 def read_curve_csv(path) -> list[CurveSample]:
-    out = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "s,J,H,z_double,hessdet,kind":
-            raise ValueError(f"unexpected curve CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            s, j, h, d, det2, kind = line.split(",")
-            out.append(CurveSample(s=float(s), J=float(j), H=float(h),
-                                   d=float(d), det2=float(det2),
-                                   kind=SegmentKind(kind)))
-    return out
+    def parse(rows):
+        return [CurveSample(*map(float, r[:5]), kind=SegmentKind(r[5]))
+                for r in (row.split(",") for row in rows)]
+    return _read_csv(path, _CURVE_HEADER, parse, _concat)
 
 
 def write_jc_critical_csv(points, path):
     """jc critical CSV from objects with J, H, z_at, branch, kind attributes."""
-    lines = ["J,H,z,branch,kind"]
-    for p in points:
-        branch = p.branch.value if p.branch is not None else "none"
-        lines.append(",".join([_fmt(p.J), _fmt(p.H), _fmt(p.z_at),
-                               branch, p.kind.value]))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, _JC_CRITICAL_HEADER, (
+        (_fmt(p.J), _fmt(p.H), _fmt(p.z_at),
+         p.branch.value if p.branch is not None else "none", p.kind.value)
+        for p in points))
 
 
 @dataclass(frozen=True)
@@ -270,64 +322,71 @@ class JCCriticalRow:
 
 
 def read_jc_critical_csv(path) -> list[JCCriticalRow]:
-    out = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "J,H,z,branch,kind":
-            raise ValueError(f"unexpected jc critical CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            j, h, z, branch, kind = line.split(",")
-            out.append(JCCriticalRow(J=float(j), H=float(h), z=float(z),
-                                     branch=branch, kind=kind))
-    return out
+    def parse(rows):
+        return [JCCriticalRow(float(j), float(h), float(z), branch, kind)
+                for j, h, z, branch, kind in (row.split(",") for row in rows)]
+    return _read_csv(path, _JC_CRITICAL_HEADER, parse, _concat)
 
 
 def write_cloud_csv(cloud: SpectrumCloud, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={cloud.seed} count={cloud.count}\nJ,H\n")
-        for start in range(0, cloud.count, _CLOUD_CHUNK_ROWS):
-            rows = cloud.points[start:start + _CLOUD_CHUNK_ROWS].tolist()
-            fh.write("".join([f"{j!r},{h!r}\n" for j, h in rows]))
+    def rows():
+        for start in range(0, cloud.count, _WRITE_ROWS):
+            for j, h in cloud.points[start:start + _WRITE_ROWS].tolist():
+                yield repr(j), repr(h)
+    _write_csv(path, _CLOUD_HEADER, rows(),
+               {"seed": cloud.seed, "count": cloud.count})
 
 
 def read_cloud_csv(path) -> SpectrumCloud:
-    """Cloud CSV reader; a bad row or a ``count=`` mismatch is a ValueError."""
-    seed, count, chunks = 0, None, []
-    with open(path) as fh:
-        while lines := fh.readlines(1 << 20):
-            rows = []
-            for line in lines:
-                line = line.strip()
-                if not line or line == "J,H":
-                    continue
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if tok.startswith("seed="):
-                            seed = int(tok[5:])
-                        elif tok.startswith("count="):
-                            count = int(tok[6:])
-                    continue
-                if line.count(",") != 1:
-                    raise ValueError(f"cloud CSV row without two fields: {line!r}")
-                rows.append(line)
-            if rows:
-                chunks.append(np.array(",".join(rows).split(","), dtype=float))
-    pts = np.concatenate([np.empty(0), *chunks]).reshape(-1, 2)
-    if count is not None and count != pts.shape[0]:
-        raise ValueError(f"cloud CSV has {pts.shape[0]} rows, header says {count}")
-    return SpectrumCloud(points=pts, seed=seed)
+    """Cloud CSV reader; ``count=``, when given, must match the rows read."""
+    def build(meta, batches):
+        pts = np.concatenate([np.empty(0), *batches]).reshape(-1, 2)
+        count = int(meta.get("count", len(pts)))
+        if count != len(pts):
+            raise ValueError(f"{len(pts)} rows, header says {count}")
+        return SpectrumCloud(points=pts, seed=int(meta.get("seed", 0)))
+    return _read_csv(path, _CLOUD_HEADER, _floats, build)
 
 
 def write_raster_csv(grid: RasterGrid, path):
-    j_text = [f"{j!r}" for j in grid.j_centers.tolist()]
-    h_text = [f"{h!r}" for h in grid.h_centers.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("J,H,count\n")
-        for j, row in zip(j_text, grid.counts.astype(int).tolist()):
-            fh.write("".join([f"{j},{h},{c}\n" for h, c in zip(h_text, row)]))
+    """One row per cell, J-major, each centre formatted once."""
+    j_text = [repr(j) for j in grid.j_centers.tolist()]
+    h_text = [repr(h) for h in grid.h_centers.tolist()]
+    counts = grid.counts.astype(int).tolist()
+    _write_csv(path, _RASTER_HEADER, (
+        (j, h, str(c)) for j, row in zip(j_text, counts)
+        for h, c in zip(h_text, row)))
+
+
+def read_raster_csv(path) -> RasterGrid:
+    """Raster CSV reader.  A grid row ends where J changes, so J centres
+    that coincide (a span below float spacing) read back merged."""
+    def build(meta, batches):
+        j, h, c = np.concatenate([np.empty(0), *batches]).reshape(-1, 3).T
+        if j.size == 0:
+            raise ValueError("no rows")
+        n_h = int(np.argmax(j != j[0])) or j.size
+        grid = RasterGrid(counts=c.astype(int).reshape(-1, n_h),
+                          j_centers=j[::n_h], h_centers=h[:n_h])
+        if not (np.array_equal(np.repeat(grid.j_centers, n_h), j)
+                and np.array_equal(np.tile(grid.h_centers, j.size // n_h), h)
+                and np.array_equal(grid.counts.ravel(), c) and c.min() >= 0):
+            raise ValueError("rows are not a J-major grid of counts >= 0")
+        return grid
+    return _read_csv(path, _RASTER_HEADER, _floats, build)
+
+
+def write_jc_scan_csv(rows, path):
+    """jc-scan CSV from (gamma, QuarticCoeffs, type, eigenvalues) rows."""
+    _write_csv(path, "gamma,a,b,type,eig1,eig2,eig3,eig4", (
+        (_fmt(g), _fmt(q.a), _fmt(q.b), str(typ), *map(fmt_complex, eig))
+        for g, q, typ, eig in rows))
+
+
+def write_linearization_csv(rows, path):
+    """Linearization scan CSV from (gamma, QuarticCoeffs, type) rows."""
+    _write_csv(path, "gamma,a,b,type", (
+        (_fmt(g), _fmt(q.a), _fmt(q.b), str(typ)) for g, q, typ in rows))
 
 
 def _sample_to_dict(p: CurveSample) -> dict:
@@ -341,11 +400,8 @@ def _sample_from_dict(d: dict) -> CurveSample:
 
 
 def diagram_to_dict(diagram: Diagram) -> dict:
-    pr = diagram.params
     return {
-        "params": {"omega": pr.omega, "sigma": pr.sigma, "nu": pr.nu,
-                   "D": pr.D, "unfold_a": pr.unfold_a, "unfold_b": pr.unfold_b,
-                   "coeff_B": pr.coeff_B, "coeff_C": pr.coeff_C},
+        "params": asdict(diagram.params),
         "regime": diagram.regime.value,
         "cusps": [{"s": c.s, "J": c.J, "H": c.H} for c in diagram.cusps],
         "endpoints": [{"s": e.s, "J": e.J, "H": e.H} for e in diagram.endpoints],
@@ -360,18 +416,13 @@ def diagram_to_dict(diagram: Diagram) -> dict:
 
 
 def diagram_from_dict(data: dict) -> Diagram:
-    pr = data["params"]
-    params = HopfParams(omega=pr["omega"], sigma=pr["sigma"], nu=pr["nu"],
-                        D=pr["D"], unfold_a=pr["unfold_a"],
-                        unfold_b=pr["unfold_b"], coeff_B=pr["coeff_B"],
-                        coeff_C=pr["coeff_C"])
     segments = [DiagramSegment(kind=SegmentKind(s["kind"]),
                                points=[_sample_from_dict(p) for p in s["points"]],
                                gaps=[tuple(g) for g in s["gaps"]])
                 for s in data["segments"]]
     slopes = tuple(data["slopes"]) if data["slopes"] is not None else None
     return Diagram(
-        params=params,
+        params=HopfParams(**data["params"]),
         regime=Regime(data["regime"]),
         cusps=[SpecialPoint(**c) for c in data["cusps"]],
         endpoints=[SpecialPoint(**e) for e in data["endpoints"]],

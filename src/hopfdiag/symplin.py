@@ -38,8 +38,6 @@ import numpy as np
 
 from . import oracle
 
-COORDINATE_ORDER = ("x", "y", "xi", "eta")
-
 SYMPLECTIC_MATRIX = np.array([
     [0.0, 0.0, -1.0, 0.0],
     [0.0, 0.0, 0.0, -1.0],
@@ -166,7 +164,8 @@ def quartic_coeffs(omega_t: float, alpha_t: float, gamma: float,
     can never arise from this family.
     """
     gd = gamma * delta
-    a = (alpha_t * alpha_t + omega_t * omega_t - gd) ** 2
+    root_a = alpha_t * alpha_t + omega_t * omega_t - gd
+    a = root_a * root_a         # overflows to inf, not OverflowError
     b = 2.0 * (gd - alpha_t * alpha_t + omega_t * omega_t)
     return QuarticCoeffs(a=a, b=b)
 
@@ -200,6 +199,8 @@ def eigen_closed(q: QuarticCoeffs) -> np.ndarray:
     for s in lam_sq:
         r = cmath.sqrt(s)
         out.extend([r, -r])
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError(f"eigenvalues of (a, b) = ({a!r}, {b!r}) overflow")
     return np.array(out, dtype=complex)
 
 

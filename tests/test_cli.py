@@ -1,6 +1,13 @@
+import cmath
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfdiag import acceptance, cli, spectrum
 
@@ -71,6 +78,19 @@ class TestBadInput:
         args[args.index(flag) + 1] = value
         self.one_line_exit_2(capsys, args, "hopf-curve")
         assert not (tmp_path / "x_curve.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "--a=1e308", "--b=-1e308"],
+        ["hopf-curve", "--omega=1", "--sigma=1", "--nu=1e308", "--D=-2"],
+        ["hopf-curve", "--omega=1e308", "--sigma=1", "--nu=0.5", "--D=-2"],
+        ["jc-scan", "--gamma-min=-1e308", "--gamma-max=1e308", "--steps=3"],
+        ["jc-spectrum", "--gamma=0.8", "--j-min=0", "--j-max=inf",
+         "--j-steps=3"]])
+    def test_finite_input_that_overflows(self, tmp_path, capsys, args):
+        if args[0] != "classify":
+            args = args + ["--out", str(tmp_path / "x")]
+        self.one_line_exit_2(capsys, args, args[0])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["HOPFDIAG_SAMPLES", "HOPFDIAG_SEED"])
     def test_env_not_an_integer(self, tmp_path, capsys, monkeypatch, name):
@@ -259,3 +279,95 @@ class TestHelp:
     def test_defaults_shown(self, capsys):
         assert run_cli(["jc-spectrum", "--help"]) == 0
         assert "default" in capsys.readouterr().out
+
+
+# --- random argv and environment ---------------------------------------------
+
+NUMBER = st.one_of(
+    st.floats(-10.0, 10.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1", "-1", "0.5", "1e308", "-1e308", "1e-320",
+                     "1e154", "nan", "inf", "-inf", "x", ""]))
+SMALL = st.floats(-1.0, 3.0).map(repr)     # mostly valid J and gamma
+SIZE = st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["2000", "x"]))
+ENV = st.fixed_dictionaries({    # always set: an omitted --samples stays small
+    "HOPFDIAG_SAMPLES": st.integers(-2, 200).map(str)
+    | st.sampled_from(["2000", "abc", "", "1e3"])},
+    optional={"HOPFDIAG_SEED": st.one_of(st.integers(-2, 2 ** 70).map(str),
+                               st.sampled_from(["abc", ""]))})
+
+
+def flags(**values):
+    """``--name=value`` for every value that is not None."""
+    return [f"--{k.replace('_', '-')}={v}" for k, v in values.items()
+            if v is not None]
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+ARGV = {
+    "classify": st.one_of(
+        st.builds(flags, a=optional(NUMBER), b=optional(NUMBER)),
+        st.lists(NUMBER.filter(lambda v: not v.startswith("-")),
+                 min_size=4, max_size=4).map(lambda p: ["--params", *p])),
+    "hopf-curve": st.builds(
+        flags, omega=SMALL | NUMBER, sigma=st.sampled_from(["1", "-1", "0"]),
+        nu=SMALL | NUMBER, D=SMALL | NUMBER,
+        samples=optional(st.integers(-2, 300).map(str) | st.just("2000"))),
+    "jc-scan": st.builds(flags, gamma_min=NUMBER, gamma_max=NUMBER,
+                         steps=SIZE),
+    "jc-spectrum": st.builds(
+        flags, gamma=SMALL | NUMBER, j_min=SMALL | NUMBER,
+        j_max=SMALL | NUMBER, j_steps=SIZE,
+        samples=optional(st.integers(-2, 300).map(str) | st.just("2000")),
+        seed=optional(st.integers(-2, 2 ** 70).map(str))),
+}
+
+
+def read_back_finite(command, out):
+    """Every CSV a successful run wrote reads back, all numbers finite."""
+    if command == "hopf-curve":
+        rows = spectrum.read_curve_csv(f"{out}_curve.csv")
+        values = [v for r in rows for v in (r.s, r.J, r.H, r.d, r.det2)]
+    elif command == "jc-scan":
+        values = spectrum._read_csv(
+            out, "gamma,a,b,type,eig1,eig2,eig3,eig4",
+            lambda rows: [complex(f) for r in rows
+                          for i, f in enumerate(r.split(",")) if i != 3],
+            lambda meta, batches: [v for b in batches for v in b])
+    elif command == "jc-spectrum":
+        rows = spectrum.read_jc_critical_csv(f"{out}_critical.csv")
+        values = [v for r in rows for v in (r.J, r.H, r.z)]
+        cloud = spectrum.read_cloud_csv(f"{out}_cloud.csv")
+        values += cloud.points.ravel().tolist()
+    else:
+        return
+    assert all(map(cmath.isfinite, values))
+
+
+@pytest.mark.parametrize("command", ARGV)
+@settings(max_examples=40)
+@given(data=st.data(), env=ENV, missing_dir=st.booleans())
+def test_random_input_exits_cleanly(command, data, env, missing_dir):
+    """No traceback: exit 0, 2 (one line, unless argparse's usage) or 3,
+    and every CSV written with exit 0 reads back finite."""
+    argv = [command] + data.draw(ARGV[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "no", "dir", "x") if missing_dir else \
+            os.path.join(tmp, "x")
+        if command != "classify":
+            argv.append(f"--out={out}")
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, env), \
+                contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        assert code in (0, 2, 3), argv
+        if code == 2 and not err.getvalue().startswith("usage:"):
+            assert err.getvalue().count("\n") == 1, argv
+        if code == 0:
+            assert "nan" not in stdout.getvalue()
+            assert "inf" not in stdout.getvalue()
+            read_back_finite(command, out)

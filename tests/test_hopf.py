@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfdiag import hopf, oracle, symplin
+from hopfdiag import hopf, oracle, spectrum, symplin
 from hopfdiag.hopf import (EliassonParams, HopfParams, Regime, SegmentKind)
 
 REF = HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
@@ -45,6 +45,28 @@ class TestParams:
         assert EliassonParams(1.0, 1.0, -2.0).sigma == -1
         with pytest.raises(ValueError):
             EliassonParams(omega_t=0.0, alpha_t=1.0, delta=1.0)
+
+    @pytest.mark.parametrize("at", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_eliasson_rejects_non_finite(self, at, bad):
+        vals = [1.0, 1.0, 1.0]
+        vals[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EliassonParams(*vals)
+
+    @pytest.mark.parametrize("at", range(5))
+    def test_curve_sample_rejects_non_finite(self, at):
+        vals = [0.1, 0.2, 0.3, 0.4, 0.5]
+        vals[at] = math.inf if at % 2 else math.nan
+        with pytest.raises(ValueError, match="not finite"):
+            hopf.CurveSample(*vals, kind=SegmentKind.TRANSVERSALLY_ELLIPTIC)
+
+    @pytest.mark.parametrize("field, value", [("nu", 1e308), ("omega", 1e308)])
+    def test_overflowing_curve_is_refused(self, field, value):
+        params = HopfParams(**{"omega": 1.0, "sigma": 1, "nu": 0.5, "D": -2.0,
+                               field: value})
+        with pytest.raises(ValueError, match="not finite"):
+            spectrum.assemble_hopf_diagram(params, 400)
 
 
 class TestGammas:

@@ -33,6 +33,12 @@ class TestJCState:
         assert abs(st_.x ** 2 + st_.y ** 2 + st_.z ** 2 - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polyg_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PolyG(bad)
+
+
 class TestEnergies:
     def test_north_pole(self):
         st_ = JCState(0.0, 0.0, 1.0, 0.0, 0.0)

@@ -29,16 +29,15 @@ def test_spin_oscillator_sweep(tmp_path):
 
     scan = (tmp_path / "linearization_scan.csv").read_text().splitlines()
     assert scan[0] == "gamma,a,b,type" and len(scan) == 202
+    # gamma is a plain decimal, not the repr of a numpy scalar
+    assert [float(row.split(",")[0]) for row in scan[1:]] == \
+        np.linspace(0.0, 1.0, 201).tolist()
     for tag, seed in (("undeformed", 0), ("deformed", 1)):
         assert spectrum.read_jc_critical_csv(tmp_path / f"{tag}_critical.csv")
         cloud = spectrum.read_cloud_csv(tmp_path / f"{tag}_cloud.csv")
         assert (cloud.count, cloud.seed) == (2000, seed)
-        # hopfdiag has no raster reader; the format is J,H,count per cell
-        raster = (tmp_path / f"{tag}_raster.csv").read_text().splitlines()
-        assert raster[0] == "J,H,count"
-        rows = np.array([line.split(",") for line in raster[1:]], dtype=float)
-        assert rows.shape == (200 * 200, 3)
-        assert rows[:, 2].sum() == cloud.count
+        raster = spectrum.read_raster_csv(tmp_path / f"{tag}_raster.csv")
+        assert raster == spectrum.rasterize(cloud, 200, 200)
 
 
 def test_normal_form_sweep(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+import types
 import warnings
 
 import numpy as np
@@ -6,29 +8,52 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfdiag import hopf, models, spectrum
-from hopfdiag.hopf import HopfParams, Regime, SegmentKind
-from hopfdiag.spectrum import RasterGrid, SpectrumCloud
+from hopfdiag.hopf import CurveSample, HopfParams, Regime, SegmentKind
+from hopfdiag.models import Branch, CriticalKind
+from hopfdiag.spectrum import (Diagram, DiagramSegment, JCCriticalRow,
+                               RasterGrid, SpectrumCloud)
 
 REF = HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
 SUPER = HopfParams(omega=1.0, sigma=1, nu=0.5, D=1.0)
 EDGE_VALUES = [-0.0, 5e-324, 1e308, 1.0 / 3.0]
 
 
-# Per-row reference implementations; the vectorized writers and `boundary`
+# Per-row reference implementations; the streamed writers and `boundary`
 # must match them exactly.
+
+def fmt(x) -> str:
+    return repr(float(x))
+
+
+def reference_curve_csv(diagram: Diagram) -> str:
+    lines = ["s,J,H,z_double,hessdet,kind"]
+    for seg in diagram.segments:
+        for p in seg.points:
+            lines.append(",".join([fmt(p.s), fmt(p.J), fmt(p.H), fmt(p.d),
+                                   fmt(p.det2), p.kind.value]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_jc_critical_csv(points) -> str:
+    lines = ["J,H,z,branch,kind"]
+    for p in points:
+        branch = p.branch.value if p.branch is not None else "none"
+        lines.append(",".join([fmt(p.J), fmt(p.H), fmt(p.z_at), branch,
+                               p.kind.value]))
+    return "\n".join(lines) + "\n"
+
 
 def reference_cloud_csv(cloud: SpectrumCloud) -> str:
     lines = [f"# seed={cloud.seed} count={cloud.count}", "J,H"]
     for j, h in cloud.points:
-        lines.append(f"{spectrum._fmt(j)},{spectrum._fmt(h)}")
+        lines.append(f"{fmt(j)},{fmt(h)}")
     return "\n".join(lines) + "\n"
 
 
 def reference_raster_csv(grid: RasterGrid) -> str:
     lines = ["J,H,count"]
     for i, j in np.ndindex(grid.counts.shape):
-        lines.append(f"{spectrum._fmt(grid.j_centers[i])},"
-                     f"{spectrum._fmt(grid.h_centers[j])},"
+        lines.append(f"{fmt(grid.j_centers[i])},{fmt(grid.h_centers[j])},"
                      f"{int(grid.counts[i, j])}")
     return "\n".join(lines) + "\n"
 
@@ -57,6 +82,94 @@ def seeded_cloud(n: int, seed: int) -> SpectrumCloud:
     pts[:len(EDGE_VALUES), 0] = EDGE_VALUES
     pts[:len(EDGE_VALUES), 1] = EDGE_VALUES[::-1]
     return SpectrumCloud(points=pts, seed=seed)
+
+
+def seeded_values(n: int, seed: int) -> list[float]:
+    """n floats over many decades, led by the edge values."""
+    return seeded_cloud(n, seed).points[:, 0].tolist()
+
+
+def seeded_diagram(n: int, seed: int) -> Diagram:
+    """n curve samples with arbitrary finite fields, in two segments."""
+    vals = seeded_values(5 * n, seed)
+    kinds = list(SegmentKind)
+    pts = [CurveSample(*vals[5 * i:5 * i + 5], kind=kinds[i % len(kinds)])
+           for i in range(n)]
+    segs = [DiagramSegment(SegmentKind.TRANSVERSALLY_ELLIPTIC, pts[:n // 3]),
+            DiagramSegment(SegmentKind.TRANSVERSALLY_HYPERBOLIC, pts[n // 3:])]
+    return Diagram(params=REF, regime=Regime.SUBCRITICAL, cusps=[],
+                   endpoints=[], slopes=None, anchor=(0.0, 0.0),
+                   equilibrium=(0.0, 0.0), segments=segs)
+
+
+def seeded_critical_points(n: int, seed: int):
+    """n objects shaped like models.CriticalValuePoint, all branches and
+    kinds."""
+    vals = seeded_values(3 * n, seed)
+    branches = [Branch.PLUS, Branch.MINUS, None]
+    kinds = list(CriticalKind)
+    return [types.SimpleNamespace(J=vals[3 * i], H=vals[3 * i + 1],
+                                  z_at=vals[3 * i + 2],
+                                  branch=branches[i % 3],
+                                  kind=kinds[i % len(kinds)])
+            for i in range(n)]
+
+
+def critical_rows(points) -> list[JCCriticalRow]:
+    return [JCCriticalRow(p.J, p.H, p.z_at,
+                          p.branch.value if p.branch is not None else "none",
+                          p.kind.value) for p in points]
+
+
+def seeded_raster(seed: int) -> RasterGrid:
+    """97 x 89 = 8633 cells, more rows than one write."""
+    cloud = models.jc_spectrum_sample(models.PolyG(0.8), 5000, 3.2, seed)
+    return spectrum.rasterize(cloud, 97, 89)
+
+
+# format: (writer, reader, value, the value read back, per-row reference)
+FORMATS = {
+    "curve": (spectrum.write_curve_csv, spectrum.read_curve_csv,
+              lambda: seeded_diagram(8192 + 1, 5),
+              lambda d: [p for seg in d.segments for p in seg.points],
+              reference_curve_csv),
+    "jc_critical": (spectrum.write_jc_critical_csv,
+                    spectrum.read_jc_critical_csv,
+                    lambda: seeded_critical_points(8192 + 1, 6),
+                    critical_rows, reference_jc_critical_csv),
+    "cloud": (spectrum.write_cloud_csv, spectrum.read_cloud_csv,
+              lambda: seeded_cloud(8192 + 1, 7), lambda c: c,
+              reference_cloud_csv),
+    "raster": (spectrum.write_raster_csv, spectrum.read_raster_csv,
+               lambda: seeded_raster(8), lambda g: g, reference_raster_csv),
+}
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_csv_format(tmp_path, name):
+    """Each format round-trips through the one codec and matches its per-row
+    reference; a bad header, a bad field count and, for the cloud, a wrong
+    ``count=`` are ValueErrors that name the file."""
+    write, read, make, expected, reference = FORMATS[name]
+    value = make()
+    path = tmp_path / f"{name}.csv"
+    write(value, path)
+    text = path.read_text()
+    assert text == reference(value)
+    assert read(path) == expected(value)
+
+    lines = text.splitlines(keepends=True)
+    at = 1 if lines[0].startswith("#") else 0
+    names_file = re.escape(str(path))
+    faults = {"header": lines[:at] + ["x,y\n"] + lines[at + 1:],
+              "fields": lines[:-1] + [lines[-1].rstrip("\n") + ",1\n"],
+              "blank": lines[:at + 2] + ["\n"] + lines[at + 2:]}
+    if name == "cloud":
+        faults["count"] = lines[:-1]
+    for fault, bad in faults.items():
+        path.write_text("".join(bad))
+        with pytest.raises(ValueError, match=names_file):
+            read(path)
 
 
 class TestAssemble:
@@ -147,6 +260,17 @@ class TestRasterize:
         occupied = np.argwhere(grid.counts > 0)
         assert np.all(np.abs(occupied[:, 0] - occupied[:, 1]) <= 1)
 
+    def test_center_overflow_is_silent_inf(self):
+        cloud = SpectrumCloud(points=[[0.0, 0.0], [1e308, 1.0]], seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = spectrum.rasterize(cloud, 200, 200)
+        assert grid.counts[0, 0] == grid.counts[-1, -1] == 1
+        assert grid.j_centers[-1] == math.inf
+        # the centres boundary reports, from the same binning
+        assert [r[0] for r in spectrum.boundary(cloud, 200)] == \
+            grid.j_centers[[0, -1]].tolist()
+
     def test_empty_cloud_errors(self):
         with pytest.raises(ValueError):
             spectrum.rasterize(SpectrumCloud(points=np.empty((0, 2)), seed=0), 4, 4)
@@ -184,6 +308,13 @@ class TestBoundary:
         rows = spectrum.boundary(cloud, bins)
         assert rows == reference_boundary(cloud, bins)
         assert all(type(x) is float for row in rows for x in row)
+
+    def test_span_overflow_is_a_value_error(self):
+        cloud = SpectrumCloud(points=[[-1e308, 0.0], [1e308, 1.0]], seed=0)
+        with pytest.raises(ValueError, match="overflows"):
+            spectrum.boundary(cloud, 10)        # RuntimeWarnings are errors
+        with pytest.raises(ValueError, match="overflows"):
+            spectrum.rasterize(cloud, 10, 10)
 
     def test_center_overflow_is_silent_inf(self):
         cloud = SpectrumCloud(points=[[0.0, 0.0], [1e308, 1.0]], seed=0)
@@ -239,10 +370,22 @@ class TestSerialization:
         grid = spectrum.rasterize(cloud, 6, 6)
         path = tmp_path / "raster.csv"
         spectrum.write_raster_csv(grid, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "J,H,count"
-        total = sum(int(line.split(",")[2]) for line in lines[1:])
-        assert total == cloud.count
+        back = spectrum.read_raster_csv(path)
+        assert back == grid and back.counts.sum() == cloud.count
+        edge = RasterGrid(counts=np.arange(20).reshape(4, 5),
+                          j_centers=np.array(EDGE_VALUES),
+                          h_centers=np.array(EDGE_VALUES + [-1e-300]))
+        spectrum.write_raster_csv(edge, path)
+        assert spectrum.read_raster_csv(path) == edge
+
+    @pytest.mark.parametrize("rows", ["0.0,0.0,1\n0.0,1.0,1\n1.0,1.0,1\n",
+                                      "0.0,0.0,1\n1.0,1.0,1\n",
+                                      "0.0,0.0,1.5\n", "0.0,0.0,-1\n", ""])
+    def test_raster_reader_needs_a_grid_of_counts(self, tmp_path, rows):
+        path = tmp_path / "raster.csv"
+        path.write_text("J,H,count\n" + rows)
+        with pytest.raises(ValueError, match="raster.csv"):
+            spectrum.read_raster_csv(path)
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"

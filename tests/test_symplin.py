@@ -136,6 +136,17 @@ class TestClassify:
 
 
 class TestEigenClosed:
+    @pytest.mark.parametrize("a, b", [(1e308, -1e308), (0.0, 1e308),
+                                      (1.0, -1e308)])
+    def test_overflow_is_refused(self, a, b):
+        with pytest.raises(ValueError, match="overflow"):
+            symplin.eigen_closed(QuarticCoeffs(a, b))
+
+    def test_family_overflow_is_refused(self):
+        # (alpha_t^2 + omega_t^2 - gamma delta)^2 overflows: inf, then refused
+        with pytest.raises(ValueError, match="finite"):
+            symplin.quartic_coeffs(0.0, 0.0, 2.0, 1e154)
+
     def test_double_imaginary(self):
         eig = symplin.eigen_closed(QuarticCoeffs(1.0, 2.0))
         assert oracle.match_eigensets(eig, [1j, 1j, -1j, -1j]) < 1e-12
