@@ -371,17 +371,26 @@ def criterion_12_post_hopf_loop() -> str:
             f"value inside, 2 values outside; scan {elapsed:.2f}s")
 
 
-def _polyline_crossings(p0, p1, poly) -> bool:
-    """True if segment p0-p1 intersects any segment of the polyline."""
-    a = poly[:-1]
-    b = poly[1:]
-    d = p1 - p0
-    e = b - a
-    d1 = d[0] * (a[:, 1] - p0[1]) - d[1] * (a[:, 0] - p0[0])
-    d2 = d[0] * (b[:, 1] - p0[1]) - d[1] * (b[:, 0] - p0[0])
-    d3 = e[:, 0] * (p0[1] - a[:, 1]) - e[:, 1] * (p0[0] - a[:, 0])
-    d4 = e[:, 0] * (p1[1] - a[:, 1]) - e[:, 1] * (p1[0] - a[:, 0])
-    return bool(np.any((d1 * d2 <= 0) & (d3 * d4 <= 0)))
+def _polyline_crossings(p0, p1, poly) -> np.ndarray:
+    """For each segment p0[k]-p1[k], True if it meets a polyline segment.
+
+    Only polyline segments whose bounding box meets the segment's are
+    tested, so memory follows the candidates, not pairs x polyline.
+    """
+    a, b = poly[:-1], poly[1:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    qlo, qhi = np.minimum(p0, p1), np.maximum(p0, p1)
+    k, i = np.nonzero((lo[:, 0] <= qhi[:, :1]) & (hi[:, 0] >= qlo[:, :1]))
+    keep = (lo[i, 1] <= qhi[k, 1]) & (hi[i, 1] >= qlo[k, 1])
+    k, i = k[keep], i[keep]
+    q0, q1, a, b = p0[k], p1[k], a[i], b[i]
+    d, e = q1 - q0, b - a
+    d1 = d[:, 0] * (a[:, 1] - q0[:, 1]) - d[:, 1] * (a[:, 0] - q0[:, 0])
+    d2 = d[:, 0] * (b[:, 1] - q0[:, 1]) - d[:, 1] * (b[:, 0] - q0[:, 0])
+    d3 = e[:, 0] * (q0[:, 1] - a[:, 1]) - e[:, 1] * (q0[:, 0] - a[:, 0])
+    d4 = e[:, 0] * (q1[:, 1] - a[:, 1]) - e[:, 1] * (q1[:, 0] - a[:, 0])
+    hit = (d1 * d2 <= 0) & (d3 * d4 <= 0)
+    return np.bincount(k[hit], minlength=len(p0)) > 0
 
 
 def criterion_13_torus_counts() -> str:
@@ -392,30 +401,20 @@ def criterion_13_torus_counts() -> str:
     count, unbounded = hopf.torus_count(params, 0.0, -0.1)
     assert (count, unbounded) == (1, True), f"(0, -0.1) -> ({count}, {unbounded})"
 
-    root = np.sqrt(params.nu)
-    ss = np.linspace(-root, root, 4001)
-    poly = np.column_stack([[hopf.curve_j(params, float(s)) for s in ss],
-                            [hopf.curve_h(params, float(s)) for s in ss]])
+    ss = np.linspace(-np.sqrt(params.nu), np.sqrt(params.nu), 4001)
+    poly = np.column_stack([hopf.curve_j(params, ss), hopf.curve_h(params, ss)])
     n = 50
     j_edges = np.linspace(-0.05, 0.05, n + 1)
     h_edges = np.linspace(-0.03, 0.07, n + 1)
     j_c = (j_edges[:-1] + j_edges[1:]) / 2.0
     h_c = (h_edges[:-1] + h_edges[1:]) / 2.0
-    counts = np.empty((n, n), dtype=int)
-    for i in range(n):
-        for k in range(n):
-            counts[i, k] = hopf.torus_count(params, float(j_c[i]), float(h_c[k]))[0]
-    bad = 0
-    for i in range(n):
-        for k in range(n):
-            for di, dk in ((1, 0), (0, 1)):
-                ii, kk = i + di, k + dk
-                if ii >= n or kk >= n or counts[i, k] == counts[ii, kk]:
-                    continue
-                p0 = np.array([j_c[i], h_c[k]])
-                p1 = np.array([j_c[ii], h_c[kk]])
-                if not _polyline_crossings(p0, p1, poly):
-                    bad += 1
+    counts = hopf.torus_count(params, j_c[:, None], h_c[None, :])[0]
+    i, k = np.nonzero(counts[:-1, :] != counts[1:, :])     # J neighbours
+    i2, k2 = np.nonzero(counts[:, :-1] != counts[:, 1:])   # H neighbours
+    p0 = np.column_stack([j_c[np.r_[i, i2]], h_c[np.r_[k, k2]]])
+    p1 = np.column_stack([j_c[np.r_[i + 1, i2]], h_c[np.r_[k, k2 + 1]]])
+    crossed = _polyline_crossings(p0, p1, poly)
+    bad = int(np.count_nonzero(~crossed))
     assert bad == 0, f"{bad} count changes away from the critical curves"
     values = sorted(set(counts.ravel().tolist()))
     return f"spot counts OK; cell counts {values}; all changes on the curves"

@@ -3,6 +3,7 @@
 Everything here is deliberately primitive and self-contained:
  - Polynomial container with trimming (degree <= 4)
  - Cubic roots: Cardano / trigonometric closed form + Newton polish
+ - Components of {z > 0 : p(z) >= 0} for a cubic, from its clustered roots
  - Quartic roots: resolvent-cubic factorization + Newton polish
  - Double-root search by minimizing p^2 + p'^2 over a bracket
  - Central finite differences (gradient / Hessian), optional Richardson level
@@ -27,6 +28,8 @@ ROOT_RESIDUAL_TOL = 1e-12     # |p(root)| < tol * max|coeff| after polish (cubic
 EIG_RESIDUAL_TOL = 1e-9       # char-poly residual for eig4 roots, scaled
 DOUBLE_ROOT_TOL = 1e-10       # |p|, |p'| at an accepted double root, scaled
 COEFF_TRIM = 1e-300           # leading coefficients below this are dropped
+ROOT_CLUSTER_TOL = 1e-7       # relative clustering of cubic roots
+REAL_ROOT_IMAG_TOL = 1e-9     # relative imaginary part of a root taken as real
 NEWTON_STEPS = 3
 
 GRAD_STEP = 1e-5
@@ -157,6 +160,44 @@ def cubic_roots(p: Poly) -> np.ndarray:
             ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
     roots = [_polish(p.coeffs, t + shift) for t in ts]
     return np.array(roots, dtype=complex)
+
+
+def positive_components(p: Poly) -> tuple[int, bool]:
+    """Connected components of {z > 0 : p(z) >= 0} for a real cubic, and
+    whether one reaches +inf, from the clustered roots of ``cubic_roots``.
+
+    p's sign is sampled between the positive roots and beyond the last; an
+    isolated root of even multiplicity with p < 0 on both sides counts.  A
+    double root that rounding splits by more than REAL_ROOT_IMAG_TOL, or
+    moves to z > 0 from z = 0, is miscounted.
+    """
+    roots = cubic_roots(p)
+    scale = max(1.0, max(abs(r) for r in roots))
+    reals = sorted(r.real for r in roots
+                   if abs(r.imag) <= REAL_ROOT_IMAG_TOL * scale)
+    clusters: list[list[float]] = []
+    for r in reals:
+        if clusters and abs(r - clusters[-1][-1]) <= ROOT_CLUSTER_TOL * scale:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    breaks = [(sum(c) / len(c), len(c)) for c in clusters
+              if sum(c) / len(c) > 0.0]
+
+    pts = [0.0] + [b for b, _ in breaks]
+    mids = [(pts[i] + pts[i + 1]) / 2.0 for i in range(len(pts) - 1)]
+    mids.append(pts[-1] + max(1.0, abs(pts[-1])))  # representative of (last, inf)
+    signs = [p(m) > 0.0 for m in mids]
+
+    count = 0
+    prev_positive = False
+    for i, pos in enumerate(signs):
+        if pos and not prev_positive:
+            count += 1
+        if i < len(breaks) and not pos and not signs[i + 1] and breaks[i][1] >= 2:
+            count += 1
+        prev_positive = pos
+    return count, bool(signs[-1])
 
 
 def _quadratic_roots(c0, c1, c2):

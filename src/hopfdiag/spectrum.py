@@ -322,9 +322,19 @@ class JCCriticalRow:
 
 
 def read_jc_critical_csv(path) -> list[JCCriticalRow]:
+    """Rows with ``branch``/``kind`` kept as text; unknown values refused."""
+    from .models import Branch, CriticalKind   # models imports spectrum
+    branches = {b.value for b in Branch} | {"none"}
+    kinds = {k.value for k in CriticalKind}
+
     def parse(rows):
-        return [JCCriticalRow(float(j), float(h), float(z), branch, kind)
-                for j, h, z, branch, kind in (row.split(",") for row in rows)]
+        out = [JCCriticalRow(float(j), float(h), float(z), branch, kind)
+               for j, h, z, branch, kind in (row.split(",") for row in rows)]
+        for row in out:
+            if row.branch not in branches or row.kind not in kinds:
+                raise ValueError(f"unknown branch/kind {row.branch!r}/"
+                                 f"{row.kind!r}")
+        return out
     return _read_csv(path, _JC_CRITICAL_HEADER, parse, _concat)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from hopfdiag import hopf, oracle, spectrum, symplin
 from hopfdiag.hopf import (EliassonParams, HopfParams, Regime, SegmentKind)
@@ -45,6 +45,29 @@ class TestParams:
         assert EliassonParams(1.0, 1.0, -2.0).sigma == -1
         with pytest.raises(ValueError):
             EliassonParams(omega_t=0.0, alpha_t=1.0, delta=1.0)
+
+    @pytest.mark.parametrize("vals", [(1.0, 1e155, 1.0), (1.0, 1.0, 1e-310),
+                                      (1.0, 1e-170, 1.0)])
+    def test_eliasson_gamma_hat_overflow_and_underflow(self, vals):
+        with pytest.raises(ValueError, match="gamma_hat"):
+            EliassonParams(*vals)
+
+    def test_eliasson_gamma_hat_near_the_limits(self):
+        assert EliassonParams(1.0, 1e154, 1.0).gamma_hat == 1e154 * 1e154
+        assert EliassonParams(1.0, 1e-160, 1e-10).gamma_hat == \
+            1e-160 * 1e-160 / 1e-10
+
+    @pytest.mark.parametrize("delta", [1e-170, 1e155])
+    def test_htilde_delta_square_overflow_and_underflow(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            hopf.HtildeCoeffs(1.0, 1.0, 1.0, delta, 1.0)
+
+    @pytest.mark.parametrize("at", range(5))
+    def test_htilde_rejects_non_finite(self, at):
+        vals = [1.0] * 5
+        vals[at] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            hopf.HtildeCoeffs(*vals)
 
     @pytest.mark.parametrize("at", range(3))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -313,6 +336,103 @@ class TestTorusCount:
         above = hopf.torus_count(REF, 0.0, 1.0 / 64.0 + 1e-3)[0]
         below = hopf.torus_count(REF, 0.0, 1.0 / 64.0 - 1e-3)[0]
         assert (above, below) == (1, 2)
+
+    def test_array_matches_scalar_calls(self):
+        js = np.linspace(-0.05, 0.05, 7)
+        hs = np.linspace(-0.03, 0.07, 9)
+        count, unbounded = hopf.torus_count(REF, js[:, None], hs[None, :])
+        assert count.shape == unbounded.shape == (7, 9)
+        for i, j in enumerate(js):
+            for k, h in enumerate(hs):
+                assert hopf.torus_count(REF, float(j), float(h)) == \
+                    (count[i, k], unbounded[i, k])
+
+    @pytest.mark.parametrize("params, kinds", [
+        (REF, {"E": ((2, True), 598), "H": ((1, True), 817)}),
+        (HopfParams(omega=1.0, sigma=1, nu=0.5, D=2.0),
+         {"E": ((1, False), 1586)}),
+    ], ids=["D=-2", "D=+2"])
+    def test_on_curve_samples(self, params, kinds):
+        # Regression: root finding split the double root by ~1e-8 in the
+        # imaginary part and dropped the isolated elliptic orbit on 46
+        # (D = -2) and 241 (D = +2) of these samples.
+        seen = {}
+        for s in np.linspace(-1.5, 1.5, 3001):
+            c = hopf.critical_curve_point(params, float(s))
+            if c.d > 0.0:
+                got = hopf.torus_count(params, c.J, c.H)
+                seen.setdefault(c.kind.value, []).append(got)
+        assert set(seen) == set(kinds)
+        for kind, (want, n) in kinds.items():
+            assert len(seen[kind]) == n
+            assert all(got == want for got in seen[kind])
+
+    @pytest.mark.parametrize("d_coeff, want", [(-2.0, (1, True)),
+                                               (1.0, (0, False))])
+    def test_double_root_at_zero_is_excluded(self, d_coeff, want):
+        # J = H = 0: Q = z^2 (-8 sigma D z - 4 nu).  Root finding places the
+        # double root at a rounding-level z > 0 and, for D = 1, counts it.
+        params = HopfParams(omega=1.0, sigma=1, nu=0.5, D=d_coeff)
+        assert hopf.torus_count(params, 0.0, 0.0) == want
+        # nu < 0 turns the negative cubic positive on (0, -nu / (2 sigma D))
+        params = HopfParams(omega=1.0, sigma=1, nu=-0.5, D=d_coeff)
+        assert hopf.torus_count(params, 0.0, 0.0) == (1, d_coeff < 0)
+
+    @pytest.mark.parametrize("d_coeff, want", [(-2.0, (1, True)),
+                                               (1.0, (0, False))])
+    def test_triple_root_at_zero(self, d_coeff, want):
+        # nu = J = H = 0: Q = -8 sigma D z^3
+        params = HopfParams(omega=1.0, sigma=1, nu=0.0, D=d_coeff)
+        assert hopf.torus_count(params, 0.0, 0.0) == want
+
+    def test_zero_nu(self):
+        # nu = 0, J = 0: Q = z (16 z^2 + 4 H) for sigma = 1, D = -2
+        params = HopfParams(omega=1.0, sigma=1, nu=0.0, D=-2.0)
+        assert hopf.torus_count(params, 0.0, 0.5) == (1, True)
+        assert hopf.torus_count(params, 0.0, -0.5) == (1, True)
+        # on the curve: Q = 16 (z - d)^2 (z - r) with d = -s^2/8 < 0 < r
+        # and, for D = +2, the isolated double root d = s^2/8 > 0 > r
+        for s in (-0.7, 0.3, 1.1):
+            j, h = hopf.curve_j(params, s), hopf.curve_h(params, s)
+            assert hopf.torus_count(params, j, h) == (1, True)
+            other = HopfParams(omega=1.0, sigma=1, nu=0.0, D=2.0)
+            j, h = hopf.curve_j(other, s), hopf.curve_h(other, s)
+            assert hopf.torus_count(other, j, h) == (1, False)
+
+    @pytest.mark.parametrize("j, h", [(math.nan, 0.0), (0.0, math.inf),
+                                      (1e200, 0.0)])
+    def test_non_finite_coefficients_refused(self, j, h):
+        with pytest.raises(ValueError, match="non-finite"):
+            hopf.torus_count(REF, j, h)
+
+    @given(omega=st.floats(0.1, 3.0), sigma=st.sampled_from([-1, 1]),
+           nu=st.floats(-2.0, 2.0), big_d=st.floats(0.1, 3.0),
+           flip=st.booleans(), s=st.floats(-2.0, 2.0),
+           j=st.floats(-1.0, 1.0), h=st.floats(-2.0, 2.0),
+           on_curve=st.booleans(), offset=st.floats(1e-3, 1.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_agrees_with_root_count(self, omega, sigma, nu, big_d, flip, s,
+                                    j, h, on_curve, offset, sign):
+        """Where |disc| is far above DISC_TOL the coefficient count equals
+        the oracle's count from clustered cubic roots.  The oracle clusters
+        roots on an absolute scale, so it also needs roots that are far
+        apart next to z = 0 (two roots near 0 give a small gap but a large
+        |disc| / sum|terms|)."""
+        params = HopfParams(omega=omega, sigma=sigma, nu=nu,
+                            D=-big_d if flip else big_d)
+        if on_curve:   # near the curve, where the count changes
+            j = hopf.curve_j(params, s)
+            h = hopf.curve_h(params, s) + sign * offset * (1.0 + abs(j))
+        q = hopf.q_poly(j, h, params)
+        d, c, b, a = q.coeffs
+        terms = [18 * a * b * c * d, -4 * b ** 3 * d, b * b * c * c,
+                 -4 * a * c ** 3, -27 * a * a * d * d]
+        assume(abs(sum(terms)) > 1e-6 * sum(map(abs, terms)))
+        roots = oracle.cubic_roots(q)
+        scale = max(1.0, max(abs(roots)))
+        assume(min(abs(roots[i] - roots[k]) for i, k in ((0, 1), (0, 2), (1, 2)))
+               > 1e-3 * scale)
+        assert hopf.torus_count(params, j, h) == oracle.positive_components(q)
 
 
 class TestTransformation:

@@ -1,0 +1,100 @@
+"""Import rules, read from the source with ``ast``.
+
+``oracle`` checks the closed forms, so it shares no code with them: it
+imports no hopfdiag module and calls no library root or eigenvalue solver
+(``numpy.roots``, ``numpy.linalg.eig*``).  The symbolic and property-test
+tools (sympy, mpmath, hypothesis) stay in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hopfdiag"
+TEST_ONLY = {"sympy", "mpmath", "hypothesis"}
+
+
+def imported_modules(tree) -> set[str]:
+    """Absolute names of every module imported; relative ones as hopfdiag.*."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "hopfdiag" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def numpy_references(tree) -> set[str]:
+    """Dotted numpy names used, with ``import numpy as np`` aliases resolved."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    bound[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "numpy":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    refs = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in bound:
+            refs.add(".".join([bound[node.id], *reversed(parts)]))
+    return refs
+
+
+def forbidden_solvers(refs) -> set[str]:
+    return {r for r in refs if r == "numpy.roots" or r.startswith("numpy.roots.")
+            or r.startswith("numpy.linalg.eig")}
+
+
+def parse(path) -> ast.AST:
+    return ast.parse(Path(path).read_text(), filename=str(path))
+
+
+def test_oracle_imports_no_hopfdiag_module():
+    modules = imported_modules(parse(SRC / "oracle.py"))
+    assert not {m for m in modules if m.split(".")[0] == "hopfdiag"}
+
+
+def test_oracle_calls_no_library_solver():
+    assert not forbidden_solvers(numpy_references(parse(SRC / "oracle.py")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
+                         ids=lambda p: p.name)
+def test_src_imports_no_test_only_tool(path):
+    modules = imported_modules(parse(path))
+    assert not {m for m in modules if m.split(".")[0] in TEST_ONLY}
+
+
+@pytest.mark.parametrize("source, modules", [
+    ("from . import hopf", {"hopfdiag", "hopfdiag.hopf"}),
+    ("from .models import Branch", {"hopfdiag.models", "hopfdiag.models.Branch"}),
+    ("import hopfdiag.spectrum as sp", {"hopfdiag.spectrum"}),
+    ("def f():\n    import sympy\n", {"sympy"}),
+    ("from mpmath import mp", {"mpmath", "mpmath.mp"}),
+])
+def test_import_scan_sees(source, modules):
+    assert imported_modules(ast.parse(source)) == modules
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy as np\nnp.roots([1, 0, -1])", {"numpy.roots"}),
+    ("import numpy\nnumpy.linalg.eig(m)", {"numpy.linalg.eig"}),
+    ("import numpy.linalg as la\nla.eigvals(m)", {"numpy.linalg.eigvals"}),
+    ("from numpy import roots\nroots(c)", {"numpy.roots"}),
+    ("from numpy.linalg import eig as e\ne(m)", {"numpy.linalg.eig"}),
+    ("import numpy as np\nnp.sqrt(2.0); np.linalg.det(m)", set()),
+])
+def test_solver_scan_sees(source, found):
+    assert forbidden_solvers(numpy_references(ast.parse(source))) == found

@@ -365,6 +365,26 @@ class TestSerialization:
             assert row.kind == p.kind.value
             assert row.branch == (p.branch.value if p.branch else "none")
 
+    @pytest.mark.parametrize("row", ["0.5,0.1,0.2,plts,Q",
+                                     "0.5,0.1,0.2,plus,Q",
+                                     "0.5,0.1,0.2,plts,E",
+                                     "0.5,0.1,0.2,PLUS,E",
+                                     "0.5,0.1,0.2,minus,"])
+    def test_jc_critical_reader_refuses_unknown_branch_or_kind(self, tmp_path,
+                                                                row):
+        path = tmp_path / "critical.csv"
+        path.write_text("J,H,z,branch,kind\n0.5,0.1,0.2,plus,E\n" + row + "\n")
+        with pytest.raises(ValueError, match="critical.csv.*branch/kind"):
+            spectrum.read_jc_critical_csv(path)
+
+    def test_jc_critical_reader_accepts_every_enum_value(self, tmp_path):
+        path = tmp_path / "critical.csv"
+        rows = [f"1.0,0.0,1.0,{b},{k.value}" for b in ("plus", "minus", "none")
+                for k in CriticalKind]
+        path.write_text("J,H,z,branch,kind\n" + "\n".join(rows) + "\n")
+        got = spectrum.read_jc_critical_csv(path)
+        assert [f"1.0,0.0,1.0,{r.branch},{r.kind}" for r in got] == rows
+
     def test_raster_csv_parses(self, tmp_path):
         cloud = models.jc_spectrum_sample(models.PolyG(0.0), 500, 2.0, seed=5)
         grid = spectrum.rasterize(cloud, 6, 6)
