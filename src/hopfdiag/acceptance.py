@@ -245,9 +245,8 @@ def criterion_10_commutation() -> str:
         g = models.PolyG(gamma)
         cloud_states = _random_states(1000, seed=100 + k)
         for w in cloud_states:
-            br = models.poisson_bracket(None, None, w,
-                                        grad_f=models.jc_grad_J,
-                                        grad_g=lambda s: models.jc_grad_Htilde(s, g))
+            br = models.poisson_bracket(
+                models.jc_grad_J, lambda s: models.jc_grad_Htilde(s, g), w)
             worst = max(worst, abs(br))
     assert worst < 1e-11, f"|{{J, H~}}| = {worst:.3g} >= 1e-11"
     return f"max |{{J, H~}}| = {worst:.2e} over 4 gammas x 1000 states"

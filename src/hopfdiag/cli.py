@@ -29,8 +29,6 @@ import numpy as np
 
 from . import hopf, models, spectrum, symplin
 
-MIN_CURVE_SAMPLES = spectrum.MIN_DIAGRAM_SAMPLES
-
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
@@ -65,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--D", type=float, required=True)
     p.add_argument("--samples", type=int, default=None,
-                   help=f"total curve samples, >= {MIN_CURVE_SAMPLES} "
+                   help="total curve samples, "
+                        f">= {spectrum.MIN_DIAGRAM_SAMPLES} "
                         "(env HOPFDIAG_SAMPLES, default 400)")
     p.add_argument("--out", required=True,
                    help="output prefix: writes <out>_curve.csv, <out>_diagram.json")
@@ -119,15 +118,9 @@ def cmd_hopf_curve(args) -> int:
         samples = _env_int("HOPFDIAG_SAMPLES", 400)
     params = hopf.HopfParams(omega=args.omega, sigma=args.sigma,
                              nu=args.nu, D=args.D)
-    if samples < MIN_CURVE_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_CURVE_SAMPLES}")
     diagram = spectrum.assemble_hopf_diagram(params, samples)
-    try:
-        spectrum.write_curve_csv(diagram, f"{args.out}_curve.csv")
-        spectrum.write_diagram_json(diagram, f"{args.out}_diagram.json")
-    except OSError as exc:
-        print(f"hopf-curve: {exc}", file=sys.stderr)
-        return 3
+    spectrum.write_curve_csv(diagram, f"{args.out}_curve.csv")
+    spectrum.write_diagram_json(diagram, f"{args.out}_diagram.json")
     return 0
 
 
@@ -140,11 +133,7 @@ def cmd_jc_scan(args) -> int:
     for gamma in np.linspace(args.gamma_min, args.gamma_max, args.steps):
         q, typ = models.jc_linearization(models.PolyG(float(gamma)))
         rows.append((gamma, q, typ, symplin.eigen_closed(q)))
-    try:
-        spectrum.write_jc_scan_csv(rows, args.out)
-    except OSError as exc:
-        print(f"jc-scan: {exc}", file=sys.stderr)
-        return 3
+    spectrum.write_jc_scan_csv(rows, args.out)
     return 0
 
 
@@ -163,12 +152,8 @@ def cmd_jc_spectrum(args) -> int:
     for j in np.linspace(args.j_min, args.j_max, args.j_steps):
         rows.extend(models.jc_reduced_critical_values(g, float(j)))
     cloud = models.jc_spectrum_sample(g, samples, args.j_max, seed)
-    try:
-        spectrum.write_jc_critical_csv(rows, f"{args.out}_critical.csv")
-        spectrum.write_cloud_csv(cloud, f"{args.out}_cloud.csv")
-    except OSError as exc:
-        print(f"jc-spectrum: {exc}", file=sys.stderr)
-        return 3
+    spectrum.write_jc_critical_csv(rows, f"{args.out}_critical.csv")
+    spectrum.write_cloud_csv(cloud, f"{args.out}_cloud.csv")
     return 0
 
 
@@ -199,11 +184,11 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ValueError as exc:
-        if handler is cmd_verify:   # takes no input: a ValueError is a bug
+    except (ValueError, OSError) as exc:
+        if handler is cmd_verify:   # takes no input and writes no file: a bug
             raise
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -7,18 +7,15 @@ standard quadratic invariants
 
 With unfolding parameter nu, the family treated here is
 
-    H_nu = omega*G1 + sigma*(G2 + nu*(a*G1 + b*G3))
-           + C*G1^2 + 2*B*G1*G3 + 2*D*G3^2,
+    H_nu = omega*G1 + sigma*(G2 + nu*G3) + 2*D*G3^2,
 
-omega != 0, sigma = +-1, D != 0, b != 0.  Symplectic polar coordinates
-reduce the circle symmetry generated by G1 = p_theta =: J and leave a
+omega != 0, sigma = +-1, D != 0.  Symplectic polar coordinates reduce the
+circle symmetry generated by G1 = p_theta =: J and leave a
 one-degree-of-freedom system in (z = G3 > 0, p_z):
 
-    H = omega*J + sigma*(z*p_z^2 + J^2/(4z) + nu*(a*J + b*z))
-        + C*J^2 + 2*B*J*z + 2*D*z^2.
+    H = omega*J + sigma*(z*p_z^2 + J^2/(4z) + nu*z) + 2*D*z^2,
 
-All curve machinery below specializes to a = B = C = 0, b = 1, where the
-level set H = const becomes the cubic
+whose level set H = const is the cubic
 
     Q(z) = 4*z*sigma*(H - omega*J - sigma*nu*z - 2*D*z^2) - J^2
          = -8*sigma*D z^3 - 4*nu z^2 + 4*sigma*(H - omega*J) z - J^2
@@ -59,26 +56,15 @@ DISC_TOL = 1e-12              # |disc| <= tol * sum|terms|: double root (torus_c
 
 @dataclass(frozen=True)
 class HopfParams:
-    """Parameters of the unfolded normal form.
-
-    ``unfold_a``/``unfold_b`` are the coefficients of sigma*nu*(a*G1 + b*G3);
-    ``coeff_B``/``coeff_C`` those of 2*B*G1*G3 and C*G1^2.  The curve
-    machinery requires the specialized case a = B = C = 0, b = 1.
-    """
+    """Parameters (omega, sigma, nu, D) of H_nu, the unfolded normal form."""
 
     omega: float
     sigma: int
     nu: float
     D: float
-    unfold_a: float = 0.0
-    unfold_b: float = 1.0
-    coeff_B: float = 0.0
-    coeff_C: float = 0.0
 
     def __post_init__(self):
-        floats = (self.omega, self.nu, self.D, self.unfold_a, self.unfold_b,
-                  self.coeff_B, self.coeff_C)
-        if not all(map(math.isfinite, floats)):
+        if not all(map(math.isfinite, (self.omega, self.nu, self.D))):
             raise ValueError("parameters must be finite")
         if self.sigma not in (-1, 1):
             raise ValueError("sigma must be -1 or +1")
@@ -86,21 +72,6 @@ class HopfParams:
             raise ValueError("omega must be nonzero")
         if self.D == 0.0:
             raise ValueError("D must be nonzero")
-        if self.unfold_b == 0.0:
-            raise ValueError("unfold_b must be nonzero")
-
-    @property
-    def specialized(self) -> bool:
-        """True for the a = B = C = 0, b = 1 case the curve formulas cover."""
-        return (self.unfold_a == 0.0 and self.coeff_B == 0.0
-                and self.coeff_C == 0.0 and self.unfold_b == 1.0)
-
-
-def _require_specialized(params: HopfParams):
-    if not params.specialized:
-        raise ValueError(
-            "curve machinery requires unfold_a = coeff_B = coeff_C = 0, "
-            "unfold_b = 1")
 
 
 class SegmentKind(Enum):
@@ -176,16 +147,15 @@ def reduced_hamiltonian(z: float, p_z: float, j: float,
                         params: HopfParams) -> float:
     """Value of the reduced one-degree-of-freedom Hamiltonian at (z, p_z; J).
 
-    Accepts the general coefficients; z must be positive (the J^2/(4z) term
-    makes z = 0 with J != 0 singular, and z = G3 >= 0 anyway).
+    omega*J + sigma*(z*p_z^2 + J^2/(4z) + nu*z) + 2*D*z^2; z must be
+    positive (the J^2/(4z) term makes z = 0 with J != 0 singular, and
+    z = G3 >= 0 anyway).
     """
     if z <= 0.0:
         raise ValueError("reduced chart requires z > 0")
     pr = params
     return (pr.omega * j
-            + pr.sigma * (z * p_z * p_z + j * j / (4.0 * z)
-                          + pr.nu * (pr.unfold_a * j + pr.unfold_b * z))
-            + pr.coeff_C * j * j + 2.0 * pr.coeff_B * j * z
+            + pr.sigma * (z * p_z * p_z + j * j / (4.0 * z) + pr.nu * z)
             + 2.0 * pr.D * z * z)
 
 
@@ -197,7 +167,6 @@ def q_poly(j: float, h: float, params: HopfParams) -> oracle.Poly:
     Q(z) = 4 z^2 p_z^2 whenever h is the reduced Hamiltonian value at
     (z, p_z; j).
     """
-    _require_specialized(params)
     return oracle.Poly((
         -j * j,
         4.0 * params.sigma * (h - params.omega * j),
@@ -228,7 +197,6 @@ def hessian_det2(params: HopfParams, s: float) -> float:
 
 def critical_curve_point(params: HopfParams, s: float) -> CurveSample:
     """Sample of the critical-value curve at parameter s (total in s)."""
-    _require_specialized(params)
     return CurveSample(
         s=s,
         J=curve_j(params, s),
@@ -241,7 +209,6 @@ def critical_curve_point(params: HopfParams, s: float) -> CurveSample:
 
 def curve_tangent(params: HopfParams, s: float) -> tuple[float, float]:
     """(dJ/ds, dH/ds) = (3 s^2 - nu)/(2D) * (1, s + omega)."""
-    _require_specialized(params)
     factor = (3.0 * s * s - params.nu) / (2.0 * params.D)
     return factor, factor * (s + params.omega)
 
@@ -317,19 +284,13 @@ def equilibrium_eigenvalues(params: HopfParams) -> np.ndarray:
 
 
 def linearization_hessian(params: HopfParams) -> np.ndarray:
-    """Hessian at the origin of the quadratic part omega*G1 + sigma*(G2 + nu*b*G3).
+    """Hessian at the origin of the quadratic part omega*G1 + sigma*(G2 + nu*G3).
 
     In the (omega_t, alpha_t, gamma, delta) family of :mod:`symplin` this is
-    the tuple (omega, 0, sigma*nu*b, sigma); the unfold_a*G1 term only shifts
-    omega_t by sigma*nu*a.
+    the tuple (omega, 0, sigma*nu, sigma).
     """
-    pr = params
-    return symplin.family_hessian(
-        pr.omega + pr.sigma * pr.nu * pr.unfold_a,
-        0.0,
-        pr.sigma * pr.nu * pr.unfold_b,
-        pr.sigma,
-    )
+    return symplin.family_hessian(params.omega, 0.0,
+                                  params.sigma * params.nu, params.sigma)
 
 
 def torus_count(params: HopfParams, j, h):
@@ -354,7 +315,6 @@ def torus_count(params: HopfParams, j, h):
     isolated when z_d > 0 and a(z_d - z_s) < 0.  A triple root -b/(3a),
     where b^2 - 3ac is within DISC_TOL of its terms, is never isolated.
     """
-    _require_specialized(params)
     j, h = np.asarray(j, dtype=float), np.asarray(h, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         coeffs = np.stack(np.broadcast_arrays(
@@ -454,7 +414,8 @@ def build_htilde(e: EliassonParams, nu: float, D: float) -> HtildeCoeffs:
     At nu = 0 the quadratic part sits exactly on a = b^2/4, b > 0; small
     nu > 0 lands elliptic-elliptic, small nu < 0 focus-focus.  The full
     function satisfies H~(T p) = (omega_t*G1 + sigma*(G2 + nu*G3)
-    + 2*D*G3^2)(p) for T = transformation_T(e), regression-tested pointwise.
+    + 2*D*G3^2)(p) for T = transformation_T(e), regression-tested pointwise
+    and proved with sympy for every sign of delta and alpha_t.
     """
     return HtildeCoeffs(
         omega_t=e.omega_t,

@@ -46,7 +46,6 @@ from .spectrum import SpectrumCloud
 SPHERE_TOL = 1e-12
 CUSP_TOL = 1e-8          # |h''| below this classifies as a degenerate cusp
 RANK_TOL = 1e-8          # relative second singular value in the rank test
-BRACKET_FD_STEP = 1e-6   # fallback finite-difference step in poisson_bracket
 NEWTON_STEPS = 100       # cap on bracketed Newton/bisection steps per point
 J_LIMIT = 1e100          # |J| below this keeps every chart coefficient finite
 GAMMA_LIMIT = 1e6        # from |gamma| ~ 1e7 critical points sit closer to the
@@ -96,10 +95,6 @@ class PolyG:
     def deriv(self, z: float) -> float:
         return 2.0 * self.gamma * z
 
-    @property
-    def gprime1(self) -> float:
-        return 2.0 * self.gamma
-
 
 def jc_J(state) -> float:
     x, y, z, u, v = state
@@ -138,15 +133,10 @@ def poisson_tensor(state) -> np.ndarray:
     ])
 
 
-def poisson_bracket(f, g, state, grad_f=None, grad_g=None,
-                    step: float = BRACKET_FD_STEP) -> float:
-    """{f, g} at ``state``; analytic gradients when supplied, else central FD."""
-    w = np.array(list(state), dtype=float)
-    gf = np.asarray(grad_f(state) if grad_f is not None
-                    else oracle.fd_gradient(f, w, step=step), dtype=float)
-    gg = np.asarray(grad_g(state) if grad_g is not None
-                    else oracle.fd_gradient(g, w, step=step), dtype=float)
-    return float(gf @ poisson_tensor(state) @ gg)
+def poisson_bracket(grad_f, grad_g, state) -> float:
+    """{f, g} at ``state`` from the gradient functions of f and g."""
+    return float(np.asarray(grad_f(state), dtype=float) @ poisson_tensor(state)
+                 @ np.asarray(grad_g(state), dtype=float))
 
 
 def hamiltonian_field(state, grad) -> np.ndarray:
@@ -196,30 +186,22 @@ def canonical_chart(q, orientation: int = 1):
     return x, y, z, u, v
 
 
-def _gprime1(g) -> float:
-    if isinstance(g, PolyG):
-        return g.gprime1
-    return float(g)
-
-
-def north_pole_hessians(g, orientation: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def north_pole_hessians(g: PolyG,
+                        orientation: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Canonical-coordinate Hessians (Hess J, Hess H~) at the north pole.
 
     Computed by second-order jet propagation through the chart: numeric, but
-    exact to rounding.  ``g`` is a PolyG or a bare G'(1) value.
+    exact to rounding.
     """
     qs = Jet2.variables([0.0, 0.0, 0.0, 0.0])
     x, y, z, u, v = canonical_chart(qs, orientation)
     j_jet = (u * u + v * v) * 0.5 + z
-    if isinstance(g, PolyG):
-        g_jet = g.gamma * z * z
-    else:
-        g_jet = float(g) * (z - 1.0)   # only G'(1) reaches the quadratic part
-    h_jet = (x * u + y * v) * 0.5 + g_jet
+    h_jet = (x * u + y * v) * 0.5 + g.gamma * z * z
     return j_jet.symmetrized_hessian(), h_jet.symmetrized_hessian()
 
 
-def jc_linearization_numeric(g, orientation: int = 1) -> symplin.QuarticCoeffs:
+def jc_linearization_numeric(g: PolyG,
+                             orientation: int = 1) -> symplin.QuarticCoeffs:
     """(a, b) of the numeric north-pole linearization (chart + jets)."""
     _, s_h = north_pole_hessians(g, orientation)
     p0, p1, p2, p3 = oracle.char_poly4(symplin.hamiltonian_matrix(s_h))
@@ -228,14 +210,14 @@ def jc_linearization_numeric(g, orientation: int = 1) -> symplin.QuarticCoeffs:
     return symplin.QuarticCoeffs(a=p0, b=p2)
 
 
-def jc_linearization(g) -> tuple[symplin.QuarticCoeffs, symplin.EquilibriumType]:
+def jc_linearization(g: PolyG) -> tuple[symplin.QuarticCoeffs, symplin.EquilibriumType]:
     """Closed-form (a, b) = (1/16, (2 G'(1)^2 - 1)/2) and its region.
 
     For the family G(z) = gamma z^2 this is b = 4 gamma^2 - 1/2: focus-focus
     for 0 < gamma < 1/2, the degenerate parabola point at gamma = 1/2,
     elliptic-elliptic beyond.
     """
-    t = _gprime1(g)
+    t = g.deriv(1.0)
     q = symplin.QuarticCoeffs(a=1.0 / 16.0, b=(2.0 * t * t - 1.0) / 2.0)
     return q, symplin.classify(q)
 

@@ -13,7 +13,7 @@ fault is a ValueError that names the file.  Tables (header; notes):
  - jc-scan and linearization scan CSVs (written only):
                        ``gamma,a,b,type[,eig1,eig2,eig3,eig4]``
  - diagram JSON:       {params, regime, cusps, endpoints, slopes, anchor,
-                        equilibrium, segments}
+                        equilibrium, segments}, params = {omega, sigma, nu, D}
 
 Inadmissible curve regions are emitted as explicit gaps, never interpolated.
 Cloud points are finite: ``SpectrumCloud`` refuses NaN and infinity.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -98,19 +98,20 @@ class Diagram:
     segments: list[DiagramSegment]
 
 
-def _segment_samples(params: HopfParams, s_values, interior_kind: SegmentKind,
-                     snap_ends: bool) -> DiagramSegment:
+def _segment_samples(params: HopfParams, s_values,
+                     interior_kind: SegmentKind) -> DiagramSegment:
+    """Curve samples at ``s_values``; those that ``hopf.admissible``
+    refuses are dropped, and those on the equilibrium stratum, which it
+    takes to have d = 0, are snapped to the exact value (0, 0)."""
     seg = DiagramSegment(kind=interior_kind)
     dropped: list[float] = []
-    last = len(s_values) - 1
-    for i, s in enumerate(s_values):
-        sample = hopf.critical_curve_point(params, float(s))
-        if snap_ends and i in (0, last) and sample.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
-            sample = CurveSample(s=float(s), J=0.0, H=0.0, d=0.0,
-                                 det2=sample.det2, kind=sample.kind)
-        if sample.d < 0.0:
-            dropped.append(float(s))
+    for s in map(float, s_values):
+        sample = hopf.critical_curve_point(params, s)
+        if not hopf.admissible(params, s):
+            dropped.append(s)
             continue
+        if sample.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
+            sample = replace(sample, J=0.0, H=0.0, d=0.0)
         seg.points.append(sample)
     if dropped:
         seg.gaps.append((min(dropped), max(dropped)))
@@ -153,9 +154,9 @@ def assemble_hopf_diagram(params: HopfParams, samples: int) -> Diagram:
     s_right = np.linspace(s_cusp, s_end, n_outer)
 
     segments = [
-        _segment_samples(params, s_left, SegmentKind.TRANSVERSALLY_ELLIPTIC, True),
-        _segment_samples(params, s_mid, SegmentKind.TRANSVERSALLY_HYPERBOLIC, False),
-        _segment_samples(params, s_right, SegmentKind.TRANSVERSALLY_ELLIPTIC, True),
+        _segment_samples(params, s_left, SegmentKind.TRANSVERSALLY_ELLIPTIC),
+        _segment_samples(params, s_mid, SegmentKind.TRANSVERSALLY_HYPERBOLIC),
+        _segment_samples(params, s_right, SegmentKind.TRANSVERSALLY_ELLIPTIC),
     ]
     cusp_pts = [SpecialPoint(s=s, J=hopf.curve_j(params, s),
                              H=hopf.curve_h(params, s))
@@ -450,5 +451,13 @@ def write_diagram_json(diagram: Diagram, path):
 
 
 def read_diagram_json(path) -> Diagram:
-    with open(path) as fh:
-        return diagram_from_dict(json.load(fh))
+    """Diagram JSON reader; a file that is not a diagram (a missing key, a
+    value of the wrong type, or ``params`` keys other than omega, sigma, nu
+    and D) is a ValueError that names the file."""
+    try:
+        with open(path) as fh:
+            return diagram_from_dict(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

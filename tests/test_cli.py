@@ -155,11 +155,19 @@ class TestHopfCurve:
                         "--nu", "0.5", "--D", "-2",
                         "--out", str(tmp_path / "x")]) == 2
 
-    def test_io_failure(self, tmp_path):
+    def test_io_failure(self, tmp_path, capsys):
+        # every writing command reports a failed write on one line, exit 3
         missing = tmp_path / "no" / "such" / "dir" / "out"
-        assert run_cli(["hopf-curve", "--omega", "1", "--sigma", "1",
-                        "--nu", "0.5", "--D", "-2",
-                        "--out", str(missing)]) == 3
+        for args in (["hopf-curve", "--omega", "1", "--sigma", "1",
+                      "--nu", "0.5", "--D", "-2"],
+                     ["jc-scan", "--gamma-min", "0", "--gamma-max", "1",
+                      "--steps", "3"],
+                     ["jc-spectrum", "--gamma", "0.8", "--j-min", "0",
+                      "--j-max", "1", "--j-steps", "3", "--samples", "10"]):
+            assert run_cli(args + ["--out", str(missing)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"{args[0]}: ") and err.count("\n") == 1
+            assert str(missing) in err
 
 
 class TestJCScan:

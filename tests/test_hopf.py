@@ -15,8 +15,7 @@ coord = st.floats(min_value=-2.0, max_value=2.0,
 
 
 class TestParams:
-    @pytest.mark.parametrize("field", ["omega", "nu", "D", "unfold_a",
-                                       "unfold_b", "coeff_B", "coeff_C"])
+    @pytest.mark.parametrize("field", ["omega", "nu", "D"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, bad):
         fields = dict(omega=1.0, sigma=1, nu=0.5, D=-2.0)
@@ -30,13 +29,6 @@ class TestParams:
             HopfParams(omega=1.0, sigma=2, nu=0.1, D=1.0)
         with pytest.raises(ValueError):
             HopfParams(omega=1.0, sigma=1, nu=0.1, D=0.0)
-        with pytest.raises(ValueError):
-            HopfParams(omega=1.0, sigma=1, nu=0.1, D=1.0, unfold_b=0.0)
-
-    def test_specialized_flag(self):
-        assert REF.specialized
-        assert not HopfParams(omega=1.0, sigma=1, nu=0.1, D=1.0,
-                              coeff_B=0.5).specialized
 
     def test_eliasson_constructor(self):
         e = EliassonParams(omega_t=1.0, alpha_t=2.0, delta=1.0)
@@ -135,11 +127,6 @@ class TestReducedHamiltonian:
 
 
 class TestQPoly:
-    def test_rejects_general_params(self):
-        general = HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0, coeff_C=1.0)
-        with pytest.raises(ValueError):
-            hopf.q_poly(0.0, 0.0, general)
-
     def test_zero_energy_roots(self):
         q = hopf.q_poly(0.0, 0.0, REF)
         roots = sorted(r.real for r in oracle.cubic_roots(q))
@@ -501,7 +488,7 @@ class TestBuildHtilde:
             assert abs(bracket) < 1e-10
 
     def test_matches_transformed_normal_form(self):
-        # H~ composed with T reproduces the specialized normal form
+        # H~ composed with T reproduces the normal form H_nu
         e = EliassonParams(1.2, 0.9, 1.5)
         nu, big_d = 0.07, -1.3
         coeffs = hopf.build_htilde(e, nu, big_d)

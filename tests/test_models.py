@@ -58,16 +58,24 @@ class TestEnergies:
 class TestPoissonStructure:
     def test_coordinate_brackets_at_pole(self):
         st_ = JCState(0.0, 0.0, 1.0, 0.0, 0.0)
-        br = models.poisson_bracket(lambda w: w[0], lambda w: w[1], st_)
-        assert br == pytest.approx(-1.0, abs=1e-9)
-        br = models.poisson_bracket(lambda w: w[3], lambda w: w[4], st_)
-        assert br == pytest.approx(1.0, abs=1e-9)
+
+        def coordinate(k):
+            return lambda w: np.eye(5)[k]
+
+        br = models.poisson_bracket(coordinate(0), coordinate(1), st_)
+        assert br == -1.0
+        br = models.poisson_bracket(coordinate(3), coordinate(4), st_)
+        assert br == 1.0
 
     def test_oscillator_part_commutes_with_j(self):
+        # the gradient of (u^2 + v^2)/2 by central differences
         st_ = state_from(0.3, 1.0, 0.7, -0.4)
         br = models.poisson_bracket(
-            models.jc_J, lambda w: (w[3] ** 2 + w[4] ** 2) / 2.0, st_,
-            grad_f=models.jc_grad_J)
+            models.jc_grad_J,
+            lambda w: oracle.fd_gradient(
+                lambda p: (p[3] ** 2 + p[4] ** 2) / 2.0,
+                np.array(list(w)), step=1e-6),
+            st_)
         assert abs(br) < 1e-9
 
     @given(zval, angle, oscval, oscval,
@@ -75,9 +83,8 @@ class TestPoissonStructure:
     def test_j_commutes_with_htilde(self, z, phi, u, v, gamma):
         st_ = state_from(z, phi, u, v)
         g = PolyG(gamma)
-        br = models.poisson_bracket(None, None, st_,
-                                    grad_f=models.jc_grad_J,
-                                    grad_g=lambda s: models.jc_grad_Htilde(s, g))
+        br = models.poisson_bracket(
+            models.jc_grad_J, lambda s: models.jc_grad_Htilde(s, g), st_)
         assert abs(br) < 1e-11
 
 
@@ -126,15 +133,6 @@ class TestLinearization:
         assert q.b == pytest.approx(0.14, abs=1e-15)
         q, _ = models.jc_linearization(PolyG(0.8))
         assert q.b == pytest.approx(2.06, abs=1e-15)
-
-    def test_gprime_hook(self):
-        # a bare G'(1) value behaves like the matching quadratic family
-        q_hook, _ = models.jc_linearization(1.6)
-        q_poly, _ = models.jc_linearization(PolyG(0.8))
-        assert q_hook == q_poly
-        q_num = models.jc_linearization_numeric(1.6)
-        assert q_num.a == pytest.approx(q_hook.a, abs=1e-12)
-        assert q_num.b == pytest.approx(q_hook.b, abs=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.4, 0.5, 0.8, 1.5])
     def test_numeric_matches_analytic(self, gamma):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import types
@@ -173,6 +174,19 @@ def test_csv_format(tmp_path, name):
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("big_d", [1.0, -2.0])
+    @pytest.mark.parametrize("nu", [1e-13, 1e-11, 1e-9, 0.5])
+    def test_kept_samples_are_the_admissible_ones(self, nu, big_d):
+        # one rule, hopf.admissible: a kept sample has d >= 0, and one on
+        # the equilibrium stratum (the whole curve when nu is below the
+        # stratum tolerance) is the exact equilibrium value
+        params = HopfParams(omega=1.0, sigma=1, nu=nu, D=big_d)
+        diagram = spectrum.assemble_hopf_diagram(params, 64)
+        for p in (p for seg in diagram.segments for p in seg.points):
+            assert hopf.admissible(params, p.s) and p.d >= 0.0
+            if p.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
+                assert (p.J, p.H, p.d) == (0.0, 0.0, 0.0)
+
     def test_reference_diagram(self):
         d = spectrum.assemble_hopf_diagram(REF, 400)
         assert d.regime is Regime.SUBCRITICAL
@@ -345,6 +359,30 @@ class TestSerialization:
             path = tmp_path / "diagram.json"
             spectrum.write_diagram_json(d, path)
             assert spectrum.read_diagram_json(path) == d
+
+    @pytest.mark.parametrize("fault", ["old_params", "missing_key",
+                                       "wrong_type", "not_an_object",
+                                       "truncated"])
+    def test_diagram_reader_refuses_a_bad_file(self, tmp_path, fault):
+        # "old_params": the four fixed-value keys that earlier versions
+        # wrote under "params"; such a file is refused, not read
+        path = tmp_path / "diagram.json"
+        spectrum.write_diagram_json(spectrum.assemble_hopf_diagram(REF, 48),
+                                    path)
+        data = json.loads(path.read_text())
+        if fault == "old_params":
+            data["params"].update(unfold_a=0.0, unfold_b=1.0, coeff_B=0.0,
+                                  coeff_C=0.0)
+        elif fault == "missing_key":
+            del data["anchor"]
+        elif fault == "wrong_type":
+            data["segments"][0]["points"][0]["J"] = "0.5"
+        elif fault == "not_an_object":
+            data = [data]
+        text = json.dumps(data)
+        path.write_text(text[:100] if fault == "truncated" else text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            spectrum.read_diagram_json(path)
 
     def test_cloud_csv_round_trip(self, tmp_path):
         cloud = models.jc_spectrum_sample(models.PolyG(0.7), 300, 1.5, seed=11)
