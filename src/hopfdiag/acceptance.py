@@ -75,28 +75,26 @@ def criterion_02_hyperbolic_anchor() -> str:
 def criterion_03_hessian_law() -> str:
     """FD Hessian determinant at (d(s), 0) equals 2(3s^2 - nu) within 1e-7."""
     params = REFERENCE_PARAMS
-    worst = 0.0
-    signs = []
-    kept_s = []
-    for s in _s_grid(params):
-        c = hopf.critical_curve_point(params, float(s))
-        if c.d < 1e-9:
-            continue   # endpoint: the reduced chart (z > 0) ends here
+    ss = _s_grid(params)
+    d = hopf.double_root(params, ss)
+    keep = ~(d < 1e-9)    # endpoints: the reduced chart (z > 0) ends there
+    ss, d = ss[keep], d[keep]
+    j = hopf.curve_j(params, ss)
 
-        def f(w):
-            return hopf.reduced_hamiltonian(w[0], w[1], c.J, params)
+    def f(w):
+        return hopf.reduced_hamiltonian(w[0], w[1], j, params)
 
-        # z-step scales with the tiny double root; the p_z direction is
-        # exactly quadratic, so a wide step there only suppresses rounding
-        hess = oracle.fd_hessian(f, (c.d, 0.0), step=(0.01 * c.d, 0.25),
-                                 levels=1)
-        det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-        worst = max(worst, abs(det - c.det2))
-        signs.append(np.sign(det))
-        kept_s.append(float(s))
+    # z-step scales with the tiny double root; the p_z direction is
+    # exactly quadratic, so a wide step there only suppresses rounding
+    hess = oracle.fd_hessian(f, np.stack([d, np.zeros_like(d)]),
+                             step=np.stack([0.01 * d, np.full_like(d, 0.25)]),
+                             levels=1)
+    det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
+    worst = float(np.max(np.abs(det - hopf.hessian_det2(params, ss))))
     assert worst < 1e-7, f"|det - 2(3s^2-nu)| = {worst:.3g} >= 1e-7"
-    flips = [(kept_s[i], kept_s[i + 1]) for i in range(len(signs) - 1)
-             if signs[i] != signs[i + 1]]
+    signs = np.sign(det)
+    k = np.flatnonzero(signs[:-1] != signs[1:])
+    flips = list(zip(ss[k].tolist(), ss[k + 1].tolist()))
     cusp = np.sqrt(params.nu / 3.0)
     assert len(flips) == 2, f"expected 2 sign changes, got {len(flips)}"
     for lo, hi in flips:
@@ -183,19 +181,16 @@ def criterion_07_conjugation() -> str:
         t_mat = hopf.transformation_T(e)
         sympl = np.max(np.abs(t_mat.T @ b_mat @ t_mat - b_mat))
         worst = max(worst, sympl)
-        for _ in range(100):
-            p_hat = rng.uniform(-1.0, 1.0, 4)
-            p = t_mat @ p_hat
-            g1, g2, g3 = hopf.gammas(p_hat)
-            sigma = e.sigma
-            worst = max(
-                worst,
-                abs(g1 - symplin.j1(p)),
-                abs(g2 - sigma * (e.alpha_t * symplin.j2(p)
-                                  + e.gamma_hat * symplin.k1(p)
-                                  + e.delta * symplin.k2(p))),
-                abs(g3 - sigma * symplin.k1(p) / e.delta),
-            )
+        p_hat = rng.uniform(-1.0, 1.0, (100, 4)).T    # one point per column
+        p = t_mat @ p_hat
+        g1, g2, g3 = hopf.gammas(p_hat)
+        sigma = e.sigma
+        defects = (g1 - symplin.j1(p),
+                   g2 - sigma * (e.alpha_t * symplin.j2(p)
+                                 + e.gamma_hat * symplin.k1(p)
+                                 + e.delta * symplin.k2(p)),
+                   g3 - sigma * symplin.k1(p) / e.delta)
+        worst = max(worst, float(np.max(np.abs(defects))))
     assert worst < 1e-12, f"conjugation/symplecticity defect {worst:.3g} >= 1e-12"
     return f"max defect {worst:.2e} over 20 parameter sets x 100 points"
 
@@ -243,11 +238,10 @@ def criterion_10_commutation() -> str:
     worst = 0.0
     for k, gamma in enumerate((0.0, 0.5, 0.8, 1.5)):
         g = models.PolyG(gamma)
-        cloud_states = _random_states(1000, seed=100 + k)
-        for w in cloud_states:
-            br = models.poisson_bracket(
-                models.jc_grad_J, lambda s: models.jc_grad_Htilde(s, g), w)
-            worst = max(worst, abs(br))
+        br = models.poisson_bracket(
+            models.jc_grad_J, lambda s: models.jc_grad_Htilde(s, g),
+            _random_states(1000, seed=100 + k))
+        worst = max(worst, float(np.max(np.abs(br))))
     assert worst < 1e-11, f"|{{J, H~}}| = {worst:.3g} >= 1e-11"
     return f"max |{{J, H~}}| = {worst:.2e} over 4 gammas x 1000 states"
 

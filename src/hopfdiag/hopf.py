@@ -50,7 +50,8 @@ from . import oracle, symplin
 
 # Implementation constants (grids, steps, residual tolerances).
 TANGENT_FD_STEP = 1e-5
-STRATUM_TOL = 1e-12           # cusp / endpoint recognition in segment_kind
+STRATUM_TOL = 1e-12           # cusp / endpoint recognition, relative to nu
+NORMAL_MIN = float(np.finfo(float).tiny)   # smallest normal float
 DISC_TOL = 1e-12              # |disc| <= tol * sum|terms|: double root (torus_count)
 
 
@@ -143,15 +144,15 @@ def gammas(point) -> tuple[float, float, float]:
             (x * x + y * y) / 2.0)
 
 
-def reduced_hamiltonian(z: float, p_z: float, j: float,
-                        params: HopfParams) -> float:
+def reduced_hamiltonian(z, p_z, j, params: HopfParams):
     """Value of the reduced one-degree-of-freedom Hamiltonian at (z, p_z; J).
 
     omega*J + sigma*(z*p_z^2 + J^2/(4z) + nu*z) + 2*D*z^2; z must be
     positive (the J^2/(4z) term makes z = 0 with J != 0 singular, and
-    z = G3 >= 0 anyway).
+    z = G3 >= 0 anyway).  The arguments broadcast; one z <= 0 anywhere
+    is refused.
     """
-    if z <= 0.0:
+    if np.any(np.asarray(z) <= 0.0):
         raise ValueError("reduced chart requires z > 0")
     pr = params
     return (pr.omega * j
@@ -221,19 +222,31 @@ def cusps(params: HopfParams) -> list[float]:
     return [-s, s]
 
 
+def _stratum_tol(nu: float) -> float:
+    """STRATUM_TOL relative to nu, which keeps no relative precision below
+    the smallest normal float."""
+    return STRATUM_TOL * max(nu, NORMAL_MIN)
+
+
+def _on_end_stratum(nu: float, s: float) -> bool:
+    """s^2 = nu up to rounding: the equilibrium endpoints s = +-sqrt(nu),
+    where fl(sqrt(nu))^2 - nu is a rounding-level residue of either sign."""
+    return nu >= 0.0 and abs(s * s - nu) <= _stratum_tol(nu)
+
+
 def segment_kind(params: HopfParams, s: float) -> SegmentKind:
     """Williamson type of the curve point at parameter s.
 
-    Endpoint and cusp strata are matched with a STRATUM_TOL-scaled tolerance
-    (fl(sqrt(nu/3)) does not square back to nu/3 exactly); between them the
-    sign of 2(3 s^2 - nu) decides: negative hyperbolic, positive elliptic.
+    Endpoint and cusp strata are matched with a tolerance of STRATUM_TOL
+    relative to nu (fl(sqrt(nu/3)) does not square back to nu/3 exactly), so
+    they stay points at any small nu > 0; between them the sign of
+    2(3 s^2 - nu) decides: negative hyperbolic, positive elliptic.
     """
     nu = params.nu
-    scale = max(1.0, abs(nu))
-    if nu >= 0.0 and abs(s * s - nu) <= STRATUM_TOL * scale:
+    if _on_end_stratum(nu, s):
         return SegmentKind.EQUILIBRIUM_ENDPOINT
     det2 = hessian_det2(params, s)
-    if nu > 0.0 and s * s < nu and abs(det2) <= 2.0 * STRATUM_TOL * scale:
+    if nu > 0.0 and s * s < nu and abs(det2) <= 2.0 * _stratum_tol(nu):
         return SegmentKind.CUSP
     if det2 < 0.0:
         return SegmentKind.TRANSVERSALLY_HYPERBOLIC
@@ -244,13 +257,10 @@ def admissible(params: HopfParams, s: float) -> bool:
     """True iff the double root d(s) is >= 0, i.e. lies in the image z >= 0.
 
     The equilibrium endpoints s = +-sqrt(nu) have d = 0 exactly and are
-    admissible; since fl(sqrt(nu))^2 - nu is a rounding-level residue of
-    either sign, they are snapped by the same STRATUM_TOL as segment_kind.
+    admissible; they are recognized by the same stratum test as in
+    segment_kind.
     """
-    if params.nu >= 0.0 and abs(s * s - params.nu) <= \
-            STRATUM_TOL * max(1.0, abs(params.nu)):
-        return True
-    return double_root(params, s) >= 0.0
+    return _on_end_stratum(params.nu, s) or double_root(params, s) >= 0.0
 
 
 def regime(params: HopfParams) -> Regime:

@@ -45,7 +45,6 @@ from .spectrum import SpectrumCloud
 
 SPHERE_TOL = 1e-12
 CUSP_TOL = 1e-8          # |h''| below this classifies as a degenerate cusp
-RANK_TOL = 1e-8          # relative second singular value in the rank test
 NEWTON_STEPS = 100       # cap on bracketed Newton/bisection steps per point
 J_LIMIT = 1e100          # |J| below this keeps every chart coefficient finite
 GAMMA_LIMIT = 1e6        # from |gamma| ~ 1e7 critical points sit closer to the
@@ -111,47 +110,49 @@ def jc_Htilde(state, g: PolyG) -> float:
     return (x * u + y * v) / 2.0 + g.value(z)
 
 
+def _coords(state):
+    """x, y, z, u, v of one state, or five (n,) arrays for an (n, 5) stack."""
+    if isinstance(state, JCState):
+        state = tuple(state)
+    return np.asarray(state, dtype=float).T
+
+
 def jc_grad_J(state) -> np.ndarray:
-    x, y, z, u, v = state
-    return np.array([0.0, 0.0, 1.0, u, v])
+    x, y, z, u, v = _coords(state)
+    zero = np.zeros_like(z)
+    return np.stack([zero, zero, zero + 1.0, u, v], axis=-1)
 
 
 def jc_grad_Htilde(state, g: PolyG) -> np.ndarray:
-    x, y, z, u, v = state
-    return np.array([u / 2.0, v / 2.0, g.deriv(z), x / 2.0, y / 2.0])
+    x, y, z, u, v = _coords(state)
+    return np.stack([u / 2.0, v / 2.0, g.deriv(z), x / 2.0, y / 2.0], axis=-1)
 
 
 def poisson_tensor(state) -> np.ndarray:
-    """Matrix Pi with {f, g} = grad(f)^T Pi grad(g), order (x, y, z, u, v)."""
-    x, y, z, u, v = state
-    return np.array([
-        [0.0, -z, y, 0.0, 0.0],
-        [z, 0.0, -x, 0.0, 0.0],
-        [-y, x, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, -1.0, 0.0],
-    ])
+    """Matrix Pi with {f, g} = grad(f)^T Pi grad(g), order (x, y, z, u, v).
+
+    One state gives a 5 x 5 matrix, an (n, 5) stack one per state (n, 5, 5).
+    """
+    x, y, z, u, v = _coords(state)
+    pi = np.zeros(np.shape(z) + (5, 5))
+    pi[..., 0, 1], pi[..., 0, 2] = -z, y
+    pi[..., 1, 0], pi[..., 1, 2] = z, -x
+    pi[..., 2, 0], pi[..., 2, 1] = -y, x
+    pi[..., 3, 4], pi[..., 4, 3] = 1.0, -1.0
+    return pi
 
 
-def poisson_bracket(grad_f, grad_g, state) -> float:
-    """{f, g} at ``state`` from the gradient functions of f and g."""
-    return float(np.asarray(grad_f(state), dtype=float) @ poisson_tensor(state)
-                 @ np.asarray(grad_g(state), dtype=float))
+def poisson_bracket(grad_f, grad_g, state):
+    """{f, g} at ``state`` from the gradient functions of f and g.
 
-
-def hamiltonian_field(state, grad) -> np.ndarray:
-    """Vector field X_f with df/dt of any g along it equal to {f, g}."""
-    return poisson_tensor(state).T @ np.asarray(grad, dtype=float)
-
-
-def jc_rank_test(state, g: PolyG) -> bool:
-    """True iff X_J and X_H~ span fewer than two dimensions at ``state``."""
-    xj = hamiltonian_field(state, jc_grad_J(state))
-    xh = hamiltonian_field(state, jc_grad_Htilde(state, g))
-    sv = np.linalg.svd(np.vstack([xj, xh]), compute_uv=False)
-    if sv[0] <= 1e-12:
-        return True
-    return bool(sv[1] < RANK_TOL * sv[0])
+    One state gives a float; an (n, 5) stack gives an (n,) array, with each
+    gradient function called once on the whole stack.
+    """
+    br = np.einsum("...i,...ij,...j->...",
+                   np.asarray(grad_f(state), dtype=float),
+                   poisson_tensor(state),
+                   np.asarray(grad_g(state), dtype=float))
+    return float(br) if br.ndim == 0 else br
 
 
 # ---------------------------------------------------------------------------

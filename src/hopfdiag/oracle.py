@@ -320,8 +320,13 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12,
     return x, -fneg
 
 
-def _per_axis_steps(step, n: int) -> np.ndarray:
-    h = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
+def _per_axis_steps(step, shape) -> np.ndarray:
+    """Steps broadcast to the point's shape; one step per axis (first
+    index) serves every point of a stack."""
+    h = np.asarray(step, dtype=float)
+    if h.ndim == 1:
+        h = h.reshape(h.shape + (1,) * (len(shape) - 1))
+    h = np.broadcast_to(h, shape).copy()
     if np.any(h <= 0.0):
         raise ValueError("steps must be positive")
     return h
@@ -335,7 +340,7 @@ def fd_gradient(f, point, step: float = GRAD_STEP, levels: int = 0) -> np.ndarra
     second-order stencil.
     """
     x = np.asarray(point, dtype=float)
-    steps = _per_axis_steps(step, x.size)
+    steps = _per_axis_steps(step, x.shape)
 
     def central(h):
         g = np.empty(x.size)
@@ -355,18 +360,22 @@ def fd_gradient(f, point, step: float = GRAD_STEP, levels: int = 0) -> np.ndarra
 def fd_hessian(f, point, step: float = HESS_STEP, levels: int = 0) -> np.ndarray:
     """Central-difference Hessian (symmetric), error O(step^2).
 
-    ``step`` may be a scalar or one value per axis (useful when curvature
-    scales differ wildly between directions); ``levels=1`` adds one
+    ``point`` is one point of shape (n,), giving an (n, n) Hessian, or a
+    stack of m points as columns, shape (n, m), giving (n, n, m); ``f`` is
+    then called once per stencil node on the whole stack and must map the
+    rows to m values.  ``step`` may be a scalar, one value per axis (useful
+    when curvature scales differ wildly between directions) or, for a
+    stack, one per axis and point, shape (n, m).  ``levels=1`` adds one
     Richardson extrapolation level.  Raises whatever ``f`` raises if the
     stencil leaves its domain (e.g. z <= 0 for the reduced normal-form
     Hamiltonian).
     """
     x = np.asarray(point, dtype=float)
-    n = x.size
-    steps = _per_axis_steps(step, n)
+    n = x.shape[0]
+    steps = _per_axis_steps(step, x.shape)
 
     def central(h):
-        hess = np.empty((n, n))
+        hess = np.empty((n, n) + x.shape[1:])
         fc = f(x)
         for i in range(n):
             xp = x.copy(); xp[i] += h[i]

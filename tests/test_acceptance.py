@@ -7,7 +7,7 @@ functions from the command line.
 import numpy as np
 import pytest
 
-from hopfdiag import acceptance, hopf
+from hopfdiag import acceptance, hopf, models, symplin
 
 
 @pytest.mark.parametrize("number, name, fn", acceptance.CRITERIA,
@@ -78,3 +78,48 @@ def test_criterion_13_sees_a_count_change_off_the_curves(monkeypatch):
     monkeypatch.setattr(hopf, "torus_count", shifted)
     with pytest.raises(AssertionError, match="away from the critical curves"):
         acceptance.criterion_13_torus_counts()
+
+
+def test_criterion_10_sees_one_bad_state(monkeypatch):
+    """A gradient of H~ that is wrong at one state of 4,000 fails the check."""
+    grad = models.jc_grad_Htilde
+    bad = acceptance._random_states(1000, seed=102)[617]
+
+    def corrupted(state, g):
+        out = np.array(grad(state, g))
+        out[..., 4] += np.all(np.asarray(state) == bad, axis=-1)
+        return out
+
+    monkeypatch.setattr(models, "jc_grad_Htilde", corrupted)
+    with pytest.raises(AssertionError, match="J, H~"):
+        acceptance.criterion_10_commutation()
+
+
+def test_criterion_03_sees_one_bad_determinant(monkeypatch):
+    """A Hessian law that is wrong at one s of the grid fails the check."""
+    det2 = hopf.hessian_det2
+    bad = acceptance._s_grid(acceptance.REFERENCE_PARAMS)[123]
+
+    def corrupted(params, s):
+        return det2(params, s) + 1e-6 * (np.asarray(s) == bad)
+
+    monkeypatch.setattr(hopf, "hessian_det2", corrupted)
+    with pytest.raises(AssertionError, match="3s\\^2-nu"):
+        acceptance.criterion_03_hessian_law()
+
+
+def test_criterion_07_sees_one_bad_point(monkeypatch):
+    """An invariant K1 that is wrong at one point of 2,000 fails the check."""
+    k1 = symplin.k1
+    calls = []
+
+    def corrupted(p):
+        out = np.array(k1(p), dtype=float)
+        if not calls:
+            out.flat[41] += 1e-9
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(symplin, "k1", corrupted)
+    with pytest.raises(AssertionError, match="conjugation"):
+        acceptance.criterion_07_conjugation()

@@ -110,6 +110,12 @@ class TestReducedHamiltonian:
         with pytest.raises(ValueError):
             hopf.reduced_hamiltonian(-0.5, 0.0, 0.1, REF)
 
+    def test_rejects_one_nonpositive_z_in_an_array(self):
+        z = np.array([0.3, 1.0, 0.0, 2.0])
+        with pytest.raises(ValueError):
+            hopf.reduced_hamiltonian(z, np.zeros(4), 0.1, REF)
+        assert hopf.reduced_hamiltonian(z + 1.0, 0.0, 0.0, REF).shape == (4,)
+
     def test_pure_quartic_term(self):
         params = HopfParams(omega=1.0, sigma=1, nu=0.0, D=-2.0)
         for z in (0.25, 1.0, 2.0):

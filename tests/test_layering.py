@@ -3,7 +3,9 @@
 ``oracle`` checks the closed forms, so it shares no code with them: it
 imports no hopfdiag module and calls no library root or eigenvalue solver
 (``numpy.roots``, ``numpy.linalg.eig*``).  The symbolic and property-test
-tools (sympy, mpmath, hypothesis) stay in the tests.
+tools (sympy, mpmath, hypothesis) stay in the tests.  ``acceptance`` calls
+the other modules through their module objects, never through names
+imported from them.
 """
 
 import ast
@@ -98,3 +100,36 @@ def test_import_scan_sees(source, modules):
 ])
 def test_solver_scan_sees(source, found):
     assert forbidden_solvers(numpy_references(ast.parse(source))) == found
+
+
+def names_imported_from_hopfdiag_modules(tree) -> set[str]:
+    """Every ``from .<module> import <name>`` (or the absolute form
+    ``from hopfdiag.<module> import <name>``), as ``<module>.<name>``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = "hopfdiag" if node.level else ""
+            module = ".".join(filter(None, [package, node.module]))
+            if module.startswith("hopfdiag."):
+                found.update(f"{module.removeprefix('hopfdiag.')}.{alias.name}"
+                             for alias in node.names)
+    return found
+
+
+def test_acceptance_reaches_hopfdiag_through_its_modules():
+    # perfbench traces a layer by swapping the module attribute: a function
+    # that acceptance imported by name would keep the untraced original
+    assert not names_imported_from_hopfdiag_modules(
+        parse(SRC / "acceptance.py"))
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from . import cli, hopf", set()),
+    ("from hopfdiag import models", set()),
+    ("from .models import PolyG", {"models.PolyG"}),
+    ("from hopfdiag.hopf import torus_count as tc", {"hopf.torus_count"}),
+    ("def f():\n    from .oracle import eig4\n", {"oracle.eig4"}),
+    ("from pathlib import Path", set()),
+])
+def test_module_import_scan_sees(source, found):
+    assert names_imported_from_hopfdiag_modules(ast.parse(source)) == found

@@ -169,6 +169,24 @@ class TestFiniteDifferences:
         assert abs(h[0, 0] + math.sin(0.5)) < 1e-8
         assert abs(h[1, 1] - 2.0) < 1e-8
 
+    @pytest.mark.parametrize("step", [1e-3, (1e-2, 0.3), "per point"])
+    def test_hessian_stack_equals_per_point_calls(self, step):
+        def f(w):
+            return np.sin(w[0]) * w[1] ** 3 + np.exp(w[0] * w[1])
+
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-1.0, 1.0, (2, 7))
+        if step == "per point":
+            step = rng.uniform(1e-3, 1e-1, (2, 7))
+            per_point = step.T
+        else:
+            per_point = [step] * 7
+        stacked = oracle.fd_hessian(f, points, step=step, levels=1)
+        single = [oracle.fd_hessian(f, x, step=h, levels=1)
+                  for x, h in zip(points.T, per_point)]
+        assert stacked.shape == (2, 2, 7)
+        assert np.array_equal(stacked, np.stack(single, axis=-1))
+
     def test_domain_error_propagates(self):
         def f(w):
             if w[0] <= 0:

@@ -178,14 +178,38 @@ class TestAssemble:
     @pytest.mark.parametrize("nu", [1e-13, 1e-11, 1e-9, 0.5])
     def test_kept_samples_are_the_admissible_ones(self, nu, big_d):
         # one rule, hopf.admissible: a kept sample has d >= 0, and one on
-        # the equilibrium stratum (the whole curve when nu is below the
-        # stratum tolerance) is the exact equilibrium value
+        # the equilibrium stratum is the exact equilibrium value
         params = HopfParams(omega=1.0, sigma=1, nu=nu, D=big_d)
         diagram = spectrum.assemble_hopf_diagram(params, 64)
         for p in (p for seg in diagram.segments for p in seg.points):
             assert hopf.admissible(params, p.s) and p.d >= 0.0
             if p.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
                 assert (p.J, p.H, p.d) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("nu", [1e-12, 1e-300])
+    def test_strata_at_tiny_nu(self, nu):
+        # the stratum tolerance is relative to nu: END only at +-sqrt(nu),
+        # CUSP only at +-sqrt(nu/3), and the s = 0 anchor is hyperbolic
+        params = HopfParams(omega=1.0, sigma=1, nu=nu, D=-2.0)
+        diagram = spectrum.assemble_hopf_diagram(params, 64)
+        ends, cusps = math.sqrt(nu), math.sqrt(nu / 3.0)
+        kinds = {p.s: p.kind for seg in diagram.segments for p in seg.points}
+        assert {s for s, k in kinds.items()
+                if k is SegmentKind.EQUILIBRIUM_ENDPOINT} == {-ends, ends}
+        assert {s for s, k in kinds.items()
+                if k is SegmentKind.CUSP} == {-cusps, cusps}
+        assert kinds[0.0] is SegmentKind.TRANSVERSALLY_HYPERBOLIC
+        assert set(kinds.values()) == set(SegmentKind)
+
+    def test_subnormal_nu_is_all_equilibrium(self):
+        # below the smallest normal float nu keeps no relative precision,
+        # so the tolerance stops shrinking: the whole curve is the
+        # equilibrium value, not a mix of rounding-made labels
+        params = HopfParams(omega=1.0, sigma=1, nu=5e-324, D=-2.0)
+        diagram = spectrum.assemble_hopf_diagram(params, 64)
+        points = [p for seg in diagram.segments for p in seg.points]
+        assert points and all(p.kind is SegmentKind.EQUILIBRIUM_ENDPOINT
+                              for p in points)
 
     def test_reference_diagram(self):
         d = spectrum.assemble_hopf_diagram(REF, 400)
