@@ -25,9 +25,8 @@ def emit_configuration(out: pathlib.Path, tag: str, gamma: float,
                        j_window: tuple[float, float], j_steps: int,
                        samples: int, seed: int):
     g = PolyG(gamma)
-    rows = []
-    for j in np.linspace(j_window[0], j_window[1], j_steps):
-        rows.extend(models.jc_reduced_critical_values(g, float(j)))
+    js = np.linspace(j_window[0], j_window[1], j_steps)
+    rows = [p for pts in models.jc_critical_values(g, js) for p in pts]
     spectrum.write_jc_critical_csv(rows, out / f"{tag}_critical.csv")
     cloud = models.jc_spectrum_sample(g, samples, j_window[1], seed)
     spectrum.write_cloud_csv(cloud, out / f"{tag}_cloud.csv")

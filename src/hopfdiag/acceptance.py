@@ -28,12 +28,14 @@ def criterion_01_discriminant_identity() -> str:
     """401-sample double-root residuals below 1e-10 (scaled), in under 1 s."""
     t0 = time.perf_counter()
     params = REFERENCE_PARAMS
-    worst = 0.0
-    for s in _s_grid(params):
-        c = hopf.critical_curve_point(params, float(s))
-        q = hopf.q_poly(c.J, c.H, params)
-        res = max(abs(q(c.d)), abs(q.deriv()(c.d))) / q.scale
-        worst = max(worst, res)
+    ss = _s_grid(params)
+    c0, c1, c2, c3 = hopf.q_coeffs(hopf.curve_j(params, ss),
+                                   hopf.curve_h(params, ss), params)
+    d = hopf.double_root(params, ss)
+    q = ((c3 * d + c2) * d + c1) * d + c0
+    dq = (3.0 * c3 * d + 2.0 * c2) * d + c1
+    scale = np.abs(np.broadcast_arrays(1.0, c0, c1, c2, c3)).max(axis=0)
+    worst = float(np.max(np.maximum(np.abs(q), np.abs(dq)) / scale))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10, f"scaled double-root residual {worst:.3g} >= 1e-10"
     assert elapsed < 1.0, f"took {elapsed:.3f}s >= 1s"
@@ -107,29 +109,26 @@ def criterion_04_tangent_cusp_law() -> str:
     """Closed-form tangent vs FD (1e-6); exact zeros only at the cusps."""
     params = REFERENCE_PARAMS
     step = hopf.TANGENT_FD_STEP
-    worst = 0.0
-    for s in _s_grid(params):
-        dj, dh = hopf.curve_tangent(params, float(s))
-        fd_j = (hopf.curve_j(params, s + step) - hopf.curve_j(params, s - step)) / (2 * step)
-        fd_h = (hopf.curve_h(params, s + step) - hopf.curve_h(params, s - step)) / (2 * step)
-        worst = max(worst, abs(dj - fd_j), abs(dh - fd_h))
+    ss = _s_grid(params)
+    dj, dh = hopf.curve_tangent(params, ss)
+    fd_j = (hopf.curve_j(params, ss + step) - hopf.curve_j(params, ss - step)) / (2 * step)
+    fd_h = (hopf.curve_h(params, ss + step) - hopf.curve_h(params, ss - step)) / (2 * step)
+    worst = float(np.max(np.maximum(np.abs(dj - fd_j), np.abs(dh - fd_h))))
     assert worst < 1e-6, f"tangent FD mismatch {worst:.3g} >= 1e-6"
 
     for s_cusp in hopf.cusps(params):
-        dj, dh = hopf.curve_tangent(params, s_cusp)
-        assert max(abs(dj), abs(dh)) < 1e-12, \
-            f"tangent at cusp {s_cusp} is ({dj}, {dh})"
+        dj_c, dh_c = hopf.curve_tangent(params, s_cusp)
+        assert max(abs(dj_c), abs(dh_c)) < 1e-12, \
+            f"tangent at cusp {s_cusp} is ({dj_c}, {dh_c})"
     root, cusp = np.sqrt(params.nu), np.sqrt(params.nu / 3.0)
-    for s in _s_grid(params):
-        if min(abs(s - cusp), abs(s + cusp)) > 1e-2:
-            dj, _ = hopf.curve_tangent(params, float(s))
-            assert abs(dj) > 0.0, f"tangent vanishes off-cusp at s={s}"
+    off_cusp = np.minimum(np.abs(ss - cusp), np.abs(ss + cusp)) > 1e-2
+    flat = ss[off_cusp & ~(np.abs(dj) > 0.0)]
+    assert flat.size == 0, f"tangent vanishes off-cusp at s={flat[0]}"
 
     # the three open segments are graphs over J: strict monotonicity
     for a, b in ((-root, -cusp), (-cusp, cusp), (cusp, root)):
         ss = np.linspace(a, b, 101)[1:-1]
-        js = [hopf.curve_j(params, float(s)) for s in ss]
-        diffs = np.diff(js)
+        diffs = np.diff(hopf.curve_j(params, ss))
         assert np.all(diffs > 0) or np.all(diffs < 0), \
             f"J not monotone on segment ({a:.4f}, {b:.4f})"
     return f"max tangent FD error {worst:.2e}; cusps exact; segments monotone"
@@ -306,32 +305,22 @@ def criterion_12_post_hopf_loop() -> str:
     g = LOOP_GAMMA
     grid = np.linspace(-0.9, 3.3, 400)
     assert not np.any(grid == 1.0)   # at J=1 the third point merges with the pole
-    plus_counts = []
-    hyp_counts = []
-    totals = []
-    for j in grid:
-        pts = models.jc_reduced_critical_values(g, float(j))
+    counts = []     # (plus-branch, hyperbolic, all) interior points per J
+    for pts in models.jc_critical_values(g, grid):
         interior = [p for p in pts
                     if p.kind is not models.CriticalKind.EQUILIBRIUM_VALUE]
-        plus_counts.append(sum(p.branch is models.Branch.PLUS for p in interior))
-        hyp_counts.append(sum(
-            p.kind is models.CriticalKind.TRANSVERSALLY_HYPERBOLIC
-            for p in interior))
-        totals.append(len(interior))
+        counts.append((
+            sum(p.branch is models.Branch.PLUS for p in interior),
+            sum(p.kind is models.CriticalKind.TRANSVERSALLY_HYPERBOLIC
+                for p in interior),
+            len(interior)))
+    plus_counts, hyp_counts, totals = np.array(counts).T.tolist()
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"400-step scan took {elapsed:.2f}s >= 10s"
 
-    mask = np.array(plus_counts) == 3
-    runs = []
-    start = None
-    for i, m in enumerate(mask):
-        if m and start is None:
-            start = i
-        if not m and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
+    # maximal runs (first, last) of grid indices with a 3-point branch
+    bounds = np.flatnonzero(np.diff(np.r_[0, np.array(plus_counts) == 3, 0]))
+    runs = list(zip(bounds[::2].tolist(), (bounds[1::2] - 1).tolist()))
     assert runs, "no J with a 3-point branch found"
     i0, i1 = max(runs, key=lambda r: r[1] - r[0])
     assert i1 - i0 >= 10, f"window too narrow: {i1 - i0} grid steps"

@@ -148,9 +148,8 @@ def cmd_jc_spectrum(args) -> int:
             and -1.0 <= args.j_min <= args.j_max < math.inf):
         raise ValueError("invalid ranges")
     g = models.PolyG(args.gamma)
-    rows: list[models.CriticalValuePoint] = []
-    for j in np.linspace(args.j_min, args.j_max, args.j_steps):
-        rows.extend(models.jc_reduced_critical_values(g, float(j)))
+    js = np.linspace(args.j_min, args.j_max, args.j_steps)
+    rows = [p for pts in models.jc_critical_values(g, js) for p in pts]
     cloud = models.jc_spectrum_sample(g, samples, args.j_max, seed)
     spectrum.write_jc_critical_csv(rows, f"{args.out}_critical.csv")
     spectrum.write_cloud_csv(cloud, f"{args.out}_cloud.csv")

@@ -160,20 +160,21 @@ def reduced_hamiltonian(z, p_z, j, params: HopfParams):
             + 2.0 * pr.D * z * z)
 
 
+def q_coeffs(j, h, params: HopfParams) -> tuple:
+    """Ascending coefficients of the cubic
+    Q(z) = -8 sigma D z^3 - 4 nu z^2 + 4 sigma (h - omega j) z - j^2;
+    ``j`` and ``h`` may be arrays."""
+    return (-j * j, 4.0 * params.sigma * (h - params.omega * j),
+            -4.0 * params.nu, -8.0 * params.sigma * params.D)
+
+
 def q_poly(j: float, h: float, params: HopfParams) -> oracle.Poly:
     """The cubic Q(z) whose nonnegative part carries the reduced motion.
 
-    Ascending coefficients of
-    Q(z) = -8 sigma D z^3 - 4 nu z^2 + 4 sigma (h - omega j) z - j^2;
     Q(z) = 4 z^2 p_z^2 whenever h is the reduced Hamiltonian value at
-    (z, p_z; j).
+    (z, p_z; j); coefficients from ``q_coeffs``.
     """
-    return oracle.Poly((
-        -j * j,
-        4.0 * params.sigma * (h - params.omega * j),
-        -4.0 * params.nu,
-        -8.0 * params.sigma * params.D,
-    ))
+    return oracle.Poly(q_coeffs(j, h, params))
 
 
 def curve_j(params: HopfParams, s: float) -> float:
@@ -328,8 +329,7 @@ def torus_count(params: HopfParams, j, h):
     j, h = np.asarray(j, dtype=float), np.asarray(h, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         coeffs = np.stack(np.broadcast_arrays(
-            -8.0 * params.sigma * params.D, -4.0 * params.nu,
-            4.0 * params.sigma * (h - params.omega * j), -j * j))
+            *reversed(q_coeffs(j, h, params))))
     if not np.isfinite(coeffs).all():
         raise ValueError("Q has non-finite coefficients")
     a, b, c, d = coeffs / np.abs(coeffs).max(axis=0)

@@ -95,26 +95,31 @@ class PolyG:
         return 2.0 * self.gamma * z
 
 
-def jc_J(state) -> float:
-    x, y, z, u, v = state
-    return (u * u + v * v) / 2.0 + z
-
-
-def jc_H(state) -> float:
-    x, y, z, u, v = state
-    return (x * u + y * v) / 2.0
-
-
-def jc_Htilde(state, g: PolyG) -> float:
-    x, y, z, u, v = state
-    return (x * u + y * v) / 2.0 + g.value(z)
-
-
 def _coords(state):
     """x, y, z, u, v of one state, or five (n,) arrays for an (n, 5) stack."""
     if isinstance(state, JCState):
         state = tuple(state)
     return np.asarray(state, dtype=float).T
+
+
+def _scalar(value):
+    """A float for one state; an (n,) array for a stack stays as it is."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def jc_J(state):
+    x, y, z, u, v = _coords(state)
+    return _scalar((u * u + v * v) / 2.0 + z)
+
+
+def jc_H(state):
+    x, y, z, u, v = _coords(state)
+    return _scalar((x * u + y * v) / 2.0)
+
+
+def jc_Htilde(state, g: PolyG):
+    x, y, z, u, v = _coords(state)
+    return _scalar((x * u + y * v) / 2.0 + g.value(z))
 
 
 def jc_grad_J(state) -> np.ndarray:
@@ -148,11 +153,10 @@ def poisson_bracket(grad_f, grad_g, state):
     One state gives a float; an (n, 5) stack gives an (n,) array, with each
     gradient function called once on the whole stack.
     """
-    br = np.einsum("...i,...ij,...j->...",
-                   np.asarray(grad_f(state), dtype=float),
-                   poisson_tensor(state),
-                   np.asarray(grad_g(state), dtype=float))
-    return float(br) if br.ndim == 0 else br
+    return _scalar(np.einsum("...i,...ij,...j->...",
+                             np.asarray(grad_f(state), dtype=float),
+                             poisson_tensor(state),
+                             np.asarray(grad_g(state), dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +237,10 @@ def reduced_radius_sq(j: float, z) -> float:
 
 
 def invariant_coords(state) -> tuple[float, float, float]:
-    """(z, w1, w2) of a state; w1 = xu + yv, w2 = xv - yu."""
-    x, y, z, u, v = state
-    return z, x * u + y * v, x * v - y * u
+    """(z, w1, w2) of a state, or of each state of an (n, 5) stack;
+    w1 = xu + yv, w2 = xv - yu."""
+    x, y, z, u, v = _coords(state)
+    return _scalar(z), _scalar(x * u + y * v), _scalar(x * v - y * u)
 
 
 class Branch(Enum):
@@ -259,18 +264,14 @@ class CriticalValuePoint:
     kind: CriticalKind
 
 
-def _branch_sign(branch: Branch) -> float:
-    return 1.0 if branch is Branch.PLUS else -1.0
-
-
 def branch_value(z, j: float, g: PolyG, branch: Branch):
     """h_pm(z) = +-R(z)/2 + G(z); accepts scalars or numpy arrays."""
-    sb = _branch_sign(branch)
+    sb = 1.0 if branch is Branch.PLUS else -1.0
     return sb * np.sqrt(reduced_radius_sq(j, z)) / 2.0 + g.gamma * z * z
 
 
 def branch_second_deriv(z, j: float, g: PolyG, branch: Branch):
-    sb = _branch_sign(branch)
+    sb = 1.0 if branch is Branch.PLUS else -1.0
     gg = reduced_radius_sq(j, z)
     dg = 2.0 * (3.0 * z * z - 2.0 * j * z - 1.0)
     d2g = 4.0 * (3.0 * z - j)
@@ -333,28 +334,50 @@ def _bracketed_newton(f, x: float, a: float, b: float, fa: float) -> float:
     return x
 
 
-def _chart_roots(gamma: float, sigma: float, r: float, lo: float,
-                 hi: float) -> list[tuple[float, float]]:
+def _real_roots(polys: list[list[float]]) -> list[list[float]]:
+    """``np.roots(p).real.tolist()`` for each p, highest power first.
+
+    As in np.roots, exact leading and trailing zeros are stripped, each
+    trailing one a root 0.0; the companion matrices np.roots would build
+    are stacked by size, one ``np.linalg.eigvals`` call per size.
+    """
+    out, groups = [], {}
+    for i, p in enumerate(polys):
+        nz = [k for k, c in enumerate(p) if c != 0.0]
+        out.append([0.0] * (len(p) - 1 - nz[-1]) if nz else [])
+        if nz and nz[-1] > nz[0]:       # a constant has no roots
+            groups.setdefault(nz[-1] - nz[0], []).append((i, p[nz[0]:nz[-1] + 1]))
+    for m, members in groups.items():
+        c = np.array([p for _, p in members])
+        comp = np.zeros((len(c), m, m))
+        comp.reshape(-1, m * m)[:, m::m + 1] = 1.0     # the subdiagonal
+        comp[:, 0, :] = -c[:, 1:] / c[:, :1]
+        for (i, _), eig in zip(members, np.linalg.eigvals(comp).real.tolist()):
+            out[i] = eig + out[i]
+    return out
+
+
+def _chart_roots(gamma: float, sigma: float, r: float, lo: float, hi: float,
+                 eig: list[float]) -> list[tuple[float, float]]:
     """(x, sb) of every interior critical point in the chart interval (lo, hi).
 
     The zeros of F_sb are the critical points of h_sb, and F_+ F_- = -p_J.
-    The real parts of the quintic's eigenvalues in (lo, hi), with cuts
+    The quintic's eigenvalue real parts ``eig`` in (lo, hi), with cuts
     halfway between neighbours, give one bracket per eigenvalue.  A branch
     has a critical point in a bracket when F_sb changes sign across it; the
     point is then polished by bracketed Newton on F_sb itself, which stays
     well conditioned where p_J does not (as gamma -> 0, p_J tends to A^2 and
     its root pairs, one per branch, come out of the eigensolver complex).
     """
-    coeffs = _quintic(sigma * gamma * gamma, r)
-    if abs(coeffs[0]) < 1e-17 * max(map(abs, coeffs)):
-        # a leading term below rounding in (lo, hi) only adds a root near
-        # -9/(32 k), far outside, and would overflow the companion matrix
-        coeffs = coeffs[1:]
     # with no eigenvalue inside (huge |J| swamps the companion matrix) the
     # whole interval is one bracket
-    xs = sorted({x for x in np.roots(coeffs).real.tolist() if lo < x < hi}) \
-        or [0.5 * (lo + hi)]
+    xs = sorted({x for x in eig if lo < x < hi}) or [0.5 * (lo + hi)]
     edges = [lo] + [0.5 * (u + v) for u, v in zip(xs, xs[1:])] + [hi]
+    # F = sb A + C R at each cut; A and C R (C = 4 gamma z) serve both branches
+    cuts = []
+    for e in edges[1:-1]:
+        a, _, rad = _chart_terms(e, sigma, r)
+        cuts.append((a, 4.0 * gamma * sigma * (1.0 - e) * rad))
     a_lo, a_hi = _chart_terms(lo, sigma, r)[0], _chart_terms(hi, sigma, r)[0]
     out = []
     for sb in (1.0, -1.0):
@@ -364,7 +387,7 @@ def _chart_roots(gamma: float, sigma: float, r: float, lo: float,
         # pole x = 0 too, and F/x -> 8 gamma - 4 sb there, or F/x ~ -2 sb x
         # when that limit is 0 (gamma = sb/2, the Hopf parameter)
         first = sb * a_lo if r != 0.0 else (8.0 * gamma - 4.0 * sb or -sb)
-        signs = [first] + [f(e)[0] for e in edges[1:-1]] + [sb * a_hi]
+        signs = [first] + [sb * a + crad for a, crad in cuts] + [sb * a_hi]
         for k, x in enumerate(xs):
             if min(signs[k], signs[k + 1]) < 0.0 < max(signs[k], signs[k + 1]):
                 out.append((_bracketed_newton(f, x, edges[k], edges[k + 1],
@@ -374,16 +397,8 @@ def _chart_roots(gamma: float, sigma: float, r: float, lo: float,
     return out
 
 
-def _kind(h2: float, branch: Branch) -> CriticalKind:
-    if abs(h2) < CUSP_TOL:
-        return CriticalKind.CUSP
-    elliptic = h2 < 0.0 if branch is Branch.PLUS else h2 > 0.0
-    return (CriticalKind.TRANSVERSALLY_ELLIPTIC if elliptic
-            else CriticalKind.TRANSVERSALLY_HYPERBOLIC)
-
-
-def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
-    """All critical values of the reduced system at momentum J = ``j``.
+def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
+    """All critical values of the reduced system at each momentum J in ``js``.
 
     Interior critical points of both branches h_pm are the real roots of the
     quintic p_J in (-1, min(J, 1)) (module docstring), solved in the chart
@@ -391,43 +406,65 @@ def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
     z = (J +- sqrt(J^2 + 3))/3 on both branches.  Each is classified by the
     sign of h'' (saddles of the surface-restricted Hamiltonian are
     transversally hyperbolic); |h''| < CUSP_TOL marks a degenerate cusp.
-    The pole equilibria contribute (J, G(1)) exactly at j = +-1.
+    The pole equilibria contribute (J, G(1)) exactly at j = +-1.  The
+    quintics of the whole grid share one eigen step (``_real_roots``); one J
+    out of range anywhere raises its ValueError.
     """
     gamma = g.gamma
-    if not (abs(j) < J_LIMIT and abs(gamma) < GAMMA_LIMIT):
-        raise ValueError(f"need |J| < {J_LIMIT:g} and |gamma| < {GAMMA_LIMIT:g}, "
-                         f"got J = {j!r}, gamma = {gamma!r}")
-    if j < -1.0:
-        raise ValueError("reduced domain is empty for J < -1")
-    sigma = -1.0 if j <= 0.0 else 1.0
-    r = sigma * j - 1.0
-    lo, hi = (max(0.0, -r), 2.0) if sigma > 0.0 else (0.0, -r)
-    if gamma == 0.0:
-        # (J +- sqrt(J^2 + 3))/3, the smaller one as -1/q to avoid cancellation
-        q = j + math.copysign(math.sqrt(j * j + 3.0), j)
-        roots = [(1.0 - sigma * z, sb) for z in (q / 3.0, -1.0 / q)
-                 for sb in (1.0, -1.0)]
-    else:
-        roots = _chart_roots(gamma, sigma, r, lo, hi)
-    out: list[CriticalValuePoint] = []
-    for x, sb in roots:
-        z = sigma * (1.0 - x)
-        if not (lo < x < hi and -1.0 < z < min(j, 1.0)):
-            continue    # outside the open domain, or rounds onto its end
-        a, da, rad = _chart_terms(x, sigma, r)
-        # h'' from chart quantities (d/dz = -sigma d/dx), which keep their
-        # relative accuracy next to the pole where the z form cancels
-        h2 = sb * (-sigma * da / (2.0 * rad) - a * a / (2.0 * rad ** 3)) \
-            + 2.0 * gamma
-        branch = Branch.PLUS if sb > 0.0 else Branch.MINUS
-        out.append(CriticalValuePoint(
-            J=j, H=sb * rad / 2.0 + gamma * z * z, z_at=z, branch=branch,
-            kind=_kind(h2, branch)))
-    if j == 1.0 or j == -1.0:
-        out.append(CriticalValuePoint(J=j, H=g.value(j), z_at=j, branch=None,
-                                      kind=CriticalKind.EQUILIBRIUM_VALUE))
-    out.sort(key=lambda p: (p.z_at, p.branch.value if p.branch else ""))
+    charts = []
+    for j in map(float, js):
+        if not (abs(j) < J_LIMIT and abs(gamma) < GAMMA_LIMIT):
+            raise ValueError(f"need |J| < {J_LIMIT:g} and |gamma| < {GAMMA_LIMIT:g}, "
+                             f"got J = {j!r}, gamma = {gamma!r}")
+        if j < -1.0:
+            raise ValueError("reduced domain is empty for J < -1")
+        sigma = -1.0 if j <= 0.0 else 1.0
+        r = sigma * j - 1.0
+        lo, hi = (max(0.0, -r), 2.0) if sigma > 0.0 else (0.0, -r)
+        charts.append((j, sigma, r, lo, hi))
+    if gamma != 0.0:
+        polys = [_quintic(sigma * gamma * gamma, r) for _, sigma, r, _, _ in charts]
+        # a leading term below rounding in (lo, hi) only adds a root near
+        # -9/(32 k), far outside, and would overflow the companion matrix
+        eigs = _real_roots([p[1:] if abs(p[0]) < 1e-17 * max(map(abs, p)) else p
+                            for p in polys])
+    out = []
+    for k, (j, sigma, r, lo, hi) in enumerate(charts):
+        if gamma == 0.0:
+            # (J +- sqrt(J^2 + 3))/3, the smaller as -1/q against cancellation
+            q = j + math.copysign(math.sqrt(j * j + 3.0), j)
+            roots = [(1.0 - sigma * z, sb) for z in (q / 3.0, -1.0 / q)
+                     for sb in (1.0, -1.0)]
+        else:
+            roots = _chart_roots(gamma, sigma, r, lo, hi, eigs[k])
+        rows = []
+        for x, sb in roots:
+            z = sigma * (1.0 - x)
+            if not (lo < x < hi and -1.0 < z < min(j, 1.0)):
+                continue    # outside the open domain, or rounds onto its end
+            a, da, rad = _chart_terms(x, sigma, r)
+            # h'' from chart quantities (d/dz = -sigma d/dx), which keep their
+            # relative accuracy next to the pole where the z form cancels
+            h2 = sb * (-sigma * da / (2.0 * rad) - a * a / (2.0 * rad ** 3)) \
+                + 2.0 * gamma
+            # elliptic: a maximum of h_+ or a minimum of h_-
+            kind = (CriticalKind.CUSP if abs(h2) < CUSP_TOL
+                    else CriticalKind.TRANSVERSALLY_ELLIPTIC if sb * h2 < 0.0
+                    else CriticalKind.TRANSVERSALLY_HYPERBOLIC)
+            rows.append(CriticalValuePoint(
+                J=j, H=sb * rad / 2.0 + gamma * z * z, z_at=z,
+                branch=Branch.PLUS if sb > 0.0 else Branch.MINUS, kind=kind))
+        if j == 1.0 or j == -1.0:
+            rows.append(CriticalValuePoint(J=j, H=g.value(j), z_at=j, branch=None,
+                                           kind=CriticalKind.EQUILIBRIUM_VALUE))
+        rows.sort(key=lambda p: (p.z_at, p.branch.value if p.branch else ""))
+        out.append(rows)
     return out
+
+
+def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
+    """``jc_critical_values`` at the single momentum J = ``j``."""
+    return jc_critical_values(g, [j])[0]
 
 
 def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumCloud:

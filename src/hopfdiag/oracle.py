@@ -225,34 +225,23 @@ def quartic_roots(p: Poly) -> np.ndarray:
     R = e - b * d / 4.0 + b * b * c / 16.0 - 3.0 * b ** 4 / 256.0
     shift = -b / 4.0
     qscale = max(1.0, abs(P), math.sqrt(abs(R))) ** 1.5
-    ts: list[complex]
-    if abs(Q) <= 1e-11 * qscale:
-        # biquadratic: t^2 = (-P +- sqrt(P^2-4R))/2
-        s1, s2 = _quadratic_roots(R, P, 1.0)
-        ts = []
-        for s in (s1, s2):
-            w = cmath.sqrt(s)
-            ts.extend([w, -w])
-    else:
+    y = 0.0
+    if abs(Q) > 1e-11 * qscale:
         # resolvent: y^3 + 2P y^2 + (P^2 - 4R) y - Q^2 = 0 has a root y > 0
-        res = Poly((-Q * Q, P * P - 4.0 * R, 2.0 * P, 1.0))
-        ys = cubic_roots(res)
+        ys = cubic_roots(Poly((-Q * Q, P * P - 4.0 * R, 2.0 * P, 1.0)))
         y = max((r.real for r in ys if abs(r.imag) <= 1e-8 * max(1.0, abs(r))),
                 default=0.0)
-        if y <= 0.0:
-            # fall back: treat as biquadratic perturbation
-            s1, s2 = _quadratic_roots(R, P, 1.0)
-            ts = []
-            for s in (s1, s2):
-                w = cmath.sqrt(s)
-                ts.extend([w, -w])
-        else:
-            alpha = math.sqrt(y)
-            beta = (P + y - Q / alpha) / 2.0
-            gamma = (P + y + Q / alpha) / 2.0
-            r1, r2 = _quadratic_roots(beta, alpha, 1.0)
-            r3, r4 = _quadratic_roots(gamma, -alpha, 1.0)
-            ts = [r1, r2, r3, r4]
+    if y <= 0.0:
+        # biquadratic t^2 = (-P +- sqrt(P^2-4R))/2; also the fallback, as a
+        # biquadratic perturbation, when the resolvent has no root y > 0
+        ts = [t for w in map(cmath.sqrt, _quadratic_roots(R, P, 1.0))
+              for t in (w, -w)]
+    else:
+        alpha = math.sqrt(y)
+        beta = (P + y - Q / alpha) / 2.0
+        gamma = (P + y + Q / alpha) / 2.0
+        ts = [*_quadratic_roots(beta, alpha, 1.0),
+              *_quadratic_roots(gamma, -alpha, 1.0)]
     roots = [_polish(p.coeffs, t + shift) for t in ts]
     return np.array(roots, dtype=complex)
 

@@ -446,8 +446,7 @@ def diagram_from_dict(data: dict) -> Diagram:
 
 def write_diagram_json(diagram: Diagram, path):
     with open(path, "w", newline="") as fh:
-        json.dump(diagram_to_dict(diagram), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(diagram_to_dict(diagram), indent=1) + "\n")
 
 
 def read_diagram_json(path) -> Diagram:

@@ -108,6 +108,33 @@ def test_criterion_03_sees_one_bad_determinant(monkeypatch):
         acceptance.criterion_03_hessian_law()
 
 
+def test_criterion_01_sees_one_bad_double_root(monkeypatch):
+    """A double root that is wrong at one s of the grid fails the check."""
+    double_root = hopf.double_root
+    bad = acceptance._s_grid(acceptance.REFERENCE_PARAMS)[271]
+
+    def corrupted(params, s):
+        return double_root(params, s) + 1e-6 * (np.asarray(s) == bad)
+
+    monkeypatch.setattr(hopf, "double_root", corrupted)
+    with pytest.raises(AssertionError, match="double-root residual"):
+        acceptance.criterion_01_discriminant_identity()
+
+
+def test_criterion_04_sees_one_bad_tangent(monkeypatch):
+    """A tangent that is wrong at one s of the grid fails the check."""
+    tangent = hopf.curve_tangent
+    bad = acceptance._s_grid(acceptance.REFERENCE_PARAMS)[57]
+
+    def corrupted(params, s):
+        dj, dh = tangent(params, s)
+        return dj, dh + 1e-5 * (np.asarray(s) == bad)
+
+    monkeypatch.setattr(hopf, "curve_tangent", corrupted)
+    with pytest.raises(AssertionError, match="tangent FD mismatch"):
+        acceptance.criterion_04_tangent_cusp_law()
+
+
 def test_criterion_07_sees_one_bad_point(monkeypatch):
     """An invariant K1 that is wrong at one point of 2,000 fails the check."""
     k1 = symplin.k1

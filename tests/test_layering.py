@@ -2,7 +2,9 @@
 
 ``oracle`` checks the closed forms, so it shares no code with them: it
 imports no hopfdiag module and calls no library root or eigenvalue solver
-(``numpy.roots``, ``numpy.linalg.eig*``).  The symbolic and property-test
+(``numpy.roots``, ``numpy.linalg.eig*``).  Elsewhere in ``src/`` the only
+library solver is the one ``numpy.linalg.eigvals`` step of the per-J solve
+in ``models``, which takes a whole J grid.  The symbolic and property-test
 tools (sympy, mpmath, hypothesis) stay in the tests.  ``acceptance`` calls
 the other modules through their module objects, never through names
 imported from them.
@@ -70,6 +72,13 @@ def test_oracle_imports_no_hopfdiag_module():
 
 def test_oracle_calls_no_library_solver():
     assert not forbidden_solvers(numpy_references(parse(SRC / "oracle.py")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
+                         ids=lambda p: p.name)
+def test_src_solves_with_eigvals_only_in_models(path):
+    allowed = {"numpy.linalg.eigvals"} if path.name == "models.py" else set()
+    assert forbidden_solvers(numpy_references(parse(path))) <= allowed
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),

@@ -73,6 +73,21 @@ class TestEnergies:
         assert models.jc_J(st_) == 0.5
         assert models.jc_Htilde(st_, PolyG(1.0)) == 0.5
 
+    @pytest.mark.parametrize("n", [5, 3])
+    def test_stack_equals_per_state_values(self, n):
+        # a (5, 5) stack must not be read as five coordinate rows
+        states = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 5))
+        g = PolyG(0.8)
+        for energy in (models.jc_J, models.jc_H,
+                       lambda s: models.jc_Htilde(s, g)):
+            stacked = energy(states)
+            assert stacked.shape == (n,)
+            assert stacked.tolist() == [energy(s) for s in states]
+            assert all(type(energy(s)) is float for s in states)
+        zz, w1, w2 = models.invariant_coords(states)
+        assert list(zip(zz, w1, w2)) == [models.invariant_coords(s)
+                                         for s in states]
+
 
 class TestPoissonStructure:
     def test_coordinate_brackets_at_pole(self):
@@ -273,6 +288,51 @@ class TestReducedCriticalValues:
         minus = [p for p in pts if p.branch is Branch.MINUS]
         assert len(minus) == 1
         assert minus[0].kind is CriticalKind.TRANSVERSALLY_ELLIPTIC
+
+    @pytest.mark.parametrize("bad", [-1.5, 1e100, -1e100, math.nan])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_one_bad_j_in_a_grid_raises_the_scalar_error(self, bad, where):
+        g = PolyG(0.8)
+        with pytest.raises(ValueError) as scalar:
+            models.jc_reduced_critical_values(g, bad)
+        grid = [0.5, -0.3, 1.0, 2.0]
+        grid.insert(where, bad)
+        with pytest.raises(ValueError) as batched:
+            models.jc_critical_values(g, grid)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_empty_grid(self):
+        assert models.jc_critical_values(PolyG(0.8), []) == []
+        assert models.jc_critical_values(PolyG(0.8), np.array([])) == []
+
+    @given(st.sampled_from([0.0, 1e-170, 3e-9, 0.8, -0.5, 9e5]),
+           st.lists(st.one_of(
+               st.sampled_from([-1.0, 1.0, -0.0, 0.0, 1.0 + 1e-12,
+                                1.0 - 1e-12, -1.0 + 1e-12, 1e99]),
+               st.floats(min_value=-1.0, max_value=0.0),
+               st.floats(min_value=0.0, max_value=5.0),
+               st.floats(min_value=5.0, max_value=1e99)), max_size=12))
+    def test_grid_equals_per_j_calls(self, gamma, js):
+        """Stacking companions of several sizes changes no row."""
+        g = PolyG(gamma)
+        batched = models.jc_critical_values(g, js)
+        assert len(batched) == len(js)
+        for j, rows in zip(js, batched):
+            single = models.jc_reduced_critical_values(g, j)
+            assert rows == single
+            assert [math.copysign(1.0, p.z_at) for p in rows] == \
+                [math.copysign(1.0, p.z_at) for p in single]
+
+    @given(st.lists(st.lists(st.one_of(
+        st.integers(min_value=-3, max_value=3).map(float),
+        st.floats(min_value=-1e3, max_value=1e3).filter(
+            lambda c: c == 0.0 or abs(c) > 1e-3)),
+        min_size=1, max_size=7), max_size=8))
+    def test_stacked_companions_give_the_roots_of_np_roots(self, polys):
+        # leading and trailing zeros, constants and mixed sizes in one
+        # batch; coefficient ratios stay far from overflow, as in the chart
+        assert models._real_roots(polys) == [
+            np.roots(p).real.tolist() for p in polys]
 
     def test_outputs_sorted_and_deterministic(self):
         a = models.jc_reduced_critical_values(PolyG(0.8), 1.5)
