@@ -20,6 +20,7 @@ decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,6 +41,7 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
+@functools.cache     # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfdiag",
@@ -172,8 +174,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler = {
         "classify": cmd_classify,
         "hopf-curve": cmd_hopf_curve,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -100,13 +101,16 @@ class Diagram:
 
 def _segment_samples(params: HopfParams, s_values,
                      interior_kind: SegmentKind) -> DiagramSegment:
-    """Curve samples at ``s_values``; those that ``hopf.admissible``
+    """Curve samples at the array ``s_values``; those that ``hopf.admissible``
     refuses are dropped, and those on the equilibrium stratum, which it
     takes to have d = 0, are snapped to the exact value (0, 0)."""
     seg = DiagramSegment(kind=interior_kind)
     dropped: list[float] = []
-    for s in map(float, s_values):
-        sample = hopf.critical_curve_point(params, s)
+    with np.errstate(over="ignore", invalid="ignore"):   # CurveSample refuses
+        fields = [f(params, s_values).tolist() for f in (
+            hopf.curve_j, hopf.curve_h, hopf.double_root, hopf.hessian_det2)]
+    for s, *values in zip(s_values.tolist(), *fields):
+        sample = CurveSample(s, *values, kind=hopf.segment_kind(params, s))
         if not hopf.admissible(params, s):
             dropped.append(s)
             continue
@@ -203,8 +207,7 @@ def rasterize(cloud: SpectrumCloud, n_j: int, n_h: int) -> RasterGrid:
     j_min, j_max, h_min, h_max = cloud.bounds
     ji, j_centers = _bins(cloud.points[:, 0], j_min, j_max, n_j)
     hi, h_centers = _bins(cloud.points[:, 1], h_min, h_max, n_h)
-    counts = np.zeros((n_j, n_h), dtype=int)
-    np.add.at(counts, (ji, hi), 1)
+    counts = np.bincount(ji * n_h + hi, minlength=n_j * n_h).reshape(n_j, n_h)
     return RasterGrid(counts=counts, j_centers=j_centers, h_centers=h_centers)
 
 
@@ -245,21 +248,27 @@ def fmt_complex(c: complex) -> str:
     return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}j"
 
 
-def _write_csv(path, header: str, rows, meta: dict | None = None):
-    """Write ``# k=v ...`` if there is ``meta``, the header, then ``rows``
-    (tuples of field text), 8192 lines per write."""
+def _write_csv(path, header: str, blocks, meta: dict | None = None):
+    """Write ``# k=v ...`` if there is ``meta``, the header, then ``blocks``,
+    each the text of up to 8192 whole lines, one write per block."""
     comment = [" ".join(["#"] + [f"{k}={v}" for k, v in meta.items()])] \
         if meta else []
-    lines = itertools.chain(comment, [header], map(",".join, rows))
     with open(path, "w", newline="") as fh:
-        while chunk := list(itertools.islice(lines, _WRITE_ROWS)):
-            fh.write("\n".join(chunk) + "\n")
+        fh.write("\n".join(comment + [header]) + "\n")
+        fh.writelines(blocks)
+
+
+def _blocks(rows):
+    """Rows (tuples of field text) as blocks of 8192 lines."""
+    lines = map(",".join, rows)
+    while chunk := list(itertools.islice(lines, _WRITE_ROWS)):
+        yield "\n".join(chunk) + "\n"
 
 
 def _read_csv(path, header: str, parse, build):
     """Read a table written by ``_write_csv``: an optional ``# k=v ...``
     line (``meta``), ``header``, then rows with the header's field count,
-    1 MiB at a time, each batch (a list of row strings) through ``parse``.
+    1 MiB at a time, each batch (its lines, newlines kept) through ``parse``.
     Returns ``build(meta, batches)``; every ValueError names the file."""
     commas = header.count(",")
     try:
@@ -272,20 +281,22 @@ def _read_csv(path, header: str, parse, build):
                 raise ValueError(f"header {line.rstrip()!r} is not {header!r}")
             batches = []
             while lines := fh.readlines(_READ_BYTES):
-                rows = [s.rstrip("\n") for s in lines]
-                for i, row in enumerate(rows, line_no + 1):
-                    if row.count(",") != commas:
-                        raise ValueError(f"line {i} has {row.count(',') + 1} "
-                                         f"fields, not {commas + 1}")
-                line_no += len(rows)
-                batches.append(parse(rows))
+                fields = list(map(str.count, lines, itertools.repeat(",")))
+                if fields.count(commas) != len(fields):   # a blank line has 0
+                    i = next(i for i, n in enumerate(fields) if n != commas)
+                    raise ValueError(f"line {line_no + 1 + i} has "
+                                     f"{fields[i] + 1} fields, not {commas + 1}")
+                batches.append(parse(lines))
+                line_no += len(lines)
         return build(meta, batches)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:   # loadtxt numbers a batch's rows from 0
+        msg = re.sub(r"at row (\d+)(?=, column \d+\.$)",
+                     lambda m: f"on line {line_no + 1 + int(m[1])}", str(exc))
+        raise ValueError(f"{path}: {msg}") from None
 
 
-def _floats(rows) -> np.ndarray:
-    return np.array(",".join(rows).split(","), dtype=float)
+def _floats(lines) -> np.ndarray:   # numpy's C reader, stricter than float()
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
 def _concat(meta, batches) -> list:
@@ -293,21 +304,21 @@ def _concat(meta, batches) -> list:
 
 
 def write_curve_csv(diagram: Diagram, path):
-    _write_csv(path, _CURVE_HEADER, (
+    _write_csv(path, _CURVE_HEADER, _blocks(
         (_fmt(p.s), _fmt(p.J), _fmt(p.H), _fmt(p.d), _fmt(p.det2),
          p.kind.value) for seg in diagram.segments for p in seg.points))
 
 
 def read_curve_csv(path) -> list[CurveSample]:
-    def parse(rows):
+    def parse(lines):
         return [CurveSample(*map(float, r[:5]), kind=SegmentKind(r[5]))
-                for r in (row.split(",") for row in rows)]
+                for r in (line.rstrip("\n").split(",") for line in lines)]
     return _read_csv(path, _CURVE_HEADER, parse, _concat)
 
 
 def write_jc_critical_csv(points, path):
     """jc critical CSV from objects with J, H, z_at, branch, kind attributes."""
-    _write_csv(path, _JC_CRITICAL_HEADER, (
+    _write_csv(path, _JC_CRITICAL_HEADER, _blocks(
         (_fmt(p.J), _fmt(p.H), _fmt(p.z_at),
          p.branch.value if p.branch is not None else "none", p.kind.value)
         for p in points))
@@ -328,9 +339,10 @@ def read_jc_critical_csv(path) -> list[JCCriticalRow]:
     branches = {b.value for b in Branch} | {"none"}
     kinds = {k.value for k in CriticalKind}
 
-    def parse(rows):
+    def parse(lines):
         out = [JCCriticalRow(float(j), float(h), float(z), branch, kind)
-               for j, h, z, branch, kind in (row.split(",") for row in rows)]
+               for j, h, z, branch, kind in
+               (line.rstrip("\n").split(",") for line in lines)]
         for row in out:
             if row.branch not in branches or row.kind not in kinds:
                 raise ValueError(f"unknown branch/kind {row.branch!r}/"
@@ -340,18 +352,18 @@ def read_jc_critical_csv(path) -> list[JCCriticalRow]:
 
 
 def write_cloud_csv(cloud: SpectrumCloud, path):
-    def rows():
-        for start in range(0, cloud.count, _WRITE_ROWS):
-            for j, h in cloud.points[start:start + _WRITE_ROWS].tolist():
-                yield repr(j), repr(h)
-    _write_csv(path, _CLOUD_HEADER, rows(),
-               {"seed": cloud.seed, "count": cloud.count})
+    """Each block is one ``%r`` (float repr) format of 8192 rows."""
+    _write_csv(path, _CLOUD_HEADER, (
+        ("%r,%r\n" * len(b)) % tuple(b.ravel().tolist()) for b in (
+            cloud.points[i:i + _WRITE_ROWS]
+            for i in range(0, cloud.count, _WRITE_ROWS))),
+        {"seed": cloud.seed, "count": cloud.count})
 
 
 def read_cloud_csv(path) -> SpectrumCloud:
     """Cloud CSV reader; ``count=``, when given, must match the rows read."""
     def build(meta, batches):
-        pts = np.concatenate([np.empty(0), *batches]).reshape(-1, 2)
+        pts = np.concatenate([np.empty((0, 2)), *batches])
         count = int(meta.get("count", len(pts)))
         if count != len(pts):
             raise ValueError(f"{len(pts)} rows, header says {count}")
@@ -364,7 +376,7 @@ def write_raster_csv(grid: RasterGrid, path):
     j_text = [repr(j) for j in grid.j_centers.tolist()]
     h_text = [repr(h) for h in grid.h_centers.tolist()]
     counts = grid.counts.astype(int).tolist()
-    _write_csv(path, _RASTER_HEADER, (
+    _write_csv(path, _RASTER_HEADER, _blocks(
         (j, h, str(c)) for j, row in zip(j_text, counts)
         for h, c in zip(h_text, row)))
 
@@ -373,7 +385,7 @@ def read_raster_csv(path) -> RasterGrid:
     """Raster CSV reader.  A grid row ends where J changes, so J centres
     that coincide (a span below float spacing) read back merged."""
     def build(meta, batches):
-        j, h, c = np.concatenate([np.empty(0), *batches]).reshape(-1, 3).T
+        j, h, c = np.concatenate([np.empty((0, 3)), *batches]).T
         if j.size == 0:
             raise ValueError("no rows")
         n_h = int(np.argmax(j != j[0])) or j.size
@@ -389,14 +401,14 @@ def read_raster_csv(path) -> RasterGrid:
 
 def write_jc_scan_csv(rows, path):
     """jc-scan CSV from (gamma, QuarticCoeffs, type, eigenvalues) rows."""
-    _write_csv(path, "gamma,a,b,type,eig1,eig2,eig3,eig4", (
+    _write_csv(path, "gamma,a,b,type,eig1,eig2,eig3,eig4", _blocks(
         (_fmt(g), _fmt(q.a), _fmt(q.b), str(typ), *map(fmt_complex, eig))
         for g, q, typ, eig in rows))
 
 
 def write_linearization_csv(rows, path):
     """Linearization scan CSV from (gamma, QuarticCoeffs, type) rows."""
-    _write_csv(path, "gamma,a,b,type", (
+    _write_csv(path, "gamma,a,b,type", _blocks(
         (_fmt(g), _fmt(q.a), _fmt(q.b), str(typ)) for g, q, typ in rows))
 
 

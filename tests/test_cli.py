@@ -19,6 +19,49 @@ def run_cli(args):
         return exc.code
 
 
+class TestParserBuiltOnce:
+    """``main`` parses with one parser per process; a parse leaves nothing
+    behind for the next one."""
+
+    JC = ["jc-spectrum", "--gamma", "0.8", "--j-min", "0", "--j-max", "1",
+          "--j-steps", "3"]
+    HOPF = ["hopf-curve", "--omega", "1", "--sigma", "1", "--nu", "0.5",
+            "--D", "-2"]
+    CALLS = [JC + ["--samples", "7", "--seed", "5", "--out", "a"],
+             ["classify", "--a", "2", "--b", "1"],
+             JC + ["--out", "b"],
+             HOPF + ["--samples", "20", "--out", "c"],
+             ["classify", "--params", "1", "0", "1", "2"],
+             HOPF + ["--out", "d"],
+             ["verify", "--json"],
+             ["verify"]]
+
+    def test_successive_calls_parse_independently(self, monkeypatch):
+        seen = []
+        for name in ("cmd_classify", "cmd_hopf_curve", "cmd_jc_spectrum",
+                     "cmd_verify"):
+            monkeypatch.setattr(cli, name,
+                                lambda args: seen.append(vars(args)) or 0)
+        for argv in self.CALLS:
+            assert cli.main(argv) == 0
+            fresh = cli._build_parser.__wrapped__().parse_args(argv)
+            assert seen[-1] == vars(fresh)
+        assert cli._build_parser() is cli._build_parser()
+        assert (seen[0]["samples"], seen[0]["seed"]) == (7, 5)
+        assert (seen[2]["samples"], seen[2]["seed"]) == (None, None)
+        assert (seen[3]["samples"], seen[5]["samples"]) == (20, None)
+        assert (seen[6]["json"], seen[7]["json"]) == (True, False)
+
+    @pytest.mark.parametrize("argv", [
+        ["hopf-curve", "--omega", "1"], ["jc-scan", "--steps", "x"],
+        ["no-such-command"], [], ["classify", "--a"]])
+    def test_usage_error_still_exits_2(self, capsys, argv):
+        assert run_cli(self.CALLS[1]) == 0
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: hopfdiag")
+        assert run_cli(self.CALLS[1]) == 0
+
+
 class TestClassify:
     def test_focus_focus(self, capsys):
         assert run_cli(["classify", "--a", "2", "--b", "1"]) == 0

@@ -7,7 +7,9 @@ library solver is the one ``numpy.linalg.eigvals`` step of the per-J solve
 in ``models``, which takes a whole J grid.  The symbolic and property-test
 tools (sympy, mpmath, hypothesis) stay in the tests.  ``acceptance`` calls
 the other modules through their module objects, never through names
-imported from them.
+imported from them.  Files are read and written by one codec: in ``src/``
+only ``spectrum`` calls ``open`` (the builtin, ``io.open`` or a
+``Path.open`` method) or ``numpy.loadtxt``.
 """
 
 import ast
@@ -61,6 +63,17 @@ def forbidden_solvers(refs) -> set[str]:
             or r.startswith("numpy.linalg.eig")}
 
 
+def file_openers(tree) -> set[str]:
+    """Calls that open a file or parse one: ``open``/``*.open`` as "open",
+    and ``numpy.loadtxt`` under any import alias."""
+    opens = {"open" for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == "open"
+                  or isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "open")}
+    return opens | {r for r in numpy_references(tree)
+                    if r == "numpy.loadtxt"}
+
+
 def parse(path) -> ast.AST:
     return ast.parse(Path(path).read_text(), filename=str(path))
 
@@ -109,6 +122,33 @@ def test_import_scan_sees(source, modules):
 ])
 def test_solver_scan_sees(source, found):
     assert forbidden_solvers(numpy_references(ast.parse(source))) == found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
+                         ids=lambda p: p.name)
+def test_src_opens_and_parses_files_only_in_spectrum(path):
+    if path.name != "spectrum.py":
+        assert not file_openers(parse(path))
+
+
+def test_spectrum_is_the_codec():
+    assert file_openers(parse(SRC / "spectrum.py")) == {"open",
+                                                       "numpy.loadtxt"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("with open(p, 'w') as fh:\n    fh.write(s)", {"open"}),
+    ("import io\nio.open(p)", {"open"}),
+    ("from pathlib import Path\nPath(p).open()", {"open"}),
+    ("import numpy as np\nnp.loadtxt(lines, delimiter=',')",
+     {"numpy.loadtxt"}),
+    ("from numpy import loadtxt as lt\nlt(f)", {"numpy.loadtxt"}),
+    ("import numpy\nx = numpy.loadtxt\nopen(p)", {"open", "numpy.loadtxt"}),
+    ("import numpy as np\nPath(p).read_bytes(); fh.read(); np.load(p)",
+     set()),
+])
+def test_file_scan_sees(source, found):
+    assert file_openers(ast.parse(source)) == found
 
 
 def names_imported_from_hopfdiag_modules(tree) -> set[str]:

@@ -3,6 +3,7 @@ import math
 import re
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,12 +77,58 @@ def reference_boundary(cloud: SpectrumCloud, bins: int):
     return out
 
 
+def reference_raster_counts(cloud: SpectrumCloud, n_j: int, n_h: int):
+    """Occupancy by one np.add.at per point."""
+    j_min, j_max, h_min, h_max = cloud.bounds
+    counts = np.zeros((n_j, n_h), dtype=int)
+    for j, h in cloud.points.tolist():
+        cell = [min(int((x - lo) / ((hi - lo) or 1.0) * n), n - 1)
+                for x, lo, hi, n in ((j, j_min, j_max, n_j),
+                                     (h, h_min, h_max, n_h))]
+        np.add.at(counts, tuple(cell), 1)
+    return counts
+
+
+def reference_segment(params: HopfParams, s_values, kind: SegmentKind):
+    """Curve samples one ``hopf.critical_curve_point`` call per s."""
+    seg = DiagramSegment(kind=kind)
+    dropped = []
+    for s in map(float, s_values):
+        sample = hopf.critical_curve_point(params, s)
+        if not hopf.admissible(params, s):
+            dropped.append(s)
+            continue
+        if sample.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
+            sample = replace(sample, J=0.0, H=0.0, d=0.0)
+        seg.points.append(sample)
+    if dropped:
+        seg.gaps.append((min(dropped), max(dropped)))
+    if len(seg.points) < 2:
+        if seg.points:
+            seg.gaps = [(float(s_values[0]), float(s_values[-1]))]
+        seg.points = []
+    return seg
+
+
 def seeded_cloud(n: int, seed: int) -> SpectrumCloud:
     """n points over many decades, led by the edge values in both columns."""
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
     pts[:len(EDGE_VALUES), 0] = EDGE_VALUES
     pts[:len(EDGE_VALUES), 1] = EDGE_VALUES[::-1]
+    return SpectrumCloud(points=pts, seed=seed)
+
+
+def bit_pattern_cloud(n: int, seed: int) -> SpectrumCloud:
+    """n points from random 64-bit patterns: every finite exponent, a
+    quarter subnormal, and -0.0, 0.0 and the extreme finite values."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 64, (n, 2), dtype=np.uint64, endpoint=False)
+    bits[::4] &= np.uint64(0x800F_FFFF_FFFF_FFFF)     # zero exponent
+    pts = bits.view(np.float64).copy()
+    pts[~np.isfinite(pts)] = -0.0
+    pts[:3] = [[-0.0, 0.0], [5e-324, -5e-324], [1.7976931348623157e308,
+                                                 -2.2250738585072014e-308]]
     return SpectrumCloud(points=pts, seed=seed)
 
 
@@ -267,6 +314,25 @@ class TestAssemble:
             assert len(seg.gaps) == 1
         assert d.anchor == (0.0, -0.03125)
 
+    @pytest.mark.parametrize("n", [16, 17, 200, 801])
+    @pytest.mark.parametrize("big_d", [1.0, -2.0])
+    @pytest.mark.parametrize("nu", [1e-300, 1e-12, 0.5, 3.0])
+    def test_segment_samples_equal_per_s_curve_points(self, nu, big_d, n):
+        # the array evaluation gives the samples, kinds, snaps and gaps of
+        # one critical_curve_point call per s, on grids through the
+        # endpoints and cusps and into the inadmissible side
+        params = HopfParams(omega=1.0, sigma=1, nu=nu, D=big_d)
+        s_end, s_cusp = math.sqrt(nu), math.sqrt(nu / 3.0)
+        grids = [np.linspace(-s_end, -s_cusp, n), np.linspace(0.0, s_cusp, n),
+                 np.linspace(-2.0 * s_end, 2.0 * s_end, n)]
+        for s in grids:
+            for kind in (SegmentKind.TRANSVERSALLY_ELLIPTIC,
+                         SegmentKind.TRANSVERSALLY_HYPERBOLIC):
+                seg = spectrum._segment_samples(params, s, kind)
+                want = reference_segment(params, s, kind)
+                assert seg == want
+                assert repr(seg) == repr(want)      # -0.0 kept apart too
+
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             spectrum.assemble_hopf_diagram(REF, 8)
@@ -312,6 +378,33 @@ class TestRasterize:
     def test_empty_cloud_errors(self):
         with pytest.raises(ValueError):
             spectrum.rasterize(SpectrumCloud(points=np.empty((0, 2)), seed=0), 4, 4)
+
+    @given(n_j=st.integers(1, 9), n_h=st.integers(1, 9),
+           pts=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.25, 3.0])
+                                  | st.floats(-10.0, 10.0),
+                                  st.sampled_from([-2.0, 0.0, 1.0])
+                                  | st.floats(-10.0, 10.0)),
+                        min_size=1, max_size=200),
+           repeat=st.integers(1, 3), flat=st.sampled_from(["", "J", "H"]))
+    def test_matches_per_point_reference(self, n_j, n_h, pts, repeat, flat):
+        # duplicate points (each listed ``repeat`` times, and repeated
+        # draws), zero spans and 1 x 1 grids
+        pts = np.repeat(np.array(pts, dtype=float), repeat, axis=0)
+        if flat:
+            col = "JH".index(flat)
+            pts[:, col] = pts[0, col]
+        cloud = SpectrumCloud(points=pts, seed=0)
+        grid = spectrum.rasterize(cloud, n_j, n_h)
+        assert np.array_equal(grid.counts,
+                              reference_raster_counts(cloud, n_j, n_h))
+        assert grid.counts.dtype == np.dtype(int)
+        assert grid.counts.shape == (n_j, n_h)
+
+    def test_one_by_one_grid_counts_every_point(self):
+        cloud = models.jc_spectrum_sample(models.PolyG(0.8), 3000, 3.2, 9)
+        assert spectrum.rasterize(cloud, 1, 1).counts.tolist() == [[3000]]
+        assert np.array_equal(spectrum.rasterize(cloud, 37, 23).counts,
+                              reference_raster_counts(cloud, 37, 23))
 
 
 class TestBoundary:
@@ -508,6 +601,57 @@ class TestSerialization:
         assert back == cloud
         assert np.array_equal(back.points.view(np.int64),
                               cloud.points.view(np.int64))   # keeps -0.0
+
+    def test_bit_patterns_read_back_as_float_reads_them(self, tmp_path):
+        # more than one 1 MiB batch of random bit patterns, subnormals and
+        # -0.0 among them: the same bits as written, and as float() reads
+        cloud = bit_pattern_cloud(40_000, 29)
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(cloud, path)
+        assert path.stat().st_size > 1 << 20
+        rows = path.read_text().splitlines()[2:]
+        want = np.array([[float(f) for f in row.split(",")] for row in rows])
+        back = spectrum.read_cloud_csv(path).points
+        assert np.array_equal(back.view(np.int64), cloud.points.view(np.int64))
+        assert np.array_equal(back.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1.0,2.0,3.0", "has 3 fields, not 2"), ("1.0", "has 1 fields"),
+        ("", "has 1 fields"), ("x,1.0", "'x'"), ("1.0,1_0", "'1_0'")])
+    def test_fault_in_a_later_batch_names_the_file_line(self, tmp_path, bad,
+                                                       message):
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(seeded_cloud(60_000, 31), path)
+        lines = path.read_text().splitlines(keepends=True)
+        at = 55_000                  # file line at + 1, in the second MiB
+        assert len("".join(lines[:at])) > 1 << 20
+        lines[at] = bad + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as info:
+            spectrum.read_cloud_csv(path)
+        prefix, text = f"{path}: ", str(info.value)
+        assert text.startswith(prefix) and message in text
+        assert f"line {at + 1}" in text and "row" not in text[len(prefix):]
+
+    @pytest.mark.parametrize("read, good, bad", [
+        (spectrum.read_cloud_csv, "J,H\n0.5,0.5", ["1_0,2.0", "1.0,0x1p3",
+                                                   "  ", " , ", "\t,1.0",
+                                                   "1.0, "]),
+        (spectrum.read_raster_csv, "J,H,count\n0.5,0.5,1",
+         ["0.5,1.5,1_0", "0x1p3,1.5,1", "  ", " , , ", "0.5,1.5, "])])
+    def test_numeric_fields_stricter_than_float(self, tmp_path, read, good,
+                                                bad):
+        # float() takes "1_0" (as 10.0) and surrounding whitespace; the
+        # numeric tables take neither an underscore nor an empty field
+        assert float("1_0") == 10.0
+        path = tmp_path / "table.csv"
+        path.write_text(good + "\n")
+        read(path)
+        for row in bad:
+            path.write_text(f"{good}\n{row}\n")
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: "
+                                                 ".*line 3"):
+                read(path)
 
     def test_cloud_reader_checks_count(self, tmp_path):
         path = tmp_path / "cloud.csv"
