@@ -183,12 +183,20 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()          # a closed or full stdout fails here
+        return code
     except (ValueError, OSError) as exc:
-        if handler is cmd_verify:   # takes no input and writes no file: a bug
-            raise
+        if handler is cmd_verify and isinstance(exc, ValueError):
+            raise                   # verify takes no input: a bug
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 3
+        if isinstance(exc, ValueError):
+            return 2
+        try:
+            sys.stdout.flush()
+        except OSError:             # else the flush at exit fails again
+            sys.stdout = None
+        return 3
 
 
 if __name__ == "__main__":

@@ -32,10 +32,10 @@ with tangent (dJ/ds, dH/ds) = (3 s^2 - nu)/(2D) * (1, s + omega), cusps at
 s = +-sqrt(nu/3), equilibrium endpoints s = +-sqrt(nu) mapping to (0, 0),
 and the reduced Hessian determinant 2*(3 s^2 - nu) along the curve.  On
 the curve Q = -8 sigma D (z - d(s))^2 (z - r(s)) with r(s) = -sigma s^2/(2D).
-``torus_count`` counts the components of {z > 0 : Q >= 0} from Q's
-coefficients alone (discriminant sign, Descartes' sign changes, signs at
-0+ and +inf); where |disc| <= DISC_TOL * sum|terms| it takes Q to have a
-double root.  On-curve samples measured up to 6.5e-15 of that sum.
+``torus_count`` counts the components of {z > 0 : Q >= 0} by one rule: Q
+is monotone between its critical points, so the components are the runs
+of values >= 0 among Q(0+), Q at the critical points in (0, inf) and
+Q(+inf); a value within DISC_TOL of the sum of its terms' moduli is 0.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from . import oracle, symplin
 TANGENT_FD_STEP = 1e-5
 STRATUM_TOL = 1e-12           # cusp / endpoint recognition, relative to nu
 NORMAL_MIN = float(np.finfo(float).tiny)   # smallest normal float
-DISC_TOL = 1e-12              # |disc| <= tol * sum|terms|: double root (torus_count)
+DISC_TOL = 1e-12              # |Q| <= tol * sum|terms of Q|: Q = 0 (torus_count)
 
 
 @dataclass(frozen=True)
@@ -313,18 +313,15 @@ def torus_count(params: HopfParams, j, h):
     only bounded components correspond to tori of a proper completion.
     ``j`` and ``h`` broadcast; scalars give numpy scalars.
 
-    No roots are found.  For Q = a z^3 + b z^2 + c z + d (scaled to
-    max|coefficient| = 1), count = (k + [Q(0+) > 0] + [a > 0]) / 2 plus the
-    isolated double roots: each component has two ends, a sign-changing
-    root or an end of (0, inf) with Q > 0.  Q(0+) takes the sign of the
-    lowest nonzero coefficient.  k, the number of positive roots of odd
-    multiplicity, is the number of sign changes in (a, b, c, d) when the
-    discriminant exceeds DISC_TOL * sum|terms| (three real roots, where
-    Descartes is exact), and that number's parity otherwise.  Where |disc|
-    is within the bound, Q has a double root z_d = (9ad - bc)/(2(b^2 - 3ac))
-    and a simple root z_s = (4abc - 9a^2 d - b^3)/(a(b^2 - 3ac)); z_d is
-    isolated when z_d > 0 and a(z_d - z_s) < 0.  A triple root -b/(3a),
-    where b^2 - 3ac is within DISC_TOL of its terms, is never isolated.
+    No roots are found: Q is monotone between its critical points, the
+    roots of 3a z^2 + 2b z + c, so the count is the number of maximal runs
+    of values >= 0 in the sequence Q(0+), Q at each critical point in
+    (0, inf) in order, Q(+inf).  Q(0+) has the sign of the lowest nonzero
+    coefficient, Q(+inf) that of a; a critical value within DISC_TOL of
+    |a z^3| + |b z^2| + |c z| + |d| counts as 0.  So on the curve next to
+    a cusp (within about 1e-5 in s at nu = 0.5, D = -2), where Q dips
+    below 0 between its double and simple root by less than that, the
+    count is the cusp's.
     """
     j, h = np.asarray(j, dtype=float), np.asarray(h, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
@@ -333,28 +330,26 @@ def torus_count(params: HopfParams, j, h):
     if not np.isfinite(coeffs).all():
         raise ValueError("Q has non-finite coefficients")
     a, b, c, d = coeffs / np.abs(coeffs).max(axis=0)
-    terms = np.stack([18.0 * a * b * c * d, -4.0 * b ** 3 * d, b * b * c * c,
-                      -4.0 * a * c ** 3, -27.0 * a * a * d * d])
-    disc, bound = terms.sum(axis=0), DISC_TOL * np.abs(terms).sum(axis=0)
-
-    changes = np.zeros(a.shape, dtype=int)
-    low = np.sign(a)                  # sign of the lowest nonzero so far
-    for coeff in (b, c, d):
-        sign = np.sign(coeff)
-        changes += sign * low < 0
-        low = np.where(sign != 0, sign, low)
-    odd_roots = np.where(disc > bound, changes, low != np.sign(a))
-
-    den = b * b - 3.0 * a * c
-    double = (np.abs(disc) <= bound) & \
-        (np.abs(den) > DISC_TOL * (b * b + 3.0 * np.abs(a * c)))
-    den = np.where(double, den, 1.0)
-    z_d = (9.0 * a * d - b * c) / (2.0 * den)
-    z_s = (4.0 * a * b * c - 9.0 * a * a * d - b ** 3) / (a * den)
-    isolated = double & (z_d > 0.0) & (a * (z_d - z_s) < 0.0)
-
-    count = (odd_roots + (low > 0) + (a > 0)) // 2 + isolated
-    return count[()], (a > 0)[()]
+    low = np.select([d != 0.0, c != 0.0, b != 0.0], [d, c, b], a)
+    rad = b * b - 3.0 * a * c     # Q' has real roots iff rad >= 0
+    q = -(b + np.copysign(np.sqrt(np.maximum(rad, 0.0)), b))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        crit = np.sort([q / (3.0 * a), c / q], axis=0)
+    steps = [(True, low > 0.0)]
+    for z in crit:
+        here = (rad >= 0.0) & (z > 0.0) & np.isfinite(z)
+        z = np.where(here, z, 1.0)
+        t = np.minimum(z, 1.0)    # terms over max(1, z)^3: no overflow
+        u = t / z
+        terms = np.stack([a * t ** 3, b * t * t * u, c * t * u * u,
+                          d * u ** 3])
+        steps.append((here, terms.sum(axis=0)
+                      >= -DISC_TOL * np.abs(terms).sum(axis=0)))
+    runs, prev = np.zeros(a.shape, dtype=int), np.zeros(a.shape, dtype=bool)
+    for here, nonneg in steps + [(True, a > 0.0)]:
+        runs += here & nonneg & ~prev
+        prev = np.where(here, nonneg, prev)
+    return runs[()], (a > 0.0)[()]
 
 
 def transformation_T(e: EliassonParams) -> np.ndarray:

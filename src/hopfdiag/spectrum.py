@@ -295,8 +295,11 @@ def _read_csv(path, header: str, parse, build):
         raise ValueError(f"{path}: {msg}") from None
 
 
-def _floats(lines) -> np.ndarray:   # numpy's C reader, stricter than float()
-    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+def _floats(lines, usecols=None) -> np.ndarray:
+    """Columns ``usecols`` (default all) by numpy's C reader, which, unlike
+    float(), refuses "1_0"."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                      usecols=usecols)
 
 
 def _concat(meta, batches) -> list:
@@ -311,8 +314,9 @@ def write_curve_csv(diagram: Diagram, path):
 
 def read_curve_csv(path) -> list[CurveSample]:
     def parse(lines):
-        return [CurveSample(*map(float, r[:5]), kind=SegmentKind(r[5]))
-                for r in (line.rstrip("\n").split(",") for line in lines)]
+        return [CurveSample(*row, kind=SegmentKind(
+                    line.rstrip("\n").split(",")[5]))
+                for row, line in zip(_floats(lines, range(5)).tolist(), lines)]
     return _read_csv(path, _CURVE_HEADER, parse, _concat)
 
 
@@ -340,9 +344,8 @@ def read_jc_critical_csv(path) -> list[JCCriticalRow]:
     kinds = {k.value for k in CriticalKind}
 
     def parse(lines):
-        out = [JCCriticalRow(float(j), float(h), float(z), branch, kind)
-               for j, h, z, branch, kind in
-               (line.rstrip("\n").split(",") for line in lines)]
+        out = [JCCriticalRow(*row, *line.rstrip("\n").split(",")[3:])
+               for row, line in zip(_floats(lines, range(3)).tolist(), lines)]
         for row in out:
             if row.branch not in branches or row.kind not in kinds:
                 raise ValueError(f"unknown branch/kind {row.branch!r}/"

@@ -36,11 +36,8 @@ def test_pole_chart_coefficients(sigma):
 # The normal-form cubic Q(z) of ``hopf`` on its critical curve.
 s, nu, omega, big_d = sp.symbols("s nu omega D", real=True)
 qa, qb, qc, qd, p, q = sp.symbols("a b c d p q", real=True)
-DISC = 18 * qa * qb * qc * qd - 4 * qb ** 3 * qd + qb ** 2 * qc ** 2 \
-    - 4 * qa * qc ** 3 - 27 * qa ** 2 * qd ** 2
-DOUBLE_ROOT = (9 * qa * qd - qb * qc) / (2 * (qb ** 2 - 3 * qa * qc))
-SIMPLE_ROOT = (4 * qa * qb * qc - 9 * qa ** 2 * qd - qb ** 3) \
-    / (qa * (qb ** 2 - 3 * qa * qc))
+CUBIC = qa * z ** 3 + qb * z ** 2 + qc * z + qd
+RAD = qb ** 2 - 3 * qa * qc     # Q' = 3a z^2 + 2b z + c: real roots iff >= 0
 
 
 def _curve_q(sigma):
@@ -51,8 +48,15 @@ def _curve_q(sigma):
 
 
 def test_discriminant_formula():
-    cubic = qa * z ** 3 + qb * z ** 2 + qc * z + qd
-    assert sp.expand(sp.discriminant(cubic, z) - DISC) == 0
+    # Q' has discriminant 4 (b^2 - 3ac); for either sign of the square
+    # root, hopf.torus_count's q = -(b +- sqrt(b^2 - 3ac)) gives both roots
+    # of Q' as q / (3a) and c / q
+    dq = sp.diff(CUBIC, z)
+    assert sp.expand(sp.discriminant(dq, z) - 4 * RAD) == 0
+    for sign in (1, -1):
+        cq = -(qb + sign * sp.sqrt(RAD))
+        for root in (cq / (3 * qa), qc / cq):
+            assert sp.simplify(dq.subs(z, root)) == 0
 
 
 @pytest.mark.parametrize("sigma", [-1, 1])
@@ -63,26 +67,23 @@ def test_q_has_the_double_root_on_the_curve(sigma):
     r_s = -sigma * s ** 2 / (2 * big_d)
     factored = -8 * sigma * big_d * (z - d_s) ** 2 * (z - r_s)
     assert sp.simplify(q_curve - factored) == 0
-    # the rational root formulas of hopf.torus_count give d(s) and r(s)
-    coeffs = dict(zip((qa, qb, qc, qd), sp.Poly(q_curve, z).all_coeffs()))
-    assert sp.simplify(DOUBLE_ROOT.subs(coeffs) - d_s) == 0
-    assert sp.simplify(SIMPLE_ROOT.subs(coeffs) - r_s) == 0
 
 
 def test_double_and_triple_root_formulas():
-    # a (z - p)^2 (z - q) with p != q, i.e. b^2 - 3ac = a^2 (p - q)^2 != 0
-    coeffs = sp.Poly(qa * (z - p) ** 2 * (z - q), z).all_coeffs()
-    subs = dict(zip((qa, qb, qc, qd), coeffs))
-    assert sp.factor((qb ** 2 - 3 * qa * qc).subs(subs)) == \
-        qa ** 2 * (p - q) ** 2
-    assert sp.simplify(DOUBLE_ROOT.subs(subs) - p) == 0
-    assert sp.simplify(SIMPLE_ROOT.subs(subs) - q) == 0
-    assert sp.expand(DISC.subs(subs)) == 0
-    # a (z - p)^3: b^2 - 3ac vanishes and -b / (3a) is the root
-    coeffs = sp.Poly(qa * (z - p) ** 3, z).all_coeffs()
-    subs = dict(zip((qa, qb, qc, qd), coeffs))
-    assert sp.expand((qb ** 2 - 3 * qa * qc).subs(subs)) == 0
+    # a (z - p)^2 (z - q) with p != q: b^2 - 3ac = a^2 (p - q)^2 > 0, and
+    # the double root p, where Q = 0, is one of the critical points
+    cubic = qa * (z - p) ** 2 * (z - q)
+    subs = dict(zip((qa, qb, qc, qd), sp.Poly(cubic, z).all_coeffs()))
+    assert sp.factor(RAD.subs(subs)) == qa ** 2 * (p - q) ** 2
+    assert sp.expand(sp.diff(cubic, z)
+                     - qa * (z - p) * (3 * z - p - 2 * q)) == 0
+    # a (z - p)^3: b^2 - 3ac vanishes, so q = -b and both q / (3a) and
+    # c / q are the root p
+    cubic = qa * (z - p) ** 3
+    subs = dict(zip((qa, qb, qc, qd), sp.Poly(cubic, z).all_coeffs()))
+    assert sp.expand(RAD.subs(subs)) == 0
     assert sp.simplify((-qb / (3 * qa)).subs(subs) - p) == 0
+    assert sp.simplify((qc / -qb).subs(subs) - p) == 0
 
 
 # ``hopf`` evaluated on symbols: HopfParams refuses non-floats, so its

@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -324,6 +327,51 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload == [{"number": 1, "name": "alpha", "passed": True,
                             "detail": "ok", "seconds": 0.01}]
+
+
+class TestClosedOrFullStdout:
+    """A stdout that takes no output is an I/O error: exit 3 and one line
+    on stderr, whether Python buffers stdout or not."""
+
+    SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+    def run(self, argv, stdout, buffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(self.SRC)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from hopfdiag.cli import main;"
+             " sys.exit(main())", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+
+    def one_line_exit_3(self, proc, command, error):
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"{command}: {error}"]
+
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["verify", "--json"],
+                                      ["classify", "--a", "1", "--b", "2"]])
+    def test_closed_pipe(self, argv, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(argv, write_end, buffered)
+        finally:
+            os.close(write_end)
+        self.one_line_exit_3(proc, argv[0], "[Errno 32] Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    def test_full_device(self, buffered):
+        with open("/dev/full", "w") as full:
+            proc = self.run(["verify"], full, buffered)
+        self.one_line_exit_3(proc, "verify",
+                             "[Errno 28] No space left on device")
 
 
 class TestHelp:

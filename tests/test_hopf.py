@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfdiag import hopf, oracle, spectrum, symplin
 from hopfdiag.hopf import (EliassonParams, HopfParams, Regime, SegmentKind)
@@ -13,6 +13,12 @@ SUPER = HopfParams(omega=1.0, sigma=1, nu=0.5, D=1.0)
 
 coord = st.floats(min_value=-2.0, max_value=2.0,
                   allow_nan=False, allow_infinity=False)
+
+
+def zero_or_at_least(low, high):
+    """0 or a float of either sign with modulus in [low, high]."""
+    return st.one_of(st.just(0.0), st.floats(low, high),
+                     st.floats(-high, -low))
 
 
 def mp_torus_count(params: HopfParams, j, h) -> tuple[int, bool]:
@@ -30,8 +36,12 @@ def mp_torus_count(params: HopfParams, j, h) -> tuple[int, bool]:
         coeffs = [-8 * params.sigma * mp.mpf(params.D), -4 * mp.mpf(params.nu),
                   4 * params.sigma * (h - mp.mpf(params.omega) * j), -j * j]
         tol = mp.mpf(10) ** -12
-        real = sorted(mp.re(r) for r in mp.polyroots(coeffs, maxsteps=200,
-                                                     extraprec=200)
+        nonzero = list(coeffs)
+        while nonzero[-1] == 0:         # a root at z = 0, outside z > 0
+            nonzero.pop()
+        found = mp.polyroots(nonzero, maxsteps=200, extraprec=200) \
+            if len(nonzero) > 1 else []
+        real = sorted(mp.re(r) for r in found
                       if abs(mp.im(r)) <= tol * max(1, abs(r)))
         roots = []
         for r in real:
@@ -435,49 +445,25 @@ class TestTorusCount:
             j, h = hopf.curve_j(other, s), hopf.curve_h(other, s)
             assert hopf.torus_count(other, j, h) == (1, False)
 
+    def test_huge_critical_point_does_not_overflow(self):
+        # D = 1e-160: Q = 8e-160 z^3 - 4 z^2 - 2 z is negative up to its
+        # root near 5e159; a z^3 at its critical point near 3e159 overflows
+        params = HopfParams(omega=1.0, sigma=-1, nu=1.0, D=1e-160)
+        assert hopf.torus_count(params, 0.0, 0.5) == (1, True)
+
     @pytest.mark.parametrize("j, h", [(math.nan, 0.0), (0.0, math.inf),
                                       (1e200, 0.0)])
     def test_non_finite_coefficients_refused(self, j, h):
         with pytest.raises(ValueError, match="non-finite"):
             hopf.torus_count(REF, j, h)
 
-    @given(omega=st.floats(0.1, 3.0), sigma=st.sampled_from([-1, 1]),
-           nu=st.floats(-2.0, 2.0), big_d=st.floats(0.1, 3.0),
-           flip=st.booleans(), s=st.floats(-2.0, 2.0),
-           j=st.floats(-1.0, 1.0), h=st.floats(-2.0, 2.0),
-           on_curve=st.booleans(), offset=st.floats(1e-3, 1.0),
-           sign=st.sampled_from([-1.0, 1.0]))
-    def test_agrees_with_root_count(self, omega, sigma, nu, big_d, flip, s,
-                                    j, h, on_curve, offset, sign):
-        """Where |disc| is far above DISC_TOL the coefficient count equals
-        the oracle's count from clustered cubic roots.  The oracle clusters
-        roots on an absolute scale, so it also needs roots that are far
-        apart next to z = 0 (two roots near 0 give a small gap but a large
-        |disc| / sum|terms|)."""
-        params = HopfParams(omega=omega, sigma=sigma, nu=nu,
-                            D=-big_d if flip else big_d)
-        if on_curve:   # near the curve, where the count changes
-            j = hopf.curve_j(params, s)
-            h = hopf.curve_h(params, s) + sign * offset * (1.0 + abs(j))
-        q = hopf.q_poly(j, h, params)
-        d, c, b, a = q.coeffs
-        terms = [18 * a * b * c * d, -4 * b ** 3 * d, b * b * c * c,
-                 -4 * a * c ** 3, -27 * a * a * d * d]
-        assume(abs(sum(terms)) > 1e-6 * sum(map(abs, terms)))
-        roots = oracle.cubic_roots(q)
-        scale = max(1.0, max(abs(roots)))
-        assume(min(abs(roots[i] - roots[k]) for i, k in ((0, 1), (0, 2), (1, 2)))
-               > 1e-3 * scale)
-        assert hopf.torus_count(params, j, h) == oracle.positive_components(q)
-
-
     # Samples of the curve (on it: J_c(s), H_c(s) rounded to floats) and
-    # points 1e-9..1e-3 above and below it in H.  oracle.positive_components
-    # cannot judge them: it miscounts where rounding moves a double root.
+    # points 1e-9..1e-3 above and below it in H.
     S_GRID = sorted(np.linspace(-1.2, 1.2, 25).tolist()
                     + [-math.sqrt(REF.nu / 3.0), math.sqrt(REF.nu / 3.0)])
     OFFSETS = [1e-9, 1e-7, 1e-5, 1e-3]
     D_PLUS_2 = HopfParams(omega=1.0, sigma=1, nu=0.5, D=2.0)
+    SIGMA_MINUS = HopfParams(omega=-0.7, sigma=-1, nu=0.3, D=1.5)
 
     def off_curve(self, params, s, offsets):
         j, h = hopf.curve_j(params, s), hopf.curve_h(params, s)
@@ -486,33 +472,77 @@ class TestTorusCount:
 
     @pytest.mark.parametrize("params", [REF, D_PLUS_2], ids=["D=-2", "D=+2"])
     def test_agrees_with_50_digit_count_near_the_curves(self, params):
-        # on the curve the float sample is compared with the exact curve
-        # point; within 0.02 of a cusp, off the curve, see the next test
-        s_cusp = math.sqrt(params.nu / 3.0)
+        # on the curve the float sample is compared with the exact curve point
         for s in self.S_GRID:
             count = hopf.torus_count(params, hopf.curve_j(params, s),
                                      hopf.curve_h(params, s))
             assert count == mp_torus_count(params, *mp_curve_point(params, s))
-            if abs(abs(s) - s_cusp) < 0.02:
-                continue
             for j, h in self.off_curve(params, s, self.OFFSETS):
                 assert hopf.torus_count(params, j, h) == \
                     mp_torus_count(params, j, h), (s, j, h)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="next to a cusp Q has three close "
-                       "roots: |disc| falls inside DISC_TOL * sum|terms| up to "
-                       "about 1e-8 off the curve, and there the double-root "
-                       "formula can give z_d > 0 for roots near -1/24")
     @pytest.mark.parametrize("params, ds", [(REF, -0.01), (REF, 0.01),
                                             (D_PLUS_2, 0.0)],
                              ids=["D=-2,s_c-0.01", "D=-2,s_c+0.01",
                                   "D=+2,s_c"])
     def test_agrees_with_50_digit_count_next_to_a_cusp(self, params, ds):
-        # a known miscount (D = -2: 1 for 2 or 2 for 1; D = +2: 1 for 0)
+        # Regression: Q has three close roots here, and a count from the
+        # discriminant gave 1 for 2 or 2 for 1 (D = -2) and 1 for 0 (D = +2)
         s = math.sqrt(params.nu / 3.0) + ds
         for j, h in self.off_curve(params, s, [1e-9]):
             assert hopf.torus_count(params, j, h) == \
                 mp_torus_count(params, j, h), (s, j, h)
+
+    @pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9])
+    @pytest.mark.parametrize("cusp", [0, 1], ids=["s<0", "s>0"])
+    @pytest.mark.parametrize("params", [REF, D_PLUS_2, SIGMA_MINUS],
+                             ids=["D=-2", "D=+2", "sigma=-1"])
+    def test_agrees_with_50_digit_count_around_the_cusps(self, params, cusp,
+                                                         offset):
+        # 21 s values within 0.05 of the cusp, just above and below the curve
+        for s in hopf.cusps(params)[cusp] + np.linspace(-0.05, 0.05, 21):
+            for j, h in self.off_curve(params, float(s), [offset]):
+                assert hopf.torus_count(params, j, h) == \
+                    mp_torus_count(params, j, h), (s, j, h)
+
+    @settings(max_examples=200)
+    @given(omega=st.floats(0.1, 3.0), sigma=st.sampled_from([-1, 1]),
+           nu=zero_or_at_least(0.01, 2.0), big_d=st.floats(0.1, 3.0),
+           flip=st.booleans(),
+           where=st.sampled_from(["plane", "axis", "curve", "cusp"]),
+           s=st.floats(-2.0, 2.0), ds=st.floats(-0.05, 0.05),
+           j=zero_or_at_least(1e-3, 1.0), h=zero_or_at_least(1e-3, 2.0),
+           offset=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_agrees_with_50_digit_count_on_the_whole_plane(
+            self, omega, sigma, nu, big_d, flip, where, s, ds, j, h, offset,
+            sign):
+        """Anywhere in the plane, on J = 0, on the curve (against the exact
+        curve point) and near it, and next to the cusps.  mp_torus_count
+        merges roots within 1e-12 and drops those below 1e-20, so J and H
+        are 0 or at least 1e-3.  Off the curve the offset, times
+        1 + |J| + |H|, keeps |Q| at the double root above DISC_TOL of its
+        terms.  On the curve within 0.01 of 3 s^2 = nu the
+        simple root is so close to the double root that Q dips below zero
+        between them by less than DISC_TOL of its terms, and the count is
+        the cusp's: those draws are left out, the cusp itself is not."""
+        params = HopfParams(omega=omega, sigma=sigma, nu=nu,
+                            D=-big_d if flip else big_d)
+        if where == "axis":
+            j = 0.0
+        elif where != "plane":
+            if where == "cusp":
+                s = math.copysign(math.sqrt(max(nu, 0.0) / 3.0), s) + ds
+            j, h = hopf.curve_j(params, s), hopf.curve_h(params, s)
+            if offset:
+                h += sign * offset * (1.0 + abs(j) + abs(h))
+            else:
+                assume(abs(3.0 * s * s - nu) >= 1e-2 or s in hopf.cusps(params)
+                       or nu == s == 0.0)
+                assert hopf.torus_count(params, j, h) == \
+                    mp_torus_count(params, *mp_curve_point(params, s))
+                return
+        assert hopf.torus_count(params, j, h) == mp_torus_count(params, j, h)
 
 
 class TestTransformation:

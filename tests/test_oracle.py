@@ -70,19 +70,6 @@ class TestCubicRoots:
         assert oracle.conjugation_defect(roots) < 1e-9
 
 
-class TestPositiveComponents:
-    @pytest.mark.parametrize("coeffs, want", [
-        ((-6.0, 11.0, -6.0, 1.0), (2, True)),     # (z-1)(z-2)(z-3)
-        ((6.0, -11.0, 6.0, -1.0), (2, False)),    # -(z-1)(z-2)(z-3)
-        ((1.0, 0.0, 0.0, 1.0), (1, True)),        # z^3 + 1
-        ((-1.0, 0.0, 0.0, -1.0), (0, False)),     # -(z^3 + 1)
-        ((0.0, -1.0, 0.0, 1.0), (1, True)),       # z^3 - z: z = 0 excluded
-        ((-2.0, 1.0, 2.0, -1.0), (1, False)),     # -(z-2)(z-1)(z+1)
-    ])
-    def test_known_answers(self, coeffs, want):
-        assert oracle.positive_components(Poly(coeffs)) == want
-
-
 class TestQuarticAndEig4:
     def test_diagonal(self):
         got = oracle.eig4(np.diag([1.0, 2.0, 3.0, 4.0]))

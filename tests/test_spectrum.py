@@ -638,11 +638,19 @@ class TestSerialization:
                                                    "  ", " , ", "\t,1.0",
                                                    "1.0, "]),
         (spectrum.read_raster_csv, "J,H,count\n0.5,0.5,1",
-         ["0.5,1.5,1_0", "0x1p3,1.5,1", "  ", " , , ", "0.5,1.5, "])])
+         ["0.5,1.5,1_0", "0x1p3,1.5,1", "  ", " , , ", "0.5,1.5, "]),
+        (spectrum.read_curve_csv, "s,J,H,z_double,hessdet,kind\n"
+         "0.5,0.1,0.2,0.3,0.4,E",
+         ["0.5,1_0,0.2,0.3,0.4,E", "0x1p3,0.1,0.2,0.3,0.4,E",
+          "0.5,0.1,x,0.3,0.4,H", "0.5,0.1,0.2,0.3, ,E"]),
+        (spectrum.read_jc_critical_csv,
+         "J,H,z,branch,kind\n0.5,0.1,0.2,plus,E",
+         ["0.5,1_0,0.2,plus,E", "0.5,0.1,0x1p3,minus,H", "x,0.1,0.2,none,E",
+          "0.5,,0.2,plus,E"])])
     def test_numeric_fields_stricter_than_float(self, tmp_path, read, good,
                                                 bad):
         # float() takes "1_0" (as 10.0) and surrounding whitespace; the
-        # numeric tables take neither an underscore nor an empty field
+        # numeric fields take neither an underscore nor an empty field
         assert float("1_0") == 10.0
         path = tmp_path / "table.csv"
         path.write_text(good + "\n")
