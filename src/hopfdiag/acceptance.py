@@ -285,19 +285,6 @@ def _plus_points(g, j):
             if p.branch is models.Branch.PLUS]
 
 
-def _fold_edge(g, j_out, j_in, tol=1e-6) -> float:
-    """Bisect the J at which the folded branch gains its extra critical pair."""
-    inside_has_three = len(_plus_points(g, j_in)) >= 3
-    assert inside_has_three and len(_plus_points(g, j_out)) < 3
-    while abs(j_in - j_out) > tol:
-        mid = 0.5 * (j_in + j_out)
-        if len(_plus_points(g, mid)) >= 3:
-            j_in = mid
-        else:
-            j_out = mid
-    return j_in
-
-
 def criterion_12_post_hopf_loop() -> str:
     """gamma = 4/5: a J-window with a 3-point branch, one hyperbolic value,
     terminated by h'' -> 0 folds; counts return to 2 outside; scan < 10 s."""
@@ -332,12 +319,15 @@ def criterion_12_post_hopf_loop() -> str:
         assert totals[i] == 2 and hyp_counts[i] == 0, \
             f"J={grid[i]}: count {totals[i]} outside the window"
 
-    # the hyperbolic family terminates where h'' passes through 0
-    edges = []
-    for j_out, j_in in ((grid[max(0, i0 - 1)], grid[i0 + 2]),
-                        (grid[min(len(grid) - 1, i1 + 1)], grid[i1 - 2])):
-        edge = _fold_edge(g, float(j_out), float(j_in))
-        probe = edge + np.sign(float(j_in) - edge) * 1e-5
+    # the hyperbolic family terminates at the closed-form folds, which bound
+    # the scanned window, and h'' passes through 0 there
+    edges = [1.0 + r for r in models.fold_offsets(g)]
+    assert len(edges) == 2, f"fold values {edges}, expected 2"
+    assert grid[max(0, i0 - 1)] < edges[0] <= grid[i0] \
+        and grid[i1] <= edges[1] < grid[min(len(grid) - 1, i1 + 1)], \
+        f"folds {edges} do not bound the scanned window"
+    for edge, inward in zip(edges, (1.0, -1.0)):
+        probe = edge + inward * 1e-5
         pts = _plus_points(g, probe)
         assert len(pts) == 3, f"probe at J={probe} sees {len(pts)} points"
         pts.sort(key=lambda p: p.z_at)
@@ -348,7 +338,6 @@ def criterion_12_post_hopf_loop() -> str:
         assert h2[0] * h2[1] < 0.0, f"merging pair h'' = {h2} not straddling 0"
         assert max(abs(v) for v in h2) < 5e-2, \
             f"h'' not small near the fold: {h2}"
-        edges.append(edge)
     return (f"window J in ({edges[0]:.4f}, {edges[1]:.4f}), one hyperbolic "
             f"value inside, 2 values outside; scan {elapsed:.2f}s")
 

@@ -41,9 +41,14 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):    # argparse's writer drops an OSError
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 @functools.cache     # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfdiag",
         description="Equilibrium classification and critical-value diagrams "
                     "for the Hamiltonian Hopf bifurcation and the deformed "
@@ -174,22 +179,23 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = {
-        "classify": cmd_classify,
-        "hopf-curve": cmd_hopf_curve,
-        "jc-scan": cmd_jc_scan,
-        "jc-spectrum": cmd_jc_spectrum,
-        "verify": cmd_verify,
-    }[args.command]
+    command = "hopfdiag"            # until parse_args names the subcommand
     try:
-        code = handler(args)
+        args = _build_parser().parse_args(argv)     # --help writes stdout
+        command = args.command
+        code = {
+            "classify": cmd_classify,
+            "hopf-curve": cmd_hopf_curve,
+            "jc-scan": cmd_jc_scan,
+            "jc-spectrum": cmd_jc_spectrum,
+            "verify": cmd_verify,
+        }[command](args)
         sys.stdout.flush()          # a closed or full stdout fails here
         return code
     except (ValueError, OSError) as exc:
-        if handler is cmd_verify and isinstance(exc, ValueError):
+        if command == "verify" and isinstance(exc, ValueError):
             raise                   # verify takes no input: a bug
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         if isinstance(exc, ValueError):
             return 2
         try:

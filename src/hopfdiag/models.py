@@ -283,19 +283,38 @@ def branch_second_deriv(z, j: float, g: PolyG, branch: Branch):
 # critical points in the pole chart z = sigma (1 - x), r = sigma J - 1
 
 
-def _quintic(k: float, r: float) -> list[float]:
-    """p_J in the chart variable x, highest power first; k = sigma gamma^2.
-
-    Each coefficient is formed from r = sigma (J - sigma), not from J,
-    so the roots that approach the pole as J -> +-1 keep their relative
-    accuracy, and at J = 1 the double root x = 0 is exact.
+def _fold_t(gamma: float) -> float:
+    """t = 1/z_f - 1 at the fold, the positive root of t^3 + 3t^2 + 6t =
+    16 gamma^2 - 4 (0.0 for |gamma| <= 1/2).  y = 1 + t solves
+    y^3 + 3y = 16 gamma^2, so y = 2 sinh(asinh(8 gamma^2)/3); one Newton
+    step on the t form, free of cancellation, restores the relative
+    accuracy of t as gamma -> 1/2.
     """
-    return [32.0 * k,
-            32.0 * k * r - 128.0 * k + 9.0,
-            -4.0 * (32.0 * k * r - 40.0 * k - 3.0 * r + 6.0),
-            4.0 * (40.0 * k * r - 16.0 * k + r * r - 7.0 * r + 4.0),
-            -8.0 * r * (8.0 * k + r - 2.0),
-            4.0 * r * r]
+    e = 16.0 * (abs(gamma) - 0.5) * (abs(gamma) + 0.5)
+    if not e > 0.0:
+        return 0.0
+    t = 2.0 * math.sinh(math.asinh(8.0 * gamma * gamma) / 3.0) - 1.0
+    return t - (t * (t * (t + 3.0) + 6.0) - e) / (t * (3.0 * t + 6.0) + 6.0)
+
+
+def fold_offsets(g: PolyG) -> tuple[float, ...]:
+    """(J_- - 1, J_+ - 1), the folds of the critical curve; () for
+    |gamma| <= 1/2.  Between them the branch sign(gamma) has three critical
+    points, one transversally hyperbolic.
+
+    At the fold z_f = 1/(1 + t), r = J - 1 solves 4 (t + 1)^2 r^2 - 2br - c
+    = 0, b = t^2 (t^3 + 5t^2 + 10t + 6), c = t^3 (2t^2 + 7t + 8), whose
+    roots, about +-sqrt(2) t^(3/2) as gamma -> 1/2, are taken without
+    cancellation.
+    """
+    t = _fold_t(g.gamma)
+    if t == 0.0:
+        return ()
+    b = t * t * (t * (t * (t + 5.0) + 10.0) + 6.0)
+    c = t ** 3 * (t * (2.0 * t + 7.0) + 8.0)
+    a = 4.0 * (t + 1.0) ** 2
+    q = b + math.sqrt(b * b + a * c)
+    return -c / q, q / a
 
 
 def _chart_terms(x: float, sigma: float, r: float) -> tuple[float, float, float]:
@@ -305,93 +324,70 @@ def _chart_terms(x: float, sigma: float, r: float) -> tuple[float, float, float]
     return a, da, math.sqrt(2.0 * sigma * (r + x) * x * (2.0 - x))
 
 
-def _critical_numerator(x: float, sb: float, gamma: float, sigma: float,
-                        r: float) -> tuple[float, float]:
-    """F = 2 R h_sb' = sb A + 4 gamma z R and dF/dx at an interior x."""
-    a, da, rad = _chart_terms(x, sigma, r)
-    c = 4.0 * gamma * sigma * (1.0 - x)
-    return (sb * a + c * rad,
-            sb * da - 4.0 * gamma * sigma * rad - c * sigma * a / rad)
-
-
-def _bracketed_newton(f, x: float, a: float, b: float, fa: float) -> float:
-    """Zero of f in (a, b), where f has the sign of fa at a and not at b.
-
-    Newton from x; a step that leaves the bracket is replaced by bisection.
+def _chart_root(sb: float, g4: float, sigma: float, r: float,
+                a: float, b: float, fa: float) -> float:
+    """Zero of F = 2 R h_sb' = sb A + 4 gamma z R in the chart bracket (a, b),
+    where F has the sign of fa at a and not at b; g4 = 4 gamma sigma.
+    Newton from the midpoint; a step that leaves the bracket bisects.
     """
+    x = 0.5 * (a + b)
     for _ in range(NEWTON_STEPS):
-        fx, dfx = f(x)
+        da = 6.0 * x - 4.0 + 2.0 * r
+        aa = x * (3.0 * x - 4.0 + 2.0 * r) - 2.0 * r
+        rad = math.sqrt(2.0 * sigma * (r + x) * x * (2.0 - x))
+        c = g4 * (1.0 - x)
+        fx = sb * aa + c * rad
         if fx == 0.0:
             return x
         if (fx < 0.0) == (fa < 0.0):
             a = x
         else:
             b = x
+        dfx = sb * da - g4 * rad - c * sigma * aa / rad
         step = fx / dfx if dfx else math.inf
         if abs(step) <= 1e-15 * x:     # a few ulps of x > 0
             return x - step
         x = x - step if a < x - step < b else 0.5 * (a + b)
+        if b - a <= 1e-15 * x:         # steps of rounding noise in F
+            return x
     return x
 
 
-def _real_roots(polys: list[list[float]]) -> list[list[float]]:
-    """``np.roots(p).real.tolist()`` for each p, highest power first.
-
-    As in np.roots, exact leading and trailing zeros are stripped, each
-    trailing one a root 0.0; the companion matrices np.roots would build
-    are stacked by size, one ``np.linalg.eigvals`` call per size.
-    """
-    out, groups = [], {}
-    for i, p in enumerate(polys):
-        nz = [k for k, c in enumerate(p) if c != 0.0]
-        out.append([0.0] * (len(p) - 1 - nz[-1]) if nz else [])
-        if nz and nz[-1] > nz[0]:       # a constant has no roots
-            groups.setdefault(nz[-1] - nz[0], []).append((i, p[nz[0]:nz[-1] + 1]))
-    for m, members in groups.items():
-        c = np.array([p for _, p in members])
-        comp = np.zeros((len(c), m, m))
-        comp.reshape(-1, m * m)[:, m::m + 1] = 1.0     # the subdiagonal
-        comp[:, 0, :] = -c[:, 1:] / c[:, :1]
-        for (i, _), eig in zip(members, np.linalg.eigvals(comp).real.tolist()):
-            out[i] = eig + out[i]
-    return out
-
-
 def _chart_roots(gamma: float, sigma: float, r: float, lo: float, hi: float,
-                 eig: list[float]) -> list[tuple[float, float]]:
+                 cuts: tuple[float, ...]) -> list[tuple[float, float]]:
     """(x, sb) of every interior critical point in the chart interval (lo, hi).
 
-    The zeros of F_sb are the critical points of h_sb, and F_+ F_- = -p_J.
-    The quintic's eigenvalue real parts ``eig`` in (lo, hi), with cuts
-    halfway between neighbours, give one bracket per eigenvalue.  A branch
-    has a critical point in a bracket when F_sb changes sign across it; the
-    point is then polished by bracketed Newton on F_sb itself, which stays
-    well conditioned where p_J does not (as gamma -> 0, p_J tends to A^2 and
-    its root pairs, one per branch, come out of the eigensolver complex).
+    The zeros of F_sb are the critical points of h_sb, and F_+ F_- = -p_J,
+    quadratic in J.  Its discriminant in J, 256 gamma^2 z^3 (z - 1)^2
+    (z + 1)^2 (4 gamma^2 z - 1), leaves critical points only at z < 0, one
+    per branch, and for |gamma| > 1/2 at 1/(4 gamma^2) <= z < 1, where the
+    fold z_f, the root of the factor 16 gamma^2 z^3 - 3z^2 - 1 of its
+    resultant with dp_J/dz, splits their J-roots into monotone pieces with
+    disjoint ranges.  So the ``cuts`` z = 0 and z_f make brackets with at
+    most one zero of each F_sb; a branch has one where F_sb changes sign
+    across the bracket.  Newton works on F_sb itself, well conditioned
+    where p_J is not (as gamma -> 0, p_J tends to A^2).
     """
-    # with no eigenvalue inside (huge |J| swamps the companion matrix) the
-    # whole interval is one bracket
-    xs = sorted({x for x in eig if lo < x < hi}) or [0.5 * (lo + hi)]
-    edges = [lo] + [0.5 * (u + v) for u, v in zip(xs, xs[1:])] + [hi]
-    # F = sb A + C R at each cut; A and C R (C = 4 gamma z) serve both branches
-    cuts = []
-    for e in edges[1:-1]:
+    edges = [lo, *(c for c in cuts if lo < c < hi), hi]
+    # F = sb A + C R at each edge; A and C R (C = 4 gamma z) serve both
+    # branches.  R = 0 at both ends, so F = sb A there
+    g4 = 4.0 * gamma * sigma
+    terms = []
+    for e in edges:
         a, _, rad = _chart_terms(e, sigma, r)
-        cuts.append((a, 4.0 * gamma * sigma * (1.0 - e) * rad))
-    a_lo, a_hi = _chart_terms(lo, sigma, r)[0], _chart_terms(hi, sigma, r)[0]
+        terms.append((a, g4 * (1.0 - e) * rad))
     out = []
     for sb in (1.0, -1.0):
-        def f(x, sb=sb):
-            return _critical_numerator(x, sb, gamma, sigma, r)
-        # R = 0 at both ends, so F = sb A there; at J = 1 A vanishes at the
-        # pole x = 0 too, and F/x -> 8 gamma - 4 sb there, or F/x ~ -2 sb x
-        # when that limit is 0 (gamma = sb/2, the Hopf parameter)
-        first = sb * a_lo if r != 0.0 else (8.0 * gamma - 4.0 * sb or -sb)
-        signs = [first] + [sb * a + crad for a, crad in cuts] + [sb * a_hi]
-        for k, x in enumerate(xs):
+        # at J = 1 A vanishes at the pole x = 0 too, and F/x -> 8 gamma - 4 sb
+        # there, or F/x ~ -2 sb x when that limit is 0 (gamma = sb/2, the
+        # Hopf parameter)
+        signs = [sb * a + crad for a, crad in terms]
+        if r == 0.0:
+            signs[0] = 8.0 * gamma - 4.0 * sb or -sb
+        for k in range(len(edges) - 1):
             if min(signs[k], signs[k + 1]) < 0.0 < max(signs[k], signs[k + 1]):
-                out.append((_bracketed_newton(f, x, edges[k], edges[k + 1],
-                                              signs[k]), sb))
+                out.append((_chart_root(sb, g4, sigma, r, edges[k],
+                                        edges[k + 1], signs[k]), sb))
             elif signs[k + 1] == 0.0:   # a cut that is itself a root
                 out.append((edges[k + 1], sb))
     return out
@@ -401,17 +397,23 @@ def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
     """All critical values of the reduced system at each momentum J in ``js``.
 
     Interior critical points of both branches h_pm are the real roots of the
-    quintic p_J in (-1, min(J, 1)) (module docstring), solved in the chart
+    quintic p_J in (-1, min(J, 1)) (module docstring), found in the chart
     x = 1 - sigma z at the pole z = sigma nearer to J; at gamma = 0 they are
-    z = (J +- sqrt(J^2 + 3))/3 on both branches.  Each is classified by the
-    sign of h'' (saddles of the surface-restricted Hamiltonian are
-    transversally hyperbolic); |h''| < CUSP_TOL marks a degenerate cusp.
-    The pole equilibria contribute (J, G(1)) exactly at j = +-1.  The
-    quintics of the whole grid share one eigen step (``_real_roots``); one J
-    out of range anywhere raises its ValueError.
+    z = (J +- sqrt(J^2 + 3))/3 on both branches.  Their brackets come from
+    cut points in closed form: z = 0 and, for |gamma| > 1/2, the fold z_f
+    (``_chart_roots``).  Each point is classified by the sign of h''
+    (saddles of the surface-restricted Hamiltonian are transversally
+    hyperbolic); |h''| < CUSP_TOL marks a degenerate cusp.
+    The pole equilibria contribute (J, G(1)) exactly at j = +-1.  A J out of
+    range raises ValueError.  Known limit: within float rounding of a fold
+    value (``fold_offsets``) the two merging points may be miscounted.
     """
     gamma = g.gamma
-    charts = []
+    t = _fold_t(gamma)
+    # x = 1 - z at z_f and z = 0 in the chart of the pole z = 1; the chart
+    # of z = -1 covers z < J <= 0 and needs no cut
+    cuts = (t / (1.0 + t), 1.0) if t else (1.0,)
+    out = []
     for j in map(float, js):
         if not (abs(j) < J_LIMIT and abs(gamma) < GAMMA_LIMIT):
             raise ValueError(f"need |J| < {J_LIMIT:g} and |gamma| < {GAMMA_LIMIT:g}, "
@@ -421,22 +423,14 @@ def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
         sigma = -1.0 if j <= 0.0 else 1.0
         r = sigma * j - 1.0
         lo, hi = (max(0.0, -r), 2.0) if sigma > 0.0 else (0.0, -r)
-        charts.append((j, sigma, r, lo, hi))
-    if gamma != 0.0:
-        polys = [_quintic(sigma * gamma * gamma, r) for _, sigma, r, _, _ in charts]
-        # a leading term below rounding in (lo, hi) only adds a root near
-        # -9/(32 k), far outside, and would overflow the companion matrix
-        eigs = _real_roots([p[1:] if abs(p[0]) < 1e-17 * max(map(abs, p)) else p
-                            for p in polys])
-    out = []
-    for k, (j, sigma, r, lo, hi) in enumerate(charts):
         if gamma == 0.0:
             # (J +- sqrt(J^2 + 3))/3, the smaller as -1/q against cancellation
             q = j + math.copysign(math.sqrt(j * j + 3.0), j)
             roots = [(1.0 - sigma * z, sb) for z in (q / 3.0, -1.0 / q)
                      for sb in (1.0, -1.0)]
         else:
-            roots = _chart_roots(gamma, sigma, r, lo, hi, eigs[k])
+            roots = _chart_roots(gamma, sigma, r, lo, hi,
+                                 cuts if sigma > 0.0 else ())
         rows = []
         for x, sb in roots:
             z = sigma * (1.0 - x)

@@ -1,6 +1,7 @@
-"""Symbolic certificates: the quintic behind the per-J critical set, the
-normal-form cubic Q(z) behind torus counting, and the closed forms of
-``hopf`` for H_nu = omega G1 + sigma (G2 + nu G3) + 2 D G3^2."""
+"""Symbolic certificates: the quintic behind the per-J critical set with
+the closed-form cuts and fold values of its solve, the normal-form cubic
+Q(z) behind torus counting, and the closed forms of ``hopf`` for
+H_nu = omega G1 + sigma (G2 + nu G3) + 2 D G3^2."""
 
 import types
 
@@ -24,13 +25,66 @@ def test_quintic_is_the_product_of_the_branch_derivatives():
     assert sp.simplify(product - P_J) == 0
 
 
+def test_discriminant_in_j():
+    # p_J is quadratic in J; no critical point has 0 < z < 1/(4 gamma^2)
+    disc = 256 * gamma ** 2 * z ** 3 * (z - 1) ** 2 * (z + 1) ** 2 \
+        * (4 * gamma ** 2 * z - 1)
+    assert sp.expand(sp.discriminant(P_J, big_j) - disc) == 0
+
+
+def test_folds_are_the_roots_of_the_fold_cubic():
+    # p_J and dp_J/dz share a root J only where the fold cubic vanishes
+    # (or at z = 0, +-1): 16 gamma^2 z^3 - 3z^2 - 1 < 0 for z < 0
+    res = 1024 * gamma ** 2 * z ** 3 * (z - 1) ** 2 * (z + 1) ** 2 \
+        * (16 * gamma ** 2 * z ** 3 - 3 * z ** 2 - 1) ** 2
+    assert sp.expand(sp.resultant(P_J, sp.diff(P_J, z), big_j) - res) == 0
+
+
 @pytest.mark.parametrize("sigma", [-1, 1])
-def test_pole_chart_coefficients(sigma):
-    # sigma = -1: t = z + 1 with e = J + 1; sigma = +1: s = 1 - z with
-    # d = J - 1.  The chart quintic is p_J at z = sigma (1 - x).
-    coeffs = models._quintic(sigma * gamma ** 2, sigma * big_j - 1)
-    chart = sp.nsimplify(sum(c * x ** (5 - i) for i, c in enumerate(coeffs)))
-    assert sp.expand(chart - P_J.subs(z, sigma * (1 - x))) == 0
+def test_pole_chart_coefficients(sigma, monkeypatch):
+    # models._chart_terms on symbols, in the chart z = sigma (1 - x) with
+    # r = sigma J - 1; d/dx = -sigma d/dz, and dR/dx = -sigma A / R
+    monkeypatch.setattr(models, "math", types.SimpleNamespace(sqrt=sp.sqrt))
+    r = sp.Symbol("r", real=True)
+    a, da, rad = (_exact(v) for v in models._chart_terms(x, sigma, r))
+    at = {z: sigma * (1 - x), big_j: sigma * (r + 1)}
+    big_a = 3 * z ** 2 - 2 * big_j * z - 1
+    assert sp.expand(a - big_a.subs(at)) == 0
+    assert sp.expand(da + sigma * sp.diff(big_a, z).subs(at)) == 0
+    assert sp.expand(rad ** 2 - R2.subs(at)) == 0
+    assert sp.expand(sp.diff(rad ** 2, x) + 2 * sigma * a) == 0
+
+
+def test_fold_cubic_in_the_chart():
+    # models._fold_t: with z = 1/(1 + t) and e = 16 gamma^2 - 4 the fold
+    # cubic is -(t^3 + 3t^2 + 6t - e)/(1 + t)^3, and y = 1 + t solves
+    # y^3 + 3y = 16 gamma^2, which 2 sinh(theta) does for
+    # 2 sinh(3 theta) = 16 gamma^2
+    t, theta = sp.symbols("t theta", real=True)
+    e = 16 * gamma ** 2 - 4
+    cubic = 16 * gamma ** 2 * z ** 3 - 3 * z ** 2 - 1
+    assert sp.simplify(cubic.subs(z, 1 / (1 + t))
+                       + (t ** 3 + 3 * t ** 2 + 6 * t - e) / (1 + t) ** 3) == 0
+    y = 2 * sp.sinh(theta)
+    assert sp.simplify(y ** 3 + 3 * y - 2 * sp.sinh(3 * theta)) == 0
+
+
+def test_fold_offsets_solve_the_quadratic_in_j():
+    # models.fold_offsets: at the fold z = 1/(1 + t), where
+    # 16 gamma^2 = (1 + t)^3 + 3 (1 + t), p_J at J = 1 + r is
+    # (4 (t + 1)^2 r^2 - 2 b r - c)/(t + 1)^4, and -c/q, q/(4 (t + 1)^2)
+    # with q = b + sqrt(b^2 + 4 (t + 1)^2 c) are its roots
+    t = sp.Symbol("t", positive=True)
+    r = sp.Symbol("r", real=True)
+    b = t ** 2 * (t ** 3 + 5 * t ** 2 + 10 * t + 6)
+    c = t ** 3 * (2 * t ** 2 + 7 * t + 8)
+    quad = 4 * (t + 1) ** 2 * r ** 2 - 2 * b * r - c
+    at = {z: 1 / (1 + t), big_j: 1 + r,
+          gamma: sp.sqrt(((1 + t) ** 3 + 3 * (1 + t)) / 16)}
+    assert sp.simplify(P_J.subs(at) * (1 + t) ** 4 - quad) == 0
+    q = b + sp.sqrt(b ** 2 + 4 * (t + 1) ** 2 * c)
+    for root in (-c / q, q / (4 * (t + 1) ** 2)):
+        assert sp.simplify(quad.subs(r, root)) == 0
 
 
 # The normal-form cubic Q(z) of ``hopf`` on its critical curve.

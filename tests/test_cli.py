@@ -373,6 +373,25 @@ class TestClosedOrFullStdout:
         self.one_line_exit_3(proc, "verify",
                              "[Errno 28] No space left on device")
 
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["jc-spectrum", "--help"]],
+                             ids=["main", "subcommand"])
+    def test_help(self, argv, buffered):
+        # argparse prints the help inside parse_args, before any subcommand
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(argv, write_end, buffered)
+        finally:
+            os.close(write_end)
+        self.one_line_exit_3(proc, "hopfdiag", "[Errno 32] Broken pipe")
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                proc = self.run(argv, full, buffered)
+            self.one_line_exit_3(proc, "hopfdiag",
+                                 "[Errno 28] No space left on device")
+
 
 class TestHelp:
     def test_defaults_shown(self, capsys):

@@ -1,8 +1,11 @@
 """The spin-oscillator's per-J critical set against independent references.
 
-- near the poles J = +-1: the real roots of the quintic p_J solved by mpmath
-  at 60 digits (models docstring);
+- near the poles J = +-1 and next to the folds: the real roots of the
+  quintic p_J solved by mpmath at 60 digits (models docstring);
+- the fold values: the real roots of the sextic S_gamma(J), the
+  discriminant of p_J in z, at 60 digits;
 - elsewhere: the brute-force grid scan in ``oracle``;
+- counts per branch change only at the folds and at J = +-1;
 - regressions: no rows at the pole itself, no RuntimeWarning next to J = -1.
 """
 
@@ -10,7 +13,7 @@ import warnings
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfdiag import models, oracle
 from hopfdiag.models import Branch, CriticalKind, PolyG
@@ -120,3 +123,91 @@ def test_no_runtime_warning_next_to_the_south_pole(gamma):
                   for z, sb, kind in oracle.spin_critical_scan(gamma, -0.999))
     assert len(got) == 2
     _assert_same(got, want, 1e-9)
+
+
+def _mp_fold_values(gamma):
+    """Real roots J > -1 of the sextic S_gamma(J) at 60 digits: the J at
+    which two roots of p_J merge away from the poles."""
+    with mp.workdps(60):
+        g2 = mp.mpf(gamma) ** 2
+        coeffs = [1024 * g2 ** 2, -(24576 * g2 ** 3 + 288 * g2),
+                  196608 * g2 ** 4 + 12288 * g2 ** 2 + 27,
+                  -(524288 * g2 ** 5 + 30720 * g2 ** 3 + 2304 * g2),
+                  49152 * g2 ** 4 + 6528 * g2 ** 2 + 162,
+                  -(43008 * g2 ** 3 + 2016 * g2),
+                  110592 * g2 ** 4 + 2176 * g2 ** 2 + 243]
+        roots = mp.polyroots(coeffs, maxsteps=500, extraprec=400)
+        return sorted(mp.re(j) for j in roots
+                      if abs(mp.im(j)) < mp.mpf(10) ** -40 and mp.re(j) > -1)
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3])
+def test_fold_offsets_keep_their_accuracy_next_to_hopf(delta):
+    # both folds sit about 6 delta^(3/2) from J = 1, so J - 1 is compared
+    gamma = 0.5 + delta
+    got = models.fold_offsets(PolyG(gamma))
+    want = _mp_fold_values(gamma)
+    assert len(got) == len(want) == 2
+    for r, j in zip(got, want):
+        assert abs(r - float(j - 1)) <= 1e-9 * abs(float(j - 1))
+
+
+@pytest.mark.parametrize("gamma, window", [(0.6, (0.905001, 1.281906)),
+                                           (0.8, (0.736017, 2.677504)),
+                                           (1.5, (0.468027, 13.531973))])
+def test_fold_values_are_the_roots_of_the_sextic(gamma, window):
+    got = [1.0 + r for r in models.fold_offsets(PolyG(gamma))]
+    assert got == pytest.approx(window, abs=1e-6)
+    assert got == pytest.approx([float(j) for j in _mp_fold_values(gamma)],
+                                rel=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [10.0, 1000.0, -1e5])
+def test_fold_values_for_large_gamma(gamma):
+    # J_- -> 0 as gamma grows, where b^2 dwarfs 4 (t + 1)^2 c: the root
+    # -c/q of fold_offsets avoids the cancellation of the textbook formula
+    got = [1.0 + r for r in models.fold_offsets(PolyG(gamma))]
+    assert got == pytest.approx([float(j) for j in _mp_fold_values(gamma)],
+                                rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 0.3, 0.5, -0.5])
+def test_no_fold_up_to_the_hopf_parameter(gamma):
+    assert models.fold_offsets(PolyG(gamma)) == ()
+
+
+def test_sextic_has_no_fold_value_before_hopf():
+    assert _mp_fold_values(0.3) == []
+
+
+@pytest.mark.parametrize("gamma", [0.51, 0.6, 0.8, 1.5, 10.0, -0.8])
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 - 1e-9, 1 + 1e-9, 1 + 1e-6])
+def test_next_to_the_folds_matches_60_digit_roots(gamma, factor):
+    # two roots of p_J lie about sqrt(1e-9) apart at J_f (1 +- 1e-9), where
+    # z is conditioned to about 1e-11.  At J_f itself, within float
+    # rounding, the count is a known limit and is not tested
+    for r in models.fold_offsets(PolyG(gamma)):
+        j = (1.0 + r) * factor
+        _assert_same(_rows(gamma, j), _mp_rows(gamma, j), 1e-10)
+
+
+def _branch_counts(gamma, j):
+    pts = models.jc_reduced_critical_values(PolyG(gamma), j)
+    return [sum(p.branch is b for p in pts) for b in (Branch.PLUS,
+                                                        Branch.MINUS)]
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=-1.0, max_value=20.0),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_counts_change_only_at_the_folds_and_the_poles(gamma, j0, u):
+    # j1 is drawn from the same interval between consecutive walls as j0
+    walls = [-1.0, 1.0] + [1.0 + r for r in models.fold_offsets(PolyG(gamma))]
+    left = max(w for w in walls if w <= j0)
+    right = min((w for w in walls if w > j0), default=20.0)
+    j1 = left + u * (right - left)
+    # within float rounding of a wall a count is a known limit
+    assume(all(abs(j - w) > 1e-9 * max(1.0, abs(w))
+               for j in (j0, j1) for w in walls))
+    assert _branch_counts(gamma, j0) == _branch_counts(gamma, j1)

@@ -1,15 +1,15 @@
 """Import rules, read from the source with ``ast``.
 
-``oracle`` checks the closed forms, so it shares no code with them: it
-imports no hopfdiag module and calls no library root or eigenvalue solver
-(``numpy.roots``, ``numpy.linalg.eig*``).  Elsewhere in ``src/`` the only
-library solver is the one ``numpy.linalg.eigvals`` step of the per-J solve
-in ``models``, which takes a whole J grid.  The symbolic and property-test
-tools (sympy, mpmath, hypothesis) stay in the tests.  ``acceptance`` calls
-the other modules through their module objects, never through names
-imported from them.  Files are read and written by one codec: in ``src/``
-only ``spectrum`` calls ``open`` (the builtin, ``io.open`` or a
-``Path.open`` method) or ``numpy.loadtxt``.
+No module of ``src/`` calls a library root or eigenvalue solver
+(``numpy.roots``, ``numpy.linalg.eig*``): the per-J solve in ``models``
+brackets its roots by cut points in closed form.  ``oracle`` checks the
+closed forms, so it shares no code with them: it imports no hopfdiag
+module.  The symbolic and property-test tools (sympy, mpmath,
+hypothesis) stay in the tests.  ``acceptance`` calls the other modules
+through their module objects, never through names imported from them.
+Files are read and written by one codec: in ``src/`` only ``spectrum``
+calls ``open`` (the builtin, ``io.open`` or a ``Path.open`` method) or
+``numpy.loadtxt``.
 """
 
 import ast
@@ -90,8 +90,8 @@ def test_oracle_calls_no_library_solver():
 @pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
                          ids=lambda p: p.name)
 def test_src_solves_with_eigvals_only_in_models(path):
-    allowed = {"numpy.linalg.eigvals"} if path.name == "models.py" else set()
-    assert forbidden_solvers(numpy_references(parse(path))) <= allowed
+    # the name predates the rule: models calls no library solver either
+    assert not forbidden_solvers(numpy_references(parse(path)))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),

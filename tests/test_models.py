@@ -313,7 +313,6 @@ class TestReducedCriticalValues:
                st.floats(min_value=0.0, max_value=5.0),
                st.floats(min_value=5.0, max_value=1e99)), max_size=12))
     def test_grid_equals_per_j_calls(self, gamma, js):
-        """Stacking companions of several sizes changes no row."""
         g = PolyG(gamma)
         batched = models.jc_critical_values(g, js)
         assert len(batched) == len(js)
@@ -322,17 +321,6 @@ class TestReducedCriticalValues:
             assert rows == single
             assert [math.copysign(1.0, p.z_at) for p in rows] == \
                 [math.copysign(1.0, p.z_at) for p in single]
-
-    @given(st.lists(st.lists(st.one_of(
-        st.integers(min_value=-3, max_value=3).map(float),
-        st.floats(min_value=-1e3, max_value=1e3).filter(
-            lambda c: c == 0.0 or abs(c) > 1e-3)),
-        min_size=1, max_size=7), max_size=8))
-    def test_stacked_companions_give_the_roots_of_np_roots(self, polys):
-        # leading and trailing zeros, constants and mixed sizes in one
-        # batch; coefficient ratios stay far from overflow, as in the chart
-        assert models._real_roots(polys) == [
-            np.roots(p).real.tolist() for p in polys]
 
     def test_outputs_sorted_and_deterministic(self):
         a = models.jc_reduced_critical_values(PolyG(0.8), 1.5)
