@@ -6,15 +6,16 @@ numerical oracles."""
 from . import hopf, models, oracle, spectrum, symplin
 from .hopf import (CurveSample, EliassonParams, HopfParams, Regime,
                    SegmentKind)
-from .models import Branch, CriticalKind, CriticalValuePoint, JCState, PolyG
-from .spectrum import Diagram, SpectrumCloud
+from .models import (Branch, CriticalKind, CriticalValuePoint, JCState, PolyG,
+                     SpectrumCloud)
+from .spectrum import Diagram
 from .symplin import EquilibriumType, QuarticCoeffs
 
 __all__ = [
     "hopf", "models", "oracle", "spectrum", "symplin",
     "CurveSample", "EliassonParams", "HopfParams", "Regime", "SegmentKind",
     "Branch", "CriticalKind", "CriticalValuePoint", "JCState", "PolyG",
-    "Diagram", "SpectrumCloud", "EquilibriumType", "QuarticCoeffs",
+    "SpectrumCloud", "Diagram", "EquilibriumType", "QuarticCoeffs",
 ]
 
 __version__ = "0.1.0"

@@ -182,7 +182,7 @@ def criterion_07_conjugation() -> str:
         worst = max(worst, sympl)
         p_hat = rng.uniform(-1.0, 1.0, (100, 4)).T    # one point per column
         p = t_mat @ p_hat
-        g1, g2, g3 = hopf.gammas(p_hat)
+        g1, g2, g3 = symplin.j1(p_hat), symplin.k2(p_hat), symplin.k1(p_hat)
         sigma = e.sigma
         defects = (g1 - symplin.j1(p),
                    g2 - sigma * (e.alpha_t * symplin.j2(p)

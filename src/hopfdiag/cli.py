@@ -54,17 +54,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for the Hamiltonian Hopf bifurcation and the deformed "
                     "coupled spin-oscillator.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(
+        sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    p = sub.add_parser("classify", help="classify a biquadratic spectrum",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("classify", help="classify a biquadratic spectrum")
     p.add_argument("--a", type=float, help="constant coefficient of the quartic")
     p.add_argument("--b", type=float, help="quadratic coefficient of the quartic")
     p.add_argument("--params", type=float, nargs=4,
                    metavar=("OMEGA_T", "ALPHA_T", "GAMMA", "DELTA"),
                    help="family parameters; (a, b) computed from them")
 
-    p = sub.add_parser("hopf-curve", help="emit the critical-value curve",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("hopf-curve", help="emit the critical-value curve")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--sigma", type=int, required=True, choices=(-1, 1))
     p.add_argument("--nu", type=float, required=True)
@@ -76,16 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="output prefix: writes <out>_curve.csv, <out>_diagram.json")
 
-    p = sub.add_parser("jc-scan", help="linearization scan over gamma",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("jc-scan", help="linearization scan over gamma")
     p.add_argument("--gamma-min", type=float, required=True)
     p.add_argument("--gamma-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="grid size, >= 2")
     p.add_argument("--out", required=True, help="output CSV path")
 
-    p = sub.add_parser("jc-spectrum",
-                       help="reduced critical values and sampled image",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("jc-spectrum", help="reduced critical values and sampled image")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--j-min", type=float, required=True)
     p.add_argument("--j-max", type=float, required=True)
@@ -97,8 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="output prefix: writes <out>_critical.csv, <out>_cloud.csv")
 
-    p = sub.add_parser("verify", help="run the acceptance suite",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("verify", help="run the acceptance suite")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     return parser
 

@@ -3,7 +3,9 @@
 The normal form lives on R^4 with coordinates (x, y, xi, eta) and the
 standard quadratic invariants
 
-    G1 = x*eta - y*xi,   G2 = (xi^2 + eta^2)/2,   G3 = (x^2 + y^2)/2.
+    G1 = x*eta - y*xi,   G2 = (xi^2 + eta^2)/2,   G3 = (x^2 + y^2)/2,
+
+which are ``symplin.j1``, ``symplin.k2`` and ``symplin.k1``.
 
 With unfolding parameter nu, the family treated here is
 
@@ -134,14 +136,6 @@ class EliassonParams:
     @property
     def sigma(self) -> int:
         return 1 if self.delta > 0 else -1
-
-
-def gammas(point) -> tuple[float, float, float]:
-    """The quadratic invariants (G1, G2, G3) at a point of R^4."""
-    x, y, xi, eta = point
-    return (x * eta - y * xi,
-            (xi * xi + eta * eta) / 2.0,
-            (x * x + y * y) / 2.0)
 
 
 def reduced_hamiltonian(z, p_z, j, params: HopfParams):

@@ -1,10 +1,10 @@
 """Second-order jet arithmetic in n variables.
 
 A Jet2 carries (value, gradient, Hessian) of a smooth function at a fixed
-base point; +, -, *, integer powers and sqrt propagate them exactly (to
-rounding).  This gives machine-precision quadratic parts of composed
-expressions without symbolic machinery -- used to linearize Hamiltonians
-through an explicit canonical chart.
+base point; +, -, * and sqrt propagate them exactly (to rounding).  This
+gives machine-precision quadratic parts of composed expressions without
+symbolic machinery -- used to linearize Hamiltonians through an explicit
+canonical chart.
 """
 
 from __future__ import annotations
@@ -67,19 +67,6 @@ class Jet2:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            raise TypeError("jet/jet division not needed; multiply by inverse")
-        return self * (1.0 / other)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("only positive integer powers")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
 
     def sqrt(self) -> "Jet2":
         if self.val <= 0.0:

@@ -5,13 +5,13 @@ structure
 
     {x, y} = -z,  {y, z} = -x,  {z, x} = -y,  {u, v} = 1,
 
-mixed brackets zero.  The sphere sign is pinned by a regression test: it is
-the convention under which the north-pole linearization of
+mixed brackets zero.  With this sphere sign the north-pole linearization of
 
     J = (u^2 + v^2)/2 + z,      H~ = (x u + y v)/2 + G(z)
 
 has characteristic polynomial lambda^4 + b lambda^2 + 1/16 with
-b = (2 G'(1)^2 - 1)/2; the opposite orientation gives b + 1 instead.
+b = (2 G'(1)^2 - 1)/2 (``jc_linearization``); ``canonical_chart`` realizes
+the bracket, and ``jc_linearization_numeric`` recomputes b through it.
 
 Reduction by the circle action of J uses the invariants z, w1 = x u + y v,
 w2 = x v - y u, constrained by w1^2 + w2^2 = 2 (J - z)(1 - z^2) on
@@ -41,7 +41,6 @@ import numpy as np
 
 from . import oracle, symplin
 from .jets import Jet2
-from .spectrum import SpectrumCloud
 
 SPHERE_TOL = 1e-12
 CUSP_TOL = 1e-8          # |h''| below this classifies as a degenerate cusp
@@ -167,48 +166,34 @@ def _sqrt(t):
     return t.sqrt() if isinstance(t, Jet2) else math.sqrt(t)
 
 
-def canonical_chart(q, orientation: int = 1):
+def canonical_chart(q):
     """Map canonical (x_c, y_c, xi_c, eta_c) near 0 to (x, y, z, u, v).
 
-    Works on floats and on Jet2 values.  The base point 0 is the north pole.
-    orientation=+1 realizes the module's sphere bracket {x, y} = -z (cyclic);
-    orientation=-1 the opposite one, kept for the sign regression test.
+    Works on floats and on Jet2 values.  The base point 0 is the north pole,
+    and the chart realizes the module's sphere bracket {x, y} = -z (cyclic).
     """
     x_c, y_c, xi_c, eta_c = q
     r2 = x_c * x_c + xi_c * xi_c
     f = _sqrt(1.0 - 0.25 * r2)
-    if orientation == 1:
-        x = xi_c * f
-        y = -1.0 * x_c * f
-    elif orientation == -1:
-        x = -1.0 * x_c * f
-        y = xi_c * f
-    else:
-        raise ValueError("orientation must be +1 or -1")
-    z = 1.0 - 0.5 * r2
-    u = eta_c
-    v = y_c
-    return x, y, z, u, v
+    return xi_c * f, -1.0 * x_c * f, 1.0 - 0.5 * r2, eta_c, y_c
 
 
-def north_pole_hessians(g: PolyG,
-                        orientation: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def north_pole_hessians(g: PolyG) -> tuple[np.ndarray, np.ndarray]:
     """Canonical-coordinate Hessians (Hess J, Hess H~) at the north pole.
 
     Computed by second-order jet propagation through the chart: numeric, but
     exact to rounding.
     """
     qs = Jet2.variables([0.0, 0.0, 0.0, 0.0])
-    x, y, z, u, v = canonical_chart(qs, orientation)
+    x, y, z, u, v = canonical_chart(qs)
     j_jet = (u * u + v * v) * 0.5 + z
     h_jet = (x * u + y * v) * 0.5 + g.gamma * z * z
     return j_jet.symmetrized_hessian(), h_jet.symmetrized_hessian()
 
 
-def jc_linearization_numeric(g: PolyG,
-                             orientation: int = 1) -> symplin.QuarticCoeffs:
+def jc_linearization_numeric(g: PolyG) -> symplin.QuarticCoeffs:
     """(a, b) of the numeric north-pole linearization (chart + jets)."""
-    _, s_h = north_pole_hessians(g, orientation)
+    _, s_h = north_pole_hessians(g)
     p0, p1, p2, p3 = oracle.char_poly4(symplin.hamiltonian_matrix(s_h))
     if max(abs(p1), abs(p3)) > 1e-10 * max(1.0, abs(p0), abs(p2)):
         raise ArithmeticError("north-pole linearization is not biquadratic")
@@ -405,8 +390,11 @@ def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
     (saddles of the surface-restricted Hamiltonian are transversally
     hyperbolic); |h''| < CUSP_TOL marks a degenerate cusp.
     The pole equilibria contribute (J, G(1)) exactly at j = +-1.  A J out of
-    range raises ValueError.  Known limit: within float rounding of a fold
-    value (``fold_offsets``) the two merging points may be miscounted.
+    range raises ValueError.  Known limits: within float rounding of a fold
+    value (``fold_offsets``) the two merging points may be miscounted; for
+    J >~ 1e10 the z < 0 points, near -1/(2J), are solved in the chart of
+    z = 1 and keep about 1e-16 absolute, not relative, error, so the plus
+    and minus rows there may come out in either order.
     """
     gamma = g.gamma
     t = _fold_t(gamma)
@@ -459,6 +447,37 @@ def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
 def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
     """``jc_critical_values`` at the single momentum J = ``j``."""
     return jc_critical_values(g, [j])[0]
+
+
+@dataclass(frozen=True)
+class SpectrumCloud:
+    """Sampled momentum-map image: (J, H) points plus provenance metadata."""
+
+    points: np.ndarray   # shape (n, 2)
+    seed: int
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        if not np.isfinite(pts).all():
+            raise ValueError("cloud points must be finite")
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def count(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def bounds(self) -> tuple[float, float, float, float] | None:
+        """(J_min, J_max, H_min, H_max), or None for an empty cloud."""
+        if self.count == 0:
+            return None
+        j, h = self.points[:, 0], self.points[:, 1]
+        return float(j.min()), float(j.max()), float(h.min()), float(h.max())
+
+    def __eq__(self, other):
+        return (isinstance(other, SpectrumCloud) and self.seed == other.seed
+                and self.points.shape == other.points.shape
+                and bool(np.array_equal(self.points, other.points)))
 
 
 def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumCloud:

@@ -17,6 +17,7 @@ check (no numpy.roots, no numpy.linalg.eig).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,37 +81,27 @@ class Poly:
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
 
-def _polish(coeffs, root, steps=NEWTON_STEPS):
-    """Guarded complex Newton polish on an ascending-coefficient polynomial."""
-    def val(z):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    dcoeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
-
-    def dval(z):
-        acc = 0.0
-        for c in reversed(dcoeffs):
-            acc = acc * z + c
-        return acc
-
-    r = complex(root)
-    fr = val(r)
-    for _ in range(steps):
-        d = dval(r)
-        if d == 0:
-            break
-        step = fr / d
-        if not (cmath.isfinite(step.real) and cmath.isfinite(step.imag)):
-            break
-        cand = r - step
-        fc = val(cand)
-        if abs(fc) > abs(fr):
-            break
-        r, fr = cand, fc
-    return r
+def _polish(p: Poly, starts) -> np.ndarray:
+    """Guarded complex Newton polish of each start toward a root of ``p``."""
+    # bound methods: a call through the instance costs a slot lookup more
+    val, dval = p.__call__, p.deriv().__call__
+    roots = []
+    for r in map(complex, starts):
+        fr = val(r)
+        for _ in range(NEWTON_STEPS):
+            d = dval(r)
+            if d == 0:
+                break
+            step = fr / d
+            if not (cmath.isfinite(step.real) and cmath.isfinite(step.imag)):
+                break
+            cand = r - step
+            fc = val(cand)
+            if abs(fc) > abs(fr):
+                break
+            r, fr = cand, fc
+        roots.append(r)
+    return np.array(roots, dtype=complex)
 
 
 def _cbrt(x: float) -> float:
@@ -155,8 +146,7 @@ def cubic_roots(p: Poly) -> np.ndarray:
             arg = min(1.0, max(-1.0, arg))
             theta = math.acos(arg) / 3.0
             ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    roots = [_polish(p.coeffs, t + shift) for t in ts]
-    return np.array(roots, dtype=complex)
+    return _polish(p, [t + shift for t in ts])
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -201,8 +191,7 @@ def quartic_roots(p: Poly) -> np.ndarray:
         gamma = (P + y + Q / alpha) / 2.0
         ts = [*_quadratic_roots(beta, alpha, 1.0),
               *_quadratic_roots(gamma, -alpha, 1.0)]
-    roots = [_polish(p.coeffs, t + shift) for t in ts]
-    return np.array(roots, dtype=complex)
+    return _polish(p, [t + shift for t in ts])
 
 
 def double_root_find(p: Poly, bracket: tuple[float, float],
@@ -382,7 +371,6 @@ def match_eigensets(got, expected) -> float:
     expected = list(np.asarray(expected, dtype=complex))
     if len(got) != len(expected):
         raise ValueError("eigenvalue sets differ in size")
-    import itertools
     best = math.inf
     for perm in itertools.permutations(range(len(got))):
         worst = max(abs(got[i] - expected[p]) for i, p in enumerate(perm))

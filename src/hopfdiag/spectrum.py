@@ -16,7 +16,7 @@ fault is a ValueError that names the file.  Tables (header; notes):
                         equilibrium, segments}, params = {omega, sigma, nu, D}
 
 Inadmissible curve regions are emitted as explicit gaps, never interpolated.
-Cloud points are finite: ``SpectrumCloud`` refuses NaN and infinity.
+Cloud points are finite: ``models.SpectrumCloud`` refuses NaN and infinity.
 """
 
 from __future__ import annotations
@@ -31,40 +31,10 @@ import numpy as np
 
 from . import hopf
 from .hopf import CurveSample, HopfParams, Regime, SegmentKind
+from .models import Branch, CriticalKind, SpectrumCloud
 
 MIN_DIAGRAM_SAMPLES = 16
 MIN_SEGMENT_SAMPLES = 5
-
-
-@dataclass(frozen=True)
-class SpectrumCloud:
-    """Sampled momentum-map image: (J, H) points plus provenance metadata."""
-
-    points: np.ndarray   # shape (n, 2)
-    seed: int
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        if not np.isfinite(pts).all():
-            raise ValueError("cloud points must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float] | None:
-        """(J_min, J_max, H_min, H_max), or None for an empty cloud."""
-        if self.count == 0:
-            return None
-        j, h = self.points[:, 0], self.points[:, 1]
-        return float(j.min()), float(j.max()), float(h.min()), float(h.max())
-
-    def __eq__(self, other):
-        return (isinstance(other, SpectrumCloud) and self.seed == other.seed
-                and self.points.shape == other.points.shape
-                and bool(np.array_equal(self.points, other.points)))
 
 
 @dataclass(frozen=True)
@@ -339,7 +309,6 @@ class JCCriticalRow:
 
 def read_jc_critical_csv(path) -> list[JCCriticalRow]:
     """Rows with ``branch``/``kind`` kept as text; unknown values refused."""
-    from .models import Branch, CriticalKind   # models imports spectrum
     branches = {b.value for b in Branch} | {"none"}
     kinds = {k.value for k in CriticalKind}
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -114,35 +115,24 @@ class QuarticCoeffs:
             raise ValueError("quartic coefficients must be finite")
 
 
-@dataclass(frozen=True)
-class EquilibriumType:
-    """Williamson-type region of a biquadratic spectrum.
-
-    ``kind`` is one of EllipticElliptic / FocusFocus / EllipticHyperbolic /
-    HyperbolicHyperbolic / Boundary; for Boundary, ``boundary`` names the
+class EquilibriumType(Enum):
+    """Williamson-type region of a biquadratic spectrum; the value, which
+    ``str`` gives, is the printed label.  The Boundary members name the
     discriminant stratum: AZero (a = 0), ParabolaPlus (a = b^2/4, b > 0),
     ParabolaMinus (a = b^2/4, b < 0), Origin (a = b = 0).
     """
 
-    kind: str
-    boundary: str | None = None
+    ELLIPTIC_ELLIPTIC = "EllipticElliptic"
+    FOCUS_FOCUS = "FocusFocus"
+    ELLIPTIC_HYPERBOLIC = "EllipticHyperbolic"
+    HYPERBOLIC_HYPERBOLIC = "HyperbolicHyperbolic"
+    A_ZERO = "Boundary(AZero)"
+    PARABOLA_PLUS = "Boundary(ParabolaPlus)"
+    PARABOLA_MINUS = "Boundary(ParabolaMinus)"
+    ORIGIN = "Boundary(Origin)"
 
     def __str__(self) -> str:
-        if self.kind == "Boundary":
-            return f"Boundary({self.boundary})"
-        return self.kind
-
-
-ELLIPTIC_ELLIPTIC = EquilibriumType("EllipticElliptic")
-FOCUS_FOCUS = EquilibriumType("FocusFocus")
-ELLIPTIC_HYPERBOLIC = EquilibriumType("EllipticHyperbolic")
-HYPERBOLIC_HYPERBOLIC = EquilibriumType("HyperbolicHyperbolic")
-
-
-def boundary(kind: str) -> EquilibriumType:
-    if kind not in ("AZero", "ParabolaPlus", "ParabolaMinus", "Origin"):
-        raise ValueError(f"unknown boundary stratum {kind!r}")
-    return EquilibriumType("Boundary", kind)
+        return self.value
 
 
 def quartic_coeffs(omega_t: float, alpha_t: float, gamma: float,
@@ -168,16 +158,17 @@ def classify(q: QuarticCoeffs) -> EquilibriumType:
     """
     a, b = q.a, q.b
     parab = b * b / 4.0
+    t = EquilibriumType
     if a == 0.0:
-        return boundary("Origin") if b == 0.0 else boundary("AZero")
+        return t.ORIGIN if b == 0.0 else t.A_ZERO
     if a < 0.0:
-        return ELLIPTIC_HYPERBOLIC
+        return t.ELLIPTIC_HYPERBOLIC
     if a == parab:
-        return boundary("ParabolaPlus") if b > 0.0 else boundary("ParabolaMinus")
+        return t.PARABOLA_PLUS if b > 0.0 else t.PARABOLA_MINUS
     if a > parab:
-        return FOCUS_FOCUS
+        return t.FOCUS_FOCUS
     # 0 < a < b^2/4 from here on
-    return ELLIPTIC_ELLIPTIC if b > 0.0 else HYPERBOLIC_HYPERBOLIC
+    return t.ELLIPTIC_ELLIPTIC if b > 0.0 else t.HYPERBOLIC_HYPERBOLIC
 
 
 def eigen_closed(q: QuarticCoeffs) -> np.ndarray:

@@ -218,7 +218,8 @@ def test_transformation_t_is_symplectic_and_conjugates(sign_delta,
         gamma=alpha_t ** 2 / delta + nu_t / delta, delta=delta, D=big_d_t)
     point = sp.Matrix(sp.symbols("x y xi eta", real=True))
     htilde = hopf.HtildeCoeffs.value(coeffs, list(t_mat * point))
-    g1, g2, g3 = hopf.gammas(list(point))
+    coords = list(point)
+    g1, g2, g3 = symplin.j1(coords), symplin.k2(coords), symplin.k1(coords)
     normal_form = (omega_t * g1 + sign_delta * (g2 + nu_t * g3)
                    + 2 * big_d_t * g3 ** 2)
     assert sp.simplify(_exact(htilde - normal_form)) == 0

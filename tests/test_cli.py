@@ -398,6 +398,78 @@ class TestHelp:
         assert run_cli(["jc-spectrum", "--help"]) == 0
         assert "default" in capsys.readouterr().out
 
+    # each subcommand's whole --help at 80 columns, every default shown
+    HELP = {
+        "classify": """\
+usage: hopfdiag classify [-h] [--a A] [--b B]
+                         [--params OMEGA_T ALPHA_T GAMMA DELTA]
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 constant coefficient of the quartic (default: None)
+  --b B                 quadratic coefficient of the quartic (default: None)
+  --params OMEGA_T ALPHA_T GAMMA DELTA
+                        family parameters; (a, b) computed from them (default:
+                        None)
+""",
+        "hopf-curve": """\
+usage: hopfdiag hopf-curve [-h] --omega OMEGA --sigma {-1,1} --nu NU --D D
+                           [--samples SAMPLES] --out OUT
+
+options:
+  -h, --help         show this help message and exit
+  --omega OMEGA
+  --sigma {-1,1}
+  --nu NU
+  --D D
+  --samples SAMPLES  total curve samples, >= 16 (env HOPFDIAG_SAMPLES, default
+                     400) (default: None)
+  --out OUT          output prefix: writes <out>_curve.csv, <out>_diagram.json
+                     (default: None)
+""",
+        "jc-scan": """\
+usage: hopfdiag jc-scan [-h] --gamma-min GAMMA_MIN --gamma-max GAMMA_MAX
+                        --steps STEPS --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --gamma-min GAMMA_MIN
+  --gamma-max GAMMA_MAX
+  --steps STEPS         grid size, >= 2 (default: None)
+  --out OUT             output CSV path (default: None)
+""",
+        "jc-spectrum": """\
+usage: hopfdiag jc-spectrum [-h] --gamma GAMMA --j-min J_MIN --j-max J_MAX
+                            --j-steps J_STEPS [--samples SAMPLES]
+                            [--seed SEED] --out OUT
+
+options:
+  -h, --help         show this help message and exit
+  --gamma GAMMA
+  --j-min J_MIN
+  --j-max J_MAX
+  --j-steps J_STEPS
+  --samples SAMPLES  cloud sample count (env HOPFDIAG_SAMPLES, default 10000)
+                     (default: None)
+  --seed SEED        RNG seed (env HOPFDIAG_SEED, default 0) (default: None)
+  --out OUT          output prefix: writes <out>_critical.csv, <out>_cloud.csv
+                     (default: None)
+""",
+        "verify": """\
+usage: hopfdiag verify [-h] [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --json      machine-readable report (default: False)
+""",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_subcommand_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli([command, "--help"]) == 0
+        assert capsys.readouterr().out == self.HELP[command]
+
 
 # --- random argv and environment ---------------------------------------------
 

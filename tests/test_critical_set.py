@@ -1,7 +1,8 @@
 """The spin-oscillator's per-J critical set against independent references.
 
-- near the poles J = +-1 and next to the folds: the real roots of the
-  quintic p_J solved by mpmath at 60 digits (models docstring);
+- near the poles J = +-1, next to the folds and at large J: the real
+  roots of the quintic p_J solved by mpmath at 60 digits (models
+  docstring);
 - the fold values: the real roots of the sextic S_gamma(J), the
   discriminant of p_J in z, at 60 digits;
 - elsewhere: the brute-force grid scan in ``oracle``;
@@ -79,6 +80,19 @@ def _assert_same(got, want, z_tol):
 @pytest.mark.parametrize("j", NEAR_POLES)
 def test_near_the_poles_matches_60_digit_roots(gamma, j):
     _assert_same(_rows(gamma, j), _mp_rows(gamma, j), 1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.8, -0.8])
+@pytest.mark.parametrize("j", [1e3, 1e6, 1e9, 4e12])
+def test_large_j_points_hold_an_absolute_bound(gamma, j):
+    # the z < 0 points, near -1/(2J), are solved in the chart x = 1 - z of
+    # the pole z = 1, so z is good to one spacing of floats at 1, absolute:
+    # by J = 4e12 that is a relative error near 1e-4, more than the plus
+    # and minus points differ by, so only the per-branch bound is pinned
+    got, want = _rows(gamma, j), _mp_rows(gamma, j)
+    for sb in (1, -1):
+        _assert_same([r for r in got if r[0] == sb],
+                     [r for r in want if r[0] == sb], 2.0 ** -52)
 
 
 def test_no_pole_rows_at_the_hopf_parameter():

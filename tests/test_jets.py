@@ -21,16 +21,6 @@ def test_product_rule():
     assert np.array_equal(f.symmetrized_hessian(), [[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_powers():
-    (x,) = Jet2.variables([1.5])
-    f = x ** 3
-    assert f.val == 1.5 ** 3
-    assert f.grad[0] == pytest.approx(3 * 1.5 ** 2)
-    assert f.hess[0, 0] == pytest.approx(6 * 1.5)
-    with pytest.raises(ValueError):
-        x ** 0
-
-
 def test_sqrt_jet():
     x, y = Jet2.variables([0.3, -0.2])
     f = (1.0 - 0.25 * (x * x + y * y)).sqrt()

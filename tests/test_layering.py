@@ -9,7 +9,9 @@ hypothesis) stay in the tests.  ``acceptance`` calls the other modules
 through their module objects, never through names imported from them.
 Files are read and written by one codec: in ``src/`` only ``spectrum``
 calls ``open`` (the builtin, ``io.open`` or a ``Path.open`` method) or
-``numpy.loadtxt``.
+``numpy.loadtxt``.  Imports run ``spectrum`` -> ``models`` only, and every
+hopfdiag import sits at module top except ``cli.cmd_verify``'s
+``acceptance``, which drives the CLI.
 """
 
 import ast
@@ -182,3 +184,60 @@ def test_acceptance_reaches_hopfdiag_through_its_modules():
 ])
 def test_module_import_scan_sees(source, found):
     assert names_imported_from_hopfdiag_modules(ast.parse(source)) == found
+
+
+def test_models_imports_nothing_from_spectrum():
+    modules = imported_modules(parse(SRC / "models.py"))
+    assert not {m for m in modules if m.startswith("hopfdiag.spectrum")}
+
+
+def hopfdiag_modules(node) -> set[str]:
+    """The hopfdiag modules an import statement names: ``from . import cli``
+    gives ``hopfdiag.cli``, ``from .models import Branch``
+    ``hopfdiag.models``."""
+    if isinstance(node, ast.Import):
+        return {a.name for a in node.names
+                if a.name.split(".")[0] == "hopfdiag"}
+    module = ".".join(filter(None, ["hopfdiag" if node.level else "",
+                                    node.module]))
+    if module == "hopfdiag":
+        return {f"hopfdiag.{a.name}" for a in node.names}
+    return {module} if module.startswith("hopfdiag.") else set()
+
+
+def local_hopfdiag_imports(tree, function=None) -> set[tuple[str, str]]:
+    """(innermost function, module) for each hopfdiag module imported inside
+    a function body."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= local_hopfdiag_imports(node, node.name)
+        elif function and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(function, m) for m in hopfdiag_modules(node)}
+        else:
+            found |= local_hopfdiag_imports(node, function)
+    return found
+
+
+def test_only_cmd_verify_imports_hopfdiag_in_a_function():
+    found = {(path.name, *hit) for path in SRC.glob("**/*.py")
+             for hit in local_hopfdiag_imports(parse(path))}
+    assert found == {("cli.py", "cmd_verify", "hopfdiag.acceptance")}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from . import models\nimport hopfdiag.spectrum", set()),
+    ("def f():\n    from . import acceptance\n",
+     {("f", "hopfdiag.acceptance")}),
+    ("def f():\n    from .models import Branch, CriticalKind\n",
+     {("f", "hopfdiag.models")}),
+    ("def f():\n    import tempfile\n    from pathlib import Path\n", set()),
+    ("class C:\n    def m(self):\n        import hopfdiag.spectrum as sp\n",
+     {("m", "hopfdiag.spectrum")}),
+    ("def f():\n    def g():\n        from hopfdiag import oracle\n",
+     {("g", "hopfdiag.oracle")}),
+    ("async def f():\n    if x:\n        from .hopf import q_poly\n",
+     {("f", "hopfdiag.hopf")}),
+])
+def test_local_import_scan_sees(source, found):
+    assert local_hopfdiag_imports(ast.parse(source)) == found

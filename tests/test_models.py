@@ -153,22 +153,21 @@ class TestPoissonStructure:
 
 
 class TestCanonicalChart:
-    @pytest.mark.parametrize("orientation, sphere_sign", [(1, -1.0), (-1, 1.0)])
-    def test_bracket_pullback(self, orientation, sphere_sign):
-        # {x, y} = sign*z (cyclic), {u, v} = 1, mixed zero, at generic points
+    def test_bracket_pullback(self):
+        # {x, y} = -z (cyclic), {u, v} = 1, mixed zero, at generic points
         b_mat = symplin.SYMPLECTIC_MATRIX
         rng = np.random.default_rng(17)
         for _ in range(10):
             base = rng.uniform(-0.4, 0.4, 4)
             jets = Jet2.variables(base)
-            x, y, z, u, v = models.canonical_chart(jets, orientation)
+            x, y, z, u, v = models.canonical_chart(jets)
 
             def canon(f, g):
                 return float(f.grad @ b_mat @ g.grad)
 
-            assert canon(x, y) == pytest.approx(sphere_sign * z.val, abs=1e-12)
-            assert canon(y, z) == pytest.approx(sphere_sign * x.val, abs=1e-12)
-            assert canon(z, x) == pytest.approx(sphere_sign * y.val, abs=1e-12)
+            assert canon(x, y) == pytest.approx(-z.val, abs=1e-12)
+            assert canon(y, z) == pytest.approx(-x.val, abs=1e-12)
+            assert canon(z, x) == pytest.approx(-y.val, abs=1e-12)
             assert canon(u, v) == pytest.approx(1.0, abs=1e-12)
             assert canon(x, u) == pytest.approx(0.0, abs=1e-12)
             assert canon(z, v) == pytest.approx(0.0, abs=1e-12)
@@ -204,15 +203,6 @@ class TestLinearization:
         numeric = models.jc_linearization_numeric(PolyG(gamma))
         assert abs(numeric.a - analytic.a) < 1e-10
         assert abs(numeric.b - analytic.b) < 1e-10
-
-    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.8])
-    def test_sign_convention_regression(self, gamma):
-        # only the chosen orientation reproduces b = 4 gamma^2 - 1/2; the
-        # flipped sphere bracket lands at 4 gamma^2 + 1/2 instead
-        analytic, _ = models.jc_linearization(PolyG(gamma))
-        flipped = models.jc_linearization_numeric(PolyG(gamma), orientation=-1)
-        assert flipped.b == pytest.approx(analytic.b + 1.0, abs=1e-12)
-        assert abs(flipped.b - analytic.b) > 0.5
 
     def test_undeformed_matrix_has_double_real_pair(self):
         _, s_h = models.north_pole_hessians(PolyG(0.0))

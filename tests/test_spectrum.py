@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 
 from hopfdiag import hopf, models, spectrum
 from hopfdiag.hopf import CurveSample, HopfParams, Regime, SegmentKind
-from hopfdiag.models import Branch, CriticalKind
+from hopfdiag.models import Branch, CriticalKind, SpectrumCloud
 from hopfdiag.spectrum import (Diagram, DiagramSegment, JCCriticalRow,
-                               RasterGrid, SpectrumCloud)
+                               RasterGrid)
 
 REF = HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
 SUPER = HopfParams(omega=1.0, sigma=1, nu=0.5, D=1.0)

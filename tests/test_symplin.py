@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from hopfdiag import oracle, symplin
-from hopfdiag.symplin import QuarticCoeffs, SYMPLECTIC_MATRIX
+from hopfdiag.symplin import EquilibriumType, QuarticCoeffs, SYMPLECTIC_MATRIX
 from pencil_reference import pencil_nondegenerate
 
 EIGEN_AGREEMENT_TOL = 1e-10   # eigen_closed vs oracle.eig4
@@ -96,8 +96,9 @@ class TestQuarticCoeffs:
         rhs = 4.0 * w * w * (ga * de - al * al)
         scale = max(1.0, q.a, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-12 * scale
-        kind = symplin.classify(q).kind
-        assert kind in ("EllipticElliptic", "FocusFocus", "Boundary")
+        assert symplin.classify(q) not in (
+            EquilibriumType.ELLIPTIC_HYPERBOLIC,
+            EquilibriumType.HYPERBOLIC_HYPERBOLIC)
 
 
 class TestClassify:
@@ -121,19 +122,17 @@ class TestClassify:
         assume(abs(a) > 1e-3)
         assume(abs(a - b * b / 4.0) > 1e-3 * max(1.0, b * b))
         q = QuarticCoeffs(a, b)
-        kind = symplin.classify(q).kind
-        if kind == "Boundary":
-            return
+        kind = symplin.classify(q)
         roots = symplin.eigen_closed(q)
         re = np.abs(roots.real) > 1e-7 * max(1.0, np.abs(roots).max())
         im = np.abs(roots.imag) > 1e-7 * max(1.0, np.abs(roots).max())
-        if kind == "EllipticElliptic":
+        if kind is EquilibriumType.ELLIPTIC_ELLIPTIC:
             assert not re.any() and im.all()
-        elif kind == "HyperbolicHyperbolic":
+        elif kind is EquilibriumType.HYPERBOLIC_HYPERBOLIC:
             assert re.all() and not im.any()
-        elif kind == "EllipticHyperbolic":
+        elif kind is EquilibriumType.ELLIPTIC_HYPERBOLIC:
             assert re.sum() == 2 and im.sum() == 2
-        elif kind == "FocusFocus":
+        elif kind is EquilibriumType.FOCUS_FOCUS:
             assert re.all() and im.all()
 
 
