@@ -17,11 +17,12 @@ from . import cli, hopf, models, oracle, symplin
 
 REFERENCE_PARAMS = hopf.HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
 LOOP_GAMMA = models.PolyG(0.8)
+S_SAMPLES = 401          # curve parameters s in [-sqrt(nu), sqrt(nu)]
 
 
-def _s_grid(params: hopf.HopfParams, n: int = 401) -> np.ndarray:
+def _s_grid(params: hopf.HopfParams) -> np.ndarray:
     root = np.sqrt(params.nu)
-    return np.linspace(-root, root, n)
+    return np.linspace(-root, root, S_SAMPLES)
 
 
 def criterion_01_discriminant_identity() -> str:
@@ -216,7 +217,7 @@ def criterion_08_region_exclusion() -> str:
 
 
 def criterion_09_jc_linearization() -> str:
-    """Analytic (a, b)(gamma) matches the jet linearization; types transition."""
+    """Analytic (a, b)(gamma) matches H~'s pole Jacobian; types transition."""
     worst = 0.0
     for gamma in (0.0, 0.25, 0.4, 0.5, 0.8, 1.5):
         g = models.PolyG(gamma)

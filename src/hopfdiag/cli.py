@@ -53,9 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Equilibrium classification and critical-value diagrams "
                     "for the Hamiltonian Hopf bifurcation and the deformed "
                     "coupled spin-oscillator.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add = functools.partial(
-        sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    add = parser.add_subparsers(dest="command", required=True).add_parser
 
     p = add("classify", help="classify a biquadratic spectrum")
     p.add_argument("--a", type=float, help="constant coefficient of the quartic")
@@ -188,11 +186,12 @@ def main(argv=None) -> int:
         }[command](args)
         sys.stdout.flush()          # a closed or full stdout fails here
         return code
-    except (ValueError, OSError) as exc:
-        if command == "verify" and isinstance(exc, ValueError):
+    except (ValueError, MemoryError, OSError) as exc:
+        usage = isinstance(exc, (ValueError, MemoryError))   # e.g. a size too large
+        if command == "verify" and usage:
             raise                   # verify takes no input: a bug
         print(f"{command}: {exc}", file=sys.stderr)
-        if isinstance(exc, ValueError):
+        if usage:
             return 2
         try:
             sys.stdout.flush()

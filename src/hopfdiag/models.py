@@ -10,8 +10,9 @@ mixed brackets zero.  With this sphere sign the north-pole linearization of
     J = (u^2 + v^2)/2 + z,      H~ = (x u + y v)/2 + G(z)
 
 has characteristic polynomial lambda^4 + b lambda^2 + 1/16 with
-b = (2 G'(1)^2 - 1)/2 (``jc_linearization``); ``canonical_chart`` realizes
-the bracket, and ``jc_linearization_numeric`` recomputes b through it.
+b = (2 G'(1)^2 - 1)/2 (``jc_linearization``); ``jc_linearization_numeric``
+recomputes (a, b) from the Jacobian of H~'s field poisson_tensor @ grad H~
+at the pole (``north_pole_matrix``).
 
 Reduction by the circle action of J uses the invariants z, w1 = x u + y v,
 w2 = x v - y u, constrained by w1^2 + w2^2 = 2 (J - z)(1 - z^2) on
@@ -40,7 +41,6 @@ from enum import Enum
 import numpy as np
 
 from . import oracle, symplin
-from .jets import Jet2
 
 SPHERE_TOL = 1e-12
 CUSP_TOL = 1e-8          # |h''| below this classifies as a degenerate cusp
@@ -159,42 +159,28 @@ def poisson_bracket(grad_f, grad_g, state):
 
 
 # ---------------------------------------------------------------------------
-# linearization at the north pole through an explicit canonical chart
+# linearization at the north pole
 
 
-def _sqrt(t):
-    return t.sqrt() if isinstance(t, Jet2) else math.sqrt(t)
+def north_pole_matrix(grad) -> np.ndarray:
+    """4 x 4 Jacobian on (x, y, u, v) of the field ``poisson_tensor @ grad``
+    at the north pole (0, 0, 1, 0, 0); ``grad`` maps an (n, 5) stack.
 
-
-def canonical_chart(q):
-    """Map canonical (x_c, y_c, xi_c, eta_c) near 0 to (x, y, z, u, v).
-
-    Works on floats and on Jet2 values.  The base point 0 is the north pole,
-    and the chart realizes the module's sphere bracket {x, y} = -z (cyclic).
+    Central differences of unit step over 8 stencil states are exact: the
+    fields of ``jc_grad_J`` and ``jc_grad_Htilde`` are quadratic, and
+    dz = 0 on the sphere at the pole, so the stencil keeps z = 1.
     """
-    x_c, y_c, xi_c, eta_c = q
-    r2 = x_c * x_c + xi_c * xi_c
-    f = _sqrt(1.0 - 0.25 * r2)
-    return xi_c * f, -1.0 * x_c * f, 1.0 - 0.5 * r2, eta_c, y_c
-
-
-def north_pole_hessians(g: PolyG) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical-coordinate Hessians (Hess J, Hess H~) at the north pole.
-
-    Computed by second-order jet propagation through the chart: numeric, but
-    exact to rounding.
-    """
-    qs = Jet2.variables([0.0, 0.0, 0.0, 0.0])
-    x, y, z, u, v = canonical_chart(qs)
-    j_jet = (u * u + v * v) * 0.5 + z
-    h_jet = (x * u + y * v) * 0.5 + g.gamma * z * z
-    return j_jet.symmetrized_hessian(), h_jet.symmetrized_hessian()
+    axes = [0, 1, 3, 4]
+    pole, unit = np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.eye(5)[axes]
+    states = np.concatenate([pole + unit, pole - unit])
+    field = np.einsum("nij,nj->ni", poisson_tensor(states), grad(states))
+    return ((field[:4] - field[4:]) / 2.0)[:, axes].T
 
 
 def jc_linearization_numeric(g: PolyG) -> symplin.QuarticCoeffs:
-    """(a, b) of the numeric north-pole linearization (chart + jets)."""
-    _, s_h = north_pole_hessians(g)
-    p0, p1, p2, p3 = oracle.char_poly4(symplin.hamiltonian_matrix(s_h))
+    """(a, b) of the characteristic polynomial of H~'s field at the pole."""
+    p0, p1, p2, p3 = oracle.char_poly4(
+        north_pole_matrix(lambda s: jc_grad_Htilde(s, g)))
     if max(abs(p1), abs(p3)) > 1e-10 * max(1.0, abs(p0), abs(p2)):
         raise ArithmeticError("north-pole linearization is not biquadratic")
     return symplin.QuarticCoeffs(a=p0, b=p2)
@@ -489,8 +475,8 @@ def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumClo
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if j_max <= -1.0:
-        raise ValueError("j_max must exceed -1")
+    if not (j_max > -1.0 and math.isfinite(2.0 * (j_max + 1.0))):
+        raise ValueError(f"need -1 < j_max with 2 (j_max + 1) finite, got {j_max!r}")
     rng = np.random.default_rng(seed)
     if n == 0:
         return SpectrumCloud(points=np.empty((0, 2)), seed=seed)

@@ -33,6 +33,9 @@ NEWTON_STEPS = 3
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
 
+DOUBLE_ROOT_SCAN = 400   # uniform cells before the golden refinement
+GOLDEN_ITER = 200        # cap on golden-section steps
+
 SCAN_CELLS = 2000
 SCAN_LADDER_STEPS = 36   # geometric end-cell probes of the critical-point scan
 SCAN_BISECT_TOL = 1e-12
@@ -194,8 +197,7 @@ def quartic_roots(p: Poly) -> np.ndarray:
     return _polish(p, [t + shift for t in ts])
 
 
-def double_root_find(p: Poly, bracket: tuple[float, float],
-                     scan: int = 400) -> float:
+def double_root_find(p: Poly, bracket: tuple[float, float]) -> float:
     """Locate a double root of ``p`` inside ``bracket``.
 
     Minimizes p(z)^2 + p'(z)^2 by a uniform scan followed by golden-section
@@ -215,11 +217,11 @@ def double_root_find(p: Poly, bracket: tuple[float, float],
     def defect(z):
         return p(z) ** 2 + dp(z) ** 2
 
-    zs = np.linspace(lo, hi, scan + 1)
+    zs = np.linspace(lo, hi, DOUBLE_ROOT_SCAN + 1)
     vals = [defect(z) for z in zs]
     k = int(np.argmin(vals))
     a = zs[max(0, k - 1)]
-    b = zs[min(scan, k + 1)]
+    b = zs[min(DOUBLE_ROOT_SCAN, k + 1)]
     z_star, _ = golden_min(defect, a, b, tol=1e-14)
     s = p.scale
     if abs(p(z_star)) < DOUBLE_ROOT_TOL * s and abs(dp(z_star)) < DOUBLE_ROOT_TOL * s:
@@ -229,15 +231,14 @@ def double_root_find(p: Poly, bracket: tuple[float, float],
         f"|p'|={abs(dp(z_star)):.3g} at z={z_star:.6g}")
 
 
-def golden_min(f, a: float, b: float, tol: float = 1e-12,
-               max_iter: int = 200) -> tuple[float, float]:
+def golden_min(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
     """Golden-section minimization of a unimodal scalar function on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
     it = 0
-    while (b - a) > tol * max(1.0, abs(a), abs(b)) and it < max_iter:
+    while (b - a) > tol * max(1.0, abs(a), abs(b)) and it < GOLDEN_ITER:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -251,9 +252,8 @@ def golden_min(f, a: float, b: float, tol: float = 1e-12,
     return x, f(x)
 
 
-def golden_max(f, a: float, b: float, tol: float = 1e-12,
-               max_iter: int = 200) -> tuple[float, float]:
-    x, fneg = golden_min(lambda z: -f(z), a, b, tol=tol, max_iter=max_iter)
+def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
+    x, fneg = golden_min(lambda z: -f(z), a, b, tol=tol)
     return x, -fneg
 
 

@@ -131,7 +131,17 @@ class TestBadInput:
         ["hopf-curve", "--omega=1e308", "--sigma=1", "--nu=0.5", "--D=-2"],
         ["jc-scan", "--gamma-min=-1e308", "--gamma-max=1e308", "--steps=3"],
         ["jc-spectrum", "--gamma=0.8", "--j-min=0", "--j-max=inf",
-         "--j-steps=3"]])
+         "--j-steps=3"],
+        ["jc-spectrum", "--gamma=0.8", "--j-min=-1", "--j-max=9e307",
+         "--j-steps=1"],
+        # arrays of 10^15 floats exceed the address space: the allocation
+        # fails at once and touches no memory
+        ["hopf-curve", "--omega=1", "--sigma=1", "--nu=0.5", "--D=-2",
+         "--samples=1000000000000000"],
+        ["jc-scan", "--gamma-min=0", "--gamma-max=1",
+         "--steps=1000000000000000"],
+        ["jc-spectrum", "--gamma=0.8", "--j-min=0", "--j-max=1",
+         "--j-steps=3", "--samples=1000000000000000"]])
     def test_finite_input_that_overflows(self, tmp_path, capsys, args):
         if args[0] != "classify":
             args = args + ["--out", str(tmp_path / "x")]
@@ -165,6 +175,13 @@ class TestBadInput:
             raise ValueError("bug")
         monkeypatch.setattr(acceptance, "run_all", broken)
         with pytest.raises(ValueError, match="bug"):
+            cli.main(["verify"])
+
+    def test_verify_memory_error_is_not_a_usage_error(self, monkeypatch):
+        def broken():
+            raise MemoryError("bug")
+        monkeypatch.setattr(acceptance, "run_all", broken)
+        with pytest.raises(MemoryError, match="bug"):
             cli.main(["verify"])
 
 
@@ -398,7 +415,8 @@ class TestHelp:
         assert run_cli(["jc-spectrum", "--help"]) == 0
         assert "default" in capsys.readouterr().out
 
-    # each subcommand's whole --help at 80 columns, every default shown
+    # each subcommand's whole --help at 80 columns; defaults are in the
+    # help strings
     HELP = {
         "classify": """\
 usage: hopfdiag classify [-h] [--a A] [--b B]
@@ -406,11 +424,10 @@ usage: hopfdiag classify [-h] [--a A] [--b B]
 
 options:
   -h, --help            show this help message and exit
-  --a A                 constant coefficient of the quartic (default: None)
-  --b B                 quadratic coefficient of the quartic (default: None)
+  --a A                 constant coefficient of the quartic
+  --b B                 quadratic coefficient of the quartic
   --params OMEGA_T ALPHA_T GAMMA DELTA
-                        family parameters; (a, b) computed from them (default:
-                        None)
+                        family parameters; (a, b) computed from them
 """,
         "hopf-curve": """\
 usage: hopfdiag hopf-curve [-h] --omega OMEGA --sigma {-1,1} --nu NU --D D
@@ -423,9 +440,8 @@ options:
   --nu NU
   --D D
   --samples SAMPLES  total curve samples, >= 16 (env HOPFDIAG_SAMPLES, default
-                     400) (default: None)
+                     400)
   --out OUT          output prefix: writes <out>_curve.csv, <out>_diagram.json
-                     (default: None)
 """,
         "jc-scan": """\
 usage: hopfdiag jc-scan [-h] --gamma-min GAMMA_MIN --gamma-max GAMMA_MAX
@@ -435,8 +451,8 @@ options:
   -h, --help            show this help message and exit
   --gamma-min GAMMA_MIN
   --gamma-max GAMMA_MAX
-  --steps STEPS         grid size, >= 2 (default: None)
-  --out OUT             output CSV path (default: None)
+  --steps STEPS         grid size, >= 2
+  --out OUT             output CSV path
 """,
         "jc-spectrum": """\
 usage: hopfdiag jc-spectrum [-h] --gamma GAMMA --j-min J_MIN --j-max J_MAX
@@ -450,17 +466,15 @@ options:
   --j-max J_MAX
   --j-steps J_STEPS
   --samples SAMPLES  cloud sample count (env HOPFDIAG_SAMPLES, default 10000)
-                     (default: None)
-  --seed SEED        RNG seed (env HOPFDIAG_SEED, default 0) (default: None)
+  --seed SEED        RNG seed (env HOPFDIAG_SEED, default 0)
   --out OUT          output prefix: writes <out>_critical.csv, <out>_cloud.csv
-                     (default: None)
 """,
         "verify": """\
 usage: hopfdiag verify [-h] [--json]
 
 options:
   -h, --help  show this help message and exit
-  --json      machine-readable report (default: False)
+  --json      machine-readable report
 """,
     }
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfdiag import models, oracle, symplin
-from hopfdiag.jets import Jet2
 from hopfdiag.models import Branch, CriticalKind, JCState, PolyG
 from pencil_reference import pencil_nondegenerate
 
@@ -152,33 +151,6 @@ class TestPoissonStructure:
         assert abs(br) < 1e-11
 
 
-class TestCanonicalChart:
-    def test_bracket_pullback(self):
-        # {x, y} = -z (cyclic), {u, v} = 1, mixed zero, at generic points
-        b_mat = symplin.SYMPLECTIC_MATRIX
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            base = rng.uniform(-0.4, 0.4, 4)
-            jets = Jet2.variables(base)
-            x, y, z, u, v = models.canonical_chart(jets)
-
-            def canon(f, g):
-                return float(f.grad @ b_mat @ g.grad)
-
-            assert canon(x, y) == pytest.approx(-z.val, abs=1e-12)
-            assert canon(y, z) == pytest.approx(-x.val, abs=1e-12)
-            assert canon(z, x) == pytest.approx(-y.val, abs=1e-12)
-            assert canon(u, v) == pytest.approx(1.0, abs=1e-12)
-            assert canon(x, u) == pytest.approx(0.0, abs=1e-12)
-            assert canon(z, v) == pytest.approx(0.0, abs=1e-12)
-
-    def test_chart_hits_sphere(self):
-        jets = Jet2.variables([0.2, -0.1, 0.3, 0.4])
-        x, y, z, _, _ = models.canonical_chart(jets)
-        assert x.val ** 2 + y.val ** 2 + z.val ** 2 == pytest.approx(1.0,
-                                                                     abs=1e-14)
-
-
 class TestLinearization:
     @pytest.mark.parametrize("gamma, expected", [
         (0.5, "Boundary(ParabolaPlus)"),
@@ -204,13 +176,38 @@ class TestLinearization:
         assert abs(numeric.a - analytic.a) < 1e-10
         assert abs(numeric.b - analytic.b) < 1e-10
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.8, -0.8, -1.5, 1e3])
+    def test_north_pole_matrix_is_exact(self, gamma):
+        m = models.north_pole_matrix(
+            lambda s: models.jc_grad_Htilde(s, PolyG(gamma)))
+        assert np.array_equal(m, [[0.0, 2.0 * gamma, 0.0, -0.5],
+                                  [-2.0 * gamma, 0.0, 0.5, 0.0],
+                                  [0.0, 0.5, 0.0, 0.0],
+                                  [-0.5, 0.0, 0.0, 0.0]])
+
     def test_undeformed_matrix_has_double_real_pair(self):
-        _, s_h = models.north_pole_hessians(PolyG(0.0))
-        eig = oracle.eig4(symplin.hamiltonian_matrix(s_h))
+        eig = oracle.eig4(models.north_pole_matrix(
+            lambda s: models.jc_grad_Htilde(s, PolyG(0.0))))
         assert oracle.match_eigensets(eig, [0.5, 0.5, -0.5, -0.5]) < 1e-7
 
     def test_pencil_is_focus_focus_nondegenerate_at_gamma_zero(self):
-        s_j, s_h = models.north_pole_hessians(PolyG(0.0))
+        # the Darboux chart (x_c, y_c, xi_c, eta_c) = (-y, v, x, u) at the
+        # pole carries the bracket of symplin's B, whose Hessians are
+        # S = B^-1 P M P^T = -B P M P^T
+        perm = np.array([[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                         [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+
+        def hessian(grad):
+            m = models.north_pole_matrix(grad)
+            return -symplin.SYMPLECTIC_MATRIX @ perm @ m @ perm.T
+
+        s_j = hessian(models.jc_grad_J)
+        s_h = hessian(lambda s: models.jc_grad_Htilde(s, PolyG(0.0)))
+        assert np.array_equal(s_j, np.diag([-1.0, 1.0, -1.0, 1.0]))
+        assert np.array_equal(s_h, [[0.0, -0.5, 0.0, 0.0],
+                                    [-0.5, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 0.5],
+                                    [0.0, 0.0, 0.5, 0.0]])
         assert pencil_nondegenerate(s_j, s_h).nondegenerate
 
 
@@ -404,3 +401,6 @@ class TestSpectrumSample:
             models.jc_spectrum_sample(PolyG(0.0), -1, 2.0, seed=0)
         with pytest.raises(ValueError):
             models.jc_spectrum_sample(PolyG(0.0), 10, -1.0, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            # 2 (j_max + 1) overflows to inf
+            models.jc_spectrum_sample(PolyG(0.0), 10, 9e307, seed=0)
