@@ -5,6 +5,9 @@ Covers the standard picture: omega = 1, sigma = 1, nu in {-1/2, +1/2},
 D in {1, -2} (both regimes, both unfolding directions).  Each combination
 produces <out>/nu<+->_D<+->_curve.csv and ..._diagram.json in the formats
 documented in hopfdiag.spectrum.
+
+Exit codes as for the hopfdiag CLI: 0 success, 2 bad input (nothing is
+written), 3 I/O failure.
 """
 
 import argparse
@@ -13,8 +16,26 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from hopfdiag import spectrum
+from hopfdiag import cli, spectrum
 from hopfdiag.hopf import HopfParams
+
+
+def run(args) -> None:
+    diagrams = {}                   # all four are built before the first write
+    for nu in (0.5, -0.5):
+        for big_d in (1.0, -2.0):
+            params = HopfParams(omega=1.0, sigma=1, nu=nu, D=big_d)
+            tag = f"nu{'p' if nu > 0 else 'm'}_D{'p1' if big_d > 0 else 'm2'}"
+            diagrams[tag] = spectrum.assemble_hopf_diagram(params, args.samples)
+    out = pathlib.Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for tag, diagram in diagrams.items():
+        spectrum.write_curve_csv(diagram, out / f"{tag}_curve.csv")
+        spectrum.write_diagram_json(diagram, out / f"{tag}_diagram.json")
+        n_pts = sum(len(seg.points) for seg in diagram.segments)
+        print(f"{tag}: regime={diagram.regime.value} "
+              f"segments={len(diagram.segments)} points={n_pts}")
+    print(f"wrote datasets to {out}")
 
 
 def main() -> int:
@@ -22,23 +43,16 @@ def main() -> int:
     parser.add_argument("--out-dir", default="out/normal_form",
                         help="output directory (default: %(default)s)")
     parser.add_argument("--samples", type=int, default=801,
-                        help="curve samples per diagram (default: %(default)s)")
+                        help="curve samples per diagram, "
+                             f">= {spectrum.MIN_DIAGRAM_SAMPLES} "
+                             "(default: %(default)s)")
     args = parser.parse_args()
-
-    out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for nu in (0.5, -0.5):
-        for big_d in (1.0, -2.0):
-            params = HopfParams(omega=1.0, sigma=1, nu=nu, D=big_d)
-            diagram = spectrum.assemble_hopf_diagram(params, args.samples)
-            tag = f"nu{'p' if nu > 0 else 'm'}_D{'p1' if big_d > 0 else 'm2'}"
-            spectrum.write_curve_csv(diagram, out / f"{tag}_curve.csv")
-            spectrum.write_diagram_json(diagram, out / f"{tag}_diagram.json")
-            n_pts = sum(len(seg.points) for seg in diagram.segments)
-            print(f"{tag}: regime={diagram.regime.value} "
-                  f"segments={len(diagram.segments)} points={n_pts}")
-    print(f"wrote datasets to {out}")
-    return 0
+    try:
+        run(args)
+        sys.stdout.flush()          # a closed or full stdout fails here
+        return 0
+    except (ValueError, MemoryError, OSError) as exc:
+        return cli.failure_code(parser.prog, exc)
 
 
 if __name__ == "__main__":

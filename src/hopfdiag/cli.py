@@ -187,17 +187,22 @@ def main(argv=None) -> int:
         sys.stdout.flush()          # a closed or full stdout fails here
         return code
     except (ValueError, MemoryError, OSError) as exc:
-        usage = isinstance(exc, (ValueError, MemoryError))   # e.g. a size too large
-        if command == "verify" and usage:
+        if command == "verify" and not isinstance(exc, OSError):
             raise                   # verify takes no input: a bug
-        print(f"{command}: {exc}", file=sys.stderr)
-        if usage:
-            return 2
-        try:
-            sys.stdout.flush()
-        except OSError:             # else the flush at exit fails again
-            sys.stdout = None
-        return 3
+        return failure_code(command, exc)
+
+
+def failure_code(prog: str, exc: ValueError | MemoryError | OSError) -> int:
+    """Report a failed run on one stderr line; its exit code: 2 for bad
+    input (a size too large to allocate included), 3 for an I/O failure."""
+    print(f"{prog}: {exc}", file=sys.stderr)
+    if not isinstance(exc, OSError):
+        return 2
+    try:
+        sys.stdout.flush()
+    except OSError:                 # else the flush at exit fails again
+        sys.stdout = None
+    return 3
 
 
 if __name__ == "__main__":

@@ -469,9 +469,17 @@ class SpectrumCloud:
 def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumCloud:
     """Deterministic pseudo-random sample of the momentum-map image.
 
-    Sphere points are area-exact (z uniform on [-1, 1], angle uniform); the
-    oscillator radius^2 is uniform on [0, 2 (j_max + 1)].  Reproducible for
-    a fixed seed.
+    Sphere points are area-exact (z uniform on [-1, 1], angle phi uniform);
+    the oscillator radius^2 is uniform on [0, 2 (j_max + 1)], its angle psi
+    uniform.  Reproducible for a fixed seed: the generator
+    ``default_rng(seed)`` draws n values each of z, phi, radius^2 and psi,
+    in that order, and the (J, H) bytes are those of
+    J = radius^2/2 + z, H = (x u + y v)/2 + (gamma z) z, with
+    u = r cos psi formed before x u.
+
+    J and H go straight into the returned (n, 2) array, and six length-n
+    buffers hold every other intermediate, each overwritten once used: the
+    traced peak is about 3.6 times the cloud's 16 bytes per point.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -480,14 +488,23 @@ def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumClo
     rng = np.random.default_rng(seed)
     if n == 0:
         return SpectrumCloud(points=np.empty((0, 2)), seed=seed)
+    points = np.empty((n, 2))
+    jj, hh = points[:, 0], points[:, 1]
     z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    x, y = s * np.cos(phi), s * np.sin(phi)
-    r2 = rng.uniform(0.0, 2.0 * (j_max + 1.0), n)
-    psi = rng.uniform(0.0, 2.0 * math.pi, n)
-    r = np.sqrt(r2)
-    u, v = r * np.cos(psi), r * np.sin(psi)
-    jj = r2 / 2.0 + z
-    hh = (x * u + y * v) / 2.0 + g.gamma * z * z
-    return SpectrumCloud(points=np.column_stack([jj, hh]), seed=seed)
+    y = rng.uniform(0.0, 2.0 * math.pi, n)                  # phi, then y
+    s = np.multiply(z, z)                                   # sqrt(1 - z^2)
+    np.sqrt(np.maximum(0.0, np.subtract(1.0, s, out=s), out=s), out=s)
+    x = np.cos(y)
+    np.multiply(s, x, out=x)
+    np.multiply(s, np.sin(y, out=y), out=y)
+    del s
+    r = rng.uniform(0.0, 2.0 * (j_max + 1.0), n)            # r^2, then r
+    np.add(np.divide(r, 2.0, out=jj), z, out=jj)
+    np.multiply(np.multiply(g.gamma, z, out=hh), z, out=hh)
+    np.sqrt(r, out=r)
+    psi = rng.uniform(0.0, 2.0 * math.pi, n)                # psi, then v
+    u = np.cos(psi, out=z)
+    np.multiply(x, np.multiply(r, u, out=u), out=x)         # x u
+    np.multiply(y, np.multiply(r, np.sin(psi, out=psi), out=psi), out=y)
+    np.add(np.divide(np.add(x, y, out=x), 2.0, out=x), hh, out=hh)
+    return SpectrumCloud(points=points, seed=seed)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,7 +378,44 @@ class TestRankTest:
         assert not jc_rank_test(st_, g)
 
 
+def reference_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int):
+    """The sampler's formula written out with one array per quantity."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    x, y = s * np.cos(phi), s * np.sin(phi)
+    r2 = rng.uniform(0.0, 2.0 * (j_max + 1.0), n)
+    psi = rng.uniform(0.0, 2.0 * math.pi, n)
+    r = np.sqrt(r2)
+    u, v = r * np.cos(psi), r * np.sin(psi)
+    return np.column_stack([r2 / 2.0 + z,
+                            (x * u + y * v) / 2.0 + g.gamma * z * z])
+
+
 class TestSpectrumSample:
+    @pytest.mark.parametrize("gamma", [0.0, 0.8, -3.7])
+    @pytest.mark.parametrize("n", [1, 7, 65_537, 200_000])
+    def test_bit_identical_to_reference(self, gamma, n):
+        # same machine, same numpy: SIMD sin/cos may differ between CPUs,
+        # so no hash is pinned
+        for j_max in (0.5, 3.2, 1e300):
+            for seed in (0, 1, 9001):
+                got = models.jc_spectrum_sample(PolyG(gamma), n, j_max, seed)
+                want = reference_spectrum_sample(PolyG(gamma), n, j_max, seed)
+                assert got.points.flags.c_contiguous
+                assert got.points.tobytes() == want.tobytes(), (j_max, seed)
+
+    def test_memory_budget(self):
+        # one array per quantity peaks at about 7 times the cloud's bytes
+        tracemalloc.start()
+        try:
+            cloud = models.jc_spectrum_sample(PolyG(0.8), 10**6, 3.2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * cloud.points.nbytes
+
     def test_empty(self):
         cloud = models.jc_spectrum_sample(PolyG(0.0), 0, 2.0, seed=1)
         assert cloud.count == 0

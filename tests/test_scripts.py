@@ -6,17 +6,22 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from hopfdiag import spectrum
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name: str, *args: str):
+def run_script(name: str, *args: str, code: int = 0):
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:       # one line naming the script, no traceback
+        assert proc.stderr.startswith(name + ": ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_spin_oscillator_sweep(tmp_path):
@@ -50,3 +55,29 @@ def test_normal_form_sweep(tmp_path):
         diagram = spectrum.read_diagram_json(tmp_path / f"{tag}_diagram.json")
         rows = spectrum.read_curve_csv(tmp_path / f"{tag}_curve.csv")
         assert rows == [p for seg in diagram.segments for p in seg.points]
+
+
+@pytest.mark.parametrize("name, args", [
+    ("spin_oscillator_sweep.py", ["--samples", "0"]),
+    ("spin_oscillator_sweep.py", ["--samples", "-5"]),
+    ("spin_oscillator_sweep.py", ["--seed", "-1"]),
+    ("spin_oscillator_sweep.py", ["--j-steps", "0"]),
+    # a size too large to allocate
+    ("spin_oscillator_sweep.py", ["--samples", str(10**15), "--j-steps", "3"]),
+    ("normal_form_sweep.py", ["--samples", "3"]),
+])
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, name, args):
+    out = tmp_path / "out"
+    run_script(name, "--out-dir", str(out), *args, code=2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, args", [
+    ("spin_oscillator_sweep.py", ["--samples", "50", "--j-steps", "3"]),
+    ("normal_form_sweep.py", ["--samples", "16"]),
+])
+def test_unwritable_out_dir_exits_3(tmp_path, name, args):
+    (tmp_path / "file").write_text("")
+    run_script(name, "--out-dir", str(tmp_path / "file" / "out"), *args,
+               code=3)
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
