@@ -35,6 +35,7 @@ sb = -sign(gamma z (3z^2 - 2Jz - 1)).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -226,7 +227,7 @@ class CriticalKind(Enum):
     EQUILIBRIUM_VALUE = "EQ"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalValuePoint:
     J: float
     H: float
@@ -301,24 +302,25 @@ def _chart_root(sb: float, g4: float, sigma: float, r: float,
     where F has the sign of fa at a and not at b; g4 = 4 gamma sigma.
     Newton from the midpoint; a step that leaves the bracket bisects.
     """
+    sqrt, r2, s2, neg = math.sqrt, 2.0 * r, 2.0 * sigma, fa < 0.0
     x = 0.5 * (a + b)
     for _ in range(NEWTON_STEPS):
-        da = 6.0 * x - 4.0 + 2.0 * r
-        aa = x * (3.0 * x - 4.0 + 2.0 * r) - 2.0 * r
-        rad = math.sqrt(2.0 * sigma * (r + x) * x * (2.0 - x))
+        aa = x * (3.0 * x - 4.0 + r2) - r2
+        rad = sqrt(s2 * (r + x) * x * (2.0 - x))
         c = g4 * (1.0 - x)
         fx = sb * aa + c * rad
         if fx == 0.0:
             return x
-        if (fx < 0.0) == (fa < 0.0):
+        if (fx < 0.0) == neg:
             a = x
         else:
             b = x
-        dfx = sb * da - g4 * rad - c * sigma * aa / rad
+        dfx = sb * (6.0 * x - 4.0 + r2) - g4 * rad - c * sigma * aa / rad
         step = fx / dfx if dfx else math.inf
+        xn = x - step
         if abs(step) <= 1e-15 * x:     # a few ulps of x > 0
-            return x - step
-        x = x - step if a < x - step < b else 0.5 * (a + b)
+            return xn
+        x = xn if a < xn < b else 0.5 * (a + b)
         if b - a <= 1e-15 * x:         # steps of rounding noise in F
             return x
     return x
@@ -356,10 +358,11 @@ def _chart_roots(gamma: float, sigma: float, r: float, lo: float, hi: float,
         if r == 0.0:
             signs[0] = 8.0 * gamma - 4.0 * sb or -sb
         for k in range(len(edges) - 1):
-            if min(signs[k], signs[k + 1]) < 0.0 < max(signs[k], signs[k + 1]):
+            f0, f1 = signs[k], signs[k + 1]
+            if f0 < 0.0 < f1 or f1 < 0.0 < f0:
                 out.append((_chart_root(sb, g4, sigma, r, edges[k],
-                                        edges[k + 1], signs[k]), sb))
-            elif signs[k + 1] == 0.0:   # a cut that is itself a root
+                                        edges[k + 1], f0), sb))
+            elif f1 == 0.0:   # a cut that is itself a root
                 out.append((edges[k + 1], sb))
     return out
 
@@ -375,9 +378,10 @@ def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
     (``_chart_roots``).  Each point is classified by the sign of h''
     (saddles of the surface-restricted Hamiltonian are transversally
     hyperbolic); |h''| < CUSP_TOL marks a degenerate cusp.
-    The pole equilibria contribute (J, G(1)) exactly at j = +-1.  A J out of
-    range raises ValueError.  Known limits: within float rounding of a fold
-    value (``fold_offsets``) the two merging points may be miscounted; for
+    The pole equilibria contribute (J, G(1)) exactly at j = +-1.  Rows come
+    in order of z, then pole < minus < plus.  A J out of range raises
+    ValueError.  Known limits: within float rounding of a fold value
+    (``fold_offsets``) the two merging points may be miscounted; for
     J >~ 1e10 the z < 0 points, near -1/(2J), are solved in the chart of
     z = 1 and keep about 1e-16 absolute, not relative, error, so the plus
     and minus rows there may come out in either order.
@@ -405,11 +409,19 @@ def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
         else:
             roots = _chart_roots(gamma, sigma, r, lo, hi,
                                  cuts if sigma > 0.0 else ())
+        # (z, rank 0/1/2 for pole/minus/plus, sb, x) inside the open domain
+        top = min(j, 1.0)
+        found = [(z, 2 if sb > 0.0 else 1, sb, x) for x, sb in roots
+                 if lo < x < hi and -1.0 < (z := sigma * (1.0 - x)) < top]
+        if j == 1.0 or j == -1.0:
+            found.append((j, 0, 0.0, 0.0))
+        found.sort(key=operator.itemgetter(0, 1))
         rows = []
-        for x, sb in roots:
-            z = sigma * (1.0 - x)
-            if not (lo < x < hi and -1.0 < z < min(j, 1.0)):
-                continue    # outside the open domain, or rounds onto its end
+        for z, rank, sb, x in found:
+            if not rank:
+                rows.append(CriticalValuePoint(
+                    j, g.value(j), j, None, CriticalKind.EQUILIBRIUM_VALUE))
+                continue
             a, da, rad = _chart_terms(x, sigma, r)
             # h'' from chart quantities (d/dz = -sigma d/dx), which keep their
             # relative accuracy next to the pole where the z form cancels
@@ -420,12 +432,8 @@ def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
                     else CriticalKind.TRANSVERSALLY_ELLIPTIC if sb * h2 < 0.0
                     else CriticalKind.TRANSVERSALLY_HYPERBOLIC)
             rows.append(CriticalValuePoint(
-                J=j, H=sb * rad / 2.0 + gamma * z * z, z_at=z,
-                branch=Branch.PLUS if sb > 0.0 else Branch.MINUS, kind=kind))
-        if j == 1.0 or j == -1.0:
-            rows.append(CriticalValuePoint(J=j, H=g.value(j), z_at=j, branch=None,
-                                           kind=CriticalKind.EQUILIBRIUM_VALUE))
-        rows.sort(key=lambda p: (p.z_at, p.branch.value if p.branch else ""))
+                j, sb * rad / 2.0 + gamma * z * z, z,
+                Branch.PLUS if sb > 0.0 else Branch.MINUS, kind))
         out.append(rows)
     return out
 

@@ -259,7 +259,7 @@ def _read_csv(path, header: str, parse, build):
                 batches.append(parse(lines))
                 line_no += len(lines)
         return build(meta, batches)
-    except ValueError as exc:   # loadtxt numbers a batch's rows from 0
+    except ValueError as exc:   # loadtxt (and a parse) numbers rows from 0
         msg = re.sub(r"at row (\d+)(?=, column \d+\.$)",
                      lambda m: f"on line {line_no + 1 + int(m[1])}", str(exc))
         raise ValueError(f"{path}: {msg}") from None
@@ -291,14 +291,18 @@ def read_curve_csv(path) -> list[CurveSample]:
 
 
 def write_jc_critical_csv(points, path):
-    """jc critical CSV from objects with J, H, z_at, branch, kind attributes."""
-    _write_csv(path, _JC_CRITICAL_HEADER, _blocks(
-        (_fmt(p.J), _fmt(p.H), _fmt(p.z_at),
-         p.branch.value if p.branch is not None else "none", p.kind.value)
-        for p in points))
+    """jc critical CSV from objects with J, H, z_at, branch, kind attributes;
+    each block is one ``%r`` (float repr) format of up to 8192 rows."""
+    rows = iter(points)
+    _write_csv(path, _JC_CRITICAL_HEADER, (
+        ("%r,%r,%r,%s,%s\n" * len(chunk)) % tuple(itertools.chain(*[
+            (float(p.J), float(p.H), float(p.z_at),
+             "none" if p.branch is None else p.branch._value_, p.kind._value_)
+            for p in chunk]))
+        for chunk in iter(lambda: list(itertools.islice(rows, _WRITE_ROWS)), [])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JCCriticalRow:
     J: float
     H: float
@@ -308,18 +312,27 @@ class JCCriticalRow:
 
 
 def read_jc_critical_csv(path) -> list[JCCriticalRow]:
-    """Rows with ``branch``/``kind`` kept as text; unknown values refused."""
-    branches = {b.value for b in Branch} | {"none"}
-    kinds = {k.value for k in CriticalKind}
+    """Rows, labels as text; unknown labels and non-finite numbers refused."""
+    # each label's one string; the last field keeps its newline, except
+    # perhaps on the last line
+    branches = {v: v for v in ("none", *(b.value for b in Branch))}
+    kinds = {k.value + end: k.value for k in CriticalKind for end in ("\n", "")}
 
-    def parse(lines):
-        out = [JCCriticalRow(*row, *line.rstrip("\n").split(",")[3:])
-               for row, line in zip(_floats(lines, range(3)).tolist(), lines)]
-        for row in out:
-            if row.branch not in branches or row.kind not in kinds:
-                raise ValueError(f"unknown branch/kind {row.branch!r}/"
-                                 f"{row.kind!r}")
-        return out
+    def parse(lines):    # a fault "at row i, column c." of this batch
+        nums = _floats(lines, range(3))
+        bad = np.argwhere(~np.isfinite(nums))
+        if bad.size:     # nan, inf, or too large for a float
+            i, col = bad[0].tolist()
+            raise ValueError(f"{lines[i].split(',')[col]!r} is not finite "
+                             f"at row {i}, column {col + 1}.")
+        _, branch, kind = zip(*[line.rsplit(",", 2) for line in lines])
+        branch, kind = list(map(branches.get, branch)), list(map(kinds.get, kind))
+        if None in branch or None in kind:
+            i = next(i for i, labels in enumerate(zip(branch, kind))
+                     if None in labels)
+            raise ValueError("unknown branch/kind {!r}/{!r} at row {}, column "
+                             "4.".format(*lines[i].rstrip("\n").split(",")[3:], i))
+        return list(map(JCCriticalRow, *nums.T.tolist(), branch, kind))
     return _read_csv(path, _JC_CRITICAL_HEADER, parse, _concat)
 
 

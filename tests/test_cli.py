@@ -484,6 +484,16 @@ options:
         assert run_cli([command, "--help"]) == 0
         assert capsys.readouterr().out == self.HELP[command]
 
+    def test_module_runs_from_a_checkout(self):
+        # ``python -m hopfdiag`` with only src/ on the path, not installed
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+        proc = subprocess.run([sys.executable, "-m", "hopfdiag", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hopfdiag [-h] {classify,")
+
 
 # --- random argv and environment ---------------------------------------------
 

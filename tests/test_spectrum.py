@@ -524,13 +524,66 @@ class TestSerialization:
                                      "0.5,0.1,0.2,plus,Q",
                                      "0.5,0.1,0.2,plts,E",
                                      "0.5,0.1,0.2,PLUS,E",
-                                     "0.5,0.1,0.2,minus,"])
+                                     "0.5,0.1,0.2,minus,",
+                                     "0.5,0.1,0.2,plus ,E",
+                                     "0.5,0.1,0.2,plus,E ",
+                                     "0.5,0.1,0.2, none,EQ"])
     def test_jc_critical_reader_refuses_unknown_branch_or_kind(self, tmp_path,
                                                                 row):
         path = tmp_path / "critical.csv"
-        path.write_text("J,H,z,branch,kind\n0.5,0.1,0.2,plus,E\n" + row + "\n")
-        with pytest.raises(ValueError, match="critical.csv.*branch/kind"):
+        for end in ("\n", ""):      # the last line may lack its newline
+            path.write_text("J,H,z,branch,kind\n0.5,0.1,0.2,plus,E\n" + row
+                            + end)
+            with pytest.raises(ValueError, match="critical.csv: unknown "
+                                                 "branch/kind .* on line 3"):
+                spectrum.read_jc_critical_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_jc_critical_reader_refuses_non_finite_numbers(self, tmp_path,
+                                                           value, column):
+        fields = ["0.5", "0.1", "0.3"]
+        fields[column] = value
+        path = tmp_path / "critical.csv"
+        path.write_text("J,H,z,branch,kind\n0.5,0.1,0.2,plus,E\n"
+                        + ",".join(fields) + ",plus,E\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {value!r} is not finite on line 3, "
+                f"column {column + 1}.")):
             spectrum.read_jc_critical_csv(path)
+
+    def test_jc_critical_reader_numbers_a_fault_in_a_later_batch(self,
+                                                               tmp_path):
+        path = tmp_path / "critical.csv"
+        spectrum.write_jc_critical_csv(seeded_critical_points(40_000, 3), path)
+        lines = path.read_text().splitlines(keepends=True)
+        at = 38_000                  # file line at + 1, past the first MiB
+        assert len("".join(lines[:at])) > 1 << 20
+        for bad, message in [("0.5,nan,0.3,plus,E", "'nan' is not finite"),
+                             ("0.5,0.1,0.3,plts,Q", "'plts'/'Q'")]:
+            path.write_text("".join(lines[:at] + [bad + "\n"]
+                                    + lines[at + 1:]))
+            with pytest.raises(ValueError, match=f"{message}.* on line "
+                                                 f"{at + 1}, column \\d\\.$"):
+                spectrum.read_jc_critical_csv(path)
+
+    def test_jc_critical_writer_prints_any_number_type_as_float(self,
+                                                               tmp_path):
+        # numpy float64 and float32 scalars and ints print as float() makes
+        # them, in blocks of 8192 rows, the pole's EQ row among them
+        g = models.PolyG(0.8)
+        pts = [p for rows in models.jc_critical_values(
+            g, np.linspace(-1.0, 3.2, 4001)) for p in rows]
+        assert len(pts) > 8192
+        assert pts[0].kind is CriticalKind.EQUILIBRIUM_VALUE
+        number_types = [float, np.float64, np.float32, lambda x: round(1e3 * x)]
+        mixed = [replace(p, J=number_types[i % 4](p.J),
+                         H=number_types[(i + 1) % 4](p.H),
+                         z_at=number_types[(i + 2) % 4](p.z_at))
+                 for i, p in enumerate(pts)]
+        path = tmp_path / "critical.csv"
+        spectrum.write_jc_critical_csv(mixed, path)
+        assert path.read_text() == reference_jc_critical_csv(mixed)
 
     def test_jc_critical_reader_accepts_every_enum_value(self, tmp_path):
         path = tmp_path / "critical.csv"
