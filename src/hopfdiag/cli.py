@@ -145,9 +145,12 @@ def cmd_jc_spectrum(args) -> int:
     seed = args.seed
     if seed is None:
         seed = _env_int("HOPFDIAG_SEED", 0)
-    if not (args.j_steps >= 1 and samples >= 1 and args.j_max > -1.0
+    if not (args.j_steps >= 1 and samples >= 1 and seed >= 0
+            and args.j_max > -1.0
             and -1.0 <= args.j_min <= args.j_max < math.inf):
-        raise ValueError("invalid ranges")
+        raise ValueError("need --j-steps >= 1, --samples >= 1, --seed >= 0"
+                         " and -1 <= --j-min <= --j-max < inf with"
+                         " --j-max > -1")
     g = models.PolyG(args.gamma)
     js = np.linspace(args.j_min, args.j_max, args.j_steps)
     rows = [p for pts in models.jc_critical_values(g, js) for p in pts]

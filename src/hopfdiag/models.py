@@ -107,21 +107,6 @@ def _scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def jc_J(state):
-    x, y, z, u, v = _coords(state)
-    return _scalar((u * u + v * v) / 2.0 + z)
-
-
-def jc_H(state):
-    x, y, z, u, v = _coords(state)
-    return _scalar((x * u + y * v) / 2.0)
-
-
-def jc_Htilde(state, g: PolyG):
-    x, y, z, u, v = _coords(state)
-    return _scalar((x * u + y * v) / 2.0 + g.value(z))
-
-
 def jc_grad_J(state) -> np.ndarray:
     x, y, z, u, v = _coords(state)
     zero = np.zeros_like(z)
@@ -206,13 +191,6 @@ def jc_linearization(g: PolyG) -> tuple[symplin.QuarticCoeffs, symplin.Equilibri
 def reduced_radius_sq(j: float, z) -> float:
     """w1^2 + w2^2 = 2 (J - z)(1 - z^2) on the reduced surface."""
     return 2.0 * (j - z) * (1.0 - z * z)
-
-
-def invariant_coords(state) -> tuple[float, float, float]:
-    """(z, w1, w2) of a state, or of each state of an (n, 5) stack;
-    w1 = xu + yv, w2 = xv - yu."""
-    x, y, z, u, v = _coords(state)
-    return _scalar(z), _scalar(x * u + y * v), _scalar(x * v - y * u)
 
 
 class Branch(Enum):

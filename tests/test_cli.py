@@ -160,6 +160,20 @@ class TestBadInput:
                                      str(tmp_path / "y")], "hopf-curve")
             assert name in err
 
+    @pytest.mark.parametrize("flags, env", [(["--seed", "-1"], None),
+                                            ([], "-3")], ids=["flag", "env"])
+    def test_negative_seed_before_the_solve(self, tmp_path, capsys,
+                                            monkeypatch, flags, env):
+        if env is not None:
+            monkeypatch.setenv("HOPFDIAG_SEED", env)
+        # the seed is checked before the J grid is solved, not by numpy after
+        monkeypatch.setattr(cli.models, "jc_critical_values", None)
+        err = self.one_line_exit_2(
+            capsys, self.JC + flags + ["--out", str(tmp_path / "x")],
+            "jc-spectrum")
+        assert "--seed" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_zero_samples_is_not_the_default(self, tmp_path, capsys,
                                                  monkeypatch):
         monkeypatch.setenv("HOPFDIAG_SAMPLES", "0")

@@ -5,7 +5,7 @@
   docstring);
 - the fold values: the real roots of the sextic S_gamma(J), the
   discriminant of p_J in z, at 60 digits;
-- elsewhere: the brute-force grid scan in ``oracle``;
+- elsewhere: the brute-force grid scan in ``brute_reference``;
 - counts per branch change only at the folds and at J = +-1;
 - regressions: no rows at the pole itself, no RuntimeWarning next to J = -1.
 """
@@ -16,8 +16,9 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hopfdiag import models, oracle
+from hopfdiag import models
 from hopfdiag.models import Branch, CriticalKind, PolyG
+from brute_reference import spin_critical_scan
 
 NEAR_POLES = [-1.0 + 1e-9, -1.0 + 1e-6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,
               1.0 - 1e-6, 1.0 + 1e-6]
@@ -124,7 +125,7 @@ def test_hyperbolic_point_born_at_the_pole_just_past_hopf():
            lambda j: abs(j - 1.0) > 1e-3))
 def test_matches_the_grid_scan_oracle(gamma, j):
     want = sorted((sb, z, kind)
-                  for z, sb, kind in oracle.spin_critical_scan(gamma, j))
+                  for z, sb, kind in spin_critical_scan(gamma, j))
     _assert_same(_rows(gamma, j), want, 1e-9)
 
 
@@ -134,7 +135,7 @@ def test_no_runtime_warning_next_to_the_south_pole(gamma):
         warnings.simplefilter("error", RuntimeWarning)
         got = _rows(gamma, -0.999)
     want = sorted((sb, z, kind)
-                  for z, sb, kind in oracle.spin_critical_scan(gamma, -0.999))
+                  for z, sb, kind in spin_critical_scan(gamma, -0.999))
     assert len(got) == 2
     _assert_same(got, want, 1e-9)
 

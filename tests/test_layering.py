@@ -4,14 +4,18 @@ No module of ``src/`` calls a library root or eigenvalue solver
 (``numpy.roots``, ``numpy.linalg.eig*``): the per-J solve in ``models``
 brackets its roots by cut points in closed form.  ``oracle`` checks the
 closed forms, so it shares no code with them: it imports no hopfdiag
-module.  The symbolic and property-test tools (sympy, mpmath,
+module, and neither does ``tests/brute_reference.py``, the references
+that only tests call.  The symbolic and property-test tools (sympy, mpmath,
 hypothesis) stay in the tests.  ``acceptance`` calls the other modules
 through their module objects, never through names imported from them.
 Files are read and written by one codec: in ``src/`` only ``spectrum``
 calls ``open`` (the builtin, ``io.open`` or a ``Path.open`` method) or
 ``numpy.loadtxt``.  Imports run ``spectrum`` -> ``models`` only, and every
 hopfdiag import sits at module top except ``cli.cmd_verify``'s
-``acceptance``, which drives the CLI.
+``acceptance``, which drives the CLI.  Every public top-level function
+and class of ``src/`` is referred to by ``src/``, ``scripts/`` or
+perfbench, not by the tests alone; ``hopf.build_htilde``, the paper's
+deformed Hamiltonian, is the one exception.
 """
 
 import ast
@@ -19,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hopfdiag"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hopfdiag"
 TEST_ONLY = {"sympy", "mpmath", "hypothesis"}
 
 
@@ -81,8 +86,9 @@ def parse(path) -> ast.AST:
 
 
 def test_oracle_imports_no_hopfdiag_module():
-    modules = imported_modules(parse(SRC / "oracle.py"))
-    assert not {m for m in modules if m.split(".")[0] == "hopfdiag"}
+    for path in (SRC / "oracle.py", ROOT / "tests" / "brute_reference.py"):
+        modules = imported_modules(parse(path))
+        assert not {m for m in modules if m.split(".")[0] == "hopfdiag"}, path
 
 
 def test_oracle_calls_no_library_solver():
@@ -241,3 +247,57 @@ def test_only_cmd_verify_imports_hopfdiag_in_a_function():
 ])
 def test_local_import_scan_sees(source, found):
     assert local_hopfdiag_imports(ast.parse(source)) == found
+
+
+def referenced_names(tree) -> set[str]:
+    """Every name a tree refers to: names, attributes, imported names and
+    their aliases, and string constants (perfbench wraps a function by
+    its name)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+            if node.asname:
+                refs.add(node.asname)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def unreached_public_names(root) -> set[str]:
+    """``module.name`` of each public top-level function and class of
+    ``src/hopfdiag`` that no code of ``src/``, ``scripts/`` or a non-test
+    ``perfbench/*.py`` file refers to outside its own definition."""
+    readers = [*(root / "src" / "hopfdiag").glob("*.py"),
+               *(root / "scripts").glob("*.py"),
+               *(p for p in (root / "perfbench").glob("*.py")
+                 if not p.name.startswith("test_"))]
+    statements = [(path, node, referenced_names(node))
+                  for path in readers for node in parse(path).body]
+    return {f"{path.stem}.{node.name}" for path, node, _ in statements
+            if path.parent.name == "hopfdiag"
+            and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and not any(node.name in refs
+                        for _, other, refs in statements if other is not node)}
+
+
+def test_src_ships_only_what_runs_outside_the_tests():
+    # the paper's deformed Hamiltonian, kept for the sympy certificates
+    assert unreached_public_names(ROOT) == {"hopf.build_htilde"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("tracer.wrap(hopf, 'critical_curve_point')",
+     {"tracer", "wrap", "hopf", "critical_curve_point"}),
+    ("from .models import PolyG as G\nG(0.8)", {"PolyG", "G"}),
+    ("import hopfdiag.spectrum\nhopfdiag.spectrum.boundary(c, 8)",
+     {"hopfdiag", "spectrum", "boundary", "c"}),
+    ("def f():\n    return 1", set()),
+])
+def test_reference_scan_sees(source, found):
+    assert referenced_names(ast.parse(source)) == found
