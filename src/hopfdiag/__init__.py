@@ -6,7 +6,7 @@ numerical oracles."""
 from . import hopf, models, oracle, spectrum, symplin
 from .hopf import (CurveSample, EliassonParams, HopfParams, Regime,
                    SegmentKind)
-from .models import (Branch, CriticalKind, CriticalValuePoint, JCState, PolyG,
+from .models import (Branch, CriticalKind, CriticalValuePoint, PolyG,
                      SpectrumCloud)
 from .spectrum import Diagram
 from .symplin import EquilibriumType, QuarticCoeffs
@@ -14,7 +14,7 @@ from .symplin import EquilibriumType, QuarticCoeffs
 __all__ = [
     "hopf", "models", "oracle", "spectrum", "symplin",
     "CurveSample", "EliassonParams", "HopfParams", "Regime", "SegmentKind",
-    "Branch", "CriticalKind", "CriticalValuePoint", "JCState", "PolyG",
+    "Branch", "CriticalKind", "CriticalValuePoint", "PolyG",
     "SpectrumCloud", "Diagram", "EquilibriumType", "QuarticCoeffs",
 ]
 

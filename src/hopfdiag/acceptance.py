@@ -248,12 +248,10 @@ def criterion_10_commutation() -> str:
 
 def _random_states(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    z, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    u = rng.normal(0.0, 1.0, n)
-    v = rng.normal(0.0, 1.0, n)
-    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z, u, v])
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z,
+                     *rng.normal(0.0, 1.0, (2, n))])
 
 
 def criterion_11_undeformed_diagram() -> str:

@@ -12,7 +12,9 @@ mixed brackets zero.  With this sphere sign the north-pole linearization of
 has characteristic polynomial lambda^4 + b lambda^2 + 1/16 with
 b = (2 G'(1)^2 - 1)/2 (``jc_linearization``); ``jc_linearization_numeric``
 recomputes (a, b) from the Jacobian of H~'s field poisson_tensor @ grad H~
-at the pole (``north_pole_matrix``).
+at the pole (``north_pole_matrix``).  As everywhere in the package, a stack
+of states is (5, m), one state per column: the Poisson layer gives (5, m),
+(5, 5, m) and (m,) results for it, and (5,), (5, 5) and () for one state.
 
 Reduction by the circle action of J uses the invariants z, w1 = x u + y v,
 w2 = x v - y u, constrained by w1^2 + w2^2 = 2 (J - z)(1 - z^2) on
@@ -43,39 +45,11 @@ import numpy as np
 
 from . import oracle, symplin
 
-SPHERE_TOL = 1e-12
 CUSP_TOL = 1e-8          # |h''| below this classifies as a degenerate cusp
 NEWTON_STEPS = 100       # cap on bracketed Newton/bisection steps per point
 J_LIMIT = 1e100          # |J| below this keeps every chart coefficient finite
 GAMMA_LIMIT = 1e6        # from |gamma| ~ 1e7 critical points sit closer to the
                          # far end of the domain than a float can resolve
-
-
-@dataclass(frozen=True)
-class JCState:
-    """A point of S^2 x R^2; the constructor rejects off-sphere input."""
-
-    x: float
-    y: float
-    z: float
-    u: float
-    v: float
-
-    def __post_init__(self):
-        r2 = self.x ** 2 + self.y ** 2 + self.z ** 2
-        if abs(r2 - 1.0) > SPHERE_TOL:
-            raise ValueError(f"(x, y, z) lies off the unit sphere: |r|^2 = {r2}")
-
-    @classmethod
-    def normalized(cls, x, y, z, u, v) -> "JCState":
-        """Rescale the sphere part onto the unit sphere, then construct."""
-        r = math.sqrt(x * x + y * y + z * z)
-        if r == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(x / r, y / r, z / r, u, v)
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z, self.u, self.v))
 
 
 @dataclass(frozen=True)
@@ -95,53 +69,36 @@ class PolyG:
         return 2.0 * self.gamma * z
 
 
-def _coords(state):
-    """x, y, z, u, v of one state, or five (n,) arrays for an (n, 5) stack."""
-    if isinstance(state, JCState):
-        state = tuple(state)
-    return np.asarray(state, dtype=float).T
-
-
-def _scalar(value):
-    """A float for one state; an (n,) array for a stack stays as it is."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def jc_grad_J(state) -> np.ndarray:
-    x, y, z, u, v = _coords(state)
+    x, y, z, u, v = state
     zero = np.zeros_like(z)
-    return np.stack([zero, zero, zero + 1.0, u, v], axis=-1)
+    return np.stack([zero, zero, zero + 1.0, u, v])
 
 
 def jc_grad_Htilde(state, g: PolyG) -> np.ndarray:
-    x, y, z, u, v = _coords(state)
-    return np.stack([u / 2.0, v / 2.0, g.deriv(z), x / 2.0, y / 2.0], axis=-1)
+    x, y, z, u, v = state
+    return np.stack([u / 2.0, v / 2.0, g.deriv(z), x / 2.0, y / 2.0])
 
 
 def poisson_tensor(state) -> np.ndarray:
-    """Matrix Pi with {f, g} = grad(f)^T Pi grad(g), order (x, y, z, u, v).
-
-    One state gives a 5 x 5 matrix, an (n, 5) stack one per state (n, 5, 5).
-    """
-    x, y, z, u, v = _coords(state)
-    pi = np.zeros(np.shape(z) + (5, 5))
-    pi[..., 0, 1], pi[..., 0, 2] = -z, y
-    pi[..., 1, 0], pi[..., 1, 2] = z, -x
-    pi[..., 2, 0], pi[..., 2, 1] = -y, x
-    pi[..., 3, 4], pi[..., 4, 3] = 1.0, -1.0
+    """Matrix Pi with {f, g} = grad(f)^T Pi grad(g), order (x, y, z, u, v),
+    one per column of a stack."""
+    x, y, z, u, v = state
+    pi = np.zeros((5, 5) + np.shape(z))
+    pi[0, 1], pi[0, 2] = -z, y
+    pi[1, 0], pi[1, 2] = z, -x
+    pi[2, 0], pi[2, 1] = -y, x
+    pi[3, 4], pi[4, 3] = 1.0, -1.0
     return pi
 
 
-def poisson_bracket(grad_f, grad_g, state):
-    """{f, g} at ``state`` from the gradient functions of f and g.
-
-    One state gives a float; an (n, 5) stack gives an (n,) array, with each
-    gradient function called once on the whole stack.
-    """
-    return _scalar(np.einsum("...i,...ij,...j->...",
-                             np.asarray(grad_f(state), dtype=float),
-                             poisson_tensor(state),
-                             np.asarray(grad_g(state), dtype=float)))
+def poisson_bracket(grad_f, grad_g, state) -> np.ndarray:
+    """{f, g} at ``state`` from the gradient functions of f and g, each
+    called once on the whole stack."""
+    return np.einsum("i...,ij...,j...->...",
+                     np.asarray(grad_f(state), dtype=float),
+                     poisson_tensor(state),
+                     np.asarray(grad_g(state), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +107,17 @@ def poisson_bracket(grad_f, grad_g, state):
 
 def north_pole_matrix(grad) -> np.ndarray:
     """4 x 4 Jacobian on (x, y, u, v) of the field ``poisson_tensor @ grad``
-    at the north pole (0, 0, 1, 0, 0); ``grad`` maps an (n, 5) stack.
+    at the north pole (0, 0, 1, 0, 0); ``grad`` maps a (5, m) stack.
 
     Central differences of unit step over 8 stencil states are exact: the
     fields of ``jc_grad_J`` and ``jc_grad_Htilde`` are quadratic, and
     dz = 0 on the sphere at the pole, so the stencil keeps z = 1.
     """
     axes = [0, 1, 3, 4]
-    pole, unit = np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.eye(5)[axes]
-    states = np.concatenate([pole + unit, pole - unit])
-    field = np.einsum("nij,nj->ni", poisson_tensor(states), grad(states))
-    return ((field[:4] - field[4:]) / 2.0)[:, axes].T
+    unit = np.eye(5)[:, axes]                 # the pole is column 2 of I
+    states = np.eye(5)[:, [2]] + np.hstack([unit, -unit])
+    field = np.einsum("ijn,jn->in", poisson_tensor(states), grad(states))
+    return ((field[:, :4] - field[:, 4:]) / 2.0)[axes]
 
 
 def jc_linearization_numeric(g: PolyG) -> symplin.QuarticCoeffs:

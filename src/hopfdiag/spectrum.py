@@ -43,6 +43,10 @@ class SpecialPoint:
     J: float
     H: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.s, self.J, self.H))):
+            raise ValueError(f"special point at s = {self.s!r} is not finite")
+
 
 @dataclass
 class DiagramSegment:
@@ -67,6 +71,13 @@ class Diagram:
     anchor: tuple[float, float]
     equilibrium: tuple[float, float]
     segments: list[DiagramSegment]
+
+    def __post_init__(self):
+        pairs = {"anchor": self.anchor, "equilibrium": self.equilibrium,
+                 "slopes": (0.0, 0.0) if self.slopes is None else self.slopes}
+        for name, pair in pairs.items():
+            if not (len(pair) == 2 and all(map(math.isfinite, pair))):
+                raise ValueError(f"diagram {name} {pair!r} is not a finite pair")
 
 
 def _segment_samples(params: HopfParams, s_values,
@@ -272,6 +283,17 @@ def _floats(lines, usecols=None) -> np.ndarray:
                       usecols=usecols)
 
 
+def _finite_floats(lines, ncols: int) -> np.ndarray:
+    """The first ``ncols`` columns; nan or inf is a fault "at row i, column c."."""
+    nums = _floats(lines, range(ncols))
+    bad = np.argwhere(~np.isfinite(nums))
+    if bad.size:
+        i, col = bad[0].tolist()
+        raise ValueError(f"{lines[i].split(',')[col]!r} is not finite "
+                         f"at row {i}, column {col + 1}.")
+    return nums
+
+
 def _concat(meta, batches) -> list:
     return [row for batch in batches for row in batch]
 
@@ -283,10 +305,16 @@ def write_curve_csv(diagram: Diagram, path):
 
 
 def read_curve_csv(path) -> list[CurveSample]:
-    def parse(lines):
-        return [CurveSample(*row, kind=SegmentKind(
-                    line.rstrip("\n").split(",")[5]))
-                for row, line in zip(_floats(lines, range(5)).tolist(), lines)]
+    """Curve rows; unknown kinds and non-finite numbers refused."""
+    kinds = {k.value: k for k in SegmentKind}
+
+    def parse(lines):    # a fault "at row i, column c." of this batch
+        nums = _finite_floats(lines, 5).tolist()
+        labels = [line.rstrip("\n").rsplit(",", 1)[1] for line in lines]
+        if not kinds.keys() >= set(labels):
+            i = next(i for i, k in enumerate(labels) if k not in kinds)
+            raise ValueError(f"unknown kind {labels[i]!r} at row {i}, column 6.")
+        return [CurveSample(*row, kinds[k]) for row, k in zip(nums, labels)]
     return _read_csv(path, _CURVE_HEADER, parse, _concat)
 
 
@@ -319,12 +347,7 @@ def read_jc_critical_csv(path) -> list[JCCriticalRow]:
     kinds = {k.value + end: k.value for k in CriticalKind for end in ("\n", "")}
 
     def parse(lines):    # a fault "at row i, column c." of this batch
-        nums = _floats(lines, range(3))
-        bad = np.argwhere(~np.isfinite(nums))
-        if bad.size:     # nan, inf, or too large for a float
-            i, col = bad[0].tolist()
-            raise ValueError(f"{lines[i].split(',')[col]!r} is not finite "
-                             f"at row {i}, column {col + 1}.")
+        nums = _finite_floats(lines, 3)
         _, branch, kind = zip(*[line.rsplit(",", 2) for line in lines])
         branch, kind = list(map(branches.get, branch)), list(map(kinds.get, kind))
         if None in branch or None in kind:
@@ -426,15 +449,14 @@ def diagram_to_dict(diagram: Diagram) -> dict:
 def diagram_from_dict(data: dict) -> Diagram:
     segments = [DiagramSegment(kind=SegmentKind(s["kind"]),
                                points=[_sample_from_dict(p) for p in s["points"]],
-                               gaps=[tuple(g) for g in s["gaps"]])
+                               gaps=[(a, b) for a, b in s["gaps"]])
                 for s in data["segments"]]
-    slopes = tuple(data["slopes"]) if data["slopes"] is not None else None
     return Diagram(
         params=HopfParams(**data["params"]),
         regime=Regime(data["regime"]),
         cusps=[SpecialPoint(**c) for c in data["cusps"]],
         endpoints=[SpecialPoint(**e) for e in data["endpoints"]],
-        slopes=slopes,
+        slopes=None if data["slopes"] is None else tuple(data["slopes"]),
         anchor=(data["anchor"]["J"], data["anchor"]["H"]),
         equilibrium=(data["equilibrium"]["J"], data["equilibrium"]["H"]),
         segments=segments,
@@ -448,8 +470,8 @@ def write_diagram_json(diagram: Diagram, path):
 
 def read_diagram_json(path) -> Diagram:
     """Diagram JSON reader; a file that is not a diagram (a missing key, a
-    value of the wrong type, or ``params`` keys other than omega, sigma, nu
-    and D) is a ValueError that names the file."""
+    wrong type, ``params`` keys other than omega, sigma, nu and D, slopes or
+    a gap not a pair, a curve value not finite) is a ValueError naming it."""
     try:
         with open(path) as fh:
             return diagram_from_dict(json.load(fh))

@@ -20,6 +20,8 @@ The module also houses the standard quadratic building blocks
     K1 = (x^2 + y^2) / 2
     K2 = (xi^2 + eta^2) / 2
 
+(``j1``, ``j2``, ``k1``, ``k2``, of one point (4,) or of a stack (4, m),
+one point per column, the layout of every stack of points in the package)
 and the biquadratic characteristic polynomial of the four-parameter family
 omega_t*J1 + alpha_t*J2 + gamma*K1 + delta*K2:
 

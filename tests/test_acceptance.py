@@ -83,11 +83,11 @@ def test_criterion_13_sees_a_count_change_off_the_curves(monkeypatch):
 def test_criterion_10_sees_one_bad_state(monkeypatch):
     """A gradient of H~ that is wrong at one state of 4,000 fails the check."""
     grad = models.jc_grad_Htilde
-    bad = acceptance._random_states(1000, seed=102)[617]
+    bad = acceptance._random_states(1000, seed=102)[:, 617]
 
     def corrupted(state, g):
         out = np.array(grad(state, g))
-        out[..., 4] += np.all(np.asarray(state) == bad, axis=-1)
+        out[4] += np.all(state == bad[:, None], axis=0)
         return out
 
     monkeypatch.setattr(models, "jc_grad_Htilde", corrupted)

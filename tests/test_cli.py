@@ -129,6 +129,8 @@ class TestBadInput:
         ["classify", "--a=1e308", "--b=-1e308"],
         ["hopf-curve", "--omega=1", "--sigma=1", "--nu=1e308", "--D=-2"],
         ["hopf-curve", "--omega=1e308", "--sigma=1", "--nu=0.5", "--D=-2"],
+        # no curve for nu <= 0, but the diagram's anchor H overflows
+        ["hopf-curve", "--omega=1", "--sigma=1", "--nu=-1e200", "--D=1"],
         ["jc-scan", "--gamma-min=-1e308", "--gamma-max=1e308", "--steps=3"],
         ["jc-spectrum", "--gamma=0.8", "--j-min=0", "--j-max=inf",
          "--j-steps=3"],
@@ -555,10 +557,13 @@ ARGV = {
 
 
 def read_back_finite(command, out):
-    """Every CSV a successful run wrote reads back, all numbers finite."""
+    """Every file a successful run wrote reads back, all numbers finite."""
     if command == "hopf-curve":
         rows = spectrum.read_curve_csv(f"{out}_curve.csv")
         values = [v for r in rows for v in (r.s, r.J, r.H, r.d, r.det2)]
+        d = spectrum.read_diagram_json(f"{out}_diagram.json")
+        values += [*d.anchor, *d.equilibrium, *(d.slopes or ())]
+        values += [v for p in d.cusps + d.endpoints for v in (p.s, p.J, p.H)]
     elif command == "jc-scan":
         values = spectrum._read_csv(
             out, "gamma,a,b,type,eig1,eig2,eig3,eig4",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hopfdiag import models, oracle, symplin
-from hopfdiag.models import Branch, CriticalKind, JCState, PolyG
+from hopfdiag.models import Branch, CriticalKind, PolyG
 from critical_reference import jc_critical_values as reference_critical_values
 from pencil_reference import pencil_nondegenerate
 
@@ -16,8 +16,9 @@ oscval = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
 def state_from(z, phi, u, v):
+    """The state (x, y, z, u, v) on S^2 x R^2 at height z and angle phi."""
     s = math.sqrt(max(0.0, 1.0 - z * z))
-    return JCState.normalized(s * math.cos(phi), s * math.sin(phi), z, u, v)
+    return s * math.cos(phi), s * math.sin(phi), z, u, v
 
 
 RANK_TOL = 1e-8          # relative second singular value in the rank test
@@ -44,21 +45,6 @@ def jc_rank_test(state, g: PolyG) -> bool:
     return bool(sv[1] < RANK_TOL * sv[0])
 
 
-class TestJCState:
-    def test_rejects_off_sphere(self):
-        with pytest.raises(ValueError):
-            JCState(1.0, 1.0, 0.0, 0.0, 0.0)
-
-    def test_normalized_lands_on_sphere(self):
-        st_ = JCState.normalized(3.0, 4.0, 0.0, 0.5, -0.5)
-        assert abs(st_.x ** 2 + st_.y ** 2 + st_.z ** 2 - 1.0) <= 1e-12
-
-    @given(zval, angle, oscval, oscval)
-    def test_constructors_preserve_sphere(self, z, phi, u, v):
-        st_ = state_from(z, phi, u, v)
-        assert abs(st_.x ** 2 + st_.y ** 2 + st_.z ** 2 - 1.0) <= 1e-12
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_polyg_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -67,18 +53,18 @@ def test_polyg_rejects_non_finite(bad):
 
 class TestEnergies:
     def test_north_pole(self):
-        assert jc_energies(JCState(0.0, 0.0, 1.0, 0.0, 0.0)) == (1.0, 0.0)
+        assert jc_energies((0.0, 0.0, 1.0, 0.0, 0.0)) == (1.0, 0.0)
 
     def test_south_pole(self):
-        assert jc_energies(JCState(0.0, 0.0, -1.0, 0.0, 0.0)) == (-1.0, 0.0)
+        assert jc_energies((0.0, 0.0, -1.0, 0.0, 0.0)) == (-1.0, 0.0)
 
     def test_equator_point(self):
-        assert jc_energies(JCState(1.0, 0.0, 0.0, 1.0, 0.0), 1.0) == (0.5, 0.5)
+        assert jc_energies((1.0, 0.0, 0.0, 1.0, 0.0), 1.0) == (0.5, 0.5)
 
 
 class TestPoissonStructure:
     def test_coordinate_brackets_at_pole(self):
-        st_ = JCState(0.0, 0.0, 1.0, 0.0, 0.0)
+        st_ = (0.0, 0.0, 1.0, 0.0, 0.0)
 
         def coordinate(k):
             return lambda w: np.eye(5)[k]
@@ -92,40 +78,49 @@ class TestPoissonStructure:
         # the gradient of (u^2 + v^2)/2
         st_ = state_from(0.3, 1.0, 0.7, -0.4)
         br = models.poisson_bracket(
-            models.jc_grad_J, lambda w: [0.0, 0.0, 0.0, w.u, w.v], st_)
+            models.jc_grad_J, lambda w: [0.0, 0.0, 0.0, w[3], w[4]], st_)
         assert abs(br) < 1e-9
 
     def test_coordinate_brackets_on_a_stack(self):
         rng = np.random.default_rng(3)
-        states = np.array([list(state_from(*w)) for w in
-                           rng.uniform(-1.0, 1.0, (50, 4))])
+        states = np.stack([state_from(*w) for w in
+                           rng.uniform(-1.0, 1.0, (50, 4))], axis=1)
 
         def coordinate(k):
             return lambda w: np.eye(5)[k]
 
         br = models.poisson_bracket(coordinate(0), coordinate(1), states)
-        assert br.shape == (50,) and np.array_equal(br, -states[:, 2])
+        assert br.shape == (50,) and np.array_equal(br, -states[2])
         br = models.poisson_bracket(coordinate(3), coordinate(4), states)
         assert np.array_equal(br, np.ones(50))
 
     @given(st.lists(st.tuples(zval, angle, oscval, oscval), min_size=1,
                     max_size=20),
            st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
-    # a (5, 5) stack must not be read as five coordinate rows
+    # a (5, 5) stack of five columns must not be read as five rows
     @example([(0.1 * k, k, 0.5, -0.5) for k in range(5)], 0.8)
     def test_stacked_bracket_equals_per_state_values(self, points, gamma):
+        # the gradients, the tensor and the bracket of a (5, m) stack hold
+        # the bits of m single (5,) calls, column by column
         states = [state_from(*w) for w in points]
         g = PolyG(gamma)
 
         def grad_h(s):
             return models.jc_grad_Htilde(s, g)
 
-        stacked = models.poisson_bracket(
-            models.jc_grad_J, grad_h, np.array([list(s) for s in states]))
-        single = [models.poisson_bracket(models.jc_grad_J, grad_h, s)
-                  for s in states]
-        assert all(type(b) is float for b in single)
-        assert np.array_equal(stacked, single)
+        def layer(s):
+            return (models.jc_grad_J(s), grad_h(s), models.poisson_tensor(s),
+                    models.poisson_bracket(models.jc_grad_J, grad_h, s))
+
+        stacked = layer(np.stack(states, axis=1))
+        assert [a.shape for a in stacked] == [
+            (5, len(states)), (5, len(states)), (5, 5, len(states)),
+            (len(states),)]
+        for k, state in enumerate(states):
+            single = layer(state)
+            assert [np.shape(a) for a in single] == [(5,), (5,), (5, 5), ()]
+            for a, b in zip(stacked, single):
+                assert a[..., k].tobytes() == np.asarray(b).tobytes()
 
     @given(zval, angle, oscval, oscval,
            st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
@@ -200,11 +195,11 @@ class TestLinearization:
 class TestReducedSurface:
     @given(zval, angle, oscval, oscval)
     def test_invariant_relation(self, z, phi, u, v):
-        st_ = state_from(z, phi, u, v)
-        w1 = st_.x * st_.u + st_.y * st_.v
-        w2 = st_.x * st_.v - st_.y * st_.u
+        st_ = x, y, z, u, v = state_from(z, phi, u, v)
+        w1 = x * u + y * v
+        w2 = x * v - y * u
         assert w1 * w1 + w2 * w2 == pytest.approx(
-            models.reduced_radius_sq(jc_energies(st_)[0], st_.z), abs=1e-12)
+            models.reduced_radius_sq(jc_energies(st_)[0], z), abs=1e-12)
 
 
 class TestReducedCriticalValues:
@@ -345,7 +340,7 @@ class TestReducedCriticalValues:
 class TestRankTest:
     def test_poles_are_rank_zero(self):
         for z in (1.0, -1.0):
-            st_ = JCState(0.0, 0.0, z, 0.0, 0.0)
+            st_ = (0.0, 0.0, z, 0.0, 0.0)
             assert jc_rank_test(st_, PolyG(0.0))
             assert jc_rank_test(st_, PolyG(0.8))
 
@@ -357,7 +352,7 @@ class TestRankTest:
         z = -1.0 / math.sqrt(3.0)
         x = math.sqrt(1.0 - z * z)
         r = math.sqrt(models.reduced_radius_sq(0.0, z))
-        st_ = JCState.normalized(x, 0.0, z, r / x, 0.0)
+        st_ = (x, 0.0, z, r / x, 0.0)
         assert jc_energies(st_)[0] == pytest.approx(0.0, abs=1e-12)
         assert jc_rank_test(st_, PolyG(0.0))
 
@@ -371,7 +366,7 @@ class TestRankTest:
         z = hyp.z_at
         x = math.sqrt(1.0 - z * z)
         w1 = math.sqrt(models.reduced_radius_sq(1.5, z))
-        st_ = JCState.normalized(x, 0.0, z, w1 / x, 0.0)
+        st_ = (x, 0.0, z, w1 / x, 0.0)
         assert jc_rank_test(st_, g)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.8])
@@ -382,14 +377,14 @@ class TestRankTest:
         for j in (-0.6, 0.0, 0.9, 1.5, 2.5):
             for p in models.jc_reduced_critical_values(g, j):
                 if p.kind is CriticalKind.EQUILIBRIUM_VALUE:
-                    st_ = JCState(0.0, 0.0, p.z_at, 0.0, 0.0)
+                    st_ = (0.0, 0.0, p.z_at, 0.0, 0.0)
                 else:
                     z = p.z_at
                     x = math.sqrt(1.0 - z * z)
                     w1 = math.copysign(
                         math.sqrt(models.reduced_radius_sq(j, z)),
                         1.0 if p.branch is Branch.PLUS else -1.0)
-                    st_ = JCState.normalized(x, 0.0, z, w1 / x, 0.0)
+                    st_ = (x, 0.0, z, w1 / x, 0.0)
                 assert jc_rank_test(st_, g), (gamma, j, p)
                 assert jc_energies(st_, gamma)[1] == pytest.approx(p.H, abs=1e-9)
 
@@ -399,7 +394,7 @@ class TestRankTest:
         z = pts[0].z_at + 0.05
         x = math.sqrt(1.0 - z * z)
         w1 = math.sqrt(models.reduced_radius_sq(1.5, z))
-        st_ = JCState.normalized(x, 0.0, z, w1 / x, 0.0)
+        st_ = (x, 0.0, z, w1 / x, 0.0)
         assert not jc_rank_test(st_, g)
 
 

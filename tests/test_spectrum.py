@@ -479,7 +479,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("fault", ["old_params", "missing_key",
                                        "wrong_type", "not_an_object",
-                                       "truncated"])
+                                       "truncated", "one_slope",
+                                       "three_ended_gap", "nan_cusp",
+                                       "infinite_anchor"])
     def test_diagram_reader_refuses_a_bad_file(self, tmp_path, fault):
         # "old_params": the four fixed-value keys that earlier versions
         # wrote under "params"; such a file is refused, not read
@@ -496,6 +498,14 @@ class TestSerialization:
             data["segments"][0]["points"][0]["J"] = "0.5"
         elif fault == "not_an_object":
             data = [data]
+        elif fault == "one_slope":
+            data["slopes"] = [1.0]
+        elif fault == "three_ended_gap":
+            data["segments"][0]["gaps"] = [[1, 2, 3]]
+        elif fault == "nan_cusp":
+            data["cusps"][0]["J"] = math.nan
+        elif fault == "infinite_anchor":
+            data["anchor"]["H"] = math.inf
         text = json.dumps(data)
         path.write_text(text[:100] if fault == "truncated" else text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
@@ -551,6 +561,20 @@ class TestSerialization:
                 f"{path}: {value!r} is not finite on line 3, "
                 f"column {column + 1}.")):
             spectrum.read_jc_critical_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,0.1,0.2,0.3,0.4,Q", "unknown kind 'Q' on line 3, column 6."),
+        ("0.5,0.1,0.2,0.3,0.4,", "unknown kind '' on line 3, column 6."),
+        ("0.5,nan,0.2,0.3,0.4,E", "'nan' is not finite on line 3, column 2."),
+        ("0.5,0.1,0.2,0.3,-1e400,H",
+         "'-1e400' is not finite on line 3, column 5.")])
+    def test_curve_reader_names_the_line_of_a_bad_row(self, tmp_path, row,
+                                                      message):
+        path = tmp_path / "curve.csv"
+        path.write_text("s,J,H,z_double,hessdet,kind\n0.5,0.1,0.2,0.3,0.4,E\n"
+                        + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            spectrum.read_curve_csv(path)
 
     def test_jc_critical_reader_numbers_a_fault_in_a_later_batch(self,
                                                                tmp_path):
