@@ -43,7 +43,7 @@ Q(+inf); a value within DISC_TOL of the sum of its terms' moduli is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -69,8 +69,10 @@ class HopfParams:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.omega, self.nu, self.D))):
             raise ValueError("parameters must be finite")
-        if self.sigma not in (-1, 1):
+        if isinstance(self.sigma, bool) or self.sigma not in (-1, 1):
             raise ValueError("sigma must be -1 or +1")
+        for name in ("omega", "nu", "D"):   # numpy scalars warn on overflow
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.omega == 0.0:
             raise ValueError("omega must be nonzero")
         if self.D == 0.0:
@@ -192,15 +194,16 @@ def hessian_det2(params: HopfParams, s: float) -> float:
 
 
 def critical_curve_point(params: HopfParams, s: float) -> CurveSample:
-    """Sample of the critical-value curve at parameter s (total in s)."""
-    return CurveSample(
-        s=s,
-        J=curve_j(params, s),
-        H=curve_h(params, s),
-        d=double_root(params, s),
-        det2=hessian_det2(params, s),
-        kind=segment_kind(params, s),
-    )
+    """Sample of the critical-value curve at parameter s (total in s); on
+    the equilibrium stratum J, H and d are the exact 0, set once the full
+    sample is built, so an overflow there is still CurveSample's error.
+    It lies in the image z >= 0 iff d >= 0."""
+    sample = CurveSample(s, curve_j(params, s), curve_h(params, s),
+                         double_root(params, s), hessian_det2(params, s),
+                         segment_kind(params, s))
+    if sample.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
+        return replace(sample, J=0.0, H=0.0, d=0.0)
+    return sample
 
 
 def curve_tangent(params: HopfParams, s: float) -> tuple[float, float]:
@@ -246,16 +249,6 @@ def segment_kind(params: HopfParams, s: float) -> SegmentKind:
     if det2 < 0.0:
         return SegmentKind.TRANSVERSALLY_HYPERBOLIC
     return SegmentKind.TRANSVERSALLY_ELLIPTIC
-
-
-def admissible(params: HopfParams, s: float) -> bool:
-    """True iff the double root d(s) is >= 0, i.e. lies in the image z >= 0.
-
-    The equilibrium endpoints s = +-sqrt(nu) have d = 0 exactly and are
-    admissible; they are recognized by the same stratum test as in
-    segment_kind.
-    """
-    return _on_end_stratum(params.nu, s) or double_root(params, s) >= 0.0
 
 
 def regime(params: HopfParams) -> Regime:

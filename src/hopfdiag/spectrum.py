@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,26 +78,27 @@ class Diagram:
         for name, pair in pairs.items():
             if not (len(pair) == 2 and all(map(math.isfinite, pair))):
                 raise ValueError(f"diagram {name} {pair!r} is not a finite pair")
+        for gap in (g for seg in self.segments for g in seg.gaps):
+            if not (len(gap) == 2 and all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in gap) and gap[0] <= gap[1]):
+                raise ValueError(f"segment gap {gap!r} is not a finite "
+                                 "pair lo <= hi")
 
 
 def _segment_samples(params: HopfParams, s_values,
                      interior_kind: SegmentKind) -> DiagramSegment:
-    """Curve samples at the array ``s_values``; those that ``hopf.admissible``
-    refuses are dropped, and those on the equilibrium stratum, which it
-    takes to have d = 0, are snapped to the exact value (0, 0)."""
+    """``hopf.critical_curve_point`` at each of the array ``s_values``; a
+    sample with d < 0, outside the image z >= 0, is dropped, and the
+    s-range of those dropped is the segment's gap."""
     seg = DiagramSegment(kind=interior_kind)
     dropped: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):   # CurveSample refuses
-        fields = [f(params, s_values).tolist() for f in (
-            hopf.curve_j, hopf.curve_h, hopf.double_root, hopf.hessian_det2)]
-    for s, *values in zip(s_values.tolist(), *fields):
-        sample = CurveSample(s, *values, kind=hopf.segment_kind(params, s))
-        if not hopf.admissible(params, s):
+    for s in s_values.tolist():
+        sample = hopf.critical_curve_point(params, s)
+        if sample.d >= 0.0:
+            seg.points.append(sample)
+        else:
             dropped.append(s)
-            continue
-        if sample.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
-            sample = replace(sample, J=0.0, H=0.0, d=0.0)
-        seg.points.append(sample)
     if dropped:
         seg.gaps.append((min(dropped), max(dropped)))
     if len(seg.points) < 2:
@@ -470,8 +471,9 @@ def write_diagram_json(diagram: Diagram, path):
 
 def read_diagram_json(path) -> Diagram:
     """Diagram JSON reader; a file that is not a diagram (a missing key, a
-    wrong type, ``params`` keys other than omega, sigma, nu and D, slopes or
-    a gap not a pair, a curve value not finite) is a ValueError naming it."""
+    wrong type, a bool sigma, ``params`` keys other than omega, sigma, nu
+    and D, slopes not a pair, a gap not a finite pair lo <= hi, a curve
+    value not finite) is a ValueError naming it."""
     try:
         with open(path) as fh:
             return diagram_from_dict(json.load(fh))

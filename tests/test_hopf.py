@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -83,6 +84,26 @@ class TestParams:
             HopfParams(omega=1.0, sigma=2, nu=0.1, D=1.0)
         with pytest.raises(ValueError):
             HopfParams(omega=1.0, sigma=1, nu=0.1, D=0.0)
+
+    @pytest.mark.parametrize("sigma", [True, False])
+    def test_rejects_bool_sigma(self, sigma):
+        # True == 1, but a diagram file would read and write it as true
+        with pytest.raises(ValueError, match="sigma"):
+            HopfParams(omega=1.0, sigma=sigma, nu=0.5, D=-2.0)
+
+    def test_stores_numpy_scalars_as_floats(self):
+        # a numpy nu would overflow the curve with a RuntimeWarning; as a
+        # float it is the one-line ValueError of a Python float nu
+        params = HopfParams(omega=np.float64(1.0), sigma=1,
+                            nu=np.float64(1e100), D=np.float32(1e-30))
+        assert [type(v) for v in (params.omega, params.nu, params.D)] == \
+            [float] * 3
+        assert params == HopfParams(1.0, 1, 1e100, float(np.float32(1e-30)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                spectrum.assemble_hopf_diagram(
+                    HopfParams(1.0, 1, np.float64(1e100), 1e-300), 64)
 
     def test_eliasson_constructor(self):
         e = EliassonParams(omega_t=1.0, alpha_t=2.0, delta=1.0)
@@ -222,6 +243,20 @@ class TestCriticalCurve:
             assert abs(c.J) < 1e-12 and abs(c.H) < 1e-12
             assert c.kind is SegmentKind.EQUILIBRIUM_ENDPOINT
 
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("big_d", [1.0, -2.0])
+    @pytest.mark.parametrize("nu", [5e-324, 1e-300, 1e-12, 0.5, 3.0])
+    def test_endpoints_are_exactly_the_equilibrium(self, nu, big_d, sigma):
+        # fl(sqrt(nu))^2 - nu is a rounding residue of either sign, so the
+        # closed forms give J, H, d of order 1e-17 * nu, or -0.0; the
+        # sample carries the exact equilibrium value
+        params = HopfParams(omega=1.0, sigma=sigma, nu=nu, D=big_d)
+        for s in (math.sqrt(nu), -math.sqrt(nu)):
+            c = hopf.critical_curve_point(params, s)
+            assert c.kind is SegmentKind.EQUILIBRIUM_ENDPOINT
+            assert repr((c.J, c.H, c.d)) == "(0.0, 0.0, 0.0)"
+            assert (c.s, c.det2) == (s, hopf.hessian_det2(params, s))
+
     def test_anchor_at_s_zero(self):
         c = hopf.critical_curve_point(REF, 0.0)
         assert (c.J, c.H) == (0.0, 0.015625)
@@ -301,13 +336,13 @@ class TestCuspsAndKinds:
 
 class TestAdmissibleAndRegime:
     def test_admissible_examples(self):
-        assert hopf.double_root(REF, 0.3) == pytest.approx(0.05125)
-        assert hopf.admissible(REF, 0.3)
-        assert hopf.double_root(SUPER, 0.3) == pytest.approx(-0.1025)
-        assert not hopf.admissible(SUPER, 0.3)
+        # admissible: the sample's double root d >= 0 lies in the image
+        assert hopf.critical_curve_point(REF, 0.3).d == pytest.approx(0.05125)
+        assert hopf.critical_curve_point(SUPER, 0.3).d == \
+            pytest.approx(-0.1025)
         for params in (REF, SUPER):
-            assert hopf.admissible(params, math.sqrt(params.nu))
-            assert hopf.admissible(params, -math.sqrt(params.nu))
+            for s in (math.sqrt(params.nu), -math.sqrt(params.nu)):
+                assert hopf.critical_curve_point(params, s).d == 0.0
 
     def test_regime(self):
         assert hopf.regime(REF) is Regime.SUBCRITICAL

@@ -90,12 +90,19 @@ def reference_raster_counts(cloud: SpectrumCloud, n_j: int, n_h: int):
 
 
 def reference_segment(params: HopfParams, s_values, kind: SegmentKind):
-    """Curve samples one ``hopf.critical_curve_point`` call per s."""
+    """Curve samples by the earlier rule, from the closed forms one s at a
+    time: keep a sample on the equilibrium stratum or with double root
+    >= 0, and snap the stratum's samples to the exact (J, H, d) = 0."""
     seg = DiagramSegment(kind=kind)
     dropped = []
     for s in map(float, s_values):
-        sample = hopf.critical_curve_point(params, s)
-        if not hopf.admissible(params, s):
+        sample = CurveSample(s, hopf.curve_j(params, s),
+                             hopf.curve_h(params, s),
+                             hopf.double_root(params, s),
+                             hopf.hessian_det2(params, s),
+                             hopf.segment_kind(params, s))
+        if not (sample.kind is SegmentKind.EQUILIBRIUM_ENDPOINT
+                or sample.d >= 0.0):
             dropped.append(s)
             continue
         if sample.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
@@ -224,12 +231,13 @@ class TestAssemble:
     @pytest.mark.parametrize("big_d", [1.0, -2.0])
     @pytest.mark.parametrize("nu", [1e-13, 1e-11, 1e-9, 0.5])
     def test_kept_samples_are_the_admissible_ones(self, nu, big_d):
-        # one rule, hopf.admissible: a kept sample has d >= 0, and one on
-        # the equilibrium stratum is the exact equilibrium value
+        # one rule: a sample is critical_curve_point's, kept iff d >= 0,
+        # and one on the equilibrium stratum is the exact equilibrium value
         params = HopfParams(omega=1.0, sigma=1, nu=nu, D=big_d)
         diagram = spectrum.assemble_hopf_diagram(params, 64)
         for p in (p for seg in diagram.segments for p in seg.points):
-            assert hopf.admissible(params, p.s) and p.d >= 0.0
+            assert p == hopf.critical_curve_point(params, p.s)
+            assert p.d >= 0.0
             if p.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
                 assert (p.J, p.H, p.d) == (0.0, 0.0, 0.0)
 
@@ -318,9 +326,9 @@ class TestAssemble:
     @pytest.mark.parametrize("big_d", [1.0, -2.0])
     @pytest.mark.parametrize("nu", [1e-300, 1e-12, 0.5, 3.0])
     def test_segment_samples_equal_per_s_curve_points(self, nu, big_d, n):
-        # the array evaluation gives the samples, kinds, snaps and gaps of
-        # one critical_curve_point call per s, on grids through the
-        # endpoints and cusps and into the inadmissible side
+        # critical_curve_point kept at d >= 0 gives the samples, kinds,
+        # snaps and gaps of the earlier rule (reference_segment), on grids
+        # through the endpoints and cusps and into the inadmissible side
         params = HopfParams(omega=1.0, sigma=1, nu=nu, D=big_d)
         s_end, s_cusp = math.sqrt(nu), math.sqrt(nu / 3.0)
         grids = [np.linspace(-s_end, -s_cusp, n), np.linspace(0.0, s_cusp, n),
@@ -481,7 +489,9 @@ class TestSerialization:
                                        "wrong_type", "not_an_object",
                                        "truncated", "one_slope",
                                        "three_ended_gap", "nan_cusp",
-                                       "infinite_anchor"])
+                                       "infinite_anchor", "nan_gap",
+                                       "string_gap", "reversed_gap",
+                                       "bool_gap", "bool_sigma"])
     def test_diagram_reader_refuses_a_bad_file(self, tmp_path, fault):
         # "old_params": the four fixed-value keys that earlier versions
         # wrote under "params"; such a file is refused, not read
@@ -506,6 +516,16 @@ class TestSerialization:
             data["cusps"][0]["J"] = math.nan
         elif fault == "infinite_anchor":
             data["anchor"]["H"] = math.inf
+        elif fault == "nan_gap":            # written back as NaN, not JSON
+            data["segments"][0]["gaps"] = [[math.nan, 1.0]]
+        elif fault == "string_gap":
+            data["segments"][0]["gaps"] = [["a", "b"]]
+        elif fault == "reversed_gap":
+            data["segments"][0]["gaps"] = [[1.0, 0.5]]
+        elif fault == "bool_gap":
+            data["segments"][0]["gaps"] = [[False, True]]
+        elif fault == "bool_sigma":
+            data["params"]["sigma"] = True
         text = json.dumps(data)
         path.write_text(text[:100] if fault == "truncated" else text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
