@@ -20,6 +20,11 @@ LOOP_GAMMA = models.PolyG(0.8)
 S_SAMPLES = 401          # curve parameters s in [-sqrt(nu), sqrt(nu)]
 
 
+def _require(ok, message: str) -> None:
+    if not ok:      # an assert statement would not run under python -O
+        raise AssertionError(message)
+
+
 def _s_grid(params: hopf.HopfParams) -> np.ndarray:
     root = np.sqrt(params.nu)
     return np.linspace(-root, root, S_SAMPLES)
@@ -38,8 +43,8 @@ def criterion_01_discriminant_identity() -> str:
     scale = np.abs(np.broadcast_arrays(1.0, c0, c1, c2, c3)).max(axis=0)
     worst = float(np.max(np.maximum(np.abs(q), np.abs(dq)) / scale))
     elapsed = time.perf_counter() - t0
-    assert worst < 1e-10, f"scaled double-root residual {worst:.3g} >= 1e-10"
-    assert elapsed < 1.0, f"took {elapsed:.3f}s >= 1s"
+    _require(worst < 1e-10, f"scaled double-root residual {worst:.3g} >= 1e-10")
+    _require(elapsed < 1.0, f"took {elapsed:.3f}s >= 1s")
     return f"max scaled residual {worst:.2e} in {elapsed * 1e3:.0f} ms"
 
 
@@ -57,8 +62,8 @@ def criterion_02_hyperbolic_anchor() -> str:
         return sum(1 for r in roots if abs(r.imag) < 1e-6 and r.real > 1e-6)
 
     lo, hi = 0.001, 0.05
-    assert positive_real_roots(lo) == 2 and positive_real_roots(hi) == 0, \
-        "bracket does not straddle the double-root level"
+    _require(positive_real_roots(lo) == 2 and positive_real_roots(hi) == 0,
+             "bracket does not straddle the double-root level")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if positive_real_roots(mid) >= 2:
@@ -70,8 +75,8 @@ def criterion_02_hyperbolic_anchor() -> str:
                                      (1e-3, 0.3))
     expected = -params.nu ** 2 / (8.0 * params.D)
     err = abs(h_star - expected)
-    assert err < 1e-9, f"|H* - 1/64| = {err:.3g} >= 1e-9"
-    assert abs(z_star - 1.0 / 16.0) < 1e-5, f"double root at z = {z_star}"
+    _require(err < 1e-9, f"|H* - 1/64| = {err:.3g} >= 1e-9")
+    _require(abs(z_star - 1.0 / 16.0) < 1e-5, f"double root at z = {z_star}")
     return f"H* = {h_star!r} (err {err:.2e}), double root z = {z_star:.8f}"
 
 
@@ -94,15 +99,15 @@ def criterion_03_hessian_law() -> str:
                              levels=1)
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
     worst = float(np.max(np.abs(det - hopf.hessian_det2(params, ss))))
-    assert worst < 1e-7, f"|det - 2(3s^2-nu)| = {worst:.3g} >= 1e-7"
+    _require(worst < 1e-7, f"|det - 2(3s^2-nu)| = {worst:.3g} >= 1e-7")
     signs = np.sign(det)
     k = np.flatnonzero(signs[:-1] != signs[1:])
     flips = list(zip(ss[k].tolist(), ss[k + 1].tolist()))
     cusp = np.sqrt(params.nu / 3.0)
-    assert len(flips) == 2, f"expected 2 sign changes, got {len(flips)}"
+    _require(len(flips) == 2, f"expected 2 sign changes, got {len(flips)}")
     for lo, hi in flips:
-        assert lo <= -cusp <= hi or lo <= cusp <= hi, \
-            f"sign change at ({lo}, {hi}) not at +-sqrt(nu/3)"
+        _require(lo <= -cusp <= hi or lo <= cusp <= hi,
+                 f"sign change at ({lo}, {hi}) not at +-sqrt(nu/3)")
     return f"max |det error| {worst:.2e}; sign flips at +-sqrt(nu/3)"
 
 
@@ -115,23 +120,23 @@ def criterion_04_tangent_cusp_law() -> str:
     fd_j = (hopf.curve_j(params, ss + step) - hopf.curve_j(params, ss - step)) / (2 * step)
     fd_h = (hopf.curve_h(params, ss + step) - hopf.curve_h(params, ss - step)) / (2 * step)
     worst = float(np.max(np.maximum(np.abs(dj - fd_j), np.abs(dh - fd_h))))
-    assert worst < 1e-6, f"tangent FD mismatch {worst:.3g} >= 1e-6"
+    _require(worst < 1e-6, f"tangent FD mismatch {worst:.3g} >= 1e-6")
 
     for s_cusp in hopf.cusps(params):
         dj_c, dh_c = hopf.curve_tangent(params, s_cusp)
-        assert max(abs(dj_c), abs(dh_c)) < 1e-12, \
-            f"tangent at cusp {s_cusp} is ({dj_c}, {dh_c})"
+        _require(max(abs(dj_c), abs(dh_c)) < 1e-12,
+                 f"tangent at cusp {s_cusp} is ({dj_c}, {dh_c})")
     root, cusp = np.sqrt(params.nu), np.sqrt(params.nu / 3.0)
     off_cusp = np.minimum(np.abs(ss - cusp), np.abs(ss + cusp)) > 1e-2
     flat = ss[off_cusp & ~(np.abs(dj) > 0.0)]
-    assert flat.size == 0, f"tangent vanishes off-cusp at s={flat[0]}"
+    _require(flat.size == 0, f"tangent vanishes off-cusp at s={next(iter(flat), None)}")
 
     # the three open segments are graphs over J: strict monotonicity
     for a, b in ((-root, -cusp), (-cusp, cusp), (cusp, root)):
         ss = np.linspace(a, b, 101)[1:-1]
         diffs = np.diff(hopf.curve_j(params, ss))
-        assert np.all(diffs > 0) or np.all(diffs < 0), \
-            f"J not monotone on segment ({a:.4f}, {b:.4f})"
+        _require(np.all(diffs > 0) or np.all(diffs < 0),
+                 f"J not monotone on segment ({a:.4f}, {b:.4f})")
     return f"max tangent FD error {worst:.2e}; cusps exact; segments monotone"
 
 
@@ -146,7 +151,7 @@ def criterion_05_origin_slopes() -> str:
             s = end - np.sign(end) * delta * root
             secant = hopf.curve_h(params, s) / hopf.curve_j(params, s)
             err = abs(secant - target)
-        assert err < 1e-3, f"secant near s={end} off by {err:.3g}"
+        _require(err < 1e-3, f"secant near s={end} off by {err:.3g}")
         worst = max(worst, err)
     return f"slopes {slope_plus}, {slope_minus}; final secant error {worst:.2e}"
 
@@ -160,13 +165,13 @@ def criterion_06_eigenvalue_laws() -> str:
         numeric = oracle.eig4(
             symplin.hamiltonian_matrix(hopf.linearization_hessian(params)))
         err = oracle.match_eigensets(numeric, closed)
-        assert err < 1e-10, f"nu={nu}: eigenvalue mismatch {err:.3g}"
+        _require(err < 1e-10, f"nu={nu}: eigenvalue mismatch {err:.3g}")
         details.append(f"nu={nu}: {err:.1e}")
     # collision at nu = 0: the quadruplet collapses onto +-i*omega doubled
     params = hopf.HopfParams(omega=1.0, sigma=1, nu=0.0, D=-2.0)
     collapsed = hopf.equilibrium_eigenvalues(params)
     err = oracle.match_eigensets(collapsed, np.array([1j, 1j, -1j, -1j]))
-    assert err < 1e-10, f"nu=0 collision off by {err:.3g}"
+    _require(err < 1e-10, f"nu=0 collision off by {err:.3g}")
     return "; ".join(details)
 
 
@@ -191,7 +196,7 @@ def criterion_07_conjugation() -> str:
                                  + e.delta * symplin.k2(p)),
                    g3 - sigma * symplin.k1(p) / e.delta)
         worst = max(worst, float(np.max(np.abs(defects))))
-    assert worst < 1e-12, f"conjugation/symplecticity defect {worst:.3g} >= 1e-12"
+    _require(worst < 1e-12, f"conjugation/symplecticity defect {worst:.3g} >= 1e-12")
     return f"max defect {worst:.2e} over 20 parameter sets x 100 points"
 
 
@@ -205,14 +210,14 @@ def criterion_08_region_exclusion() -> str:
     parab = b * b / 4.0
     hh = (a > 0) & (a < parab) & (b < 0)
     eh = a < 0
-    assert not hh.any(), f"{hh.sum()} hyperbolic-hyperbolic classifications"
-    assert not eh.any(), f"{eh.sum()} elliptic-hyperbolic classifications"
+    _require(not hh.any(), f"{hh.sum()} hyperbolic-hyperbolic classifications")
+    _require(not eh.any(), f"{eh.sum()} elliptic-hyperbolic classifications")
     lhs = parab - a
     rhs = 4.0 * w * w * (gd - al * al)
     scale = np.maximum.reduce([np.ones_like(a), a, np.abs(parab), np.abs(rhs)])
     rel = np.abs(lhs - rhs) / scale
     worst = float(rel.max())
-    assert worst < 1e-9, f"identity b^2/4 - a = 4w^2(gd - a^2) off by {worst:.3g}"
+    _require(worst < 1e-9, f"identity b^2/4 - a = 4w^2(gd - a^2) off by {worst:.3g}")
     return f"0 HH, 0 EH; identity max relative error {worst:.2e}"
 
 
@@ -224,12 +229,12 @@ def criterion_09_jc_linearization() -> str:
         analytic, _ = models.jc_linearization(g)
         numeric = models.jc_linearization_numeric(g)
         worst = max(worst, abs(analytic.a - numeric.a), abs(analytic.b - numeric.b))
-    assert worst < 1e-10, f"analytic/numeric (a, b) differ by {worst:.3g}"
+    _require(worst < 1e-10, f"analytic/numeric (a, b) differ by {worst:.3g}")
     for gamma, expected in ((0.25, "FocusFocus"), (0.4, "FocusFocus"),
                             (0.5, "Boundary(ParabolaPlus)"),
                             (0.8, "EllipticElliptic"), (1.5, "EllipticElliptic")):
         _, typ = models.jc_linearization(models.PolyG(gamma))
-        assert str(typ) == expected, f"gamma={gamma}: {typ} != {expected}"
+        _require(str(typ) == expected, f"gamma={gamma}: {typ} != {expected}")
     return f"max |(a, b) error| {worst:.2e}; FF -> Boundary -> EE at 1/2"
 
 
@@ -242,7 +247,7 @@ def criterion_10_commutation() -> str:
             models.jc_grad_J, lambda s: models.jc_grad_Htilde(s, g),
             _random_states(1000, seed=100 + k))
         worst = max(worst, float(np.max(np.abs(br))))
-    assert worst < 1e-11, f"|{{J, H~}}| = {worst:.3g} >= 1e-11"
+    _require(worst < 1e-11, f"|{{J, H~}}| = {worst:.3g} >= 1e-11")
     return f"max |{{J, H~}}| = {worst:.2e} over 4 gammas x 1000 states"
 
 
@@ -258,23 +263,24 @@ def criterion_11_undeformed_diagram() -> str:
     """gamma=0, J=0: two elliptic values at +-3^(-3/4); pole values exact."""
     g = models.PolyG(0.0)
     pts = models.jc_reduced_critical_values(g, 0.0)
-    assert len(pts) == 2, f"expected 2 critical values, got {len(pts)}"
-    assert all(p.kind is models.CriticalKind.TRANSVERSALLY_ELLIPTIC for p in pts)
+    _require(len(pts) == 2, f"expected 2 critical values, got {len(pts)}")
+    _require(all(p.kind is models.CriticalKind.TRANSVERSALLY_ELLIPTIC
+                 for p in pts), f"kinds {[p.kind for p in pts]} not elliptic")
     hs = sorted(p.H for p in pts)
     for got, want in zip(hs, (-0.438691, 0.438691)):
-        assert abs(got - want) < 1e-6, f"H = {got} not within 1e-6 of {want}"
+        _require(abs(got - want) < 1e-6, f"H = {got} not within 1e-6 of {want}")
     # independent golden-section extremization of the upper branch
     z_star, h_star = oracle.golden_max(
         lambda z: float(models.branch_value(z, 0.0, g, models.Branch.PLUS)),
         -1.0 + 1e-9, -1e-9, tol=1e-13)
-    assert abs(h_star - max(hs)) < 1e-9, \
-        f"golden-section oracle gives {h_star}, solver {max(hs)}"
-    assert abs(z_star + 1.0 / np.sqrt(3.0)) < 1e-6, f"extremum at z={z_star}"
+    _require(abs(h_star - max(hs)) < 1e-9,
+             f"golden-section oracle gives {h_star}, solver {max(hs)}")
+    _require(abs(z_star + 1.0 / np.sqrt(3.0)) < 1e-6, f"extremum at z={z_star}")
     for j in (1.0, -1.0):
         eq = [p for p in models.jc_reduced_critical_values(g, j)
               if p.kind is models.CriticalKind.EQUILIBRIUM_VALUE]
-        assert len(eq) == 1 and eq[0].J == j and eq[0].H == 0.0, \
-            f"pole value at J={j} missing or inexact: {eq}"
+        _require(len(eq) == 1 and eq[0].J == j and eq[0].H == 0.0,
+                 f"pole value at J={j} missing or inexact: {eq}")
     return f"H = +-{max(hs)!r} at z = -1/sqrt(3); pole values (+-1, 0) exact"
 
 
@@ -290,7 +296,7 @@ def criterion_12_post_hopf_loop() -> str:
     t0 = time.perf_counter()
     g = LOOP_GAMMA
     grid = np.linspace(-0.9, 3.3, 400)
-    assert not np.any(grid == 1.0)   # at J=1 the third point merges with the pole
+    _require(not np.any(grid == 1.0), "J = 1 on the grid: a point merges with the pole")
     counts = []     # (plus-branch, hyperbolic, all) interior points per J
     for pts in models.jc_critical_values(g, grid):
         interior = [p for p in pts
@@ -302,41 +308,41 @@ def criterion_12_post_hopf_loop() -> str:
             len(interior)))
     plus_counts, hyp_counts, totals = np.array(counts).T.tolist()
     elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0, f"400-step scan took {elapsed:.2f}s >= 10s"
+    _require(elapsed < 10.0, f"400-step scan took {elapsed:.2f}s >= 10s")
 
     # maximal runs (first, last) of grid indices with a 3-point branch
     bounds = np.flatnonzero(np.diff(np.r_[0, np.array(plus_counts) == 3, 0]))
     runs = list(zip(bounds[::2].tolist(), (bounds[1::2] - 1).tolist()))
-    assert runs, "no J with a 3-point branch found"
+    _require(runs, "no J with a 3-point branch found")
     i0, i1 = max(runs, key=lambda r: r[1] - r[0])
-    assert i1 - i0 >= 10, f"window too narrow: {i1 - i0} grid steps"
+    _require(i1 - i0 >= 10, f"window too narrow: {i1 - i0} grid steps")
     for i in range(i0, i1 + 1):
-        assert hyp_counts[i] == 1, \
-            f"J={grid[i]}: {hyp_counts[i]} hyperbolic values, expected 1"
+        _require(hyp_counts[i] == 1,
+                 f"J={grid[i]}: {hyp_counts[i]} hyperbolic values, expected 1")
     for i in list(range(0, max(0, i0 - 2))) + list(range(min(len(grid), i1 + 3),
                                                          len(grid))):
-        assert totals[i] == 2 and hyp_counts[i] == 0, \
-            f"J={grid[i]}: count {totals[i]} outside the window"
+        _require(totals[i] == 2 and hyp_counts[i] == 0,
+                 f"J={grid[i]}: count {totals[i]} outside the window")
 
     # the hyperbolic family terminates at the closed-form folds, which bound
     # the scanned window, and h'' passes through 0 there
     edges = [1.0 + r for r in models.fold_offsets(g)]
-    assert len(edges) == 2, f"fold values {edges}, expected 2"
-    assert grid[max(0, i0 - 1)] < edges[0] <= grid[i0] \
-        and grid[i1] <= edges[1] < grid[min(len(grid) - 1, i1 + 1)], \
-        f"folds {edges} do not bound the scanned window"
+    _require(len(edges) == 2, f"fold values {edges}, expected 2")
+    _require(grid[max(0, i0 - 1)] < edges[0] <= grid[i0]
+             and grid[i1] <= edges[1] < grid[min(len(grid) - 1, i1 + 1)],
+             f"folds {edges} do not bound the scanned window")
     for edge, inward in zip(edges, (1.0, -1.0)):
         probe = edge + inward * 1e-5
         pts = _plus_points(g, probe)
-        assert len(pts) == 3, f"probe at J={probe} sees {len(pts)} points"
+        _require(len(pts) == 3, f"probe at J={probe} sees {len(pts)} points")
         pts.sort(key=lambda p: p.z_at)
         pairs = [(pts[k], pts[k + 1]) for k in range(2)]
         near = min(pairs, key=lambda pr: pr[1].z_at - pr[0].z_at)
         h2 = [float(models.branch_second_deriv(p.z_at, probe, g, models.Branch.PLUS))
               for p in near]
-        assert h2[0] * h2[1] < 0.0, f"merging pair h'' = {h2} not straddling 0"
-        assert max(abs(v) for v in h2) < 5e-2, \
-            f"h'' not small near the fold: {h2}"
+        _require(h2[0] * h2[1] < 0.0, f"merging pair h'' = {h2} not straddling 0")
+        _require(max(abs(v) for v in h2) < 5e-2,
+                 f"h'' not small near the fold: {h2}")
     return (f"window J in ({edges[0]:.4f}, {edges[1]:.4f}), one hyperbolic "
             f"value inside, 2 values outside; scan {elapsed:.2f}s")
 
@@ -367,9 +373,9 @@ def criterion_13_torus_counts() -> str:
     """Spot torus counts and count-changes only across the critical curves."""
     params = REFERENCE_PARAMS
     count, unbounded = hopf.torus_count(params, 0.0, 1.0 / 128.0)
-    assert (count, unbounded) == (2, True), f"(0, 1/128) -> ({count}, {unbounded})"
+    _require((count, unbounded) == (2, True), f"(0, 1/128) -> ({count}, {unbounded})")
     count, unbounded = hopf.torus_count(params, 0.0, -0.1)
-    assert (count, unbounded) == (1, True), f"(0, -0.1) -> ({count}, {unbounded})"
+    _require((count, unbounded) == (1, True), f"(0, -0.1) -> ({count}, {unbounded})")
 
     ss = np.linspace(-np.sqrt(params.nu), np.sqrt(params.nu), 4001)
     poly = np.column_stack([hopf.curve_j(params, ss), hopf.curve_h(params, ss)])
@@ -385,7 +391,7 @@ def criterion_13_torus_counts() -> str:
     p1 = np.column_stack([j_c[np.r_[i + 1, i2]], h_c[np.r_[k, k2 + 1]]])
     crossed = _polyline_crossings(p0, p1, poly)
     bad = int(np.count_nonzero(~crossed))
-    assert bad == 0, f"{bad} count changes away from the critical curves"
+    _require(bad == 0, f"{bad} count changes away from the critical curves")
     values = sorted(set(counts.ravel().tolist()))
     return f"spot counts OK; cell counts {values}; all changes on the curves"
 
@@ -403,18 +409,18 @@ def criterion_14_determinism() -> str:
             rc = cli.main(["hopf-curve", "--omega", "1", "--sigma", "1",
                            "--nu", "0.5", "--D", "-2", "--samples", "200",
                            "--out", str(prefix)])
-            assert rc == 0, f"hopf-curve exited {rc}"
+            _require(rc == 0, f"hopf-curve exited {rc}")
             rc = cli.main(["jc-spectrum", "--gamma", "0.8", "--j-min", "0",
                            "--j-max", "2", "--j-steps", "5", "--samples",
                            "2000", "--seed", "42", "--out", str(prefix)])
-            assert rc == 0, f"jc-spectrum exited {rc}"
+            _require(rc == 0, f"jc-spectrum exited {rc}")
             blobs = {}
             for suffix in ("_curve.csv", "_diagram.json", "_critical.csv",
                            "_cloud.csv"):
                 blobs[suffix] = (prefix.parent / (prefix.name + suffix)).read_bytes()
             outputs.append(blobs)
         for suffix, blob in outputs[0].items():
-            assert blob == outputs[1][suffix], f"{suffix} differs between runs"
+            _require(blob == outputs[1][suffix], f"{suffix} differs between runs")
     return "4 output files byte-identical across repeated runs"
 
 

@@ -107,7 +107,7 @@ def cmd_classify(args) -> int:
     else:
         raise ValueError("need --a and --b, or --params")
     eig = symplin.eigen_closed(q)
-    print(f"(a, b) = ({float(q.a)!r}, {float(q.b)!r})")
+    print(f"(a, b) = ({q.a!r}, {q.b!r})")
     print(f"type = {symplin.classify(q)}")
     print("eigenvalues = " + ", ".join(map(spectrum.fmt_complex, eig)))
     return 0
@@ -132,7 +132,7 @@ def cmd_jc_scan(args) -> int:
         raise ValueError("gamma range must be finite")
     rows = []
     for gamma in np.linspace(args.gamma_min, args.gamma_max, args.steps):
-        q, typ = models.jc_linearization(models.PolyG(float(gamma)))
+        q, typ = models.jc_linearization(models.PolyG(gamma))
         rows.append((gamma, q, typ, symplin.eigen_closed(q)))
     spectrum.write_jc_scan_csv(rows, args.out)
     return 0

@@ -67,12 +67,10 @@ class HopfParams:
     D: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.omega, self.nu, self.D))):
-            raise ValueError("parameters must be finite")
-        if isinstance(self.sigma, bool) or self.sigma not in (-1, 1):
+        symplin.finite_fields(self, "omega", "sigma", "nu", "D")
+        if self.sigma not in (-1.0, 1.0):
             raise ValueError("sigma must be -1 or +1")
-        for name in ("omega", "nu", "D"):   # numpy scalars warn on overflow
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "sigma", int(self.sigma))
         if self.omega == 0.0:
             raise ValueError("omega must be nonzero")
         if self.D == 0.0:
@@ -103,9 +101,7 @@ class CurveSample:
     kind: SegmentKind
 
     def __post_init__(self):
-        fields = (self.s, self.J, self.H, self.d, self.det2)
-        if not all(map(math.isfinite, fields)):
-            raise ValueError(f"curve sample at s = {self.s!r} is not finite")
+        symplin.finite_fields(self, "s", "J", "H", "d", "det2")
 
 
 @dataclass(frozen=True)
@@ -122,14 +118,11 @@ class EliassonParams:
     delta: float
 
     def __post_init__(self):
-        fields = (self.omega_t, self.alpha_t, self.delta)
-        if not all(map(math.isfinite, fields)):
-            raise ValueError("parameters must be finite")
+        symplin.finite_fields(self, "omega_t", "alpha_t", "delta")
         if self.omega_t == 0.0 or self.alpha_t == 0.0 or self.delta == 0.0:
             raise ValueError("omega_t, alpha_t, delta must all be nonzero")
-        if not math.isfinite(self.gamma_hat) or self.gamma_hat == 0.0:
-            raise ValueError("gamma_hat = alpha_t^2 / delta must be finite "
-                             "and nonzero")
+        if not symplin.finite_float(self.gamma_hat, "EliassonParams", "gamma_hat"):
+            raise ValueError("gamma_hat = alpha_t^2 / delta must be nonzero")
 
     @property
     def gamma_hat(self) -> float:
@@ -380,12 +373,10 @@ class HtildeCoeffs:
     D: float
 
     def __post_init__(self):
-        fields = (self.omega_t, self.alpha_t, self.gamma, self.delta, self.D)
-        if not all(map(math.isfinite, fields)):
-            raise ValueError("coefficients must be finite")
+        symplin.finite_fields(self, "omega_t", "alpha_t", "gamma", "delta", "D")
         delta2 = self.delta * self.delta
-        if not math.isfinite(delta2) or delta2 == 0.0:
-            raise ValueError("delta^2 must be finite and nonzero")
+        if not symplin.finite_float(delta2, "HtildeCoeffs", "delta^2"):
+            raise ValueError("delta^2 must be nonzero")
 
     def value(self, point) -> float:
         k1 = symplin.k1(point)

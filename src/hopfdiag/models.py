@@ -59,8 +59,7 @@ class PolyG:
     gamma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+        symplin.finite_fields(self, "gamma")
 
     def value(self, z: float) -> float:
         return self.gamma * z * z

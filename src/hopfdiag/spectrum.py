@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import hopf
+from . import hopf, symplin
 from .hopf import CurveSample, HopfParams, Regime, SegmentKind
 from .models import Branch, CriticalKind, SpectrumCloud
 
@@ -44,8 +44,7 @@ class SpecialPoint:
     H: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.s, self.J, self.H))):
-            raise ValueError(f"special point at s = {self.s!r} is not finite")
+        symplin.finite_fields(self, "s", "J", "H")
 
 
 @dataclass
@@ -73,17 +72,19 @@ class Diagram:
     segments: list[DiagramSegment]
 
     def __post_init__(self):
-        pairs = {"anchor": self.anchor, "equilibrium": self.equilibrium,
-                 "slopes": (0.0, 0.0) if self.slopes is None else self.slopes}
-        for name, pair in pairs.items():
-            if not (len(pair) == 2 and all(map(math.isfinite, pair))):
-                raise ValueError(f"diagram {name} {pair!r} is not a finite pair")
-        for gap in (g for seg in self.segments for g in seg.gaps):
-            if not (len(gap) == 2 and all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(x) for x in gap) and gap[0] <= gap[1]):
-                raise ValueError(f"segment gap {gap!r} is not a finite "
-                                 "pair lo <= hi")
+        optional = () if self.slopes is None else ("slopes",)
+        for name in ("anchor", "equilibrium", *optional):
+            setattr(self, name, _finite_pair(getattr(self, name), name))
+        for seg in self.segments:
+            seg.gaps = [_finite_pair(gap, "gaps") for gap in seg.gaps]
+            if any(lo > hi for lo, hi in seg.gaps):
+                raise ValueError(f"Diagram.gaps {seg.gaps!r} has a lo > hi")
+
+
+def _finite_pair(pair, name: str) -> tuple[float, float]:
+    if len(pair) != 2:
+        raise ValueError(f"Diagram.{name} {pair!r} is not a pair")
+    return tuple(symplin.finite_float(x, "Diagram", name) for x in pair)
 
 
 def _segment_samples(params: HopfParams, s_values,
@@ -437,12 +438,12 @@ def diagram_to_dict(diagram: Diagram) -> dict:
         "regime": diagram.regime.value,
         "cusps": [{"s": c.s, "J": c.J, "H": c.H} for c in diagram.cusps],
         "endpoints": [{"s": e.s, "J": e.J, "H": e.H} for e in diagram.endpoints],
-        "slopes": list(diagram.slopes) if diagram.slopes is not None else None,
+        "slopes": diagram.slopes,
         "anchor": {"J": diagram.anchor[0], "H": diagram.anchor[1]},
         "equilibrium": {"J": diagram.equilibrium[0], "H": diagram.equilibrium[1]},
         "segments": [{"kind": seg.kind.value,
                       "points": [_sample_to_dict(p) for p in seg.points],
-                      "gaps": [list(g) for g in seg.gaps]}
+                      "gaps": seg.gaps}
                      for seg in diagram.segments],
     }
 
@@ -450,14 +451,14 @@ def diagram_to_dict(diagram: Diagram) -> dict:
 def diagram_from_dict(data: dict) -> Diagram:
     segments = [DiagramSegment(kind=SegmentKind(s["kind"]),
                                points=[_sample_from_dict(p) for p in s["points"]],
-                               gaps=[(a, b) for a, b in s["gaps"]])
+                               gaps=s["gaps"])
                 for s in data["segments"]]
     return Diagram(
         params=HopfParams(**data["params"]),
         regime=Regime(data["regime"]),
         cusps=[SpecialPoint(**c) for c in data["cusps"]],
         endpoints=[SpecialPoint(**e) for e in data["endpoints"]],
-        slopes=None if data["slopes"] is None else tuple(data["slopes"]),
+        slopes=data["slopes"],
         anchor=(data["anchor"]["J"], data["anchor"]["H"]),
         equilibrium=(data["equilibrium"]["J"], data["equilibrium"]["H"]),
         segments=segments,
@@ -471,9 +472,8 @@ def write_diagram_json(diagram: Diagram, path):
 
 def read_diagram_json(path) -> Diagram:
     """Diagram JSON reader; a file that is not a diagram (a missing key, a
-    wrong type, a bool sigma, ``params`` keys other than omega, sigma, nu
-    and D, slopes not a pair, a gap not a finite pair lo <= hi, a curve
-    value not finite) is a ValueError naming it."""
+    wrong type, ``params`` keys other than omega, sigma, nu and D, a value
+    that a record refuses) is a ValueError naming it."""
     try:
         with open(path) as fh:
             return diagram_from_dict(json.load(fh))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,6 +63,29 @@ HESS_J2 = np.array([
 
 HESS_K1 = np.diag([1.0, 1.0, 0.0, 0.0])
 HESS_K2 = np.diag([0.0, 0.0, 1.0, 1.0])
+
+
+def finite_float(x, record: str, name: str) -> float:
+    """``x`` as a finite Python float, the number rule of every record: a
+    bool, a value that is not real, NaN, an infinity or an int beyond the
+    float range is a ValueError that names the record and the field."""
+    try:
+        if isinstance(x, numbers.Real) and not isinstance(x, bool) \
+                and math.isfinite(f := float(x)):
+            return f
+    except OverflowError:       # an int beyond the float range
+        pass
+    raise ValueError(f"{record}.{name} must be a finite real number, got {x!r}")
+
+
+def finite_fields(record, *names: str) -> None:
+    """Store the named fields of the dataclass ``record`` by ``finite_float``;
+    a finite float, the common case, is kept without a call."""
+    for name in names:
+        x = getattr(record, name)
+        if type(x) is not float or not math.isfinite(x):
+            object.__setattr__(record, name,
+                               finite_float(x, type(record).__name__, name))
 
 
 def j1(p) -> float:
@@ -113,8 +137,7 @@ class QuarticCoeffs:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("quartic coefficients must be finite")
+        finite_fields(self, "a", "b")
 
 
 class EquilibriumType(Enum):

@@ -361,6 +361,18 @@ class TestVerify:
         assert payload == [{"number": 1, "name": "alpha", "passed": True,
                             "detail": "ok", "seconds": 0.01}]
 
+    def test_broken_closed_form_fails_under_python_O(self):
+        # python -O strips assert statements; the criteria's checks still run
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = ("import sys; from hopfdiag import cli, hopf; "
+                "hopf.curve_h = lambda params, s: 0.0 * s; "
+                "sys.exit(cli.main(['verify']))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "[ 1] FAIL  discriminant identity" in proc.stdout
+
 
 class TestClosedOrFullStdout:
     """A stdout that takes no output is an I/O error: exit 3 and one line

@@ -15,7 +15,10 @@ hopfdiag import sits at module top except ``cli.cmd_verify``'s
 ``acceptance``, which drives the CLI.  Every public top-level function
 and class of ``src/`` is referred to by ``src/``, ``scripts/`` or
 perfbench, not by the tests alone; ``hopf.build_htilde``, the paper's
-deformed Hamiltonian, is the one exception.
+deformed Hamiltonian, is the one exception.  No module of ``src/`` has an
+``assert`` statement, which ``python -O`` strips, and no ``__post_init__``
+refers to ``math.isfinite`` or calls ``isinstance(..., bool)`` itself:
+every record checks its numbers by ``symplin.finite_float``.
 """
 
 import ast
@@ -301,3 +304,76 @@ def test_src_ships_only_what_runs_outside_the_tests():
 ])
 def test_reference_scan_sees(source, found):
     assert referenced_names(ast.parse(source)) == found
+
+
+def assert_statements(tree) -> list[int]:
+    """Line of each ``assert`` statement."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
+                         ids=lambda p: p.name)
+def test_src_has_no_assert_statement(path):
+    assert not assert_statements(parse(path))
+
+
+@pytest.mark.parametrize("source, found", [
+    ("assert x, 'message'", [1]),
+    ("def f(ok):\n    if ok:\n        assert ok\n", [3]),
+    ("raise AssertionError('x')\nself.assertEqual(a, b)", []),
+    ("x = 'assert y'  # assert z", []),
+])
+def test_assert_scan_sees(source, found):
+    assert assert_statements(ast.parse(source)) == found
+
+
+def private_number_checks(tree) -> set[str]:
+    """What a ``__post_init__`` body does to check a number itself: refer to
+    ``math.isfinite`` (or ``isfinite`` imported from math), or call
+    ``isinstance`` with ``bool`` among its classes."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "math"
+                    or isinstance(node, ast.Name) and node.id == "isfinite"):
+                found.add("math.isfinite")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2
+                  and any(isinstance(n, ast.Name) and n.id == "bool"
+                          for n in ast.walk(node.args[1]))):
+                found.add("isinstance bool")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
+                         ids=lambda p: p.name)
+def test_records_leave_the_number_rule_to_symplin(path):
+    assert not private_number_checks(parse(path))
+
+
+POST_INIT = "class R:\n    def __post_init__(self):\n        "
+
+
+@pytest.mark.parametrize("source, found", [
+    (POST_INIT + "if not math.isfinite(self.a):\n            raise E",
+     {"math.isfinite"}),
+    (POST_INIT + "all(map(math.isfinite, (self.a, self.b)))",
+     {"math.isfinite"}),
+    ("from math import isfinite\n" + POST_INIT + "isfinite(self.a)",
+     {"math.isfinite"}),
+    (POST_INIT + "isinstance(self.sigma, bool)", {"isinstance bool"}),
+    (POST_INIT + "isinstance(x, (int, float)) and not isinstance(x, bool)",
+     {"isinstance bool"}),
+    (POST_INIT + "np.isfinite(self.points).all()", set()),
+    (POST_INIT + "symplin.finite_fields(self, 'a', 'b')", set()),
+    ("def check(x):\n    return math.isfinite(x) and not isinstance(x, bool)",
+     set()),
+])
+def test_number_check_scan_sees(source, found):
+    assert private_number_checks(ast.parse(source)) == found

@@ -491,7 +491,9 @@ class TestSerialization:
                                        "three_ended_gap", "nan_cusp",
                                        "infinite_anchor", "nan_gap",
                                        "string_gap", "reversed_gap",
-                                       "bool_gap", "bool_sigma"])
+                                       "bool_gap", "bool_sigma",
+                                       "bool_slopes", "bool_anchor",
+                                       "bool_cusp", "bool_hessdet"])
     def test_diagram_reader_refuses_a_bad_file(self, tmp_path, fault):
         # "old_params": the four fixed-value keys that earlier versions
         # wrote under "params"; such a file is refused, not read
@@ -526,6 +528,14 @@ class TestSerialization:
             data["segments"][0]["gaps"] = [[False, True]]
         elif fault == "bool_sigma":
             data["params"]["sigma"] = True
+        elif fault == "bool_slopes":
+            data["slopes"] = [True, False]
+        elif fault == "bool_anchor":
+            data["anchor"]["H"] = True
+        elif fault == "bool_cusp":
+            data["cusps"][0]["J"] = True
+        elif fault == "bool_hessdet":
+            data["segments"][0]["points"][0]["hessdet"] = False
         text = json.dumps(data)
         path.write_text(text[:100] if fault == "truncated" else text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
