@@ -40,6 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,8 +162,7 @@ class CriticalKind(Enum):
     EQUILIBRIUM_VALUE = "EQ"
 
 
-@dataclass(frozen=True, slots=True)
-class CriticalValuePoint:
+class CriticalValuePoint(NamedTuple):
     J: float
     H: float
     z_at: float
@@ -302,7 +302,8 @@ def _chart_roots(gamma: float, sigma: float, r: float, lo: float, hi: float,
 
 
 def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
-    """All critical values of the reduced system at each momentum J in ``js``.
+    """All critical values of the reduced system at each momentum J in
+    ``js``: one list of ``CriticalValuePoint`` named tuples per J.
 
     Interior critical points of both branches h_pm are the real roots of the
     quintic p_J in (-1, min(J, 1)) (module docstring), found in the chart
@@ -379,7 +380,8 @@ def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
 
 @dataclass(frozen=True)
 class SpectrumCloud:
-    """Sampled momentum-map image: (J, H) points plus provenance metadata."""
+    """Sampled momentum-map image: (J, H) points plus provenance metadata;
+    ``seed`` is an int >= 0 (``symplin.seed_int``)."""
 
     points: np.ndarray   # shape (n, 2)
     seed: int
@@ -389,6 +391,8 @@ class SpectrumCloud:
         if not np.isfinite(pts).all():
             raise ValueError("cloud points must be finite")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "seed",
+                           symplin.seed_int(self.seed, "SpectrumCloud", "seed"))
 
     @property
     def count(self) -> int:
@@ -427,6 +431,7 @@ def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumClo
         raise ValueError("n must be >= 0")
     if not (j_max > -1.0 and math.isfinite(2.0 * (j_max + 1.0))):
         raise ValueError(f"need -1 < j_max with 2 (j_max + 1) finite, got {j_max!r}")
+    seed = symplin.seed_int(seed, "SpectrumCloud", "seed")
     rng = np.random.default_rng(seed)
     if n == 0:
         return SpectrumCloud(points=np.empty((0, 2)), seed=seed)

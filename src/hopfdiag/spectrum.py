@@ -16,7 +16,8 @@ fault is a ValueError that names the file.  Tables (header; notes):
                         equilibrium, segments}, params = {omega, sigma, nu, D}
 
 Inadmissible curve regions are emitted as explicit gaps, never interpolated.
-Cloud points are finite: ``models.SpectrumCloud`` refuses NaN and infinity.
+Cloud points are finite: ``models.SpectrumCloud`` refuses NaN and infinity,
+and ``write_jc_critical_csv`` refuses a non-finite J, H or z.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -322,18 +324,27 @@ def read_curve_csv(path) -> list[CurveSample]:
 
 def write_jc_critical_csv(points, path):
     """jc critical CSV from objects with J, H, z_at, branch, kind attributes;
-    each block is one ``%r`` (float repr) format of up to 8192 rows."""
-    rows = iter(points)
-    _write_csv(path, _JC_CRITICAL_HEADER, (
-        ("%r,%r,%r,%s,%s\n" * len(chunk)) % tuple(itertools.chain(*[
+    each block is one ``%r`` (float repr) format of up to 8192 rows.  A
+    non-finite J, H or z is a ValueError that names the row, raised before
+    the file is opened."""
+    rows, blocks = iter(points), []
+    while chunk := list(itertools.islice(rows, _WRITE_ROWS)):
+        fields = tuple(itertools.chain(*[
             (float(p.J), float(p.H), float(p.z_at),
              "none" if p.branch is None else p.branch._value_, p.kind._value_)
             for p in chunk]))
-        for chunk in iter(lambda: list(itertools.islice(rows, _WRITE_ROWS)), [])))
+        if not all(map(math.isfinite, fields[0::5] + fields[1::5]
+                       + fields[2::5])):
+            i = next(i for i in range(0, len(fields), 5)
+                     if not all(map(math.isfinite, fields[i:i + 3])))
+            raise ValueError(f"points[{len(blocks) * _WRITE_ROWS + i // 5}] "
+                             f"has (J, H, z) = {fields[i:i + 3]}; each must "
+                             "be finite")
+        blocks.append(("%r,%r,%r,%s,%s\n" * len(chunk)) % fields)
+    _write_csv(path, _JC_CRITICAL_HEADER, blocks)
 
 
-@dataclass(frozen=True, slots=True)
-class JCCriticalRow:
+class JCCriticalRow(NamedTuple):
     J: float
     H: float
     z: float
@@ -342,7 +353,8 @@ class JCCriticalRow:
 
 
 def read_jc_critical_csv(path) -> list[JCCriticalRow]:
-    """Rows, labels as text; unknown labels and non-finite numbers refused."""
+    """``JCCriticalRow`` named tuples, one per line, labels as text;
+    unknown labels and non-finite numbers refused."""
     # each label's one string; the last field keeps its newline, except
     # perhaps on the last line
     branches = {v: v for v in ("none", *(b.value for b in Branch))}

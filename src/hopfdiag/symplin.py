@@ -78,6 +78,15 @@ def finite_float(x, record: str, name: str) -> float:
     raise ValueError(f"{record}.{name} must be a finite real number, got {x!r}")
 
 
+def seed_int(x, record: str, name: str) -> int:
+    """``x`` as a Python int >= 0, the rule for a random seed: a numpy
+    integer is stored as int; a bool, a float, a str or a negative number
+    is a ValueError that names the record and the field."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0:
+        return int(x)
+    raise ValueError(f"{record}.{name} must be an int >= 0, got {x!r}")
+
+
 def finite_fields(record, *names: str) -> None:
     """Store the named fields of the dataclass ``record`` by ``finite_float``;
     a finite float, the common case, is kept without a call."""

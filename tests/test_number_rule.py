@@ -6,7 +6,8 @@ pairs of ``Diagram`` goes through ``symplin.finite_float``: the record
 stores a finite Python float (``HopfParams.sigma`` a Python int), or the
 constructor raises ``ValueError("<record>.<field> must be a finite real
 number, got <value!r>")``, with no RuntimeWarning, OverflowError or
-TypeError on the way.
+TypeError on the way.  ``SpectrumCloud.seed`` goes through
+``symplin.seed_int`` and stores a Python int >= 0.
 """
 
 import dataclasses
@@ -146,6 +147,31 @@ def test_a_numpy_int_sigma_diagram_writes_and_reads_back(tmp_path):
     spectrum.write_diagram_json(diagram, path)
     assert spectrum.read_diagram_json(path) == diagram
     assert json.loads(path.read_text())["params"]["sigma"] == 1
+
+
+# ---------------------------------------------------------------------------
+# SpectrumCloud.seed: an int >= 0
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 1.5, 1.0, "3", -1, None],
+                         ids=repr)
+def test_a_seed_that_is_not_an_int_ge_0_is_refused(bad):
+    message = (r"^SpectrumCloud\.seed must be an int >= 0, got "
+               + re.escape(repr(bad)) + "$")
+    with pytest.raises(ValueError, match=message):
+        models.SpectrumCloud(points=np.zeros((1, 2)), seed=bad)
+    with pytest.raises(ValueError, match=message):
+        models.jc_spectrum_sample(PolyG(0.5), 5, 1.0, bad)
+
+
+def test_a_numpy_int_seed_is_stored_as_int_and_reads_back(tmp_path):
+    cloud = models.jc_spectrum_sample(PolyG(0.5), 5, 1.0, np.int64(7))
+    assert type(cloud.seed) is int
+    assert cloud == models.jc_spectrum_sample(PolyG(0.5), 5, 1.0, 7)
+    path = tmp_path / "cloud.csv"
+    spectrum.write_cloud_csv(cloud, path)
+    assert path.read_text().startswith("# seed=7 count=5\n")
+    assert spectrum.read_cloud_csv(path) == cloud
 
 
 # ---------------------------------------------------------------------------

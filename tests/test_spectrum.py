@@ -176,6 +176,22 @@ def critical_rows(points) -> list[JCCriticalRow]:
                           p.kind.value) for p in points]
 
 
+@pytest.mark.parametrize("row, fields", [
+    (models.CriticalValuePoint(1.0, 0.5, 0.25, Branch.PLUS,
+                               CriticalKind.TRANSVERSALLY_ELLIPTIC),
+     ("J", "H", "z_at", "branch", "kind")),
+    (JCCriticalRow(1.0, 0.5, 0.25, "plus", "E"),
+     ("J", "H", "z", "branch", "kind"))])
+def test_critical_rows_are_named_tuples(row, fields):
+    assert type(row)._fields == fields
+    assert row == tuple(getattr(row, name) for name in fields)
+    with pytest.raises(AttributeError):
+        row.J = 2.0
+    assert {row: 1}[row] == 1 and hash(row) == hash(tuple(row))
+    copy = row._replace(J=2.0)
+    assert (copy.J, row.J) == (2.0, 1.0) and copy[1:] == row[1:]
+
+
 def seeded_raster(seed: int) -> RasterGrid:
     """97 x 89 = 8633 cells, more rows than one write."""
     cloud = models.jc_spectrum_sample(models.PolyG(0.8), 5000, 3.2, seed)
@@ -631,13 +647,28 @@ class TestSerialization:
         assert len(pts) > 8192
         assert pts[0].kind is CriticalKind.EQUILIBRIUM_VALUE
         number_types = [float, np.float64, np.float32, lambda x: round(1e3 * x)]
-        mixed = [replace(p, J=number_types[i % 4](p.J),
-                         H=number_types[(i + 1) % 4](p.H),
-                         z_at=number_types[(i + 2) % 4](p.z_at))
+        mixed = [p._replace(J=number_types[i % 4](p.J),
+                            H=number_types[(i + 1) % 4](p.H),
+                            z_at=number_types[(i + 2) % 4](p.z_at))
                  for i, p in enumerate(pts)]
         path = tmp_path / "critical.csv"
         spectrum.write_jc_critical_csv(mixed, path)
         assert path.read_text() == reference_jc_critical_csv(mixed)
+
+    @pytest.mark.parametrize("field, bad, at", [
+        ("J", math.nan, 0), ("H", math.inf, 8195), ("z_at", -math.inf, 8199)])
+    def test_jc_critical_writer_refuses_a_non_finite_row(self, tmp_path,
+                                                         field, bad, at):
+        # the row is named by its index, also in the second block, and no
+        # file is left
+        pts = seeded_critical_points(8200, 11)
+        pts[at] = types.SimpleNamespace(**{**vars(pts[at]), field: bad})
+        path = tmp_path / "critical.csv"
+        with pytest.raises(ValueError, match=rf"^points\[{at}\] has "
+                                             rf"\(J, H, z\) = \(.*{bad!r}.*\);"
+                                             " each must be finite$"):
+            spectrum.write_jc_critical_csv(pts, path)
+        assert not path.exists()
 
     def test_jc_critical_reader_accepts_every_enum_value(self, tmp_path):
         path = tmp_path / "critical.csv"
