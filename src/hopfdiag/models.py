@@ -381,7 +381,7 @@ def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
 @dataclass(frozen=True)
 class SpectrumCloud:
     """Sampled momentum-map image: (J, H) points plus provenance metadata;
-    ``seed`` is an int >= 0 (``symplin.seed_int``)."""
+    ``seed`` is an int >= 0 (``symplin.nonneg_int``)."""
 
     points: np.ndarray   # shape (n, 2)
     seed: int
@@ -392,7 +392,7 @@ class SpectrumCloud:
             raise ValueError("cloud points must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "seed",
-                           symplin.seed_int(self.seed, "SpectrumCloud", "seed"))
+                           symplin.nonneg_int(self.seed, "SpectrumCloud", "seed"))
 
     @property
     def count(self) -> int:
@@ -427,11 +427,10 @@ def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumClo
     buffers hold every other intermediate, each overwritten once used: the
     traced peak is about 3.6 times the cloud's 16 bytes per point.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = symplin.nonneg_int(n, "jc_spectrum_sample", "n")
     if not (j_max > -1.0 and math.isfinite(2.0 * (j_max + 1.0))):
         raise ValueError(f"need -1 < j_max with 2 (j_max + 1) finite, got {j_max!r}")
-    seed = symplin.seed_int(seed, "SpectrumCloud", "seed")
+    seed = symplin.nonneg_int(seed, "SpectrumCloud", "seed")
     rng = np.random.default_rng(seed)
     if n == 0:
         return SpectrumCloud(points=np.empty((0, 2)), seed=seed)

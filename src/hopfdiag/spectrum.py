@@ -1,15 +1,18 @@
 """Assembly and serialization of bifurcation diagrams.
 
-Every CSV table goes through one codec (``_write_csv``/``_read_csv``): an
-optional ``# k=v ...`` first line, the header line, then rows with exactly
-the header's field count, floats as shortest round-trip decimals; a read
-fault is a ValueError that names the file.  Tables (header; notes):
+A CSV table is an optional ``# k=v ...`` line, the header, then rows of
+the header's field count.  One writer, ``_write_csv``, formats each block
+of 8192 rows, a flat field tuple, by one ``"%s,...,%s\\n"`` line (``str`` of
+a float is its shortest round-trip repr).  One row parser, ``_parse_rows``,
+reads 1 MiB batches by ``np.loadtxt`` into structured arrays, floats then
+labels, refusing a non-finite float or an unknown label; a read fault is a
+ValueError naming the file and line.
  - curve CSV:          ``s,J,H,z_double,hessdet,kind``, kind in {E,H,CUSP,END}
  - jc critical CSV:    ``J,H,z,branch,kind``, branch in {plus,minus,none},
                        kind in {E,H,CUSP,EQ}
  - cloud CSV:          ``J,H`` after ``# seed=<s> count=<n>``; the reader
                        checks ``count=`` against the rows it reads
- - raster CSV:         ``J,H,count``, one row per cell centre, J-major
+ - raster CSV:         ``J,H,count``, one row per cell, J-major, inf centres
  - jc-scan and linearization scan CSVs (written only):
                        ``gamma,a,b,type[,eig1,eig2,eig3,eig4]``
  - diagram JSON:       {params, regime, cusps, endpoints, slopes, anchor,
@@ -219,128 +222,137 @@ _CURVE_HEADER = "s,J,H,z_double,hessdet,kind"
 _JC_CRITICAL_HEADER = "J,H,z,branch,kind"
 _CLOUD_HEADER = "J,H"
 _RASTER_HEADER = "J,H,count"
-_WRITE_ROWS = 8192          # lines per write call
+_WRITE_ROWS = 8192          # rows per write call
 _READ_BYTES = 1 << 20       # text per read call
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def fmt_complex(c: complex) -> str:
     """Shortest round-trip text of a complex number, e.g. ``0.5-1.0j``."""
     sign = "+" if c.imag >= 0 else "-"
-    return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}j"
+    return f"{float(c.real)!r}{sign}{float(abs(c.imag))!r}j"
 
 
 def _write_csv(path, header: str, blocks, meta: dict | None = None):
     """Write ``# k=v ...`` if there is ``meta``, the header, then ``blocks``,
-    each the text of up to 8192 whole lines, one write per block."""
-    comment = [" ".join(["#"] + [f"{k}={v}" for k, v in meta.items()])] \
-        if meta else []
+    each the flat field tuple of up to 8192 rows, by one format each."""
+    width = header.count(",") + 1
+    line = ",".join(["%s"] * width) + "\n"
+    comment = "".join(f" {k}={v}" for k, v in meta.items()) if meta else ""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(comment + [header]) + "\n")
-        fh.writelines(blocks)
+        fh.write(f"#{comment}\n{header}\n" if comment else f"{header}\n")
+        fh.writelines(line * (len(fields) // width) % fields
+                      for fields in blocks)
 
 
 def _blocks(rows):
-    """Rows (tuples of field text) as blocks of 8192 lines."""
-    lines = map(",".join, rows)
-    while chunk := list(itertools.islice(lines, _WRITE_ROWS)):
-        yield "\n".join(chunk) + "\n"
+    """Rows (tuples of fields) as flat field tuples of up to 8192 rows."""
+    rows = iter(rows)
+    while fields := tuple(itertools.chain.from_iterable(
+            itertools.islice(rows, _WRITE_ROWS))):
+        yield fields
 
 
-def _read_csv(path, header: str, parse, build):
-    """Read a table written by ``_write_csv``: an optional ``# k=v ...``
-    line (``meta``), ``header``, then rows with the header's field count,
-    1 MiB at a time, each batch (its lines, newlines kept) through ``parse``.
-    Returns ``build(meta, batches)``; every ValueError names the file."""
+def _read_csv(path, header: str, build, finite: bool = True, **labels):
+    """Read a table written by ``_write_csv``: ``# k=v ...`` (``meta``) if
+    there, ``header``, then 1 MiB batches of rows through ``_parse_rows``.
+    ``labels`` lists the text allowed in each label column, the last ones;
+    the others are floats, finite unless ``finite`` is False.  Returns
+    ``build(meta, rows)``, ``rows`` one array; a ValueError names the file."""
     commas = header.count(",")
+    dtype = np.dtype([(name, object if name in labels else float)
+                      for name in header.split(",")])   # object: str whole
     try:
         with open(path) as fh:
             line, line_no, meta = fh.readline(), 1, {}
             if line.startswith("#"):
-                meta = dict(kv.split("=", 1) for kv in line[1:].split())
+                pairs = [kv.partition("=") for kv in line[1:].split()]
+                if bad := [k for k, eq, _ in pairs if not eq]:
+                    raise ValueError(f"comment token {bad[0]!r} is not k=v")
+                meta = {k: v for k, _, v in pairs}
                 line, line_no = fh.readline(), 2
             if line.rstrip("\n") != header:
                 raise ValueError(f"header {line.rstrip()!r} is not {header!r}")
-            batches = []
+            batches = [np.empty(0, dtype)]
             while lines := fh.readlines(_READ_BYTES):
                 fields = list(map(str.count, lines, itertools.repeat(",")))
                 if fields.count(commas) != len(fields):   # a blank line has 0
                     i = next(i for i, n in enumerate(fields) if n != commas)
                     raise ValueError(f"line {line_no + 1 + i} has "
                                      f"{fields[i] + 1} fields, not {commas + 1}")
-                batches.append(parse(lines))
+                batches.append(_parse_rows(lines, dtype, finite, labels))
                 line_no += len(lines)
-        return build(meta, batches)
-    except ValueError as exc:   # loadtxt (and a parse) numbers rows from 0
+        return build(meta, np.concatenate(batches))
+    except ValueError as exc:   # loadtxt and _parse_rows number rows from 0
         msg = re.sub(r"at row (\d+)(?=, column \d+\.$)",
                      lambda m: f"on line {line_no + 1 + int(m[1])}", str(exc))
         raise ValueError(f"{path}: {msg}") from None
 
 
-def _floats(lines, usecols=None) -> np.ndarray:
-    """Columns ``usecols`` (default all) by numpy's C reader, which, unlike
-    float(), refuses "1_0"."""
-    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                      usecols=usecols)
-
-
-def _finite_floats(lines, ncols: int) -> np.ndarray:
-    """The first ``ncols`` columns; nan or inf is a fault "at row i, column c."."""
-    nums = _floats(lines, range(ncols))
-    bad = np.argwhere(~np.isfinite(nums))
-    if bad.size:
-        i, col = bad[0].tolist()
-        raise ValueError(f"{lines[i].split(',')[col]!r} is not finite "
-                         f"at row {i}, column {col + 1}.")
-    return nums
-
-
-def _concat(meta, batches) -> list:
-    return [row for batch in batches for row in batch]
+def _parse_rows(lines, dtype, finite: bool, labels: dict) -> np.ndarray:
+    """One batch of rows as a ``dtype`` array by numpy's C reader (unlike
+    float(), it refuses "1_0"); a non-finite float (if ``finite``) or an
+    unknown label is a fault "at row i, column c."."""
+    rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                      ndmin=1)
+    floats = [name for name in dtype.names if name not in labels]
+    ok = np.column_stack([np.isfinite(rows[name]) for name in floats])
+    if finite and not ok.all():
+        i, col = np.argwhere(~ok)[0].tolist()
+        field = lines[i].rstrip("\n").split(",")[col]
+        raise ValueError(f"{field!r} is not finite at row {i}, column {col + 1}.")
+    if labels:
+        ok = np.column_stack([np.isin(rows[name], allowed)
+                              for name, allowed in labels.items()])
+        if not ok.all():
+            i = np.argwhere(~ok)[0, 0]
+            raise ValueError("unknown {} {} at row {}, column {}.".format(
+                "/".join(labels), "/".join(repr(rows[n][i]) for n in labels),
+                i, len(floats) + 1))
+    return rows
 
 
 def write_curve_csv(diagram: Diagram, path):
     _write_csv(path, _CURVE_HEADER, _blocks(
-        (_fmt(p.s), _fmt(p.J), _fmt(p.H), _fmt(p.d), _fmt(p.det2),
-         p.kind.value) for seg in diagram.segments for p in seg.points))
+        (p.s, p.J, p.H, p.d, p.det2, p.kind.value)
+        for seg in diagram.segments for p in seg.points))
 
 
 def read_curve_csv(path) -> list[CurveSample]:
     """Curve rows; unknown kinds and non-finite numbers refused."""
     kinds = {k.value: k for k in SegmentKind}
+    return _read_csv(path, _CURVE_HEADER, lambda meta, rows: [
+        CurveSample(*row[:5], kinds[row[5]]) for row in rows.tolist()],
+        kind=list(kinds))
 
-    def parse(lines):    # a fault "at row i, column c." of this batch
-        nums = _finite_floats(lines, 5).tolist()
-        labels = [line.rstrip("\n").rsplit(",", 1)[1] for line in lines]
-        if not kinds.keys() >= set(labels):
-            i = next(i for i, k in enumerate(labels) if k not in kinds)
-            raise ValueError(f"unknown kind {labels[i]!r} at row {i}, column 6.")
-        return [CurveSample(*row, kinds[k]) for row, k in zip(nums, labels)]
-    return _read_csv(path, _CURVE_HEADER, parse, _concat)
+
+def _jc_fields(p) -> tuple:
+    """A jc critical row; J, H, z as floats, or as given if one overflows."""
+    labels = ("none" if p.branch is None else p.branch._value_,
+              p.kind._value_)
+    try:
+        return (float(p.J), float(p.H), float(p.z_at), *labels)
+    except OverflowError:
+        return (p.J, p.H, p.z_at, *labels)
+
+
+def _all_finite(numbers) -> bool:
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:       # an int beyond the float range
+        return False
 
 
 def write_jc_critical_csv(points, path):
-    """jc critical CSV from objects with J, H, z_at, branch, kind attributes;
-    each block is one ``%r`` (float repr) format of up to 8192 rows.  A
-    non-finite J, H or z is a ValueError that names the row, raised before
-    the file is opened."""
-    rows, blocks = iter(points), []
-    while chunk := list(itertools.islice(rows, _WRITE_ROWS)):
-        fields = tuple(itertools.chain(*[
-            (float(p.J), float(p.H), float(p.z_at),
-             "none" if p.branch is None else p.branch._value_, p.kind._value_)
-            for p in chunk]))
-        if not all(map(math.isfinite, fields[0::5] + fields[1::5]
-                       + fields[2::5])):
+    """jc critical CSV from objects with J, H, z_at, branch, kind
+    attributes.  A non-finite J, H or z (or an int beyond the float range)
+    is a ValueError that names the row, raised before the file is opened."""
+    blocks = list(_blocks(map(_jc_fields, points)))
+    for b, fields in enumerate(blocks):
+        if not _all_finite(fields[0::5] + fields[1::5] + fields[2::5]):
             i = next(i for i in range(0, len(fields), 5)
-                     if not all(map(math.isfinite, fields[i:i + 3])))
-            raise ValueError(f"points[{len(blocks) * _WRITE_ROWS + i // 5}] "
-                             f"has (J, H, z) = {fields[i:i + 3]}; each must "
-                             "be finite")
-        blocks.append(("%r,%r,%r,%s,%s\n" * len(chunk)) % fields)
+                     if not _all_finite(fields[i:i + 3]))
+            raise ValueError(f"points[{b * _WRITE_ROWS + i // 5}] has (J, H, "
+                             f"z) = {fields[i:i + 3]}; each must be finite")
     _write_csv(path, _JC_CRITICAL_HEADER, blocks)
 
 
@@ -355,59 +367,45 @@ class JCCriticalRow(NamedTuple):
 def read_jc_critical_csv(path) -> list[JCCriticalRow]:
     """``JCCriticalRow`` named tuples, one per line, labels as text;
     unknown labels and non-finite numbers refused."""
-    # each label's one string; the last field keeps its newline, except
-    # perhaps on the last line
-    branches = {v: v for v in ("none", *(b.value for b in Branch))}
-    kinds = {k.value + end: k.value for k in CriticalKind for end in ("\n", "")}
-
-    def parse(lines):    # a fault "at row i, column c." of this batch
-        nums = _finite_floats(lines, 3)
-        _, branch, kind = zip(*[line.rsplit(",", 2) for line in lines])
-        branch, kind = list(map(branches.get, branch)), list(map(kinds.get, kind))
-        if None in branch or None in kind:
-            i = next(i for i, labels in enumerate(zip(branch, kind))
-                     if None in labels)
-            raise ValueError("unknown branch/kind {!r}/{!r} at row {}, column "
-                             "4.".format(*lines[i].rstrip("\n").split(",")[3:], i))
-        return list(map(JCCriticalRow, *nums.T.tolist(), branch, kind))
-    return _read_csv(path, _JC_CRITICAL_HEADER, parse, _concat)
+    return _read_csv(path, _JC_CRITICAL_HEADER, lambda meta, rows: list(
+        map(JCCriticalRow._make, rows.tolist())),
+        branch=["none", *(b.value for b in Branch)],
+        kind=[k.value for k in CriticalKind])
 
 
 def write_cloud_csv(cloud: SpectrumCloud, path):
-    """Each block is one ``%r`` (float repr) format of 8192 rows."""
+    """Blocks are sliced from the points array, never built row by row."""
     _write_csv(path, _CLOUD_HEADER, (
-        ("%r,%r\n" * len(b)) % tuple(b.ravel().tolist()) for b in (
-            cloud.points[i:i + _WRITE_ROWS]
-            for i in range(0, cloud.count, _WRITE_ROWS))),
+        tuple(cloud.points[i:i + _WRITE_ROWS].ravel().tolist())
+        for i in range(0, cloud.count, _WRITE_ROWS)),
         {"seed": cloud.seed, "count": cloud.count})
 
 
 def read_cloud_csv(path) -> SpectrumCloud:
     """Cloud CSV reader; ``count=``, when given, must match the rows read."""
-    def build(meta, batches):
-        pts = np.concatenate([np.empty((0, 2)), *batches])
+    def build(meta, rows):
+        pts = rows.view(float).reshape(-1, 2)    # the same memory, no copy
         count = int(meta.get("count", len(pts)))
         if count != len(pts):
             raise ValueError(f"{len(pts)} rows, header says {count}")
         return SpectrumCloud(points=pts, seed=int(meta.get("seed", 0)))
-    return _read_csv(path, _CLOUD_HEADER, _floats, build)
+    return _read_csv(path, _CLOUD_HEADER, build)
 
 
 def write_raster_csv(grid: RasterGrid, path):
     """One row per cell, J-major, each centre formatted once."""
-    j_text = [repr(j) for j in grid.j_centers.tolist()]
-    h_text = [repr(h) for h in grid.h_centers.tolist()]
-    counts = grid.counts.astype(int).tolist()
+    cells = itertools.product(map(repr, grid.j_centers.tolist()),
+                              map(repr, grid.h_centers.tolist()))
+    counts = grid.counts.astype(int).ravel().tolist()
     _write_csv(path, _RASTER_HEADER, _blocks(
-        (j, h, str(c)) for j, row in zip(j_text, counts)
-        for h, c in zip(h_text, row)))
+        (j, h, c) for (j, h), c in zip(cells, counts)))
 
 
 def read_raster_csv(path) -> RasterGrid:
     """Raster CSV reader.  A grid row ends where J changes, so J centres
     that coincide (a span below float spacing) read back merged."""
-    def build(meta, batches):
-        j, h, c = np.concatenate([np.empty((0, 3)), *batches]).T
+    def build(meta, rows):
+        j, h, c = rows["J"], rows["H"], rows["count"]
         if j.size == 0:
             raise ValueError("no rows")
         n_h = int(np.argmax(j != j[0])) or j.size
@@ -418,20 +416,20 @@ def read_raster_csv(path) -> RasterGrid:
                 and np.array_equal(grid.counts.ravel(), c) and c.min() >= 0):
             raise ValueError("rows are not a J-major grid of counts >= 0")
         return grid
-    return _read_csv(path, _RASTER_HEADER, _floats, build)
+    return _read_csv(path, _RASTER_HEADER, build, finite=False)  # inf centres
 
 
 def write_jc_scan_csv(rows, path):
     """jc-scan CSV from (gamma, QuarticCoeffs, type, eigenvalues) rows."""
     _write_csv(path, "gamma,a,b,type,eig1,eig2,eig3,eig4", _blocks(
-        (_fmt(g), _fmt(q.a), _fmt(q.b), str(typ), *map(fmt_complex, eig))
+        (float(g), q.a, q.b, typ, *map(fmt_complex, eig))
         for g, q, typ, eig in rows))
 
 
 def write_linearization_csv(rows, path):
     """Linearization scan CSV from (gamma, QuarticCoeffs, type) rows."""
     _write_csv(path, "gamma,a,b,type", _blocks(
-        (_fmt(g), _fmt(q.a), _fmt(q.b), str(typ)) for g, q, typ in rows))
+        (float(g), q.a, q.b, typ) for g, q, typ in rows))
 
 
 def _sample_to_dict(p: CurveSample) -> dict:

@@ -577,11 +577,12 @@ def read_back_finite(command, out):
         values += [*d.anchor, *d.equilibrium, *(d.slopes or ())]
         values += [v for p in d.cusps + d.endpoints for v in (p.s, p.J, p.H)]
     elif command == "jc-scan":
-        values = spectrum._read_csv(
-            out, "gamma,a,b,type,eig1,eig2,eig3,eig4",
-            lambda rows: [complex(f) for r in rows
-                          for i, f in enumerate(r.split(",")) if i != 3],
-            lambda meta, batches: [v for b in batches for v in b])
+        # the scan table is written only: its numbers are read here
+        with open(out) as fh:
+            header, *rows = fh.read().splitlines()
+        assert header == "gamma,a,b,type,eig1,eig2,eig3,eig4"
+        values = [complex(f) for r in rows
+                  for i, f in enumerate(r.split(",")) if i != 3]
     elif command == "jc-spectrum":
         rows = spectrum.read_jc_critical_csv(f"{out}_critical.csv")
         values = [v for r in rows for v in (r.J, r.H, r.z)]

@@ -10,7 +10,11 @@ hypothesis) stay in the tests.  ``acceptance`` calls the other modules
 through their module objects, never through names imported from them.
 Files are read and written by one codec: in ``src/`` only ``spectrum``
 calls ``open`` (the builtin, ``io.open`` or a ``Path.open`` method) or
-``numpy.loadtxt``.  Imports run ``spectrum`` -> ``models`` only, and every
+``numpy.loadtxt``; there ``numpy.loadtxt`` is called once, by the row
+parser ``_parse_rows``, and ``open`` once each by the CSV writer and
+reader (``_write_csv``, ``_read_csv``) and the diagram JSON writer and
+reader, so no table grows a reader or writer of its own.  Imports run
+``spectrum`` -> ``models`` only, and every
 hopfdiag import sits at module top except ``cli.cmd_verify``'s
 ``acceptance``, which drives the CLI.  Every public top-level function
 and class of ``src/`` is referred to by ``src/``, ``scripts/`` or
@@ -45,8 +49,9 @@ def imported_modules(tree) -> set[str]:
     return names
 
 
-def numpy_references(tree) -> set[str]:
-    """Dotted numpy names used, with ``import numpy as np`` aliases resolved."""
+def numpy_references(tree, within=None) -> set[str]:
+    """Dotted numpy names used in ``within`` (default all of ``tree``), with
+    the ``import numpy as np`` aliases of ``tree`` resolved."""
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -58,7 +63,7 @@ def numpy_references(tree) -> set[str]:
             for alias in node.names:
                 bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
     refs = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(tree if within is None else within):
         parts = []
         while isinstance(node, ast.Attribute):
             parts.append(node.attr)
@@ -73,15 +78,32 @@ def forbidden_solvers(refs) -> set[str]:
             or r.startswith("numpy.linalg.eig")}
 
 
+def opener_sites(module) -> list[tuple[str, str]]:
+    """(innermost function, opener) for each call of a file opener, sorted:
+    "open" for ``open``/``*.open``, "numpy.loadtxt" for ``numpy.loadtxt``
+    under any import alias; a call outside a function is in "<module>"."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "open"
+                        or isinstance(func, ast.Attribute)
+                        and func.attr == "open"):
+                    yield function, "open"
+                elif "numpy.loadtxt" in numpy_references(module, func):
+                    yield function, "numpy.loadtxt"
+            yield from visit(child, function)
+    return sorted(visit(module, "<module>"))
+
+
 def file_openers(tree) -> set[str]:
     """Calls that open a file or parse one: ``open``/``*.open`` as "open",
-    and ``numpy.loadtxt`` under any import alias."""
-    opens = {"open" for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and (isinstance(node.func, ast.Name) and node.func.id == "open"
-                  or isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "open")}
-    return opens | {r for r in numpy_references(tree)
-                    if r == "numpy.loadtxt"}
+    and ``numpy.loadtxt`` under any import alias, called or not."""
+    return {opener for _, opener in opener_sites(tree)} | {
+        r for r in numpy_references(tree) if r == "numpy.loadtxt"}
 
 
 def parse(path) -> ast.AST:
@@ -160,6 +182,40 @@ def test_spectrum_is_the_codec():
 ])
 def test_file_scan_sees(source, found):
     assert file_openers(ast.parse(source)) == found
+
+
+def test_src_parses_rows_at_one_site():
+    sites = [(path.name, function) for path in sorted(SRC.glob("**/*.py"))
+             for function, opener in opener_sites(parse(path))
+             if opener == "numpy.loadtxt"]
+    assert sites == [("spectrum.py", "_parse_rows")]
+
+
+def test_spectrum_opens_files_only_in_the_codec():
+    # one CSV writer, one CSV reader and the diagram JSON pair, once each
+    opens = [function for function, opener
+             in opener_sites(parse(SRC / "spectrum.py")) if opener == "open"]
+    assert opens == ["_read_csv", "_write_csv", "read_diagram_json",
+                     "write_diagram_json"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy as np\ndef f(lines):\n    return np.loadtxt(lines)",
+     [("f", "numpy.loadtxt")]),
+    ("def w(p):\n    with open(p, 'w') as fh:\n        pass\n"
+     "def r(p):\n    return Path(p).open()", [("r", "open"), ("w", "open")]),
+    ("from numpy import loadtxt as lt\nclass C:\n    def m(self):\n"
+     "        return lt(x)", [("m", "numpy.loadtxt")]),
+    ("import io\nio.open(p)", [("<module>", "open")]),
+    ("import numpy as np\ndef f():\n    def g():\n        np.loadtxt(a)\n"
+     "    np.loadtxt(b)\n    open(np.loadtxt(c))",
+     [("f", "numpy.loadtxt"), ("f", "numpy.loadtxt"), ("f", "open"),
+      ("g", "numpy.loadtxt")]),
+    ("import numpy as np\nread = np.loadtxt\ndef f(p):\n    np.load(p)\n"
+     "    loadtxt(p)", []),
+])
+def test_opener_site_scan_sees(source, found):
+    assert opener_sites(ast.parse(source)) == found
 
 
 def names_imported_from_hopfdiag_modules(tree) -> set[str]:

@@ -7,7 +7,8 @@ stores a finite Python float (``HopfParams.sigma`` a Python int), or the
 constructor raises ``ValueError("<record>.<field> must be a finite real
 number, got <value!r>")``, with no RuntimeWarning, OverflowError or
 TypeError on the way.  ``SpectrumCloud.seed`` goes through
-``symplin.seed_int`` and stores a Python int >= 0.
+``symplin.nonneg_int`` and stores a Python int >= 0, and so does the
+sample count ``n`` of ``models.jc_spectrum_sample``.
 """
 
 import dataclasses
@@ -172,6 +173,23 @@ def test_a_numpy_int_seed_is_stored_as_int_and_reads_back(tmp_path):
     spectrum.write_cloud_csv(cloud, path)
     assert path.read_text().startswith("# seed=7 count=5\n")
     assert spectrum.read_cloud_csv(path) == cloud
+
+
+@pytest.mark.usefixtures("no_warnings")
+@pytest.mark.parametrize("bad", [2.5, True, "3", np.True_, 5.0, -1, None],
+                         ids=repr)
+def test_a_sample_count_that_is_not_an_int_ge_0_is_refused(bad):
+    # the seed's rule, checked before numpy sees the count
+    message = (r"^jc_spectrum_sample\.n must be an int >= 0, got "
+               + re.escape(repr(bad)) + "$")
+    with pytest.raises(ValueError, match=message):
+        models.jc_spectrum_sample(PolyG(0.5), bad, 1.0, 0)
+
+
+def test_a_numpy_int_sample_count_samples():
+    cloud = models.jc_spectrum_sample(PolyG(0.5), np.int64(5), 1.0, 0)
+    assert cloud == models.jc_spectrum_sample(PolyG(0.5), 5, 1.0, 0)
+    assert cloud.count == 5
 
 
 # ---------------------------------------------------------------------------

@@ -670,6 +670,22 @@ class TestSerialization:
             spectrum.write_jc_critical_csv(pts, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field, big, at", [
+        ("J", 10 ** 400, 3), ("z_at", -10 ** 400, 8196)],
+        ids=["J-first-block", "z-second-block"])
+    def test_jc_critical_writer_refuses_an_int_beyond_the_float_range(
+            self, tmp_path, field, big, at):
+        # refused as non-finite, not let out as an OverflowError, in the
+        # first block and in the second, and no file is left
+        pts = seeded_critical_points(8200, 13)
+        pts[at] = types.SimpleNamespace(**{**vars(pts[at]), field: big})
+        path = tmp_path / "critical.csv"
+        with pytest.raises(ValueError, match=rf"^points\[{at}\] has "
+                                             rf"\(J, H, z\) = \(.*{big}.*\);"
+                                             " each must be finite$"):
+            spectrum.write_jc_critical_csv(pts, path)
+        assert not path.exists()
+
     def test_jc_critical_reader_accepts_every_enum_value(self, tmp_path):
         path = tmp_path / "critical.csv"
         rows = [f"1.0,0.0,1.0,{b},{k.value}" for b in ("plus", "minus", "none")
@@ -690,6 +706,12 @@ class TestSerialization:
                           h_centers=np.array(EDGE_VALUES + [-1e-300]))
         spectrum.write_raster_csv(edge, path)
         assert spectrum.read_raster_csv(path) == edge
+        # a centre that rasterize overflows to inf reads back as inf
+        wide = spectrum.rasterize(
+            SpectrumCloud(points=[[0.0, 0.0], [1e308, 1.0]], seed=0), 3, 2)
+        assert wide.j_centers[-1] == math.inf
+        spectrum.write_raster_csv(wide, path)
+        assert spectrum.read_raster_csv(path) == wide
 
     @pytest.mark.parametrize("rows", ["0.0,0.0,1\n0.0,1.0,1\n1.0,1.0,1\n",
                                       "0.0,0.0,1\n1.0,1.0,1\n",
@@ -809,6 +831,16 @@ class TestSerialization:
         path.write_text("# seed=4\nJ,H\n1.0,2.0\n")   # no count: not checked
         assert spectrum.read_cloud_csv(path).count == 1
 
+    @pytest.mark.parametrize("comment", ["# seed=0 junk count=2",
+                                         "# junk", "#seed=1 count=1 =x junk"])
+    def test_cloud_reader_names_a_comment_token_without_equals(self, tmp_path,
+                                                               comment):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"{comment}\nJ,H\n0.5,0.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             ".*'junk'"):
+            spectrum.read_cloud_csv(path)
+
     @pytest.mark.parametrize("rows", ["1.0", "1.0\n2.0", "1.0,2.0,3.0",
                                       "1.0,", ",", "1.0;2.0"])
     def test_cloud_reader_needs_two_fields(self, tmp_path, rows):
@@ -847,7 +879,12 @@ class TestNonFiniteCloud:
     def test_reader_refuses_without_warnings(self, tmp_path, row):
         path = tmp_path / "cloud.csv"
         path.write_text(f"# seed=0 count=2\nJ,H\n0.5,0.5\n{row}\n")
+        # the field as written, its file line and its column
+        col, bad = next((c, f) for c, f in enumerate(row.split(","), 1)
+                        if not math.isfinite(float(f)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: {bad!r} is not finite on line 4, "
+                    f"column {col}.")):
                 spectrum.read_cloud_csv(path)
