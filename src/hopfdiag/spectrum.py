@@ -252,11 +252,11 @@ def _blocks(rows):
         yield fields
 
 
-def _read_csv(path, header: str, build, finite: bool = True, **labels):
+def _read_csv(path, header: str, build, inf_ok=(), **labels):
     """Read a table written by ``_write_csv``: ``# k=v ...`` (``meta``) if
     there, ``header``, then 1 MiB batches of rows through ``_parse_rows``.
     ``labels`` lists the text allowed in each label column, the last ones;
-    the others are floats, finite unless ``finite`` is False.  Returns
+    the others are floats, finite unless named in ``inf_ok``.  Returns
     ``build(meta, rows)``, ``rows`` one array; a ValueError names the file."""
     commas = header.count(",")
     dtype = np.dtype([(name, object if name in labels else float)
@@ -279,7 +279,7 @@ def _read_csv(path, header: str, build, finite: bool = True, **labels):
                     i = next(i for i, n in enumerate(fields) if n != commas)
                     raise ValueError(f"line {line_no + 1 + i} has "
                                      f"{fields[i] + 1} fields, not {commas + 1}")
-                batches.append(_parse_rows(lines, dtype, finite, labels))
+                batches.append(_parse_rows(lines, dtype, inf_ok, labels))
                 line_no += len(lines)
         return build(meta, np.concatenate(batches))
     except ValueError as exc:   # loadtxt and _parse_rows number rows from 0
@@ -288,15 +288,15 @@ def _read_csv(path, header: str, build, finite: bool = True, **labels):
         raise ValueError(f"{path}: {msg}") from None
 
 
-def _parse_rows(lines, dtype, finite: bool, labels: dict) -> np.ndarray:
+def _parse_rows(lines, dtype, inf_ok, labels: dict) -> np.ndarray:
     """One batch of rows as a ``dtype`` array by numpy's C reader (unlike
-    float(), it refuses "1_0"); a non-finite float (if ``finite``) or an
-    unknown label is a fault "at row i, column c."."""
+    float(), it refuses "1_0"); a non-finite float (outside ``inf_ok``) or
+    an unknown label is a fault "at row i, column c."."""
     rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                       ndmin=1)
     floats = [name for name in dtype.names if name not in labels]
-    ok = np.column_stack([np.isfinite(rows[name]) for name in floats])
-    if finite and not ok.all():
+    ok = np.column_stack([np.isfinite(rows[n]) | (n in inf_ok) for n in floats])
+    if not ok.all():
         i, col = np.argwhere(~ok)[0].tolist()
         field = lines[i].rstrip("\n").split(",")[col]
         raise ValueError(f"{field!r} is not finite at row {i}, column {col + 1}.")
@@ -409,14 +409,15 @@ def read_raster_csv(path) -> RasterGrid:
         if j.size == 0:
             raise ValueError("no rows")
         n_h = int(np.argmax(j != j[0])) or j.size
-        grid = RasterGrid(counts=c.astype(int).reshape(-1, n_h),
+        counts = c.clip(-1, 2 ** 62).astype(int)   # refused below if clipped
+        grid = RasterGrid(counts=counts.reshape(-1, n_h),
                           j_centers=j[::n_h], h_centers=h[:n_h])
         if not (np.array_equal(np.repeat(grid.j_centers, n_h), j)
                 and np.array_equal(np.tile(grid.h_centers, j.size // n_h), h)
                 and np.array_equal(grid.counts.ravel(), c) and c.min() >= 0):
             raise ValueError("rows are not a J-major grid of counts >= 0")
         return grid
-    return _read_csv(path, _RASTER_HEADER, build, finite=False)  # inf centres
+    return _read_csv(path, _RASTER_HEADER, build, inf_ok=("J", "H"))
 
 
 def write_jc_scan_csv(rows, path):

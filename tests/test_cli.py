@@ -581,8 +581,10 @@ def read_back_finite(command, out):
         with open(out) as fh:
             header, *rows = fh.read().splitlines()
         assert header == "gamma,a,b,type,eig1,eig2,eig3,eig4"
-        values = [complex(f) for r in rows
-                  for i, f in enumerate(r.split(",")) if i != 3]
+        fields = [r.split(",") for r in rows]
+        assert all(len(f) == 8 for f in fields), "a row has not 8 fields"
+        values = [complex(f) for r in fields
+                  for i, f in enumerate(r) if i != 3]
     elif command == "jc-spectrum":
         rows = spectrum.read_jc_critical_csv(f"{out}_critical.csv")
         values = [v for r in rows for v in (r.J, r.H, r.z)]

@@ -722,6 +722,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="raster.csv"):
             spectrum.read_raster_csv(path)
 
+    @pytest.mark.parametrize("count, message", [
+        ("inf", "'inf' is not finite on line 3, column 3."),
+        ("nan", "'nan' is not finite on line 3, column 3."),
+        ("1e30", "rows are not a J-major grid of counts >= 0"),
+        ("-1e30", "rows are not a J-major grid of counts >= 0")])
+    def test_raster_reader_refuses_a_bad_count_without_warnings(
+            self, tmp_path, count, message):
+        path = tmp_path / "raster.csv"
+        path.write_text(f"J,H,count\n0.5,0.5,1\n0.5,1.5,{count}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: {message}")):
+                spectrum.read_raster_csv(path)
+
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
