@@ -10,7 +10,6 @@ Exit codes as for the hopfdiag CLI: 0 success, 2 bad input (nothing is
 written), 3 I/O failure.
 """
 
-import argparse
 import pathlib
 import sys
 
@@ -20,7 +19,7 @@ from hopfdiag import cli, spectrum
 from hopfdiag.hopf import HopfParams
 
 
-def run(args) -> None:
+def run(args) -> int:
     diagrams = {}                   # all four are built before the first write
     for nu in (0.5, -0.5):
         for big_d in (1.0, -2.0):
@@ -36,23 +35,18 @@ def run(args) -> None:
         print(f"{tag}: regime={diagram.regime.value} "
               f"segments={len(diagram.segments)} points={n_pts}")
     print(f"wrote datasets to {out}")
+    return 0
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli._Parser(description=__doc__)
     parser.add_argument("--out-dir", default="out/normal_form",
                         help="output directory (default: %(default)s)")
     parser.add_argument("--samples", type=int, default=801,
                         help="curve samples per diagram, "
                              f">= {spectrum.MIN_DIAGRAM_SAMPLES} "
                              "(default: %(default)s)")
-    args = parser.parse_args()
-    try:
-        run(args)
-        sys.stdout.flush()          # a closed or full stdout fails here
-        return 0
-    except (ValueError, MemoryError, OSError) as exc:
-        return cli.failure_code(parser.prog, exc)
+    return cli.guarded_main(parser, run)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ Exit codes as for the hopfdiag CLI: 0 success, 2 bad input (nothing is
 written), 3 I/O failure.
 """
 
-import argparse
 import pathlib
 import sys
 
@@ -44,7 +43,7 @@ def write_configuration(out: pathlib.Path, tag: str, rows, cloud, grid):
           f"{cloud.count} cloud points")
 
 
-def run(args) -> None:
+def run(args) -> int:
     if not (args.j_steps >= 1 and args.samples >= 1 and args.seed >= 0):
         raise ValueError("need --j-steps >= 1, --samples >= 1 and --seed >= 0")
     scan = [(gamma, *models.jc_linearization(PolyG(float(gamma))))
@@ -62,10 +61,11 @@ def run(args) -> None:
     write_configuration(out, "deformed", *configuration(
         0.8, (-1.0, 3.2), args.j_steps, args.samples, args.seed + 1))
     print(f"wrote datasets to {out}")
+    return 0
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli._Parser(description=__doc__)
     parser.add_argument("--out-dir", default="out/spin_oscillator",
                         help="output directory (default: %(default)s)")
     parser.add_argument("--j-steps", type=int, default=401,
@@ -74,13 +74,7 @@ def main() -> int:
                         help="cloud sample count, >= 1 (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed, >= 0 (default: %(default)s)")
-    args = parser.parse_args()
-    try:
-        run(args)
-        sys.stdout.flush()          # a closed or full stdout fails here
-        return 0
-    except (ValueError, MemoryError, OSError) as exc:
-        return cli.failure_code(parser.prog, exc)
+    return cli.guarded_main(parser, run)
 
 
 if __name__ == "__main__":

@@ -176,36 +176,35 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    command = "hopfdiag"            # until parse_args names the subcommand
+    return guarded_main(_build_parser(), lambda args: {
+        "classify": cmd_classify, "hopf-curve": cmd_hopf_curve,
+        "jc-scan": cmd_jc_scan, "jc-spectrum": cmd_jc_spectrum,
+        "verify": cmd_verify}[args.command](args), argv)
+
+
+def guarded_main(parser: _Parser, run, argv=None) -> int:
+    """Exit code of ``run(args)``, ``argv`` parsed by ``parser``, once stdout
+    is flushed; a failure, ``--help`` included, is one stderr line naming
+    the subcommand (else the parser) and exit 2 for bad input, 3 for I/O.
+    ``verify`` takes no input, so its other errors are bugs and propagate."""
+    prog = parser.prog
     try:
-        args = _build_parser().parse_args(argv)     # --help writes stdout
-        command = args.command
-        code = {
-            "classify": cmd_classify,
-            "hopf-curve": cmd_hopf_curve,
-            "jc-scan": cmd_jc_scan,
-            "jc-spectrum": cmd_jc_spectrum,
-            "verify": cmd_verify,
-        }[command](args)
+        args = parser.parse_args(argv)      # --help writes stdout
+        prog = getattr(args, "command", prog)
+        code = run(args)
         sys.stdout.flush()          # a closed or full stdout fails here
         return code
     except (ValueError, MemoryError, OSError) as exc:
-        if command == "verify" and not isinstance(exc, OSError):
-            raise                   # verify takes no input: a bug
-        return failure_code(command, exc)
-
-
-def failure_code(prog: str, exc: ValueError | MemoryError | OSError) -> int:
-    """Report a failed run on one stderr line; its exit code: 2 for bad
-    input (a size too large to allocate included), 3 for an I/O failure."""
-    print(f"{prog}: {exc}", file=sys.stderr)
-    if not isinstance(exc, OSError):
-        return 2
-    try:
-        sys.stdout.flush()
-    except OSError:                 # else the flush at exit fails again
-        sys.stdout = None
-    return 3
+        if prog == "verify" and not isinstance(exc, OSError):
+            raise
+        print(f"{prog}: {exc}", file=sys.stderr)
+        if not isinstance(exc, OSError):
+            return 2
+        try:
+            sys.stdout.flush()
+        except OSError:             # else the flush at exit fails again
+            sys.stdout = None
+        return 3
 
 
 if __name__ == "__main__":

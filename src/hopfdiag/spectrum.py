@@ -16,7 +16,8 @@ ValueError naming the file and line.
  - jc-scan and linearization scan CSVs (written only):
                        ``gamma,a,b,type[,eig1,eig2,eig3,eig4]``
  - diagram JSON:       {params, regime, cusps, endpoints, slopes, anchor,
-                        equilibrium, segments}, params = {omega, sigma, nu, D}
+                        equilibrium, segments}; params = {omega, sigma, nu,
+                        D} fix the six between, which the reader checks
 
 Inadmissible curve regions are emitted as explicit gaps, never interpolated.
 Cloud points are finite: ``models.SpectrumCloud`` refuses NaN and infinity,
@@ -67,19 +68,29 @@ class DiagramSegment:
 
 @dataclass
 class Diagram:
+    """The diagram of ``params``: the curve ``segments``, and the regime,
+    cusps, endpoints, s = 0 anchor, equilibrium value (0, 0) and origin
+    slopes that the params fix, computed and checked here in that order."""
+
     params: HopfParams
-    regime: Regime
-    cusps: list[SpecialPoint]
-    endpoints: list[SpecialPoint]
-    slopes: tuple[float, float] | None
-    anchor: tuple[float, float]
-    equilibrium: tuple[float, float]
+    regime: Regime = field(init=False)
+    cusps: list[SpecialPoint] = field(init=False)
+    endpoints: list[SpecialPoint] = field(init=False)
+    slopes: tuple[float, float] | None = field(init=False)
+    anchor: tuple[float, float] = field(init=False)
+    equilibrium: tuple[float, float] = field(init=False)
     segments: list[DiagramSegment]
 
     def __post_init__(self):
-        optional = () if self.slopes is None else ("slopes",)
-        for name in ("anchor", "equilibrium", *optional):
-            setattr(self, name, _finite_pair(getattr(self, name), name))
+        p = self.params
+        self.regime = hopf.regime(p)
+        self.cusps = [SpecialPoint(s, hopf.curve_j(p, s), hopf.curve_h(p, s))
+                      for s in hopf.cusps(p)]
+        ends = [-math.sqrt(p.nu), math.sqrt(p.nu)] if p.nu > 0.0 else []
+        self.endpoints = [SpecialPoint(s, 0.0, 0.0) for s in ends]
+        self.anchor = _finite_pair((0.0, hopf.curve_h(p, 0.0)), "anchor")
+        self.equilibrium = (0.0, 0.0)
+        self.slopes = hopf.origin_slopes(p) if p.nu > 0.0 else None
         for seg in self.segments:
             seg.gaps = [_finite_pair(gap, "gaps") for gap in seg.gaps]
             if any(lo > hi for lo, hi in seg.gaps):
@@ -123,12 +134,8 @@ def assemble_hopf_diagram(params: HopfParams, samples: int) -> Diagram:
     """
     if samples < MIN_DIAGRAM_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_DIAGRAM_SAMPLES}")
-    anchor = (0.0, hopf.curve_h(params, 0.0))
-    reg = hopf.regime(params)
     if params.nu <= 0.0:
-        return Diagram(params=params, regime=reg, cusps=[], endpoints=[],
-                       slopes=None, anchor=anchor, equilibrium=(0.0, 0.0),
-                       segments=[])
+        return Diagram(params, [])
 
     s_end = math.sqrt(params.nu)
     s_cusp = math.sqrt(params.nu / 3.0)
@@ -150,14 +157,7 @@ def assemble_hopf_diagram(params: HopfParams, samples: int) -> Diagram:
         _segment_samples(params, s_mid, SegmentKind.TRANSVERSALLY_HYPERBOLIC),
         _segment_samples(params, s_right, SegmentKind.TRANSVERSALLY_ELLIPTIC),
     ]
-    cusp_pts = [SpecialPoint(s=s, J=hopf.curve_j(params, s),
-                             H=hopf.curve_h(params, s))
-                for s in (-s_cusp, s_cusp)]
-    end_pts = [SpecialPoint(s=-s_end, J=0.0, H=0.0),
-               SpecialPoint(s=s_end, J=0.0, H=0.0)]
-    return Diagram(params=params, regime=reg, cusps=cusp_pts,
-                   endpoints=end_pts, slopes=hopf.origin_slopes(params),
-                   anchor=anchor, equilibrium=(0.0, 0.0), segments=segments)
+    return Diagram(params, segments)
 
 
 @dataclass(frozen=True)
@@ -460,20 +460,19 @@ def diagram_to_dict(diagram: Diagram) -> dict:
 
 
 def diagram_from_dict(data: dict) -> Diagram:
+    """The diagram of ``params`` and ``segments``; each key between them,
+    which the params fix, must have the JSON text the writer gives it."""
     segments = [DiagramSegment(kind=SegmentKind(s["kind"]),
                                points=[_sample_from_dict(p) for p in s["points"]],
                                gaps=s["gaps"])
                 for s in data["segments"]]
-    return Diagram(
-        params=HopfParams(**data["params"]),
-        regime=Regime(data["regime"]),
-        cusps=[SpecialPoint(**c) for c in data["cusps"]],
-        endpoints=[SpecialPoint(**e) for e in data["endpoints"]],
-        slopes=data["slopes"],
-        anchor=(data["anchor"]["J"], data["anchor"]["H"]),
-        equilibrium=(data["equilibrium"]["J"], data["equilibrium"]["H"]),
-        segments=segments,
-    )
+    diagram = Diagram(HopfParams(**data["params"]), segments)
+    fixed = diagram_to_dict(Diagram(diagram.params, []))
+    for key in list(fixed)[1:-1]:           # regime .. equilibrium
+        got, want = json.dumps(data[key]), json.dumps(fixed[key])
+        if got != want:
+            raise ValueError(f"{key} {got} is not {want}, as params give")
+    return diagram
 
 
 def write_diagram_json(diagram: Diagram, path):

@@ -368,7 +368,8 @@ class TestVerify:
         code = ("import sys; from hopfdiag import cli, hopf; "
                 "hopf.curve_h = lambda params, s: 0.0 * s; "
                 "sys.exit(cli.main(['verify']))")
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-O", "-W",
+                               "error::RuntimeWarning", "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "[ 1] FAIL  discriminant identity" in proc.stdout
@@ -386,7 +387,8 @@ class TestClosedOrFullStdout:
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run(
-            [sys.executable, "-c", "import sys; from hopfdiag.cli import main;"
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-c", "import sys; from hopfdiag.cli import main;"
              " sys.exit(main())", *argv],
             stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
             timeout=120)
@@ -516,7 +518,8 @@ options:
         # ``python -m hopfdiag`` with only src/ on the path, not installed
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
-        proc = subprocess.run([sys.executable, "-m", "hopfdiag", "--help"],
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "hopfdiag", "--help"],
                               capture_output=True, text=True, env=env,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr

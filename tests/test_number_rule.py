@@ -2,10 +2,10 @@
 
 Every real field of ``HopfParams``, ``CurveSample``, ``EliassonParams``,
 ``HtildeCoeffs``, ``PolyG``, ``SpecialPoint``, ``QuarticCoeffs`` and the
-pairs of ``Diagram`` goes through ``symplin.finite_float``: the record
-stores a finite Python float (``HopfParams.sigma`` a Python int), or the
-constructor raises ``ValueError("<record>.<field> must be a finite real
-number, got <value!r>")``, with no RuntimeWarning, OverflowError or
+anchor and gaps of ``Diagram`` goes through ``symplin.finite_float``: the
+record stores a finite Python float (``HopfParams.sigma`` a Python int),
+or the constructor raises ``ValueError("<record>.<field> must be a finite
+real number, got <value!r>")``, with no RuntimeWarning, OverflowError or
 TypeError on the way.  ``SpectrumCloud.seed`` goes through
 ``symplin.nonneg_int`` and stores a Python int >= 0, and so does the
 sample count ``n`` of ``models.jc_spectrum_sample``.
@@ -193,28 +193,15 @@ def test_a_numpy_int_sample_count_samples():
 
 
 # ---------------------------------------------------------------------------
-# Diagram's pairs
+# Diagram's gaps
 
 
-@pytest.mark.usefixtures("no_warnings")
-@pytest.mark.parametrize("name, pair", [
-    ("anchor", (0.0, True)), ("equilibrium", (math.nan, 0.0)),
-    ("slopes", (np.float32(math.inf), 1.0)), ("slopes", ("1", 2.0))])
-def test_diagram_pairs_refuse_what_is_not_a_finite_real(name, pair):
-    diagram = spectrum.assemble_hopf_diagram(REF, 48)
-    with pytest.raises(ValueError, match=refusal("Diagram", name)):
-        dataclasses.replace(diagram, **{name: pair})
-
-
-def test_diagram_pairs_and_gaps_store_python_floats():
+def test_diagram_gaps_store_python_floats():
     diagram = spectrum.assemble_hopf_diagram(REF, 48)
     diagram.segments[0].gaps = [(np.float32(0.5), 1)]
-    got = dataclasses.replace(diagram, anchor=(np.float64(0.25), 0),
-                              slopes=[Fraction(1, 2), np.int64(2)])
-    assert (got.anchor, got.slopes, got.segments[0].gaps) == \
-        ((0.25, 0.0), (0.5, 2.0), [(0.5, 1.0)])
-    assert {type(x) for x in (*got.anchor, *got.slopes,
-                              *got.segments[0].gaps[0])} == {float}
+    got = dataclasses.replace(diagram)
+    assert got.segments[0].gaps == [(0.5, 1.0)]
+    assert {type(x) for x in got.segments[0].gaps[0]} == {float}
 
 
 def test_diagram_gap_is_a_pair_lo_le_hi():

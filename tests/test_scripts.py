@@ -1,6 +1,9 @@
 """Smoke tests: both sweep scripts run end to end at small sizes, and every
-file they write reads back through the ``spectrum`` readers."""
+file they write reads back through the ``spectrum`` readers.  A script is
+run with RuntimeWarnings as errors, and its ``--help`` keeps its text and
+exits 3 when stdout cannot take it."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,9 +16,14 @@ from hopfdiag import spectrum
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
+def script(name: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(SCRIPTS / name), *args], stderr=subprocess.PIPE,
+                          text=True, timeout=120, **kwargs)
+
+
 def run_script(name: str, *args: str, code: int = 0):
-    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                          capture_output=True, text=True, timeout=120)
+    proc = script(name, *args, stdout=subprocess.PIPE)
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert proc.stderr == ""
@@ -81,3 +89,73 @@ def test_unwritable_out_dir_exits_3(tmp_path, name, args):
     run_script(name, "--out-dir", str(tmp_path / "file" / "out"), *args,
                code=3)
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+# each script's whole --help at 80 columns
+HELP = {
+    "normal_form_sweep.py": """\
+usage: normal_form_sweep.py [-h] [--out-dir OUT_DIR] [--samples SAMPLES]
+
+Emit critical-value diagrams of the Hopf normal form over a parameter grid.
+Covers the standard picture: omega = 1, sigma = 1, nu in {-1/2, +1/2}, D in
+{1, -2} (both regimes, both unfolding directions). Each combination produces
+<out>/nu<+->_D<+->_curve.csv and ..._diagram.json in the formats documented in
+hopfdiag.spectrum. Exit codes as for the hopfdiag CLI: 0 success, 2 bad input
+(nothing is written), 3 I/O failure.
+
+options:
+  -h, --help         show this help message and exit
+  --out-dir OUT_DIR  output directory (default: out/normal_form)
+  --samples SAMPLES  curve samples per diagram, >= 16 (default: 801)
+""",
+    "spin_oscillator_sweep.py": """\
+usage: spin_oscillator_sweep.py [-h] [--out-dir OUT_DIR] [--j-steps J_STEPS]
+                                [--samples SAMPLES] [--seed SEED]
+
+Emit the deformed spin-oscillator datasets. Three artifacts: - a linearization
+scan over gamma (type transition at gamma = 1/2), - the undeformed (gamma = 0)
+bifurcation data: critical values per J plus a sampled image cloud and its
+rasterization, - the post-bifurcation configuration gamma = 4/5: the loop of
+hyperbolic / elliptic critical values over a J window, plus cloud and raster.
+Exit codes as for the hopfdiag CLI: 0 success, 2 bad input (nothing is
+written), 3 I/O failure.
+
+options:
+  -h, --help         show this help message and exit
+  --out-dir OUT_DIR  output directory (default: out/spin_oscillator)
+  --j-steps J_STEPS  J grid size, >= 1 (default: 401)
+  --samples SAMPLES  cloud sample count, >= 1 (default: 200000)
+  --seed SEED        RNG seed, >= 0 (default: 0)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_text(name):
+    proc = script(name, "--help", stdout=subprocess.PIPE,
+                  env=dict(os.environ, COLUMNS="80"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == HELP[name]
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_into_a_closed_or_full_stdout_exits_3(name, buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = script(name, "--help", stdout=write_end, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"{name}: [Errno 32] Broken pipe"]
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = script(name, "--help", stdout=full, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"{name}: [Errno 28] No space left on device"]

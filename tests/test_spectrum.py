@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -152,9 +153,7 @@ def seeded_diagram(n: int, seed: int) -> Diagram:
            for i in range(n)]
     segs = [DiagramSegment(SegmentKind.TRANSVERSALLY_ELLIPTIC, pts[:n // 3]),
             DiagramSegment(SegmentKind.TRANSVERSALLY_HYPERBOLIC, pts[n // 3:])]
-    return Diagram(params=REF, regime=Regime.SUBCRITICAL, cusps=[],
-                   endpoints=[], slopes=None, anchor=(0.0, 0.0),
-                   equilibrium=(0.0, 0.0), segments=segs)
+    return Diagram(REF, segs)
 
 
 def seeded_critical_points(n: int, seed: int):
@@ -361,6 +360,16 @@ class TestAssemble:
         with pytest.raises(ValueError):
             spectrum.assemble_hopf_diagram(REF, 8)
 
+    def test_diagram_takes_params_and_segments_only(self):
+        init = [f.name for f in dataclasses.fields(Diagram) if f.init]
+        assert init == ["params", "segments"]
+        with pytest.raises(TypeError):
+            Diagram(REF, [], anchor=(0.0, 0.0))
+        # the anchor H_c(0) = -nu^2/(8D) overflows
+        with pytest.raises(ValueError, match=r"^Diagram\.anchor must be a "
+                                             r"finite real number, got -inf$"):
+            Diagram(HopfParams(omega=1.0, sigma=1, nu=-1e200, D=1.0), [])
+
 
 class TestRasterize:
     def test_single_point(self):
@@ -509,13 +518,21 @@ class TestSerialization:
                                        "string_gap", "reversed_gap",
                                        "bool_gap", "bool_sigma",
                                        "bool_slopes", "bool_anchor",
-                                       "bool_cusp", "bool_hessdet"])
+                                       "bool_cusp", "bool_hessdet",
+                                       "edited_anchor", "flipped_regime",
+                                       "dropped_cusp", "swapped_slopes",
+                                       "tiny_equilibrium", "added_endpoints",
+                                       "int_equilibrium", "reordered_anchor"])
     def test_diagram_reader_refuses_a_bad_file(self, tmp_path, fault):
         # "old_params": the four fixed-value keys that earlier versions
-        # wrote under "params"; such a file is refused, not read
+        # wrote under "params"; such a file is refused, not read.  The
+        # faults from "edited_anchor" on are well-formed values that differ
+        # from the writer's text for the file's params
+        params = HopfParams(omega=1.0, sigma=1, nu=-0.5, D=-2.0) \
+            if fault == "added_endpoints" else REF
         path = tmp_path / "diagram.json"
-        spectrum.write_diagram_json(spectrum.assemble_hopf_diagram(REF, 48),
-                                    path)
+        spectrum.write_diagram_json(
+            spectrum.assemble_hopf_diagram(params, 48), path)
         data = json.loads(path.read_text())
         if fault == "old_params":
             data["params"].update(unfold_a=0.0, unfold_b=1.0, coeff_B=0.0,
@@ -552,6 +569,23 @@ class TestSerialization:
             data["cusps"][0]["J"] = True
         elif fault == "bool_hessdet":
             data["segments"][0]["points"][0]["hessdet"] = False
+        elif fault == "edited_anchor":
+            data["anchor"]["H"] = 0.25
+        elif fault == "flipped_regime":
+            data["regime"] = "supercritical"
+        elif fault == "dropped_cusp":
+            del data["cusps"][1]
+        elif fault == "swapped_slopes":
+            data["slopes"].reverse()
+        elif fault == "tiny_equilibrium":
+            data["equilibrium"]["H"] = 1e-300
+        elif fault == "added_endpoints":
+            data["endpoints"] = [{"s": -1.0, "J": 0.0, "H": 0.0},
+                                 {"s": 1.0, "J": 0.0, "H": 0.0}]
+        elif fault == "int_equilibrium":
+            data["equilibrium"]["J"] = 0
+        elif fault == "reordered_anchor":
+            data["anchor"] = {"H": data["anchor"]["H"], "J": 0.0}
         text = json.dumps(data)
         path.write_text(text[:100] if fault == "truncated" else text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
