@@ -18,6 +18,7 @@ from . import cli, hopf, models, oracle, symplin
 REFERENCE_PARAMS = hopf.HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
 LOOP_GAMMA = models.PolyG(0.8)
 S_SAMPLES = 401          # curve parameters s in [-sqrt(nu), sqrt(nu)]
+REGION_BLOCK = 8192      # criterion 8's columns per block: 64 KiB per array
 
 
 def _require(ok, message: str) -> None:
@@ -185,7 +186,7 @@ def criterion_07_conjugation() -> str:
         e = hopf.EliassonParams(omega_t=vals[0], alpha_t=vals[1], delta=vals[2])
         t_mat = hopf.transformation_T(e)
         sympl = np.max(np.abs(t_mat.T @ b_mat @ t_mat - b_mat))
-        worst = max(worst, sympl)
+        worst = np.maximum(worst, sympl)
         p_hat = rng.uniform(-1.0, 1.0, (100, 4)).T    # one point per column
         p = t_mat @ p_hat
         g1, g2, g3 = symplin.j1(p_hat), symplin.k2(p_hat), symplin.k1(p_hat)
@@ -195,30 +196,41 @@ def criterion_07_conjugation() -> str:
                                  + e.gamma_hat * symplin.k1(p)
                                  + e.delta * symplin.k2(p)),
                    g3 - sigma * symplin.k1(p) / e.delta)
-        worst = max(worst, float(np.max(np.abs(defects))))
+        worst = np.maximum(worst, np.max(np.abs(defects)))
     _require(worst < 1e-12, f"conjugation/symplecticity defect {worst:.3g} >= 1e-12")
     return f"max defect {worst:.2e} over 20 parameter sets x 100 points"
 
 
 def criterion_08_region_exclusion() -> str:
     """10^5 random family tuples never classify HH or EH; identity at 1e-9."""
-    rng = np.random.default_rng(8)
-    w, al, ga, de = rng.uniform(-3.0, 3.0, (4, 100_000))
-    gd = ga * de
-    a = (al * al + w * w - gd) ** 2
-    b = 2.0 * (gd - al * al + w * w)
-    parab = b * b / 4.0
-    hh = (a > 0) & (a < parab) & (b < 0)
-    eh = a < 0
-    _require(not hh.any(), f"{hh.sum()} hyperbolic-hyperbolic classifications")
-    _require(not eh.any(), f"{eh.sum()} elliptic-hyperbolic classifications")
-    lhs = parab - a
-    rhs = 4.0 * w * w * (gd - al * al)
-    scale = np.maximum.reduce([np.ones_like(a), a, np.abs(parab), np.abs(rhs)])
-    rel = np.abs(lhs - rhs) / scale
-    worst = float(rel.max())
-    _require(worst < 1e-9, f"identity b^2/4 - a = 4w^2(gd - a^2) off by {worst:.3g}")
+    draw = np.random.default_rng(8).uniform(-3.0, 3.0, (4, 100_000))
+    hh, eh, worst = _region_exclusion(draw)
+    _require(not hh, f"{hh} hyperbolic-hyperbolic classifications")
+    _require(not eh, f"{eh} elliptic-hyperbolic classifications")
+    _require(worst < 1e-9,
+             f"identity b^2/4 - a = 4w^2(gd - alpha^2) off by {worst:.3g}")
     return f"0 HH, 0 EH; identity max relative error {worst:.2e}"
+
+
+def _region_exclusion(draw: np.ndarray, block: int = REGION_BLOCK):
+    """HH count, EH count and worst relative identity error over the
+    columns (w, alpha, gamma, delta) of ``draw``, ``block`` columns at a
+    time.  Every step is element-wise, so the result does not depend on
+    ``block``; a NaN error anywhere makes ``worst`` NaN."""
+    hh = eh = 0
+    worst = 0.0
+    for k in range(0, draw.shape[1], block):
+        w, al, ga, de = draw[:, k:k + block]
+        gd = ga * de
+        a = (al * al + w * w - gd) ** 2
+        b = 2.0 * (gd - al * al + w * w)
+        parab = b * b / 4.0
+        hh += int(np.count_nonzero((a > 0) & (a < parab) & (b < 0)))
+        eh += int(np.count_nonzero(a < 0))
+        rhs = 4.0 * w * w * (gd - al * al)
+        scale = np.maximum.reduce([np.ones_like(a), a, np.abs(parab), np.abs(rhs)])
+        worst = np.maximum(worst, np.max(np.abs(parab - a - rhs) / scale))
+    return hh, eh, float(worst)
 
 
 def criterion_09_jc_linearization() -> str:
@@ -246,7 +258,7 @@ def criterion_10_commutation() -> str:
         br = models.poisson_bracket(
             models.jc_grad_J, lambda s: models.jc_grad_Htilde(s, g),
             _random_states(1000, seed=100 + k))
-        worst = max(worst, float(np.max(np.abs(br))))
+        worst = np.maximum(worst, np.max(np.abs(br)))
     _require(worst < 1e-11, f"|{{J, H~}}| = {worst:.3g} >= 1e-11")
     return f"max |{{J, H~}}| = {worst:.2e} over 4 gammas x 1000 states"
 

@@ -31,6 +31,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -66,11 +67,12 @@ class DiagramSegment:
     gaps: list[tuple[float, float]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Diagram:
     """The diagram of ``params``: the curve ``segments``, and the regime,
     cusps, endpoints, s = 0 anchor, equilibrium value (0, 0) and origin
-    slopes that the params fix, computed and checked here in that order."""
+    slopes that the params fix, computed and checked here in that order.
+    Frozen, so a derived field cannot be set apart from the params."""
 
     params: HopfParams
     regime: Regime = field(init=False)
@@ -83,14 +85,15 @@ class Diagram:
 
     def __post_init__(self):
         p = self.params
-        self.regime = hopf.regime(p)
-        self.cusps = [SpecialPoint(s, hopf.curve_j(p, s), hopf.curve_h(p, s))
-                      for s in hopf.cusps(p)]
+        put = partial(object.__setattr__, self)
+        put("regime", hopf.regime(p))
+        put("cusps", [SpecialPoint(s, hopf.curve_j(p, s), hopf.curve_h(p, s))
+                      for s in hopf.cusps(p)])
         ends = [-math.sqrt(p.nu), math.sqrt(p.nu)] if p.nu > 0.0 else []
-        self.endpoints = [SpecialPoint(s, 0.0, 0.0) for s in ends]
-        self.anchor = _finite_pair((0.0, hopf.curve_h(p, 0.0)), "anchor")
-        self.equilibrium = (0.0, 0.0)
-        self.slopes = hopf.origin_slopes(p) if p.nu > 0.0 else None
+        put("endpoints", [SpecialPoint(s, 0.0, 0.0) for s in ends])
+        put("anchor", _finite_pair((0.0, hopf.curve_h(p, 0.0)), "anchor"))
+        put("equilibrium", (0.0, 0.0))
+        put("slopes", hopf.origin_slopes(p) if p.nu > 0.0 else None)
         for seg in self.segments:
             seg.gaps = [_finite_pair(gap, "gaps") for gap in seg.gaps]
             if any(lo > hi for lo, hi in seg.gaps):

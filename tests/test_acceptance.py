@@ -4,6 +4,8 @@ Each test prints a one-line pass report; ``hopfdiag verify`` runs the same
 functions from the command line.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,21 @@ def test_criterion_10_sees_one_bad_state(monkeypatch):
         acceptance.criterion_10_commutation()
 
 
+def test_criterion_10_sees_one_nan_state(monkeypatch):
+    """A NaN gradient at one state of the second gamma fails the check."""
+    grad = models.jc_grad_Htilde
+    bad = acceptance._random_states(1000, seed=101)[:, 388]
+
+    def corrupted(state, g):
+        out = np.array(grad(state, g))
+        out[4, np.all(state == bad[:, None], axis=0)] = np.nan
+        return out
+
+    monkeypatch.setattr(models, "jc_grad_Htilde", corrupted)
+    with pytest.raises(AssertionError, match="J, H~.* nan"):
+        acceptance.criterion_10_commutation()
+
+
 def test_criterion_03_sees_one_bad_determinant(monkeypatch):
     """A Hessian law that is wrong at one s of the grid fails the check."""
     det2 = hopf.hessian_det2
@@ -150,3 +167,78 @@ def test_criterion_07_sees_one_bad_point(monkeypatch):
     monkeypatch.setattr(symplin, "k1", corrupted)
     with pytest.raises(AssertionError, match="conjugation"):
         acceptance.criterion_07_conjugation()
+
+
+def test_criterion_07_sees_one_nan_point(monkeypatch):
+    """A NaN invariant K1 at one point of the third parameter set fails the
+    check: each set calls k1 three times, so the 7th call is its first."""
+    k1 = symplin.k1
+    calls = []
+
+    def corrupted(p):
+        out = np.array(k1(p), dtype=float)
+        if len(calls) == 6:
+            out.flat[41] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(symplin, "k1", corrupted)
+    with pytest.raises(AssertionError, match="conjugation.* nan"):
+        acceptance.criterion_07_conjugation()
+
+
+def test_criterion_08_sees_one_nan_tuple(monkeypatch):
+    """A NaN in one tuple of the last, partial block fails the check."""
+    default_rng = np.random.default_rng
+    column = 99_000
+    assert column >= 100_000 // acceptance.REGION_BLOCK * acceptance.REGION_BLOCK
+
+    class Planted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def uniform(self, *args):
+            draw = self.rng.uniform(*args)
+            draw[1, column] = np.nan
+            return draw
+
+    monkeypatch.setattr(np.random, "default_rng", Planted)
+    with pytest.raises(AssertionError, match=r"alpha\^2\) off by nan"):
+        acceptance.criterion_08_region_exclusion()
+
+
+def _region_exclusion_reference(draw):
+    """Criterion 8's counts and worst error over the whole draw at once."""
+    w, al, ga, de = draw
+    gd = ga * de
+    a = (al * al + w * w - gd) ** 2
+    b = 2.0 * (gd - al * al + w * w)
+    parab = b * b / 4.0
+    hh = (a > 0) & (a < parab) & (b < 0)
+    rhs = 4.0 * w * w * (gd - al * al)
+    scale = np.maximum.reduce([np.ones_like(a), a, np.abs(parab), np.abs(rhs)])
+    rel = np.abs(parab - a - rhs) / scale
+    return int(hh.sum()), int((a < 0).sum()), float(rel.max())
+
+
+@pytest.mark.parametrize("block", [7, 8191, acceptance.REGION_BLOCK, 99_999,
+                                   300_000])
+@pytest.mark.parametrize("seed, width", [(8, 3.0), (81, 1e3)])
+def test_region_exclusion_blocks_match_the_whole_array(block, seed, width):
+    draw = np.random.default_rng(seed).uniform(-width, width, (4, 100_000))
+    got = acceptance._region_exclusion(draw, block)
+    want = _region_exclusion_reference(draw)
+    assert got == want and repr(got) == repr(want)
+    assert got[2] > 0.0
+
+
+def test_criterion_08_memory_budget():
+    # the 4 x 10^5 draw and one block's temporaries; whole-array
+    # temporaries peaked at about 4.6 times the draw
+    tracemalloc.start()
+    try:
+        acceptance.criterion_08_region_exclusion()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4 * 100_000 * 8

@@ -510,6 +510,15 @@ class TestSerialization:
             spectrum.write_diagram_json(d, path)
             assert spectrum.read_diagram_json(path) == d
 
+    def test_a_derived_diagram_field_cannot_be_set(self, tmp_path):
+        # such a diagram would write a file that the reader refuses
+        d = spectrum.assemble_hopf_diagram(REF, 48)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.anchor = (0.0, 0.5)
+        path = tmp_path / "diagram.json"
+        spectrum.write_diagram_json(d, path)
+        assert spectrum.read_diagram_json(path) == d
+
     @pytest.mark.parametrize("fault", ["old_params", "missing_key",
                                        "wrong_type", "not_an_object",
                                        "truncated", "one_slope",
