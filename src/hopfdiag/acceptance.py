@@ -353,6 +353,11 @@ def criterion_12_post_hopf_loop() -> str:
         h2 = [float(models.branch_second_deriv(p.z_at, probe, g, models.Branch.PLUS))
               for p in near]
         _require(h2[0] * h2[1] < 0.0, f"merging pair h'' = {h2} not straddling 0")
+        # the solver's rule: a plus-branch point is hyperbolic iff h'' > 0
+        _require([p.kind is models.CriticalKind.TRANSVERSALLY_HYPERBOLIC
+                  for p in near] == [v > 0.0 for v in h2],
+                 f"merging pair kinds {[p.kind.value for p in near]} "
+                 f"disagree with h'' = {h2}")
         _require(max(abs(v) for v in h2) < 5e-2,
                  f"h'' not small near the fold: {h2}")
     return (f"window J in ({edges[0]:.4f}, {edges[1]:.4f}), one hyperbolic "

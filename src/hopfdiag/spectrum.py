@@ -54,7 +54,7 @@ class SpecialPoint:
         symplin.finite_fields(self, "s", "J", "H")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagramSegment:
     """One smooth piece of the critical-value curve.
 
@@ -63,8 +63,8 @@ class DiagramSegment:
     """
 
     kind: SegmentKind
-    points: list[CurveSample] = field(default_factory=list)
-    gaps: list[tuple[float, float]] = field(default_factory=list)
+    points: tuple[CurveSample, ...] = ()
+    gaps: tuple[tuple[float, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -72,32 +72,36 @@ class Diagram:
     """The diagram of ``params``: the curve ``segments``, and the regime,
     cusps, endpoints, s = 0 anchor, equilibrium value (0, 0) and origin
     slopes that the params fix, computed and checked here in that order.
-    Frozen, so a derived field cannot be set apart from the params."""
+    Frozen, with frozen segments in tuples, so no field can be set apart
+    from the params or the checks."""
 
     params: HopfParams
     regime: Regime = field(init=False)
-    cusps: list[SpecialPoint] = field(init=False)
-    endpoints: list[SpecialPoint] = field(init=False)
+    cusps: tuple[SpecialPoint, ...] = field(init=False)
+    endpoints: tuple[SpecialPoint, ...] = field(init=False)
     slopes: tuple[float, float] | None = field(init=False)
     anchor: tuple[float, float] = field(init=False)
     equilibrium: tuple[float, float] = field(init=False)
-    segments: list[DiagramSegment]
+    segments: tuple[DiagramSegment, ...]
 
     def __post_init__(self):
         p = self.params
         put = partial(object.__setattr__, self)
         put("regime", hopf.regime(p))
-        put("cusps", [SpecialPoint(s, hopf.curve_j(p, s), hopf.curve_h(p, s))
-                      for s in hopf.cusps(p)])
+        put("cusps", tuple(SpecialPoint(s, hopf.curve_j(p, s), hopf.curve_h(p, s))
+                           for s in hopf.cusps(p)))
         ends = [-math.sqrt(p.nu), math.sqrt(p.nu)] if p.nu > 0.0 else []
-        put("endpoints", [SpecialPoint(s, 0.0, 0.0) for s in ends])
+        put("endpoints", tuple(SpecialPoint(s, 0.0, 0.0) for s in ends))
         put("anchor", _finite_pair((0.0, hopf.curve_h(p, 0.0)), "anchor"))
         put("equilibrium", (0.0, 0.0))
         put("slopes", hopf.origin_slopes(p) if p.nu > 0.0 else None)
-        for seg in self.segments:
-            seg.gaps = [_finite_pair(gap, "gaps") for gap in seg.gaps]
-            if any(lo > hi for lo, hi in seg.gaps):
-                raise ValueError(f"Diagram.gaps {seg.gaps!r} has a lo > hi")
+        segments = []
+        for seg in self.segments:       # checked copies, the caller's kept
+            gaps = [_finite_pair(gap, "gaps") for gap in seg.gaps]
+            if any(lo > hi for lo, hi in gaps):
+                raise ValueError(f"Diagram.gaps {gaps!r} has a lo > hi")
+            segments.append(DiagramSegment(seg.kind, tuple(seg.points), tuple(gaps)))
+        put("segments", tuple(segments))
 
 
 def _finite_pair(pair, name: str) -> tuple[float, float]:
@@ -110,22 +114,19 @@ def _segment_samples(params: HopfParams, s_values,
                      interior_kind: SegmentKind) -> DiagramSegment:
     """``hopf.critical_curve_point`` at each of the array ``s_values``; a
     sample with d < 0, outside the image z >= 0, is dropped, and the
-    s-range of those dropped is the segment's gap."""
-    seg = DiagramSegment(kind=interior_kind)
-    dropped: list[float] = []
+    s-range of those dropped is the segment's gap.  A lone kept sample is
+    dropped too, and the gap is then the whole s-range."""
+    points, dropped = [], []
     for s in s_values.tolist():
         sample = hopf.critical_curve_point(params, s)
         if sample.d >= 0.0:
-            seg.points.append(sample)
+            points.append(sample)
         else:
             dropped.append(s)
-    if dropped:
-        seg.gaps.append((min(dropped), max(dropped)))
-    if len(seg.points) < 2:
-        if seg.points:
-            seg.gaps = [(float(s_values[0]), float(s_values[-1]))]
-        seg.points = []
-    return seg
+    gaps = ((min(dropped), max(dropped)),) if dropped else ()
+    if len(points) == 1:
+        points, gaps = [], ((float(s_values[0]), float(s_values[-1])),)
+    return DiagramSegment(interior_kind, tuple(points), gaps)
 
 
 def assemble_hopf_diagram(params: HopfParams, samples: int) -> Diagram:
@@ -138,7 +139,7 @@ def assemble_hopf_diagram(params: HopfParams, samples: int) -> Diagram:
     if samples < MIN_DIAGRAM_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_DIAGRAM_SAMPLES}")
     if params.nu <= 0.0:
-        return Diagram(params, [])
+        return Diagram(params, ())
 
     s_end = math.sqrt(params.nu)
     s_cusp = math.sqrt(params.nu / 3.0)
@@ -155,11 +156,11 @@ def assemble_hopf_diagram(params: HopfParams, samples: int) -> Diagram:
     s_left = np.linspace(-s_end, -s_cusp, n_outer)
     s_right = np.linspace(s_cusp, s_end, n_outer)
 
-    segments = [
+    segments = (
         _segment_samples(params, s_left, SegmentKind.TRANSVERSALLY_ELLIPTIC),
         _segment_samples(params, s_mid, SegmentKind.TRANSVERSALLY_HYPERBOLIC),
         _segment_samples(params, s_right, SegmentKind.TRANSVERSALLY_ELLIPTIC),
-    ]
+    )
     return Diagram(params, segments)
 
 
@@ -168,6 +169,12 @@ class RasterGrid:
     counts: np.ndarray      # shape (nJ, nH), occupancy per cell
     j_centers: np.ndarray
     h_centers: np.ndarray
+
+    def __post_init__(self):    # read-only views; the callers' flags stay
+        for name in ("counts", "j_centers", "h_centers"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __eq__(self, other):
         return (isinstance(other, RasterGrid)
@@ -371,7 +378,7 @@ def read_jc_critical_csv(path) -> list[JCCriticalRow]:
     """``JCCriticalRow`` named tuples, one per line, labels as text;
     unknown labels and non-finite numbers refused."""
     return _read_csv(path, _JC_CRITICAL_HEADER, lambda meta, rows: list(
-        map(JCCriticalRow._make, rows.tolist())),
+        map(tuple.__new__, itertools.repeat(JCCriticalRow), rows.tolist())),
         branch=["none", *(b.value for b in Branch)],
         kind=[k.value for k in CriticalKind])
 

@@ -82,6 +82,16 @@ def test_criterion_13_sees_a_count_change_off_the_curves(monkeypatch):
         acceptance.criterion_13_torus_counts()
 
 
+def test_criterion_12_sees_a_flipped_second_derivative(monkeypatch):
+    """h'' of the wrong sign keeps the merging pair straddling 0, but the
+    kinds the solver gave no longer match it."""
+    second = models.branch_second_deriv
+    monkeypatch.setattr(models, "branch_second_deriv",
+                        lambda *args: -second(*args))
+    with pytest.raises(AssertionError, match="merging pair kinds"):
+        acceptance.criterion_12_post_hopf_loop()
+
+
 def test_criterion_10_sees_one_bad_state(monkeypatch):
     """A gradient of H~ that is wrong at one state of 4,000 fails the check."""
     grad = models.jc_grad_Htilde

@@ -220,7 +220,7 @@ class TestHopfCurve:
         assert run_cli(["hopf-curve", "--omega", "1", "--sigma", "1",
                         "--nu", "-0.5", "--D", "-2", "--out", str(out)]) == 0
         diagram = spectrum.read_diagram_json(tmp_path / "neg_diagram.json")
-        assert diagram.segments == []
+        assert diagram.segments == ()
         assert diagram.regime.value == "subcritical"
         assert diagram.equilibrium == (0.0, 0.0)
 

@@ -294,36 +294,43 @@ class TestReducedCriticalValues:
     # gamma far beyond it, whose fold window sits at J of order gamma^2
     REFERENCE_GAMMAS = [0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 0.8, -0.8,
                         123.4]
+    # solved one after another, so that rows cannot depend on the gamma
+    # solved before (the fold cut is cached per gamma)
+    INTERLEAVED = (0.8, -0.8, 0.5, 0.0, -0.0, 0.8, 123.4, 0.8)
 
     @staticmethod
     def row_bits(per_j):
         return [[(p.J.hex(), p.H.hex(), p.z_at.hex(), p.branch, p.kind)
                  for p in rows] for rows in per_j]
 
-    @given(st.sampled_from(REFERENCE_GAMMAS), st.data())
-    def test_rows_equal_the_reference_bit_for_bit(self, gamma, data):
-        g = PolyG(gamma)
-        window = [1.0 + f for f in models.fold_offsets(g)] or [1.0, 1.0]
-        js = data.draw(st.lists(st.one_of(
-            st.sampled_from([-1.0, 1.0, -0.999, *window]),
-            st.floats(min_value=-1.0, max_value=3.2),
-            st.floats(min_value=window[0], max_value=window[1]),
-            st.floats(min_value=3.2, max_value=1e99)), max_size=12))
-        assert self.row_bits(models.jc_critical_values(g, js)) == \
-            self.row_bits(reference_critical_values(g, js))
+    @given(st.sampled_from([*REFERENCE_GAMMAS, INTERLEAVED]), st.data())
+    def test_rows_equal_the_reference_bit_for_bit(self, gammas, data):
+        for gamma in gammas if isinstance(gammas, tuple) else [gammas]:
+            g = PolyG(gamma)
+            window = [1.0 + f for f in models.fold_offsets(g)] or [1.0, 1.0]
+            js = data.draw(st.lists(st.one_of(
+                st.sampled_from([-1.0, 1.0, -0.999, *window]),
+                st.floats(min_value=-1.0, max_value=3.2),
+                st.floats(min_value=window[0], max_value=window[1]),
+                st.floats(min_value=3.2, max_value=1e99)), max_size=12))
+            assert self.row_bits(models.jc_critical_values(g, js)) == \
+                self.row_bits(reference_critical_values(g, js))
 
-    @pytest.mark.parametrize("gamma", REFERENCE_GAMMAS)
-    def test_grid_rows_equal_the_reference_bit_for_bit(self, gamma):
-        g = PolyG(gamma)
-        js = [-1.0, 1.0, -0.999, *np.linspace(-1.0, 3.2, 601),
-              *np.logspace(0.5, 99.0, 200)]
-        for offset in models.fold_offsets(g):
-            edge = 1.0 + offset
-            js += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 9.0),
-                   *np.linspace(edge - 1e-3 * abs(offset), edge
-                                + 1e-3 * abs(offset), 101)]
-        assert self.row_bits(models.jc_critical_values(g, js)) == \
-            self.row_bits(reference_critical_values(g, js))
+    @pytest.mark.parametrize("gammas", [
+        *REFERENCE_GAMMAS, pytest.param(INTERLEAVED, id="interleaved")])
+    def test_grid_rows_equal_the_reference_bit_for_bit(self, gammas):
+        for gamma in gammas if isinstance(gammas, tuple) else [gammas]:
+            g = PolyG(gamma)
+            js = [-1.0, 1.0, -0.999, *np.linspace(-1.0, 3.2, 601),
+                  *np.logspace(0.5, 99.0, 200)]
+            for offset in models.fold_offsets(g):
+                edge = 1.0 + offset
+                js += [edge, math.nextafter(edge, 0.0),
+                       math.nextafter(edge, 9.0),
+                       *np.linspace(edge - 1e-3 * abs(offset), edge
+                                    + 1e-3 * abs(offset), 101)]
+            assert self.row_bits(models.jc_critical_values(g, js)) == \
+                self.row_bits(reference_critical_values(g, js))
 
     def test_outputs_sorted_and_deterministic(self):
         a = models.jc_reduced_critical_values(PolyG(0.8), 1.5)

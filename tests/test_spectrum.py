@@ -94,8 +94,7 @@ def reference_segment(params: HopfParams, s_values, kind: SegmentKind):
     """Curve samples by the earlier rule, from the closed forms one s at a
     time: keep a sample on the equilibrium stratum or with double root
     >= 0, and snap the stratum's samples to the exact (J, H, d) = 0."""
-    seg = DiagramSegment(kind=kind)
-    dropped = []
+    points, gaps, dropped = [], [], []
     for s in map(float, s_values):
         sample = CurveSample(s, hopf.curve_j(params, s),
                              hopf.curve_h(params, s),
@@ -108,14 +107,14 @@ def reference_segment(params: HopfParams, s_values, kind: SegmentKind):
             continue
         if sample.kind is SegmentKind.EQUILIBRIUM_ENDPOINT:
             sample = replace(sample, J=0.0, H=0.0, d=0.0)
-        seg.points.append(sample)
+        points.append(sample)
     if dropped:
-        seg.gaps.append((min(dropped), max(dropped)))
-    if len(seg.points) < 2:
-        if seg.points:
-            seg.gaps = [(float(s_values[0]), float(s_values[-1]))]
-        seg.points = []
-    return seg
+        gaps.append((min(dropped), max(dropped)))
+    if len(points) < 2:
+        if points:
+            gaps = [(float(s_values[0]), float(s_values[-1]))]
+        points = []
+    return DiagramSegment(kind, tuple(points), tuple(gaps))
 
 
 def seeded_cloud(n: int, seed: int) -> SpectrumCloud:
@@ -324,7 +323,7 @@ class TestAssemble:
     def test_negative_nu_has_no_curve(self):
         d = spectrum.assemble_hopf_diagram(
             HopfParams(omega=1.0, sigma=1, nu=-0.5, D=-2.0), 64)
-        assert d.segments == [] and d.cusps == [] and d.endpoints == []
+        assert d.segments == () and d.cusps == () and d.endpoints == ()
         assert d.slopes is None
         assert d.equilibrium == (0.0, 0.0)
         assert d.regime is Regime.SUBCRITICAL
@@ -333,7 +332,7 @@ class TestAssemble:
         d = spectrum.assemble_hopf_diagram(SUPER, 64)
         assert d.regime is Regime.SUPERCRITICAL
         for seg in d.segments:
-            assert seg.points == []
+            assert seg.points == ()
             assert len(seg.gaps) == 1
         assert d.anchor == (0.0, -0.03125)
 
@@ -519,6 +518,26 @@ class TestSerialization:
         spectrum.write_diagram_json(d, path)
         assert spectrum.read_diagram_json(path) == d
 
+    def test_a_diagram_segment_cannot_be_changed(self, tmp_path):
+        # a segment changed after the checks could be written to a file
+        # that the reader refuses (gaps [(1.0, 0.5)]: "has a lo > hi")
+        d = spectrum.assemble_hopf_diagram(REF, 48)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.segments[0].gaps = [(1.0, 0.5)]
+        assert type(d.segments) is type(d.cusps) is type(d.endpoints) is tuple
+        assert all(type(seg.points) is type(seg.gaps) is tuple
+                   for seg in d.segments)
+        path = tmp_path / "diagram.json"
+        spectrum.write_diagram_json(d, path)
+        assert spectrum.read_diagram_json(path) == d
+        # the diagram checks a copy and leaves the caller's segment alone
+        mine = DiagramSegment(SegmentKind.TRANSVERSALLY_ELLIPTIC,
+                              gaps=[[np.float32(0.25), 1]])
+        got = Diagram(REF, [mine])
+        assert mine.gaps == [[np.float32(0.25), 1]]
+        assert got.segments == (DiagramSegment(
+            SegmentKind.TRANSVERSALLY_ELLIPTIC, (), ((0.25, 1.0),)),)
+
     @pytest.mark.parametrize("fault", ["old_params", "missing_key",
                                        "wrong_type", "not_an_object",
                                        "truncated", "one_slope",
@@ -605,6 +624,33 @@ class TestSerialization:
         path = tmp_path / "cloud.csv"
         spectrum.write_cloud_csv(cloud, path)
         assert spectrum.read_cloud_csv(path) == cloud
+
+    def test_cloud_points_are_read_only(self, tmp_path):
+        # a NaN set after the checks would be written, and the reader
+        # refuses the file
+        cloud = models.jc_spectrum_sample(models.PolyG(0.7), 300, 1.5, seed=11)
+        with pytest.raises(ValueError, match="read-only"):
+            cloud.points[0, 0] = math.nan
+        assert cloud.points.base is not None      # a view: the flag, no copy
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(cloud, path)
+        assert spectrum.read_cloud_csv(path) == cloud
+
+    def test_raster_arrays_are_read_only(self, tmp_path):
+        # a count of -5 set after rasterize would be written, and the
+        # reader refuses the file
+        cloud = models.jc_spectrum_sample(models.PolyG(0.7), 300, 1.5, seed=11)
+        grid = spectrum.rasterize(cloud, 6, 4)
+        for array in (grid.counts, grid.j_centers, grid.h_centers):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = -5
+        path = tmp_path / "raster.csv"
+        spectrum.write_raster_csv(grid, path)
+        assert spectrum.read_raster_csv(path) == grid
+        # the grid holds read-only views; the caller's arrays stay writable
+        counts = np.arange(6).reshape(2, 3)
+        RasterGrid(counts=counts, j_centers=np.zeros(2), h_centers=np.ones(3))
+        assert counts.flags.writeable
 
     def test_jc_critical_csv_round_trip(self, tmp_path):
         pts = []
