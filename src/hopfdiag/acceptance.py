@@ -158,16 +158,21 @@ def criterion_05_origin_slopes() -> str:
 
 
 def criterion_06_eigenvalue_laws() -> str:
-    """Oracle eigenvalues of the origin linearization match the closed forms."""
+    """Oracle eigenvalues of the origin linearization match the closed forms
+    and ``symplin.eigen_closed`` of the matrix's (a, b) = (p0, p2)."""
     details = []
     for nu in (-0.25, 0.25, 0.0):
         params = hopf.HopfParams(omega=1.0, sigma=1, nu=nu, D=-2.0)
         closed = hopf.equilibrium_eigenvalues(params)
-        numeric = oracle.eig4(
-            symplin.hamiltonian_matrix(hopf.linearization_hessian(params)))
+        m = symplin.hamiltonian_matrix(hopf.linearization_hessian(params))
+        numeric = oracle.eig4(m)
         err = oracle.match_eigensets(numeric, closed)
         _require(err < 1e-10, f"nu={nu}: eigenvalue mismatch {err:.3g}")
-        details.append(f"nu={nu}: {err:.1e}")
+        p0, _, p2, _ = oracle.char_poly4(m)
+        quartic = oracle.match_eigensets(
+            symplin.eigen_closed(symplin.QuarticCoeffs(a=p0, b=p2)), numeric)
+        _require(quartic < 1e-10, f"nu={nu}: eigen_closed off by {quartic:.3g}")
+        details.append(f"nu={nu}: {err:.1e}, eigen_closed {quartic:.1e}")
     # collision at nu = 0: the quadruplet collapses onto +-i*omega doubled
     params = hopf.HopfParams(omega=1.0, sigma=1, nu=0.0, D=-2.0)
     collapsed = hopf.equilibrium_eigenvalues(params)

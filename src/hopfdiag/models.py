@@ -37,6 +37,7 @@ sb = -sign(gamma z (3z^2 - 2Jz - 1)).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +50,7 @@ from . import oracle, symplin
 CUSP_TOL = 1e-8          # |h''| below this classifies as a degenerate cusp
 NEWTON_STEPS = 100       # cap on bracketed Newton/bisection steps per point
 J_LIMIT = 1e100          # |J| below this keeps every chart coefficient finite
+GRID_BLOCK = 1024        # J per block of jc_critical_values: bounded memory
 GAMMA_LIMIT = 1e6        # from |gamma| ~ 1e7 critical points sit closer to the
                          # far end of the domain than a float can resolve
 
@@ -224,11 +226,12 @@ def fold_offsets(g: PolyG) -> tuple[float, ...]:
     return -c / q, q / a
 
 
-def _chart_terms(x: float, sigma: float, r: float) -> tuple[float, float, float]:
-    """(A, dA/dx, R) at chart point x: A = 3z^2 - 2Jz - 1, R as above."""
+def _chart_terms(x: float, sigma: float, r: float, sqrt=None):
+    """(A, dA/dx, R) at chart point x: A = 3z^2 - 2Jz - 1, R as above;
+    ``sqrt`` is ``math.sqrt`` unless given (``np.sqrt`` for arrays)."""
     da = 6.0 * x - 4.0 + 2.0 * r
     a = x * (3.0 * x - 4.0 + 2.0 * r) - 2.0 * r
-    return a, da, math.sqrt(2.0 * sigma * (r + x) * x * (2.0 - x))
+    return a, da, (sqrt or math.sqrt)(2.0 * sigma * (r + x) * x * (2.0 - x))
 
 
 def _chart_root(sb: float, g4: float, sigma: float, r: float,
@@ -261,8 +264,8 @@ def _chart_root(sb: float, g4: float, sigma: float, r: float,
     return x
 
 
-def _chart_roots(gamma: float, sigma: float, r: float, lo: float, hi: float,
-                 cuts: tuple[float, ...]) -> list[tuple[float, float]]:
+def _chart_roots(gamma: float, sigma: float, r: float, lo: float,
+                 hi: float) -> list[tuple[float, float]]:
     """(x, sb) of every interior critical point in the chart interval (lo, hi).
 
     The zeros of F_sb are the critical points of h_sb, and F_+ F_- = -p_J,
@@ -271,16 +274,19 @@ def _chart_roots(gamma: float, sigma: float, r: float, lo: float, hi: float,
     per branch, and for |gamma| > 1/2 at 1/(4 gamma^2) <= z < 1, where the
     fold z_f, the root of the factor 16 gamma^2 z^3 - 3z^2 - 1 of its
     resultant with dp_J/dz, splits their J-roots into monotone pieces with
-    disjoint ranges.  So the ``cuts`` z = 0 and z_f make brackets with at
+    disjoint ranges.  So the cuts z = 0 and z_f make brackets with at
     most one zero of each F_sb; a branch has one where F_sb changes sign
     across the bracket.  Newton works on F_sb itself, well conditioned
     where p_J is not (as gamma -> 0, p_J tends to A^2).
     """
-    # F = sb A + C R at each edge, C = 4 gamma z; A and C R serve both
-    # branches.  R = 0 at both ends, so F = sb A there
+    # x = 1 - z at z_f and z = 0 in the chart of the pole z = 1; the chart
+    # of z = -1 covers z < J <= 0 and needs no cut.  F = sb A + C R at each
+    # edge, C = 4 gamma z; A and C R serve both branches.  R = 0 at both
+    # ends, so F = sb A there
+    t = _fold_t(gamma)
     r2, g4 = 2.0 * r, 4.0 * gamma * sigma
     edges = [(lo, lo * (3.0 * lo - 4.0 + r2) - r2, 0.0)]
-    for c in cuts:
+    for c in ((t / (1.0 + t), 1.0) if t else (1.0,)) if sigma > 0.0 else ():
         if lo < c < hi:
             edges.append((c, c * (3.0 * c - 4.0 + r2) - r2, g4 * (1.0 - c)
                           * math.sqrt(2.0 * sigma * (r + c) * c * (2.0 - c))))
@@ -302,9 +308,9 @@ def _chart_roots(gamma: float, sigma: float, r: float, lo: float, hi: float,
     return out
 
 
-def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
-    """All critical values of the reduced system at each momentum J in
-    ``js``: one list of ``CriticalValuePoint`` named tuples per J.
+def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
+    """All critical values of the reduced system at the momentum J = ``j``,
+    as ``CriticalValuePoint`` named tuples.
 
     Interior critical points of both branches h_pm are the real roots of the
     quintic p_J in (-1, min(J, 1)) (module docstring), found in the chart
@@ -316,79 +322,166 @@ def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
     hyperbolic); |h''| < CUSP_TOL marks a degenerate cusp.
     The pole equilibria contribute (J, G(1)) exactly at j = +-1.  Rows come
     in order of z, then pole < minus < plus.  A J out of range raises
-    ValueError.  The fold cut is cached per gamma, the chart ends need no
-    square root and rows are built by ``tuple.__new__``, so a J costs about
-    5 us at gamma = 0 and 20 us at gamma = 0.8 (one x86-64 core), mostly
-    Newton steps.  Known limits: within float rounding of a fold value
-    (``fold_offsets``) the two merging points may be miscounted; for
+    ValueError.  One J costs about 5 us at gamma = 0 and 20 us at gamma =
+    0.8 (one x86-64 core).  Known limits: within float rounding of a fold
+    value (``fold_offsets``) the two merging points may be miscounted; for
     J >~ 1e10 the z < 0 points, near -1/(2J), are solved in the chart of
     z = 1 and keep about 1e-16 absolute, not relative, error, so the plus
     and minus rows there may come out in either order.
     """
-    gamma = g.gamma
-    t = _fold_t(gamma)
-    # x = 1 - z at z_f and z = 0 in the chart of the pole z = 1; the chart
-    # of z = -1 covers z < J <= 0 and needs no cut
-    cuts = (t / (1.0 + t), 1.0) if t else (1.0,)
+    gamma, j = g.gamma, float(j)
+    if not (abs(j) < J_LIMIT and abs(gamma) < GAMMA_LIMIT):
+        raise ValueError(f"need |J| < {J_LIMIT:g} and |gamma| < {GAMMA_LIMIT:g}, "
+                         f"got J = {j!r}, gamma = {gamma!r}")
+    if j < -1.0:
+        raise ValueError("reduced domain is empty for J < -1")
+    sigma = -1.0 if j <= 0.0 else 1.0
+    r = sigma * j - 1.0
+    lo, hi = (max(0.0, -r), 2.0) if sigma > 0.0 else (0.0, -r)
+    if gamma == 0.0:
+        # (J +- sqrt(J^2 + 3))/3, the smaller as -1/q against cancellation
+        q = j + math.copysign(math.sqrt(j * j + 3.0), j)
+        x1, x2 = 1.0 - sigma * (q / 3.0), 1.0 - sigma * (-1.0 / q)
+        roots = [(x1, 1.0), (x1, -1.0), (x2, 1.0), (x2, -1.0)]
+    else:
+        roots = _chart_roots(gamma, sigma, r, lo, hi)
+    # (z, rank 0/1/2 for pole/minus/plus, k, sb, x) inside the open
+    # domain; k, the place in ``roots``, keeps ties in the order found
+    top = j if j < 1.0 else 1.0
+    found = [(z, 2 if sb > 0.0 else 1, k, sb, x)
+             for k, (x, sb) in enumerate(roots)
+             if lo < x < hi and -1.0 < (z := sigma * (1.0 - x)) < top]
+    if j == 1.0 or j == -1.0:
+        found.append((j, 0, 0, 0.0, 0.0))
+    found.sort()
     new = tuple.__new__     # a row without the named tuple's Python __new__
-    out = []
-    for j in map(float, js):
-        if not (abs(j) < J_LIMIT and abs(gamma) < GAMMA_LIMIT):
-            raise ValueError(f"need |J| < {J_LIMIT:g} and |gamma| < {GAMMA_LIMIT:g}, "
-                             f"got J = {j!r}, gamma = {gamma!r}")
-        if j < -1.0:
-            raise ValueError("reduced domain is empty for J < -1")
-        sigma = -1.0 if j <= 0.0 else 1.0
-        r = sigma * j - 1.0
-        lo, hi = (max(0.0, -r), 2.0) if sigma > 0.0 else (0.0, -r)
-        if gamma == 0.0:
-            # (J +- sqrt(J^2 + 3))/3, the smaller as -1/q against cancellation
-            q = j + math.copysign(math.sqrt(j * j + 3.0), j)
-            x1, x2 = 1.0 - sigma * (q / 3.0), 1.0 - sigma * (-1.0 / q)
-            roots = [(x1, 1.0), (x1, -1.0), (x2, 1.0), (x2, -1.0)]
-        else:
-            roots = _chart_roots(gamma, sigma, r, lo, hi,
-                                 cuts if sigma > 0.0 else ())
-        # (z, rank 0/1/2 for pole/minus/plus, k, sb, x) inside the open
-        # domain; k, the place in ``roots``, keeps ties in the order found
-        top = j if j < 1.0 else 1.0
-        found = [(z, 2 if sb > 0.0 else 1, k, sb, x)
-                 for k, (x, sb) in enumerate(roots)
-                 if lo < x < hi and -1.0 < (z := sigma * (1.0 - x)) < top]
-        if j == 1.0 or j == -1.0:
-            found.append((j, 0, 0, 0.0, 0.0))
-        found.sort()
-        rows = []
-        for z, rank, _, sb, x in found:
-            if not rank:
-                rows.append(new(CriticalValuePoint, (
-                    j, g.value(j), j, None, CriticalKind.EQUILIBRIUM_VALUE)))
-                continue
-            a, da, rad = _chart_terms(x, sigma, r)
-            # h'' from chart quantities (d/dz = -sigma d/dx), which keep their
-            # relative accuracy next to the pole where the z form cancels
-            h2 = sb * (-sigma * da / (2.0 * rad) - a * a / (2.0 * rad ** 3)) \
-                + 2.0 * gamma
-            # elliptic: a maximum of h_+ or a minimum of h_-
-            kind = (CriticalKind.CUSP if abs(h2) < CUSP_TOL
-                    else CriticalKind.TRANSVERSALLY_ELLIPTIC if sb * h2 < 0.0
-                    else CriticalKind.TRANSVERSALLY_HYPERBOLIC)
+    rows = []
+    for z, rank, _, sb, x in found:
+        if not rank:
             rows.append(new(CriticalValuePoint, (
-                j, sb * rad / 2.0 + gamma * z * z, z,
-                Branch.PLUS if sb > 0.0 else Branch.MINUS, kind)))
-        out.append(rows)
+                j, g.value(j), j, None, CriticalKind.EQUILIBRIUM_VALUE)))
+            continue
+        a, da, rad = _chart_terms(x, sigma, r)
+        # h'' from chart quantities (d/dz = -sigma d/dx), which keep their
+        # relative accuracy next to the pole where the z form cancels
+        h2 = sb * (-sigma * da / (2.0 * rad) - a * a / (2.0 * rad ** 3)) \
+            + 2.0 * gamma
+        # elliptic: a maximum of h_+ or a minimum of h_-
+        kind = (CriticalKind.CUSP if abs(h2) < CUSP_TOL
+                else CriticalKind.TRANSVERSALLY_ELLIPTIC if sb * h2 < 0.0
+                else CriticalKind.TRANSVERSALLY_HYPERBOLIC)
+        rows.append(new(CriticalValuePoint, (
+            j, sb * rad / 2.0 + gamma * z * z, z,
+            Branch.PLUS if sb > 0.0 else Branch.MINUS, kind)))
+    return rows
+
+
+def jc_critical_values(g: PolyG, js) -> list[list[CriticalValuePoint]]:
+    """``jc_reduced_critical_values`` at each J in ``js``, bit for bit, by
+    the same float operations in the same order on arrays of GRID_BLOCK J:
+    about 0.5 ms plus 4 us per J at gamma = 0.8 (one x86-64 core).  The
+    first bad J raises the per-J ValueError."""
+    js = np.fromiter(map(float, js), float)
+    gamma = g.gamma
+    bad = ~(np.abs(js) < J_LIMIT) | (js < -1.0) | (not abs(gamma) < GAMMA_LIMIT)
+    if bad.any():
+        jc_reduced_critical_values(g, js[bad.argmax()].item())
+    with np.errstate(divide="ignore", invalid="ignore"):  # cut sqrt, chart ends
+        return [rows for k in range(0, js.size, GRID_BLOCK)
+                for rows in _grid_rows(gamma, js[k:k + GRID_BLOCK])]
+
+
+def _grid_rows(gamma: float, js: np.ndarray) -> list[list[CriticalValuePoint]]:
+    """The steps of ``jc_reduced_critical_values`` on an array of valid J."""
+    n = js.size
+    sigma = np.where(js <= 0.0, -1.0, 1.0)
+    r = sigma * js - 1.0
+    lo = np.where(sigma > 0.0, np.maximum(0.0, -r), 0.0)
+    hi = np.where(sigma > 0.0, 2.0, -r)
+    if gamma == 0.0:
+        q = js + np.copysign(np.sqrt(js * js + 3.0), js)
+        x1, x2 = 1.0 - sigma * (q / 3.0), 1.0 - sigma * (-1.0 / q)
+        x, sb = np.stack([x1, x1, x2, x2], axis=1), np.array([1.0, -1.0] * 2)
+    else:
+        # edges lo, x(z_f), x(0) = 1, hi per J; a cut outside (lo, hi) or in
+        # the chart of z = -1 copies the edge before it and ends no bracket
+        t = _fold_t(gamma)
+        e = np.stack([lo, np.full(n, t / (1.0 + t)), np.ones(n), hi], axis=1)
+        sg, rr, g4 = sigma[:, None], r[:, None], 4.0 * gamma * sigma
+        a = e * (3.0 * e - 4.0 + 2.0 * rr) - 2.0 * rr
+        cr = g4[:, None] * (1.0 - e) * np.sqrt(2.0 * sg * (rr + e) * e * (2.0 - e))
+        cr[:, 0] = cr[:, 3] = 0.0           # R = 0 at both chart ends
+        f = np.array([[1.0], [-1.0]]) * a[:, None, :] + cr[:, None, :]
+        f[r == 0.0, :, 0] = [8.0 * gamma - 4.0 * s or -s for s in (1.0, -1.0)]
+        live = np.ones((n, 1, 3), bool)     # axes J, sb = +1/-1, bracket
+        live[:, 0, :2] = (sg > 0.0) & (lo[:, None] < e[:, 1:3]) \
+            & (e[:, 1:3] < hi[:, None])
+        for k in (1, 2):
+            e[:, k] = np.where(live[:, 0, k - 1], e[:, k], e[:, k - 1])
+            f[..., k] = np.where(live[:, :, k - 1], f[..., k], f[..., k - 1])
+        f0, f1 = f[..., :3], f[..., 1:]
+        x = np.where(live & (f1 == 0.0), e[:, None, 1:], np.nan)  # cut roots
+        i, s, k = np.nonzero(((f0 < 0.0) & (0.0 < f1)) | ((f1 < 0.0) & (0.0 < f0)))
+        x[i, s, k] = _grid_newton(1.0 - 2.0 * s, g4[i], sigma[i], r[i], e[i, k],
+                                  e[i, k + 1], f0[i, s, k] < 0.0)
+        x, sb = x.reshape(n, 6), np.repeat([1.0, -1.0], 3)
+    z = sigma[:, None] * (1.0 - x)
+    i, k = np.nonzero((lo[:, None] < x) & (x < hi[:, None]) & (-1.0 < z)
+                      & (z < np.minimum(js, 1.0)[:, None]))
+    x, sb, z, sg = x[i, k], sb[k], z[i, k], sigma[i]
+    a, da, rad = _chart_terms(x, sg, r[i], np.sqrt)
+    # float_power is C pow, as Python's ** (numpy's SIMD power may differ)
+    h2 = sb * (-sg * da / (2.0 * rad) - a * a / (2.0 * np.float_power(rad, 3.0))) \
+        + 2.0 * gamma
+    # the pole rows (z = J, rank 0 before minus 1 and plus 2) go last, and
+    # the sort puts them in place; kind indexes CriticalKind
+    p = np.flatnonzero(abs(js) == 1.0)
+    nil = np.zeros(p.size, int)
+    ii, zz, kk, rank, kind, hh = (np.concatenate(c) for c in (
+        (i, p), (z, js[p]), (k, nil), (np.where(sb > 0.0, 2, 1), nil),
+        (np.where(abs(h2) < CUSP_TOL, 2, np.where(sb * h2 < 0.0, 0, 1)), nil + 3),
+        (sb * rad / 2.0 + gamma * z * z, gamma * js[p] * js[p])))
+    order = np.lexsort((kk, rank, zz, ii))
+    rows = list(map(tuple.__new__, itertools.repeat(CriticalValuePoint), zip(
+        map(js.tolist().__getitem__, ii[order].tolist()),  # one float per J
+        hh[order].tolist(), zz[order].tolist(),
+        map((None, Branch.MINUS, Branch.PLUS).__getitem__, rank[order].tolist()),
+        map(tuple(CriticalKind).__getitem__, kind[order].tolist()))))
+    ends = np.cumsum(np.bincount(ii, minlength=n)).tolist()
+    return [rows[s:e] for s, e in zip([0, *ends], ends)]
+
+
+def _grid_newton(sb, g4, sigma, r, a, b, neg) -> np.ndarray:
+    """``_chart_root`` on every bracket (a, b) at once, with its steps and
+    its three stopping rules; a bracket leaves the arrays once it stops."""
+    x = 0.5 * (a + b)
+    out, idx = x.copy(), np.arange(x.size)
+    for _ in range(NEWTON_STEPS):
+        r2 = 2.0 * r
+        aa = x * (3.0 * x - 4.0 + r2) - r2
+        rad = np.sqrt(2.0 * sigma * (r + x) * x * (2.0 - x))
+        c = g4 * (1.0 - x)
+        fx = sb * aa + c * rad
+        left = (fx < 0.0) == neg
+        a, b = np.where(left, x, a), np.where(left, b, x)
+        # dfx = 0 gives an infinite step, which bisects as the scalar's does
+        step = fx / (sb * (6.0 * x - 4.0 + r2) - g4 * rad - c * sigma * aa / rad)
+        xn = x - step
+        zero, conv = fx == 0.0, abs(step) <= 1e-15 * x
+        xb = np.where((a < xn) & (xn < b), xn, 0.5 * (a + b))
+        out[idx] = x = np.where(zero, x, np.where(conv, xn, xb))
+        go = ~(zero | conv | (b - a <= 1e-15 * xb))
+        idx, x, a, b, sb, g4, sigma, r, neg = (
+            v[go] for v in (idx, x, a, b, sb, g4, sigma, r, neg))
+        if not idx.size:
+            break
     return out
-
-
-def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
-    """``jc_critical_values`` at the single momentum J = ``j``."""
-    return jc_critical_values(g, [j])[0]
 
 
 @dataclass(frozen=True)
 class SpectrumCloud:
-    """Sampled momentum-map image: (J, H) points, read-only, plus
-    provenance metadata; ``seed`` is an int >= 0 (``symplin.nonneg_int``)."""
+    """Sampled momentum-map image: (J, H) points (``symplin.read_only``),
+    plus provenance metadata; ``seed`` is an int >= 0 (``symplin.nonneg_int``)."""
 
     points: np.ndarray   # shape (n, 2)
     seed: int
@@ -397,8 +490,7 @@ class SpectrumCloud:
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
         if not np.isfinite(pts).all():
             raise ValueError("cloud points must be finite")
-        pts.flags.writeable = False     # on the view reshape made, no copy
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", symplin.read_only(pts))
         object.__setattr__(self, "seed",
                            symplin.nonneg_int(self.seed, "SpectrumCloud", "seed"))
 
@@ -461,4 +553,5 @@ def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumClo
     np.multiply(x, np.multiply(r, u, out=u), out=x)         # x u
     np.multiply(y, np.multiply(r, np.sin(psi, out=psi), out=psi), out=y)
     np.add(np.divide(np.add(x, y, out=x), 2.0, out=x), hh, out=hh)
+    points.flags.writeable = False      # held here alone: the cloud keeps it
     return SpectrumCloud(points=points, seed=seed)

@@ -170,11 +170,10 @@ class RasterGrid:
     j_centers: np.ndarray
     h_centers: np.ndarray
 
-    def __post_init__(self):    # read-only views; the callers' flags stay
+    def __post_init__(self):    # copies unless no one can write them
         for name in ("counts", "j_centers", "h_centers"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name,
+                               symplin.read_only(np.asarray(getattr(self, name))))
 
     def __eq__(self, other):
         return (isinstance(other, RasterGrid)
@@ -205,8 +204,11 @@ def rasterize(cloud: SpectrumCloud, n_j: int, n_h: int) -> RasterGrid:
     j_min, j_max, h_min, h_max = cloud.bounds
     ji, j_centers = _bins(cloud.points[:, 0], j_min, j_max, n_j)
     hi, h_centers = _bins(cloud.points[:, 1], h_min, h_max, n_h)
-    counts = np.bincount(ji * n_h + hi, minlength=n_j * n_h).reshape(n_j, n_h)
-    return RasterGrid(counts=counts, j_centers=j_centers, h_centers=h_centers)
+    counts = np.bincount(ji * n_h + hi, minlength=n_j * n_h)
+    for a in (counts, j_centers, h_centers):
+        a.flags.writeable = False       # held here alone: the grid keeps them
+    return RasterGrid(counts=counts.reshape(n_j, n_h), j_centers=j_centers,
+                      h_centers=h_centers)
 
 
 def boundary(cloud: SpectrumCloud, bins: int) -> list[tuple[float, float, float]]:
@@ -394,6 +396,7 @@ def write_cloud_csv(cloud: SpectrumCloud, path):
 def read_cloud_csv(path) -> SpectrumCloud:
     """Cloud CSV reader; ``count=``, when given, must match the rows read."""
     def build(meta, rows):
+        rows.flags.writeable = False    # held here alone: the cloud keeps it
         pts = rows.view(float).reshape(-1, 2)    # the same memory, no copy
         count = int(meta.get("count", len(pts)))
         if count != len(pts):
@@ -415,11 +418,13 @@ def read_raster_csv(path) -> RasterGrid:
     """Raster CSV reader.  A grid row ends where J changes, so J centres
     that coincide (a span below float spacing) read back merged."""
     def build(meta, rows):
+        rows.flags.writeable = False    # held here alone: the grid keeps it
         j, h, c = rows["J"], rows["H"], rows["count"]
         if j.size == 0:
             raise ValueError("no rows")
         n_h = int(np.argmax(j != j[0])) or j.size
         counts = c.clip(-1, 2 ** 62).astype(int)   # refused below if clipped
+        counts.flags.writeable = False
         grid = RasterGrid(counts=counts.reshape(-1, n_h),
                           j_centers=j[::n_h], h_centers=h[:n_h])
         if not (np.array_equal(np.repeat(grid.j_centers, n_h), j)
@@ -443,17 +448,15 @@ def write_linearization_csv(rows, path):
         (float(g), q.a, q.b, typ) for g, q, typ in rows))
 
 
-def _sample_to_dict(p: CurveSample) -> dict:
-    return {"s": p.s, "J": p.J, "H": p.H, "z_double": p.d,
-            "hessdet": p.det2, "kind": p.kind.value}
-
-
 def _sample_from_dict(d: dict) -> CurveSample:
     return CurveSample(s=d["s"], J=d["J"], H=d["H"], d=d["z_double"],
                        det2=d["hessdet"], kind=SegmentKind(d["kind"]))
 
 
-def diagram_to_dict(diagram: Diagram) -> dict:
+def diagram_to_dict(diagram: Diagram, points=lambda seg: [
+        {"s": p.s, "J": p.J, "H": p.H, "z_double": p.d, "hessdet": p.det2,
+         "kind": p.kind.value} for p in seg.points]) -> dict:
+    """JSON data; ``points(segment)`` is a segment's ``"points"`` value."""
     return {
         "params": asdict(diagram.params),
         "regime": diagram.regime.value,
@@ -463,7 +466,7 @@ def diagram_to_dict(diagram: Diagram) -> dict:
         "anchor": {"J": diagram.anchor[0], "H": diagram.anchor[1]},
         "equilibrium": {"J": diagram.equilibrium[0], "H": diagram.equilibrium[1]},
         "segments": [{"kind": seg.kind.value,
-                      "points": [_sample_to_dict(p) for p in seg.points],
+                      "points": points(seg),
                       "gaps": seg.gaps}
                      for seg in diagram.segments],
     }
@@ -485,9 +488,25 @@ def diagram_from_dict(data: dict) -> Diagram:
     return diagram
 
 
+_SAMPLE_JSON = ("    {\n     \"s\": %r,\n     \"J\": %r,\n     \"H\": %r,\n"
+                "     \"z_double\": %r,\n     \"hessdet\": %r,\n     \"kind\": %s\n    }")
+_KIND_JSON = {k: json.dumps(k.value) for k in SegmentKind}
+
+
 def write_diagram_json(diagram: Diagram, path):
+    """``json.dumps(diagram_to_dict(diagram), indent=1)`` and a newline,
+    with each curve sample, not CPython's pure-Python indenting encoder,
+    formatted by ``_SAMPLE_JSON``: its floats are exact Python floats
+    (``CurveSample``), whose ``%r`` is json's text."""
+    head, *tails = json.dumps(diagram_to_dict(diagram, lambda seg: "\0"),
+                              indent=1).split('"\\u0000"')
+    parts = [head]
+    for seg, tail in zip(diagram.segments, tails):
+        parts += ["[\n" + ",\n".join([_SAMPLE_JSON % (
+            p.s, p.J, p.H, p.d, p.det2, _KIND_JSON[p.kind])
+            for p in seg.points]) + "\n   ]" if seg.points else "[]", tail]
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(diagram_to_dict(diagram), indent=1) + "\n")
+        fh.write("".join(parts) + "\n")
 
 
 def read_diagram_json(path) -> Diagram:

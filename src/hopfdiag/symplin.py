@@ -97,6 +97,17 @@ def finite_fields(record, *names: str) -> None:
                                finite_float(x, type(record).__name__, name))
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` if it and every base below it are read-only arrays, so that
+    no one can write its memory; else a read-only copy of it."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        (a := a.copy()).flags.writeable = False
+    return a
+
+
 def j1(p) -> float:
     x, y, xi, eta = p
     return x * eta - y * xi

@@ -273,15 +273,19 @@ class TestReducedCriticalValues:
         assert models.jc_critical_values(PolyG(0.8), []) == []
         assert models.jc_critical_values(PolyG(0.8), np.array([])) == []
 
-    @given(st.sampled_from([0.0, 1e-170, 3e-9, 0.8, -0.5, 9e5]),
-           st.lists(st.one_of(
-               st.sampled_from([-1.0, 1.0, -0.0, 0.0, 1.0 + 1e-12,
-                                1.0 - 1e-12, -1.0 + 1e-12, 1e99]),
-               st.floats(min_value=-1.0, max_value=0.0),
-               st.floats(min_value=0.0, max_value=5.0),
-               st.floats(min_value=5.0, max_value=1e99)), max_size=12))
-    def test_grid_equals_per_j_calls(self, gamma, js):
+    @given(st.sampled_from([0.0, -0.0, 1e-170, 3e-9, 0.5, -0.5, 0.8, 123.4,
+                            9e5]), st.data())
+    def test_grid_equals_per_j_calls(self, gamma, data):
+        # the array path of a grid against the scalar path of each J
         g = PolyG(gamma)
+        window = [1.0 + f for f in models.fold_offsets(g)] or [1.0, 1.0]
+        js = data.draw(st.lists(st.one_of(
+            st.sampled_from([-1.0, 1.0, -0.0, 0.0, 1.0 + 1e-12, 1.0 - 1e-12,
+                             -1.0 + 1e-12, 1e99, *window]),
+            st.floats(min_value=-1.0, max_value=0.0),
+            st.floats(min_value=0.0, max_value=5.0),
+            st.floats(min_value=window[0], max_value=window[1]),
+            st.floats(min_value=5.0, max_value=1e99)), max_size=40))
         batched = models.jc_critical_values(g, js)
         assert len(batched) == len(js)
         for j, rows in zip(js, batched):
@@ -329,8 +333,10 @@ class TestReducedCriticalValues:
                        math.nextafter(edge, 9.0),
                        *np.linspace(edge - 1e-3 * abs(offset), edge
                                     + 1e-3 * abs(offset), 101)]
-            assert self.row_bits(models.jc_critical_values(g, js)) == \
-                self.row_bits(reference_critical_values(g, js))
+            reference = self.row_bits(reference_critical_values(g, js))
+            assert self.row_bits(models.jc_critical_values(g, js)) == reference
+            assert self.row_bits([models.jc_reduced_critical_values(g, j)
+                                  for j in js]) == reference
 
     def test_outputs_sorted_and_deterministic(self):
         a = models.jc_reduced_critical_values(PolyG(0.8), 1.5)

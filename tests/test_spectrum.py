@@ -502,12 +502,19 @@ class TestSerialization:
         assert rows == flat
 
     def test_diagram_json_round_trip(self, tmp_path):
-        for params in (REF, SUPER,
-                       HopfParams(omega=1.0, sigma=1, nu=-0.5, D=-2.0)):
-            d = spectrum.assemble_hopf_diagram(params, 48)
+        # the writer's sample template gives json's own text; SUPER's
+        # segments are gaps alone, the last diagram has points and gaps
+        diagrams = [spectrum.assemble_hopf_diagram(params, 48) for params in (
+            REF, SUPER, HopfParams(omega=1.0, sigma=1, nu=-0.5, D=-2.0))]
+        diagrams.append(Diagram(REF, [
+            DiagramSegment(seg.kind, seg.points, ((-0.75, -0.5), (0.25, 0.5)))
+            for seg in diagrams[0].segments]))
+        for d in diagrams:
             path = tmp_path / "diagram.json"
             spectrum.write_diagram_json(d, path)
             assert spectrum.read_diagram_json(path) == d
+            assert path.read_text() == json.dumps(
+                spectrum.diagram_to_dict(d), indent=1) + "\n"
 
     def test_a_derived_diagram_field_cannot_be_set(self, tmp_path):
         # such a diagram would write a file that the reader refuses
@@ -647,10 +654,36 @@ class TestSerialization:
         path = tmp_path / "raster.csv"
         spectrum.write_raster_csv(grid, path)
         assert spectrum.read_raster_csv(path) == grid
-        # the grid holds read-only views; the caller's arrays stay writable
+        # the grid holds read-only copies; the caller's arrays stay writable
         counts = np.arange(6).reshape(2, 3)
         RasterGrid(counts=counts, j_centers=np.zeros(2), h_centers=np.ones(3))
         assert counts.flags.writeable
+
+    def test_cloud_takes_no_later_write_of_the_caller(self):
+        # a NaN the caller writes after the checks would be written out
+        pts = np.zeros((3, 2))
+        cloud = SpectrumCloud(points=pts, seed=0)
+        pts[0, 0] = math.nan
+        assert np.isfinite(cloud.points).all()
+        # a read-only view of a writable array is no protection either
+        view = pts[1:].view()
+        view.flags.writeable = False
+        cloud = SpectrumCloud(points=view, seed=0)
+        pts[1, 0] = math.nan
+        assert np.isfinite(cloud.points).all()
+
+    def test_raster_takes_no_later_write_of_the_caller(self):
+        counts, centres = np.arange(6).reshape(2, 3), np.zeros(2)
+        grid = RasterGrid(counts=counts, j_centers=centres,
+                          h_centers=np.ones(3))
+        counts[0, 0], centres[0] = -5, math.nan
+        assert grid.counts[0, 0] == 0 and grid.j_centers[0] == 0.0
+        # arrays that no one can write are kept, not copied
+        sealed = np.arange(6)
+        sealed.flags.writeable = False
+        grid = RasterGrid(counts=sealed.reshape(2, 3), j_centers=centres,
+                          h_centers=np.ones(3))
+        assert grid.counts.base is sealed
 
     def test_jc_critical_csv_round_trip(self, tmp_path):
         pts = []
