@@ -142,19 +142,29 @@ def criterion_04_tangent_cusp_law() -> str:
 
 
 def criterion_05_origin_slopes() -> str:
-    """Secant slopes of the elliptic segments converge to omega +- sigma*sqrt(nu)."""
+    """Secant slopes of the elliptic segments converge to omega +- sigma*sqrt(nu),
+    their error dropping 5x to 20x per decade of delta (10x in theory)."""
     params = REFERENCE_PARAMS
     root = np.sqrt(params.nu)
     slope_plus, slope_minus = hopf.origin_slopes(params)
-    worst = 0.0
+    worst, ratios = 0.0, []
     for target, end in ((slope_plus, root), (slope_minus, -root)):
+        errs = []
         for delta in (1e-3, 1e-4, 1e-5, 1e-6):
             s = end - np.sign(end) * delta * root
             secant = hopf.curve_h(params, s) / hopf.curve_j(params, s)
-            err = abs(secant - target)
+            errs.append(abs(secant - target))
+        err = errs[-1]
         _require(err < 1e-3, f"secant near s={end} off by {err:.3g}")
+        for big, small in zip(errs, errs[1:]):
+            _require(5.0 * small < big < 20.0 * small,
+                     f"secant error near s={end} drops from {big:.3g} to "
+                     f"{small:.3g}, not 5x to 20x")
+            ratios.append(big / small)
         worst = max(worst, err)
-    return f"slopes {slope_plus}, {slope_minus}; final secant error {worst:.2e}"
+    return (f"slopes {slope_plus}, {slope_minus}; final secant error "
+            f"{worst:.2e}; drops {min(ratios):.3f}x to {max(ratios):.3f}x "
+            f"per decade")
 
 
 def criterion_06_eigenvalue_laws() -> str:
@@ -182,10 +192,15 @@ def criterion_06_eigenvalue_laws() -> str:
 
 
 def criterion_07_conjugation() -> str:
-    """Invariant-conjugation identities and symplecticity of T, at 1e-12."""
+    """Invariant-conjugation identities and symplecticity of T, at 1e-12; the
+    deformed Hamiltonian H~ of ``build_htilde`` at nu = -0.1, 0 and 0.1
+    satisfies H~ o T = H_nu at 1e-12, and is focus-focus, on a = b^2/4
+    with b > 0 (relative 1e-12), and elliptic-elliptic."""
     rng = np.random.default_rng(7)
     b_mat = symplin.SYMPLECTIC_MATRIX
+    big_d = REFERENCE_PARAMS.D
     worst = 0.0
+    values, normal_forms, quartics = [], [], []     # per (set, nu)
     for _ in range(20):
         vals = rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0], 3)
         e = hopf.EliassonParams(omega_t=vals[0], alpha_t=vals[1], delta=vals[2])
@@ -202,8 +217,27 @@ def criterion_07_conjugation() -> str:
                                  + e.delta * symplin.k2(p)),
                    g3 - sigma * symplin.k1(p) / e.delta)
         worst = np.maximum(worst, np.max(np.abs(defects)))
+        h_0 = e.omega_t * g1 + sigma * g2 + 2.0 * big_d * g3 * g3
+        for nu in (-0.1, 0.0, 0.1):
+            htilde = hopf.build_htilde(e, nu, big_d)
+            values.append(htilde.value(p))
+            normal_forms.append(h_0 + sigma * nu * g3)
+            quartics.append(htilde.quartic_coeffs())
     _require(worst < 1e-12, f"conjugation/symplecticity defect {worst:.3g} >= 1e-12")
-    return f"max defect {worst:.2e} over 20 parameter sets x 100 points"
+    h_worst = np.max(np.abs(np.subtract(values, normal_forms)))
+    _require(h_worst < 1e-12, f"|H~ o T - H_nu| = {h_worst:.3g} >= 1e-12")
+    kinds = [str(symplin.classify(q)) for q in quartics]
+    for nu, got, want in ((-0.1, kinds[0::3], "FocusFocus"),
+                          (0.1, kinds[2::3], "EllipticElliptic")):
+        _require(got == [want] * 20, f"nu={nu}: types {sorted(set(got))}")
+    a, b = np.array([(q.a, q.b) for q in quartics[1::3]]).T
+    _require(np.all(b > 0.0), f"nu=0: b = {b.min():.3g} <= 0")
+    parabola = np.max(np.abs(a - b * b / 4.0) / np.maximum(1.0, a))
+    _require(parabola < 1e-12,
+             f"nu=0: |a - b^2/4| / max(1, a) = {parabola:.3g} >= 1e-12")
+    return (f"max defect {worst:.2e} over 20 parameter sets x 100 points; "
+            f"H~ o T - H_nu {h_worst:.2e}; FF/EE at nu = -/+0.1, "
+            f"nu=0 off a = b^2/4 by {parabola:.2e}")
 
 
 def criterion_08_region_exclusion() -> str:

@@ -528,6 +528,7 @@ def jc_spectrum_sample(g: PolyG, n: int, j_max: float, seed: int) -> SpectrumClo
     traced peak is about 3.6 times the cloud's 16 bytes per point.
     """
     n = symplin.nonneg_int(n, "jc_spectrum_sample", "n")
+    j_max = symplin.finite_float(j_max, "jc_spectrum_sample", "j_max")
     if not (j_max > -1.0 and math.isfinite(2.0 * (j_max + 1.0))):
         raise ValueError(f"need -1 < j_max with 2 (j_max + 1) finite, got {j_max!r}")
     seed = symplin.nonneg_int(seed, "SpectrumCloud", "seed")

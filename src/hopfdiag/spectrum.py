@@ -21,7 +21,7 @@ ValueError naming the file and line.
 
 Inadmissible curve regions are emitted as explicit gaps, never interpolated.
 Cloud points are finite: ``models.SpectrumCloud`` refuses NaN and infinity,
-and ``write_jc_critical_csv`` refuses a non-finite J, H or z.
+and ``write_jc_critical_csv`` takes J, H and z by ``symplin.finite_float``.
 """
 
 from __future__ import annotations
@@ -136,6 +136,7 @@ def assemble_hopf_diagram(params: HopfParams, samples: int) -> Diagram:
     the endpoint samples are snapped to the exact equilibrium value (0, 0).
     For nu <= 0 there is no curve and only the equilibrium value remains.
     """
+    samples = symplin.nonneg_int(samples, "assemble_hopf_diagram", "samples")
     if samples < MIN_DIAGRAM_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_DIAGRAM_SAMPLES}")
     if params.nu <= 0.0:
@@ -197,6 +198,8 @@ def _bins(x: np.ndarray, lo: float, hi: float, n: int):
 
 def rasterize(cloud: SpectrumCloud, n_j: int, n_h: int) -> RasterGrid:
     """Occupancy counts on the bounds-aligned grid; counts sum to cloud.count."""
+    n_j = symplin.nonneg_int(n_j, "rasterize", "n_j")
+    n_h = symplin.nonneg_int(n_h, "rasterize", "n_h")
     if cloud.count == 0:
         raise ValueError("cannot rasterize an empty cloud")
     if n_j < 1 or n_h < 1:
@@ -232,6 +235,7 @@ def boundary(cloud: SpectrumCloud, bins: int) -> list[tuple[float, float, float]
 
 _CURVE_HEADER = "s,J,H,z_double,hessdet,kind"
 _JC_CRITICAL_HEADER = "J,H,z,branch,kind"
+_JC_NUMBERS = ("J", "H", "z_at")    # the fields of a row's numbers
 _CLOUD_HEADER = "J,H"
 _RASTER_HEADER = "J,H,count"
 _WRITE_ROWS = 8192          # rows per write call
@@ -338,33 +342,23 @@ def read_curve_csv(path) -> list[CurveSample]:
 
 
 def _jc_fields(p) -> tuple:
-    """A jc critical row; J, H, z as floats, or as given if one overflows."""
-    labels = ("none" if p.branch is None else p.branch._value_,
-              p.kind._value_)
-    try:
-        return (float(p.J), float(p.H), float(p.z_at), *labels)
-    except OverflowError:
-        return (p.J, p.H, p.z_at, *labels)
-
-
-def _all_finite(numbers) -> bool:
-    try:
-        return all(map(math.isfinite, numbers))
-    except OverflowError:       # an int beyond the float range
-        return False
+    """A jc critical row, J, H and z as given."""
+    return (p.J, p.H, p.z_at, "none" if p.branch is None else p.branch._value_,
+            p.kind._value_)
 
 
 def write_jc_critical_csv(points, path):
     """jc critical CSV from objects with J, H, z_at, branch, kind
-    attributes.  A non-finite J, H or z (or an int beyond the float range)
-    is a ValueError that names the row, raised before the file is opened."""
+    attributes.  A block whose J, H and z are not all finite Python floats,
+    as the solver gives them, goes row by row through the number rule,
+    ``symplin.finite_float``, before the file is opened."""
     blocks = list(_blocks(map(_jc_fields, points)))
     for b, fields in enumerate(blocks):
-        if not _all_finite(fields[0::5] + fields[1::5] + fields[2::5]):
-            i = next(i for i in range(0, len(fields), 5)
-                     if not _all_finite(fields[i:i + 3]))
-            raise ValueError(f"points[{b * _WRITE_ROWS + i // 5}] has (J, H, "
-                             f"z) = {fields[i:i + 3]}; each must be finite")
+        numbers = fields[0::5] + fields[1::5] + fields[2::5]
+        if {*map(type, numbers)} != {float} or not all(map(math.isfinite, numbers)):
+            blocks[b] = tuple(symplin.finite_float(
+                x, f"points[{b * _WRITE_ROWS + i // 5}]", _JC_NUMBERS[i % 5])
+                if i % 5 < 3 else x for i, x in enumerate(fields))
     _write_csv(path, _JC_CRITICAL_HEADER, blocks)
 
 

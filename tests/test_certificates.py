@@ -1,7 +1,8 @@
 """Symbolic certificates: the quintic behind the per-J critical set with
 the closed-form cuts and fold values of its solve, the normal-form cubic
-Q(z) behind torus counting, and the closed forms of ``hopf`` for
-H_nu = omega G1 + sigma (G2 + nu G3) + 2 D G3^2."""
+Q(z) behind torus counting, the closed forms of ``hopf`` for
+H_nu = omega G1 + sigma (G2 + nu G3) + 2 D G3^2, and ``symplin``'s
+biquadratic (a, b) with its closed-form roots."""
 
 import types
 
@@ -223,3 +224,44 @@ def test_transformation_t_is_symplectic_and_conjugates(sign_delta,
     normal_form = (omega_t * g1 + sign_delta * (g2 + nu_t * g3)
                    + 2 * big_d_t * g3 ** 2)
     assert sp.simplify(_exact(htilde - normal_form)) == 0
+
+
+# ``symplin`` on symbols: QuarticCoeffs refuses them by the number rule, so
+# the shipped functions build a stand-in record with the same two fields.
+w_t, al_t, ga, de, lam = sp.symbols("omega_t alpha_t gamma delta lambda",
+                                    real=True)
+
+
+def _symbolic_quartic(monkeypatch):
+    monkeypatch.setattr(symplin, "QuarticCoeffs", types.SimpleNamespace)
+    return symplin.quartic_coeffs(w_t, al_t, ga, de)
+
+
+def test_quartic_coeffs_are_the_characteristic_polynomial(monkeypatch):
+    # (a, b) of symplin.quartic_coeffs: det(lambda I - B S) for S the
+    # family_hessian on symbols is lambda^4 + b lambda^2 + a, and
+    # b^2/4 - a = 4 omega_t^2 (gamma delta - alpha_t^2)
+    q = _symbolic_quartic(monkeypatch)
+    a, b = _exact(q.a), _exact(q.b)
+    hess = sp.Matrix(symplin.family_hessian(w_t, al_t, ga, de))
+    bs = _exact(sp.Matrix(symplin.SYMPLECTIC_MATRIX) * hess)
+    char = (lam * sp.eye(4) - bs).det()
+    assert sp.expand(char - (lam ** 4 + b * lam ** 2 + a)) == 0
+    assert sp.expand(b ** 2 / 4 - a - 4 * w_t ** 2 * (ga * de - al_t ** 2)) == 0
+
+
+def test_eigen_closed_gives_the_four_roots(monkeypatch):
+    # symplin.eigen_closed of the symbolic (a, b), its complex square roots
+    # sympy's, its array the list of roots and its overflow check passed:
+    # the product of (lambda - root) is lambda^4 + b lambda^2 + a
+    q = _symbolic_quartic(monkeypatch)
+    monkeypatch.setattr(symplin, "cmath", types.SimpleNamespace(
+        sqrt=sp.sqrt, isfinite=lambda v: True))
+    monkeypatch.setattr(symplin, "complex", lambda v: v, raising=False)
+    monkeypatch.setattr(symplin, "np", types.SimpleNamespace(
+        array=lambda values, dtype: values))
+    roots = symplin.eigen_closed(q)
+    assert len(roots) == 4
+    product = sp.prod([lam - _exact(r) for r in roots])
+    assert sp.expand(product - (lam ** 4 + _exact(q.b) * lam ** 2
+                                + _exact(q.a))) == 0

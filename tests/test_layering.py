@@ -18,8 +18,9 @@ reader, so no table grows a reader or writer of its own.  Imports run
 hopfdiag import sits at module top except ``cli.cmd_verify``'s
 ``acceptance``, which drives the CLI.  Every public top-level function
 and class of ``src/`` is referred to by ``src/``, ``scripts/`` or
-perfbench, not by the tests alone; ``hopf.build_htilde``, the paper's
-deformed Hamiltonian, is the one exception.  No module of ``src/`` has an
+perfbench, not by the tests alone, a bare name counting only for the file
+that defines it; ``spectrum.read_raster_csv``, which perfbench is to move
+onto from a reader of its own, is the one exception.  No module of ``src/`` has an
 ``assert`` statement, which ``python -O`` strips, and no ``__post_init__``
 refers to ``math.isfinite`` or calls ``isinstance(..., bool)`` itself:
 every record checks its numbers by ``symplin.finite_float``.
@@ -308,14 +309,15 @@ def test_local_import_scan_sees(source, found):
     assert local_hopfdiag_imports(ast.parse(source)) == found
 
 
-def referenced_names(tree) -> set[str]:
+def referenced_names(tree, own=frozenset()) -> set[str]:
     """Every name a tree refers to: names, attributes, imported names and
     their aliases, and string constants (perfbench wraps a function by
-    its name)."""
+    its name); a bare name in ``own`` is left out."""
     refs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            if node.id not in own:
+                refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -327,39 +329,79 @@ def referenced_names(tree) -> set[str]:
     return refs
 
 
+def defined_names(module) -> set[str]:
+    """The top-level functions and classes a module defines itself."""
+    return {node.name for node in module.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def unreached_public_names(root) -> set[str]:
     """``module.name`` of each public top-level function and class of
     ``src/hopfdiag`` that no code of ``src/``, ``scripts/`` or a non-test
-    ``perfbench/*.py`` file refers to outside its own definition."""
+    ``perfbench/*.py`` file refers to outside its own definition.  A bare
+    name that a file defines itself refers to its own definition only, so
+    perfbench's ``workloads.read_raster_csv`` does not reach
+    ``spectrum.read_raster_csv``."""
     readers = [*(root / "src" / "hopfdiag").glob("*.py"),
                *(root / "scripts").glob("*.py"),
                *(p for p in (root / "perfbench").glob("*.py")
                  if not p.name.startswith("test_"))]
-    statements = [(path, node, referenced_names(node))
-                  for path in readers for node in parse(path).body]
-    return {f"{path.stem}.{node.name}" for path, node, _ in statements
+    statements = []         # (file, statement, its refs, its refs elsewhere)
+    for path in readers:
+        module = parse(path)
+        own = defined_names(module)
+        statements += [(path, node, referenced_names(node),
+                        referenced_names(node, own)) for node in module.body]
+    return {f"{path.stem}.{node.name}" for path, node, _, _ in statements
             if path.parent.name == "hopfdiag"
             and isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
-            and not any(node.name in refs
-                        for _, other, refs in statements if other is not node)}
+            and not any(node.name in (refs if other_path == path else foreign)
+                        for other_path, other, refs, foreign in statements
+                        if other is not node)}
 
 
 def test_src_ships_only_what_runs_outside_the_tests():
-    # the paper's deformed Hamiltonian, kept for the sympy certificates
-    assert unreached_public_names(ROOT) == {"hopf.build_htilde"}
+    # perfbench reads its raster with a reader of its own until it moves
+    # onto this one
+    assert unreached_public_names(ROOT) == {"spectrum.read_raster_csv"}
 
 
-@pytest.mark.parametrize("source, found", [
-    ("tracer.wrap(hopf, 'critical_curve_point')",
+@pytest.mark.parametrize("source, own, found", [
+    ("tracer.wrap(hopf, 'critical_curve_point')", set(),
      {"tracer", "wrap", "hopf", "critical_curve_point"}),
-    ("from .models import PolyG as G\nG(0.8)", {"PolyG", "G"}),
-    ("import hopfdiag.spectrum\nhopfdiag.spectrum.boundary(c, 8)",
+    ("from .models import PolyG as G\nG(0.8)", set(), {"PolyG", "G"}),
+    ("import hopfdiag.spectrum\nhopfdiag.spectrum.boundary(c, 8)", set(),
      {"hopfdiag", "spectrum", "boundary", "c"}),
-    ("def f():\n    return 1", set()),
+    ("def f():\n    return 1", set(), set()),
+    # a file's own read_raster_csv is not another module's
+    ("x = read_raster_csv(p)", {"read_raster_csv"}, {"x", "p"}),
+    ("spectrum.read_raster_csv(p); read_raster_csv(q)", {"read_raster_csv"},
+     {"spectrum", "read_raster_csv", "p", "q"}),
+    ("from .spectrum import read_raster_csv", {"read_raster_csv"},
+     {"read_raster_csv"}),
+    ("attempt(read_raster_csv, 'read_raster_csv')", {"read_raster_csv"},
+     {"attempt", "read_raster_csv"}),
 ])
-def test_reference_scan_sees(source, found):
-    assert referenced_names(ast.parse(source)) == found
+def test_reference_scan_sees(source, own, found):
+    assert referenced_names(ast.parse(source), own) == found
+
+
+def test_reach_scan_sees_through_a_name_collision(tmp_path):
+    # a bare name that a reader file defines itself reaches its own
+    # definition, in src/ too, and no other module's
+    (tmp_path / "src" / "hopfdiag").mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "hopfdiag" / "a.py").write_text(
+        "def load():\n    pass\ndef helper():\n    pass\n"
+        "def run():\n    return helper()\n")
+    (tmp_path / "src" / "hopfdiag" / "b.py").write_text(
+        "def go():\n    pass\n")
+    (tmp_path / "perfbench" / "w.py").write_text(
+        "def load():\n    pass\ndef go():\n    pass\n"
+        "load(); go(); a.run()\n")
+    assert unreached_public_names(tmp_path) == {"a.load", "b.go"}
 
 
 def assert_statements(tree) -> list[int]:

@@ -8,7 +8,9 @@ or the constructor raises ``ValueError("<record>.<field> must be a finite
 real number, got <value!r>")``, with no RuntimeWarning, OverflowError or
 TypeError on the way.  ``SpectrumCloud.seed`` goes through
 ``symplin.nonneg_int`` and stores a Python int >= 0, and so does the
-sample count ``n`` of ``models.jc_spectrum_sample``.
+sample count ``n`` of ``models.jc_spectrum_sample`` (whose ``j_max`` goes
+through ``symplin.finite_float``), the grid sizes of ``spectrum.rasterize``
+and the sample count of ``spectrum.assemble_hopf_diagram``.
 """
 
 import dataclasses
@@ -186,10 +188,53 @@ def test_a_sample_count_that_is_not_an_int_ge_0_is_refused(bad):
         models.jc_spectrum_sample(PolyG(0.5), bad, 1.0, 0)
 
 
+@pytest.mark.usefixtures("no_warnings")
+@pytest.mark.parametrize("bad", [True, np.True_, "2", "nan", math.nan,
+                                 10 ** 400, None],
+                         ids=lambda bad: repr(bad)[:12])
+def test_a_j_max_that_is_not_a_finite_real_is_refused(bad):
+    message = (r"^jc_spectrum_sample\.j_max must be a finite real number, "
+               "got " + re.escape(repr(bad)) + "$")
+    with pytest.raises(ValueError, match=message):
+        models.jc_spectrum_sample(PolyG(0.5), 5, bad, 0)
+
+
+@pytest.mark.parametrize("number_type", [np.float64, np.float32, Fraction,
+                                         int])
+def test_a_j_max_of_any_real_type_samples_as_its_float(number_type):
+    cloud = models.jc_spectrum_sample(PolyG(0.5), 5, number_type(2), 0)
+    assert cloud == models.jc_spectrum_sample(PolyG(0.5), 5, 2.0, 0)
+
+
 def test_a_numpy_int_sample_count_samples():
     cloud = models.jc_spectrum_sample(PolyG(0.5), np.int64(5), 1.0, 0)
     assert cloud == models.jc_spectrum_sample(PolyG(0.5), 5, 1.0, 0)
     assert cloud.count == 5
+
+
+@pytest.mark.usefixtures("no_warnings")
+@pytest.mark.parametrize("bad", [2.5, True, "3", np.True_, 3.0, -1, None],
+                         ids=repr)
+@pytest.mark.parametrize("make, record, name", [
+    (lambda cloud, n: spectrum.rasterize(cloud, n, 3), "rasterize", "n_j"),
+    (lambda cloud, n: spectrum.rasterize(cloud, 3, n), "rasterize", "n_h"),
+    (lambda cloud, n: spectrum.assemble_hopf_diagram(REF, n),
+     "assemble_hopf_diagram", "samples")], ids=["n_j", "n_h", "samples"])
+def test_a_size_that_is_not_an_int_ge_0_is_refused(make, record, name, bad):
+    # the sample count's rule, checked before the size's own bounds
+    cloud = models.jc_spectrum_sample(PolyG(0.5), 5, 1.0, 0)
+    message = (rf"^{record}\.{name} must be an int >= 0, got "
+               + re.escape(repr(bad)) + "$")
+    with pytest.raises(ValueError, match=message):
+        make(cloud, bad)
+
+
+def test_a_numpy_int_size_is_taken_as_its_int():
+    cloud = models.jc_spectrum_sample(PolyG(0.5), 50, 1.0, 0)
+    assert (spectrum.rasterize(cloud, np.int64(4), np.int32(3))
+            == spectrum.rasterize(cloud, 4, 3))
+    assert (spectrum.assemble_hopf_diagram(REF, np.int64(40))
+            == spectrum.assemble_hopf_diagram(REF, 40))
 
 
 # ---------------------------------------------------------------------------

@@ -786,9 +786,9 @@ class TestSerialization:
         pts = seeded_critical_points(8200, 11)
         pts[at] = types.SimpleNamespace(**{**vars(pts[at]), field: bad})
         path = tmp_path / "critical.csv"
-        with pytest.raises(ValueError, match=rf"^points\[{at}\] has "
-                                             rf"\(J, H, z\) = \(.*{bad!r}.*\);"
-                                             " each must be finite$"):
+        with pytest.raises(ValueError, match=rf"^points\[{at}\]\.{field} must "
+                                             "be a finite real number, got "
+                                             rf"{bad!r}$"):
             spectrum.write_jc_critical_csv(pts, path)
         assert not path.exists()
 
@@ -802,9 +802,24 @@ class TestSerialization:
         pts = seeded_critical_points(8200, 13)
         pts[at] = types.SimpleNamespace(**{**vars(pts[at]), field: big})
         path = tmp_path / "critical.csv"
-        with pytest.raises(ValueError, match=rf"^points\[{at}\] has "
-                                             rf"\(J, H, z\) = \(.*{big}.*\);"
-                                             " each must be finite$"):
+        with pytest.raises(ValueError, match=rf"^points\[{at}\]\.{field} must "
+                                             "be a finite real number, got "
+                                             rf"{big}$"):
+            spectrum.write_jc_critical_csv(pts, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field, bad, at", [
+        ("J", True, 2), ("H", "0.5", 8192), ("z_at", np.True_, 8199)])
+    def test_jc_critical_writer_refuses_what_the_number_rule_refuses(
+            self, tmp_path, field, bad, at):
+        # a bool or a numeric string is not a number, though float() takes
+        # it; refused by symplin.finite_float, and no file is left
+        pts = seeded_critical_points(8200, 17)
+        pts[at] = types.SimpleNamespace(**{**vars(pts[at]), field: bad})
+        path = tmp_path / "critical.csv"
+        with pytest.raises(ValueError, match=rf"^points\[{at}\]\.{field} must "
+                                             "be a finite real number, got "
+                                             + re.escape(repr(bad)) + "$"):
             spectrum.write_jc_critical_csv(pts, path)
         assert not path.exists()
 

@@ -8,6 +8,7 @@ One in-process ``run_all`` takes about 40 ms.
 """
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,6 +37,10 @@ def _b_scaled(fn, factor):
     return fault
 
 
+def _gamma_scaled(htilde, factor):
+    return dataclasses.replace(htilde, gamma=htilde.gamma * factor)
+
+
 def _survivor(reason):
     return pytest.mark.xfail(strict=True, reason=reason)
 
@@ -48,6 +53,9 @@ FAULTS = {
                                  lambda shipped: lambda *a: -shipped(*a)),
     "curve_h_shift": (hopf, "curve_h",
                       lambda shipped: lambda *a: shipped(*a) + 1e-9),
+    "build_htilde_gamma": (hopf, "build_htilde",
+                           lambda shipped: lambda *a: _gamma_scaled(
+                               shipped(*a), 1.0 + 1e-6)),
     "quartic_coeffs_b": (symplin, "quartic_coeffs",
                          lambda shipped: _b_scaled(shipped, 1.0 + 1e-6)),
     "origin_slopes_scale": (hopf, "origin_slopes",
@@ -59,10 +67,6 @@ FAULTS = {
         else hopf.Regime.SUBCRITICAL)),
 }
 MARKS = {
-    "quartic_coeffs_b": _survivor(
-        "criterion 8 forms a and b inline and never calls quartic_coeffs"),
-    "origin_slopes_scale": _survivor(
-        "criterion 5 bounds the secant error by 1e-3; its worst is 3.5e-7"),
     "fold_offsets_scale": _survivor(
         "criterion 12 places the folds only between grid points 0.0105 apart"),
     "regime_swapped": _survivor(
