@@ -3,8 +3,13 @@
 A CSV table is an optional ``# k=v ...`` line, the header, then rows of
 the header's field count.  One writer, ``_write_csv``, formats each block
 of 8192 rows, a flat field tuple, by one ``"%s,...,%s\\n"`` line (``str`` of
-a float is its shortest round-trip repr).  One row parser, ``_parse_rows``,
-reads 1 MiB batches by ``np.loadtxt`` into structured arrays, floats then
+a float is its shortest round-trip repr).  A cloud of 8192 points or more
+is written by two processes where ``os.sched_getaffinity`` lists two CPUs
+or more and the process is its one OS thread: a forked child formats the
+trailing half of the points into a pipe that the writer copies after the
+leading half, the same bytes; otherwise, or if ``os.fork`` fails, every
+block is formatted in-process.  One row parser, ``_parse_rows``, reads
+1 MiB batches by ``np.loadtxt`` into structured arrays, floats then
 labels, refusing a non-finite float or an unknown label; a read fault is a
 ValueError naming the file and line.
  - curve CSV:          ``s,J,H,z_double,hessdet,kind``, kind in {E,H,CUSP,END}
@@ -21,7 +26,8 @@ ValueError naming the file and line.
 
 Inadmissible curve regions are emitted as explicit gaps, never interpolated.
 Cloud points are finite: ``models.SpectrumCloud`` refuses NaN and infinity,
-and ``write_jc_critical_csv`` takes J, H and z by ``symplin.finite_float``.
+and ``write_jc_critical_csv`` takes J, H and z by ``symplin.finite_float``,
+a branch only as a ``Branch`` or None and a kind only as a ``CriticalKind``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import re
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -216,6 +223,7 @@ def rasterize(cloud: SpectrumCloud, n_j: int, n_h: int) -> RasterGrid:
 
 def boundary(cloud: SpectrumCloud, bins: int) -> list[tuple[float, float, float]]:
     """Per-J-bin (J_center, H_min, H_max) envelope; empty bins are omitted."""
+    bins = symplin.nonneg_int(bins, "boundary", "bins")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if cloud.count == 0:
@@ -240,6 +248,10 @@ _CLOUD_HEADER = "J,H"
 _RASTER_HEADER = "J,H,count"
 _WRITE_ROWS = 8192          # rows per write call
 _READ_BYTES = 1 << 20       # text per read call
+_PIPE_BYTES = 1 << 16       # text per pipe read, a Linux pipe's buffer
+_SPLIT_ROWS = 8192          # fewest cloud points written by two processes:
+                            # the split won 30/30 timed pairs at 8192 points
+                            # and broke even near 3000-4096 (2 CPUs)
 
 
 def fmt_complex(c: complex) -> str:
@@ -248,16 +260,22 @@ def fmt_complex(c: complex) -> str:
     return f"{float(c.real)!r}{sign}{float(abs(c.imag))!r}j"
 
 
-def _write_csv(path, header: str, blocks, meta: dict | None = None):
-    """Write ``# k=v ...`` if there is ``meta``, the header, then ``blocks``,
-    each the flat field tuple of up to 8192 rows, by one format each."""
-    width = header.count(",") + 1
+def _block_text(blocks, width: int):
+    """The text of each of ``blocks``, a flat field tuple of up to 8192 rows
+    of ``width`` fields, by one format."""
     line = ",".join(["%s"] * width) + "\n"
+    return (line * (len(fields) // width) % fields for fields in blocks)
+
+
+def _write_csv(path, header: str, blocks, meta: dict | None = None, tail=()):
+    """Write ``# k=v ...`` if there is ``meta``, the header, the text of
+    ``blocks``, each the flat field tuple of up to 8192 rows, then the text
+    chunks of ``tail``."""
     comment = "".join(f" {k}={v}" for k, v in meta.items()) if meta else ""
     with open(path, "w", newline="") as fh:
         fh.write(f"#{comment}\n{header}\n" if comment else f"{header}\n")
-        fh.writelines(line * (len(fields) // width) % fields
-                      for fields in blocks)
+        fh.writelines(_block_text(blocks, header.count(",") + 1))
+        fh.writelines(tail)
 
 
 def _blocks(rows):
@@ -341,24 +359,56 @@ def read_curve_csv(path) -> list[CurveSample]:
         kind=list(kinds))
 
 
+_BRANCH_TEXT = {None: "none", **{b: b.value for b in Branch}}
+_KIND_TEXT = {k: k.value for k in CriticalKind}
+
+
 def _jc_fields(p) -> tuple:
-    """A jc critical row, J, H and z as given."""
-    return (p.J, p.H, p.z_at, "none" if p.branch is None else p.branch._value_,
-            p.kind._value_)
+    """A jc critical row, J, H and z as given, its labels as text: an
+    AttributeError, KeyError or TypeError if ``p`` lacks a field or its
+    branch is not a ``Branch`` or None or its kind not a ``CriticalKind``."""
+    return (p.J, p.H, p.z_at, _BRANCH_TEXT[p.branch], _KIND_TEXT[p.kind])
+
+
+def _jc_block(block) -> tuple | None:
+    """The flat fields of ``block`` if each row is as the solver gives it,
+    its J, H and z finite Python floats; else None."""
+    try:
+        fields = tuple(itertools.chain.from_iterable(map(_jc_fields, block)))
+    except (AttributeError, KeyError, TypeError):
+        return None
+    numbers = fields[0::5] + fields[1::5] + fields[2::5]
+    if {*map(type, numbers)} == {float} and all(map(math.isfinite, numbers)):
+        return fields
+    return None
+
+
+def _jc_checked(p, name: str) -> tuple:
+    """The fields of the row ``p``, named ``name``, by the number rule; a
+    row that ``_jc_fields`` refuses is a ValueError."""
+    try:
+        fields = _jc_fields(p)
+    except AttributeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    except (KeyError, TypeError):
+        raise ValueError(f"{name} must have a Branch or None branch and a "
+                         f"CriticalKind kind, got {p.branch!r} and "
+                         f"{p.kind!r}") from None
+    return (*map(symplin.finite_float, fields[:3], itertools.repeat(name),
+                 _JC_NUMBERS), *fields[3:])
 
 
 def write_jc_critical_csv(points, path):
-    """jc critical CSV from objects with J, H, z_at, branch, kind
-    attributes.  A block whose J, H and z are not all finite Python floats,
-    as the solver gives them, goes row by row through the number rule,
-    ``symplin.finite_float``, before the file is opened."""
-    blocks = list(_blocks(map(_jc_fields, points)))
-    for b, fields in enumerate(blocks):
-        numbers = fields[0::5] + fields[1::5] + fields[2::5]
-        if {*map(type, numbers)} != {float} or not all(map(math.isfinite, numbers)):
-            blocks[b] = tuple(symplin.finite_float(
-                x, f"points[{b * _WRITE_ROWS + i // 5}]", _JC_NUMBERS[i % 5])
-                if i % 5 < 3 else x for i, x in enumerate(fields))
+    """jc critical CSV from objects with J, H, z_at, branch (a ``Branch`` or
+    None) and kind (a ``CriticalKind``) attributes, checked before the file
+    is opened.  A block of 8192 rows not all as the solver gives them
+    (``_jc_block``) goes row by row through ``_jc_checked``."""
+    rows, blocks = iter(points), []
+    while block := list(itertools.islice(rows, _WRITE_ROWS)):
+        first = len(blocks) * _WRITE_ROWS
+        blocks.append(_jc_block(block) or tuple(itertools.chain.from_iterable(
+            _jc_checked(p, f"points[{first + i}]")
+            for i, p in enumerate(block))))
     _write_csv(path, _JC_CRITICAL_HEADER, blocks)
 
 
@@ -380,11 +430,78 @@ def read_jc_critical_csv(path) -> list[JCCriticalRow]:
 
 
 def write_cloud_csv(cloud: SpectrumCloud, path):
-    """Blocks are sliced from the points array, never built row by row."""
-    _write_csv(path, _CLOUD_HEADER, (
-        tuple(cloud.points[i:i + _WRITE_ROWS].ravel().tolist())
-        for i in range(0, cloud.count, _WRITE_ROWS)),
-        {"seed": cloud.seed, "count": cloud.count})
+    """Blocks are sliced from the points array, never built row by row.
+    A cloud of ``_SPLIT_ROWS`` points or more is written by two processes
+    where ``_may_fork`` holds: a child forked before the file is opened
+    formats the trailing half of the points into a pipe, which is copied
+    into the file after the leading half, with the same bytes.  Otherwise,
+    or if ``os.fork`` fails, every block is formatted here.  A child that
+    does not exit with 0 is an OSError."""
+    def blocks(points):
+        return (tuple(points[i:i + _WRITE_ROWS].ravel().tolist())
+                for i in range(0, len(points), _WRITE_ROWS))
+
+    meta = {"seed": cloud.seed, "count": cloud.count}
+    half = cloud.count // 2
+    child = _forked_text(blocks(cloud.points[half:]), 2) \
+        if cloud.count >= _SPLIT_ROWS and _may_fork() else None
+    if child is None:
+        _write_csv(path, _CLOUD_HEADER, blocks(cloud.points), meta)
+        return
+    pid, fd = child
+    try:
+        _write_csv(path, _CLOUD_HEADER, blocks(cloud.points[:half]), meta, map(
+            bytes.decode, iter(partial(os.read, fd, _PIPE_BYTES), b"")))
+    except BaseException:
+        os.kill(pid, 9)                 # SIGKILL
+        raise
+    finally:
+        os.close(fd)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise OSError(f"{path}: the process formatting the second half of "
+                      f"the rows ended with exit code {status}")
+
+
+def _may_fork() -> bool:
+    """True where this process may run on two CPUs or more and is its one
+    OS thread (Linux), so a forked child runs beside it and copies no
+    thread's locks; Python >= 3.12 warns on a fork with more threads, and
+    numpy's OpenBLAS starts one per CPU unless ``OPENBLAS_NUM_THREADS=1``."""
+    try:
+        return (len(os.sched_getaffinity(0)) > 1
+                and len(os.listdir("/proc/self/task")) == 1)
+    except (AttributeError, OSError):
+        return False
+
+
+def _forked_text(blocks, width: int):
+    """``(pid, fd)`` of a forked child that formats all of ``blocks``, then
+    writes their text to a pipe whose read end is ``fd``; None if
+    ``os.fork`` fails with an OSError.  The child ends by ``os._exit``, 0
+    once all is written, and never returns into the caller's frames."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException as exc:    # a child forked all the same dies of EPIPE
+        os.close(r)
+        os.close(w)
+        if isinstance(exc, OSError):
+            return None
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            for text in list(_block_text(blocks, width)):
+                data = memoryview(text.encode())
+                while data:
+                    data = data[os.write(w, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
 
 
 def read_cloud_csv(path) -> SpectrumCloud:

@@ -23,7 +23,10 @@ that defines it; ``spectrum.read_raster_csv``, which perfbench is to move
 onto from a reader of its own, is the one exception.  No module of ``src/`` has an
 ``assert`` statement, which ``python -O`` strips, and no ``__post_init__``
 refers to ``math.isfinite`` or calls ``isinstance(..., bool)`` itself:
-every record checks its numbers by ``symplin.finite_float``.
+every record checks its numbers by ``symplin.finite_float``.  ``os.fork``
+appears once in ``src/``, in ``spectrum._forked_text``, which only the
+cloud writer calls, and ``src/`` imports no ``subprocess``,
+``multiprocessing`` or ``concurrent``.
 """
 
 import ast
@@ -34,6 +37,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hopfdiag"
 TEST_ONLY = {"sympy", "mpmath", "hypothesis"}
+PROCESS_LIBRARIES = {"subprocess", "multiprocessing", "concurrent"}
 
 
 def imported_modules(tree) -> set[str]:
@@ -475,3 +479,53 @@ POST_INIT = "class R:\n    def __post_init__(self):\n        "
 ])
 def test_number_check_scan_sees(source, found):
     assert private_number_checks(ast.parse(source)) == found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
+                         ids=lambda p: p.name)
+def test_src_imports_no_process_library(path):
+    modules = imported_modules(parse(path))
+    assert not {m for m in modules if m.split(".")[0] in PROCESS_LIBRARIES}
+
+
+def sites(tree, hit) -> list[str]:
+    """Innermost function of each node for which ``hit(node)`` holds,
+    sorted; "<module>" outside a function."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if hit(child):
+                yield function
+            yield from visit(child, function)
+    return sorted(visit(tree, "<module>"))
+
+
+def is_os_fork(node) -> bool:
+    """``os.fork`` as an attribute of a name ``os``, or ``fork`` imported
+    from ``os`` (the import is the site)."""
+    return (isinstance(node, ast.Attribute) and node.attr == "fork"
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name == "fork" for alias in node.names))
+
+
+def test_src_forks_only_in_the_cloud_writer():
+    forks = [(path.name, function) for path in sorted(SRC.glob("**/*.py"))
+             for function in sites(parse(path), is_os_fork)]
+    assert forks == [("spectrum.py", "_forked_text")]
+    assert sites(parse(SRC / "spectrum.py"), lambda node: isinstance(
+        node, ast.Name) and node.id == "_forked_text") == ["write_cloud_csv"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import os\ndef f():\n    return os.fork()", ["f"]),
+    ("from os import fork\ndef g():\n    fork()", ["<module>"]),
+    ("def f():\n    from os import fork as spawn\n    spawn()", ["f"]),
+    ("import os\npid = os.fork()\nclass C:\n    def m(self):\n"
+     "        os.fork", ["<module>", "m"]),
+    ("import os\nos.forkpty(); os.getpid(); x.fork()", []),
+])
+def test_fork_scan_sees(source, found):
+    assert sites(ast.parse(source), is_os_fork) == found

@@ -219,7 +219,9 @@ def test_a_numpy_int_sample_count_samples():
     (lambda cloud, n: spectrum.rasterize(cloud, n, 3), "rasterize", "n_j"),
     (lambda cloud, n: spectrum.rasterize(cloud, 3, n), "rasterize", "n_h"),
     (lambda cloud, n: spectrum.assemble_hopf_diagram(REF, n),
-     "assemble_hopf_diagram", "samples")], ids=["n_j", "n_h", "samples"])
+     "assemble_hopf_diagram", "samples"),
+    (lambda cloud, n: spectrum.boundary(cloud, n), "boundary", "bins")],
+    ids=["n_j", "n_h", "samples", "bins"])
 def test_a_size_that_is_not_an_int_ge_0_is_refused(make, record, name, bad):
     # the sample count's rule, checked before the size's own bounds
     cloud = models.jc_spectrum_sample(PolyG(0.5), 5, 1.0, 0)
@@ -235,6 +237,16 @@ def test_a_numpy_int_size_is_taken_as_its_int():
             == spectrum.rasterize(cloud, 4, 3))
     assert (spectrum.assemble_hopf_diagram(REF, np.int64(40))
             == spectrum.assemble_hopf_diagram(REF, 40))
+    assert spectrum.boundary(cloud, np.int64(4)) == spectrum.boundary(cloud, 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda cloud: spectrum.rasterize(cloud, 0, 3),
+    lambda cloud: spectrum.boundary(cloud, 0)], ids=["n_j", "bins"])
+def test_a_zero_size_keeps_its_own_bound(make):
+    cloud = models.jc_spectrum_sample(PolyG(0.5), 5, 1.0, 0)
+    with pytest.raises(ValueError, match=r"must be >= 1$"):
+        make(cloud)
 
 
 # ---------------------------------------------------------------------------

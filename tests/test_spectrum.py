@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import threading
+import time
 import types
 import warnings
 from dataclasses import replace
@@ -823,6 +826,47 @@ class TestSerialization:
             spectrum.write_jc_critical_csv(pts, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("at, label", [
+        (0, {"branch": "plus"}), (8195, {"kind": "E"}),
+        (5, {"branch": CriticalKind.CUSP}), (8192, {"kind": Branch.PLUS}),
+        (8199, {"branch": []}), (8197, {"z_at": None})],
+        ids=["text-branch", "text-kind", "kind-as-branch", "branch-as-kind",
+             "list-branch", "no-z_at"])
+    def test_jc_critical_writer_refuses_a_row_without_its_labels(
+            self, tmp_path, at, label):
+        # a ValueError naming the row, in the first block and the second,
+        # and no file is left
+        pts = seeded_critical_points(8200, 19)
+        fields = {**vars(pts[at]), **label}
+        message = (" must have a Branch or None branch and a CriticalKind "
+                   f"kind, got {fields['branch']!r} and {fields['kind']!r}")
+        if fields["z_at"] is None:
+            del fields["z_at"]
+            message = ": 'types.SimpleNamespace' object has no attribute 'z_at'"
+        pts[at] = types.SimpleNamespace(**fields)
+        path = tmp_path / "critical.csv"
+        with pytest.raises(ValueError, match=rf"^points\[{at}\]"
+                                             + re.escape(message) + "$"):
+            spectrum.write_jc_critical_csv(pts, path)
+        assert not path.exists()
+
+    def test_jc_critical_writer_refuses_text_labels(self, tmp_path):
+        # the solver's row with a text branch, and the reader's rows, whose
+        # labels are text and whose z is not z_at
+        path = tmp_path / "critical.csv"
+        E = CriticalKind.TRANSVERSALLY_ELLIPTIC
+        with pytest.raises(ValueError, match=r"^points\[0\] must have"):
+            spectrum.write_jc_critical_csv(
+                [models.CriticalValuePoint(0.5, 0.1, 0.2, "plus", E)], path)
+        spectrum.write_jc_critical_csv(seeded_critical_points(3, 23), path)
+        rows = spectrum.read_jc_critical_csv(path)
+        path.unlink()
+        with pytest.raises(ValueError, match=r"^points\[0\]: "
+                                             "'JCCriticalRow' object has no "
+                                             "attribute 'z_at'$"):
+            spectrum.write_jc_critical_csv(rows, path)
+        assert not path.exists()
+
     def test_jc_critical_reader_accepts_every_enum_value(self, tmp_path):
         path = tmp_path / "critical.csv"
         rows = [f"1.0,0.0,1.0,{b},{k.value}" for b in ("plus", "minus", "none")
@@ -1040,3 +1084,140 @@ class TestNonFiniteCloud:
                     f"{path}: {bad!r} is not finite on line 4, "
                     f"column {col}.")):
                 spectrum.read_cloud_csv(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSplitCloudWriter:
+    """``write_cloud_csv`` on two CPUs in a process of one OS thread: a
+    child forked before the file is opened formats the trailing half of the
+    points; the bytes are those of the per-row reference, and no child is
+    left behind."""
+    ROWS = bit_pattern_cloud(5 * 8192 + 7, 43).points
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two CPUs, and the list of ``os.fork`` calls made in this process."""
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "fork", counted)
+        assert spectrum._may_fork(), "the test process has another thread"
+        return calls
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 2 * 8192,
+                                   2 * 8192 + 1, 5 * 8192 + 7])
+    def test_split_bytes_are_the_reference(self, tmp_path, forks, n):
+        # a cloud of _SPLIT_ROWS points or more is split, with the same bytes
+        cloud = SpectrumCloud(points=seeded_cloud(n + 4, n).points[:n], seed=n)
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(cloud, path)
+        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
+        assert len(forks) == (n >= spectrum._SPLIT_ROWS)
+        self.assert_no_child_left()
+
+    def test_split_keeps_every_bit_pattern(self, tmp_path, forks):
+        cloud = SpectrumCloud(points=self.ROWS, seed=43)   # subnormals, -0.0
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(cloud, path)
+        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
+        assert forks == [1]
+        back = spectrum.read_cloud_csv(path).points
+        assert np.array_equal(back.view(np.int64), self.ROWS.view(np.int64))
+
+    def test_one_cpu_writes_in_process(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        cloud = SpectrumCloud(points=self.ROWS, seed=1)
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(cloud, path)
+        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
+        assert forks == []
+
+    def test_a_second_thread_writes_in_process(self, tmp_path, forks):
+        # no fork beside another thread, whose locks the child would copy
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            cloud = SpectrumCloud(points=self.ROWS, seed=6)
+            path = tmp_path / "cloud.csv"
+            spectrum.write_cloud_csv(cloud, path)
+        finally:
+            done.set()
+            thread.join()
+        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
+        assert forks == []
+
+    def test_a_failed_fork_writes_in_process(self, tmp_path, forks,
+                                             monkeypatch):
+        def no_fork():
+            forks.append(1)
+            raise OSError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+        cloud = SpectrumCloud(points=self.ROWS, seed=2)
+        path = tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(cloud, path)
+        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
+        assert forks == [1]
+
+    def test_a_missing_directory_leaves_no_child(self, tmp_path, forks):
+        # the child is forked before the open fails, then killed and reaped
+        cloud = SpectrumCloud(points=self.ROWS, seed=3)
+        with pytest.raises(FileNotFoundError):
+            spectrum.write_cloud_csv(cloud, tmp_path / "missing" / "cloud.csv")
+        assert forks == [1]
+        self.assert_no_child_left()
+
+    def test_a_failed_child_is_an_os_error(self, tmp_path, forks, monkeypatch):
+        # the child cannot write its half: the short file is not a success
+        def no_write(fd, data):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "write", no_write)
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(OSError, match=re.escape(
+                f"{path}: the process formatting the second half of the rows "
+                "ended with exit code 1")):
+            spectrum.write_cloud_csv(SpectrumCloud(points=self.ROWS, seed=4),
+                                     path)
+        self.assert_no_child_left()
+
+    def test_an_exception_after_the_fork_ends_the_child(self, tmp_path,
+                                                        monkeypatch):
+        # as a KeyboardInterrupt that lands as os.fork returns: the
+        # exception is the writer's, no file is opened, and the child dies
+        # of a broken pipe; its pid is lost to the writer, which cannot
+        # reap it, so this test does
+        pids, fork = [], os.fork
+
+        def warned():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                raise KeyboardInterrupt
+            return pid
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "fork", warned)
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(KeyboardInterrupt):
+            spectrum.write_cloud_csv(SpectrumCloud(points=self.ROWS, seed=5),
+                                     path)
+        assert not path.exists()
+        deadline = time.monotonic() + 30.0
+        while not (done := os.waitpid(pids[0], os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pids[0], 9)
+                os.waitpid(pids[0], 0)
+                pytest.fail("the child still writes to a pipe no one reads")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 1
+        self.assert_no_child_left()
