@@ -12,8 +12,15 @@ Exit codes as for the hopfdiag CLI: 0 success, 2 bad input (nothing is
 written), 3 I/O failure.
 """
 
+import os
 import pathlib
 import sys
+
+# One BLAS thread unless the caller sets another count, before numpy is
+# imported: numpy's OpenBLAS otherwise starts a thread per CPU, and the
+# cloud codec uses a second process only in a process of one OS thread.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 

@@ -327,7 +327,9 @@ def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
     value (``fold_offsets``) the two merging points may be miscounted; for
     J >~ 1e10 the z < 0 points, near -1/(2J), are solved in the chart of
     z = 1 and keep about 1e-16 absolute, not relative, error, so the plus
-    and minus rows there may come out in either order.
+    and minus rows there may come out in either order; a root within half
+    an ulp of min(J, 1) rounds onto it and is dropped (at gamma = 123.4 and
+    J = 1 + 2^-52, 3 rows for 4 roots, the fourth 9.1e-22 below 1).
     """
     gamma, j = g.gamma, float(j)
     if not (abs(j) < J_LIMIT and abs(gamma) < GAMMA_LIMIT):

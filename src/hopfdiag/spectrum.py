@@ -3,15 +3,17 @@
 A CSV table is an optional ``# k=v ...`` line, the header, then rows of
 the header's field count.  One writer, ``_write_csv``, formats each block
 of 8192 rows, a flat field tuple, by one ``"%s,...,%s\\n"`` line (``str`` of
-a float is its shortest round-trip repr).  A cloud of 8192 points or more
-is written by two processes where ``os.sched_getaffinity`` lists two CPUs
-or more and the process is its one OS thread: a forked child formats the
-trailing half of the points into a pipe that the writer copies after the
-leading half, the same bytes; otherwise, or if ``os.fork`` fails, every
-block is formatted in-process.  One row parser, ``_parse_rows``, reads
-1 MiB batches by ``np.loadtxt`` into structured arrays, floats then
-labels, refusing a non-finite float or an unknown label; a read fault is a
-ValueError naming the file and line.
+a float is its shortest round-trip repr).  One reader, ``_read_csv``,
+checks each line's field count and parses 256 KiB batches of rows by
+``np.loadtxt`` (``_parse_rows``) into structured arrays, floats then
+labels, refusing a non-finite float or an unknown label; a read fault is
+a ValueError naming the file and line.  A cloud of 8192 points or more
+is written, and a cloud file of 1 MiB or more read, by two processes where
+``os.sched_getaffinity`` lists two CPUs or more and the process is its one
+OS thread: a child forked before the file is opened formats the trailing
+half of the points, or parses the lines that start in the trailing half
+of the bytes, and sends the text or the rows through a pipe; otherwise,
+or if ``os.fork`` fails, all is done in-process.
  - curve CSV:          ``s,J,H,z_double,hessdet,kind``, kind in {E,H,CUSP,END}
  - jc critical CSV:    ``J,H,z,branch,kind``, branch in {plus,minus,none},
                        kind in {E,H,CUSP,EQ}
@@ -247,11 +249,15 @@ _JC_NUMBERS = ("J", "H", "z_at")    # the fields of a row's numbers
 _CLOUD_HEADER = "J,H"
 _RASTER_HEADER = "J,H,count"
 _WRITE_ROWS = 8192          # rows per write call
-_READ_BYTES = 1 << 20       # text per read call
+_READ_BYTES = 1 << 18       # text per read call: 1 MiB read diagram_io's
+                            # peak RSS about 2 MB higher
 _PIPE_BYTES = 1 << 16       # text per pipe read, a Linux pipe's buffer
 _SPLIT_ROWS = 8192          # fewest cloud points written by two processes:
                             # the split won 30/30 timed pairs at 8192 points
                             # and broke even near 3000-4096 (2 CPUs)
+_SPLIT_BYTES = 1 << 20      # fewest cloud file bytes read by two processes:
+                            # the split won 30/40 timed pairs at 1 MiB, 24-27
+                            # at 512-768 KiB and 13 at 384 KiB (2 CPUs)
 
 
 def fmt_complex(c: complex) -> str:
@@ -286,28 +292,41 @@ def _blocks(rows):
         yield fields
 
 
-def _read_csv(path, header: str, build, inf_ok=(), **labels):
+def _read_csv(path, header: str, build, inf_ok=(), span=None, **labels):
     """Read a table written by ``_write_csv``: ``# k=v ...`` (``meta``) if
-    there, ``header``, then 1 MiB batches of rows through ``_parse_rows``.
+    there, ``header``, then 256 KiB batches of rows through ``_parse_rows``.
     ``labels`` lists the text allowed in each label column, the last ones;
     the others are floats, finite unless named in ``inf_ok``.  Returns
-    ``build(meta, rows)``, ``rows`` one array; a ValueError names the file."""
+    ``build(meta, rows)``, ``rows`` a new array that nothing else holds; a
+    ValueError names the file.  ``span``, byte offsets ``(start, stop)``,
+    reads the file as ASCII and only the lines that start in it; from a
+    ``start`` > 0 there is no comment or header, and lines count from it."""
     commas = header.count(",")
     dtype = np.dtype([(name, object if name in labels else float)
                       for name in header.split(",")])   # object: str whole
+    (start, stop), line_no, meta = span or (0, math.inf), 0, {}
     try:
-        with open(path) as fh:
-            line, line_no, meta = fh.readline(), 1, {}
-            if line.startswith("#"):
-                pairs = [kv.partition("=") for kv in line[1:].split()]
-                if bad := [k for k, eq, _ in pairs if not eq]:
-                    raise ValueError(f"comment token {bad[0]!r} is not k=v")
-                meta = {k: v for k, _, v in pairs}
-                line, line_no = fh.readline(), 2
-            if line.rstrip("\n") != header:
-                raise ValueError(f"header {line.rstrip()!r} is not {header!r}")
-            batches = [np.empty(0, dtype)]
-            while lines := fh.readlines(_READ_BYTES):
+        with open(path, encoding=span and "ascii",   # offsets are bytes,
+                  newline=span and "\n") as fh:       # or the defaults
+            if start:       # from the first line that starts at or after it
+                fh.seek(start - 1)
+                fh.readline()
+            else:
+                line, line_no = fh.readline(), 1
+                if line.startswith("#"):
+                    pairs = [kv.partition("=") for kv in line[1:].split()]
+                    if bad := [k for k, eq, _ in pairs if not eq]:
+                        raise ValueError(f"comment token {bad[0]!r} is not k=v")
+                    meta = {k: v for k, _, v in pairs}
+                    line, line_no = fh.readline(), 2
+                if line.rstrip("\n") != header:
+                    raise ValueError(f"header {line.rstrip()!r} is not {header!r}")
+            pos, batches = fh.tell() if span else 0, [np.empty(0, dtype)]
+            while pos < stop and (lines := fh.readlines(min(stop - pos,
+                                                             _READ_BYTES))):
+                pos += sum(map(len, lines))
+                if pos - len(lines[-1]) >= stop:    # read on past a line
+                    lines.pop()                     # that ends at stop
                 fields = list(map(str.count, lines, itertools.repeat(",")))
                 if fields.count(commas) != len(fields):   # a blank line has 0
                     i = next(i for i, n in enumerate(fields) if n != commas)
@@ -315,7 +334,9 @@ def _read_csv(path, header: str, build, inf_ok=(), **labels):
                                      f"{fields[i] + 1} fields, not {commas + 1}")
                 batches.append(_parse_rows(lines, dtype, inf_ok, labels))
                 line_no += len(lines)
-        return build(meta, np.concatenate(batches))
+                del lines       # one batch's text at a time
+            rows, batches = np.concatenate(batches), None
+        return build(meta, rows)
     except ValueError as exc:   # loadtxt and _parse_rows number rows from 0
         msg = re.sub(r"at row (\d+)(?=, column \d+\.$)",
                      lambda m: f"on line {line_no + 1 + int(m[1])}", str(exc))
@@ -443,24 +464,16 @@ def write_cloud_csv(cloud: SpectrumCloud, path):
 
     meta = {"seed": cloud.seed, "count": cloud.count}
     half = cloud.count // 2
-    child = _forked_text(blocks(cloud.points[half:]), 2) \
+    split = _forked(lambda: map(str.encode, list(_block_text(
+        blocks(cloud.points[half:]), 2))), lambda fd: _write_csv(
+        path, _CLOUD_HEADER, blocks(cloud.points[:half]), meta,
+        map(bytes.decode, iter(partial(os.read, fd, _PIPE_BYTES), b"")))) \
         if cloud.count >= _SPLIT_ROWS and _may_fork() else None
-    if child is None:
+    if split is None:
         _write_csv(path, _CLOUD_HEADER, blocks(cloud.points), meta)
-        return
-    pid, fd = child
-    try:
-        _write_csv(path, _CLOUD_HEADER, blocks(cloud.points[:half]), meta, map(
-            bytes.decode, iter(partial(os.read, fd, _PIPE_BYTES), b"")))
-    except BaseException:
-        os.kill(pid, 9)                 # SIGKILL
-        raise
-    finally:
-        os.close(fd)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:
+    elif split[1]:
         raise OSError(f"{path}: the process formatting the second half of "
-                      f"the rows ended with exit code {status}")
+                      f"the rows ended with exit code {split[1]}")
 
 
 def _may_fork() -> bool:
@@ -475,11 +488,13 @@ def _may_fork() -> bool:
         return False
 
 
-def _forked_text(blocks, width: int):
-    """``(pid, fd)`` of a forked child that formats all of ``blocks``, then
-    writes their text to a pipe whose read end is ``fd``; None if
-    ``os.fork`` fails with an OSError.  The child ends by ``os._exit``, 0
-    once all is written, and never returns into the caller's frames."""
+def _forked(work, run):
+    """``(run(fd), status)``: a forked child runs ``work()`` and writes each
+    bytes-like object it gives to a pipe whose read end ``fd`` this process
+    passes to ``run``; ``status`` is the child's exit code, 0 once all is
+    written.  The child ends by ``os._exit`` and never returns into the
+    caller's frames; it is killed if ``run`` raises, and always reaped.
+    None if ``os.fork`` fails with an OSError."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -493,19 +508,42 @@ def _forked_text(blocks, width: int):
         status = 1
         try:
             os.close(r)
-            for text in list(_block_text(blocks, width)):
-                data = memoryview(text.encode())
+            for data in map(memoryview, work()):
                 while data:
                     data = data[os.write(w, data):]
             status = 0
         finally:
             os._exit(status)
     os.close(w)
-    return pid, r
+    try:
+        value = run(r)
+    except BaseException:
+        os.kill(pid, 9)                 # SIGKILL
+        raise
+    finally:
+        os.close(r)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return value, status
+
+
+def _joined(build, fd, meta, rows):
+    """``build(meta, rows)``, ``rows`` grown in place by the rows that a
+    child sends on ``fd``, their count as 8 bytes and then their bytes,
+    read straight into it (a child cut short exits nonzero).  ``rows`` must
+    be ``_read_csv``'s new array: a view of it would outlive the resize."""
+    n = len(rows)
+    rows.resize(n + int.from_bytes(os.read(fd, 8), "little"), refcheck=False)
+    view = memoryview(rows[n:].view(np.uint8))
+    while view and (got := os.readv(fd, [view])):
+        view = view[got:]
+    return build(meta, rows)
 
 
 def read_cloud_csv(path) -> SpectrumCloud:
-    """Cloud CSV reader; ``count=``, when given, must match the rows read."""
+    """Cloud CSV reader; ``count=``, when given, must match the rows read.
+    Where ``_may_fork`` holds, a child parses the lines that start in the
+    trailing half of a file of ``_SPLIT_BYTES`` or more; after any fault or
+    failure there, the file is read in-process, which names the fault."""
     def build(meta, rows):
         rows.flags.writeable = False    # held here alone: the cloud keeps it
         pts = rows.view(float).reshape(-1, 2)    # the same memory, no copy
@@ -513,6 +551,24 @@ def read_cloud_csv(path) -> SpectrumCloud:
         if count != len(pts):
             raise ValueError(f"{len(pts)} rows, header says {count}")
         return SpectrumCloud(points=pts, seed=int(meta.get("seed", 0)))
+
+    try:
+        size = os.stat(os.fspath(path)).st_size
+    except (OSError, TypeError, ValueError):
+        size = 0                        # not split: the open raises as ever
+    half, split = size // 2, None
+    try:
+        if size >= _SPLIT_BYTES and _may_fork():
+            split = _forked(lambda: _read_csv(
+                path, _CLOUD_HEADER, lambda meta, rows: (
+                    len(rows).to_bytes(8, "little"), rows.view(np.uint8)),
+                span=(half, math.inf)), lambda fd: _read_csv(
+                path, _CLOUD_HEADER, partial(_joined, build, fd),
+                span=(0, half)))
+    except ValueError:
+        pass                            # named by the read below
+    if split and not split[1]:
+        return split[0]
     return _read_csv(path, _CLOUD_HEADER, build)
 
 

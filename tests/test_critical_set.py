@@ -31,11 +31,10 @@ def _rows(gamma, j):
                   for p in pts if p.branch is not None)
 
 
-def _mp_rows(gamma, j):
-    """(sb, z, kind) from the roots of p_J at 60 digits, gamma != 0.
+def _mp_real_roots(gamma, j):
+    """The real roots of p_J at 60 digits, gamma != 0, as mpf.
 
-    At J = 1 the double root z = 1 (the pole) is divided out exactly.  The
-    branch is sb = -sign(gamma z A), the kind the sign of h'' there.
+    At J = 1 the double root z = 1 (the pole) is divided out exactly.
     """
     with mp.workdps(60):
         big_j, g = mp.mpf(j), mp.mpf(gamma)
@@ -49,11 +48,21 @@ def _mp_rows(gamma, j):
                     acc.append(c + acc[-1])
                 assert acc.pop() == 0
                 coeffs = acc
+        return [mp.re(root) for root in
+                mp.polyroots(coeffs, maxsteps=2000, extraprec=600)
+                if abs(mp.im(root)) <= mp.mpf(10) ** -30]
+
+
+def _mp_rows(gamma, j):
+    """(sb, z, kind) from the roots of p_J at 60 digits, gamma != 0.
+
+    The branch is sb = -sign(gamma z A), the kind the sign of h'' there.
+    """
+    with mp.workdps(60):
+        big_j, g = mp.mpf(j), mp.mpf(gamma)
         out = []
-        for root in mp.polyroots(coeffs, maxsteps=2000, extraprec=600):
-            z = mp.re(root)
-            if abs(mp.im(root)) > mp.mpf(10) ** -30 \
-                    or not -1.0 < float(z) < min(j, 1.0):
+        for z in _mp_real_roots(gamma, j):
+            if not -1.0 < float(z) < min(j, 1.0):
                 continue
             a = 3 * z * z - 2 * big_j * z - 1
             sb = -int(mp.sign(g * z * a))
@@ -94,6 +103,24 @@ def test_large_j_points_hold_an_absolute_bound(gamma, j):
     for sb in (1, -1):
         _assert_same([r for r in got if r[0] == sb],
                      [r for r in want if r[0] == sb], 2.0 ** -52)
+
+
+def test_a_root_within_half_an_ulp_of_the_domain_end_is_dropped():
+    # the known limit: at gamma = 123.4, J = 1 + 2**-52, p_J has four real
+    # roots in (-1, 1) but the solve gives three rows, because the fourth,
+    # 9.1e-22 below 1, rounds onto min(J, 1) = 1, which -1 < z < min(J, 1)
+    # leaves out
+    gamma, j = 123.4, 1.0 + 2.0 ** -52
+    with mp.workdps(60):
+        roots = sorted(z for z in _mp_real_roots(gamma, j) if -1 < z < 1)
+        assert len(roots) == 4
+        gap = min(j, 1.0) - roots[-1]
+        assert 0 < gap < mp.mpf(2) ** -54       # half an ulp below 1
+        assert 9.0e-22 < gap < 9.2e-22
+    got = _rows(gamma, j)
+    assert len(got) == 3 and float(roots[-1]) == 1.0
+    assert sorted(z for _, z, _ in got) == pytest.approx(
+        [float(z) for z in roots[:3]], abs=1e-12)
 
 
 def test_no_pole_rows_at_the_hopf_parameter():

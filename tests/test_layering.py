@@ -24,8 +24,8 @@ onto from a reader of its own, is the one exception.  No module of ``src/`` has 
 ``assert`` statement, which ``python -O`` strips, and no ``__post_init__``
 refers to ``math.isfinite`` or calls ``isinstance(..., bool)`` itself:
 every record checks its numbers by ``symplin.finite_float``.  ``os.fork``
-appears once in ``src/``, in ``spectrum._forked_text``, which only the
-cloud writer calls, and ``src/`` imports no ``subprocess``,
+appears once in ``src/``, in ``spectrum._forked``, which only the cloud
+writer and the cloud reader call, and ``src/`` imports no ``subprocess``,
 ``multiprocessing`` or ``concurrent``.
 """
 
@@ -54,9 +54,9 @@ def imported_modules(tree) -> set[str]:
     return names
 
 
-def numpy_references(tree, within=None) -> set[str]:
-    """Dotted numpy names used in ``within`` (default all of ``tree``), with
-    the ``import numpy as np`` aliases of ``tree`` resolved."""
+def numpy_aliases(tree) -> dict[str, str]:
+    """Each name that an import of ``tree`` binds to numpy or to a numpy
+    member, mapped to its dotted numpy name."""
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -67,8 +67,14 @@ def numpy_references(tree, within=None) -> set[str]:
                 and node.module.split(".")[0] == "numpy":
             for alias in node.names:
                 bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bound
+
+
+def numpy_names(node, bound) -> set[str]:
+    """Dotted numpy names used in ``node``, ``bound`` as ``numpy_aliases``
+    gives it for the whole tree."""
     refs = set()
-    for node in ast.walk(tree if within is None else within):
+    for node in ast.walk(node):
         parts = []
         while isinstance(node, ast.Attribute):
             parts.append(node.attr)
@@ -76,6 +82,12 @@ def numpy_references(tree, within=None) -> set[str]:
         if isinstance(node, ast.Name) and node.id in bound:
             refs.add(".".join([bound[node.id], *reversed(parts)]))
     return refs
+
+
+def numpy_references(tree) -> set[str]:
+    """Dotted numpy names used in ``tree``, with the ``import numpy as np``
+    aliases of ``tree`` resolved."""
+    return numpy_names(tree, numpy_aliases(tree))
 
 
 def forbidden_solvers(refs) -> set[str]:
@@ -86,7 +98,10 @@ def forbidden_solvers(refs) -> set[str]:
 def opener_sites(module) -> list[tuple[str, str]]:
     """(innermost function, opener) for each call of a file opener, sorted:
     "open" for ``open``/``*.open``, "numpy.loadtxt" for ``numpy.loadtxt``
-    under any import alias; a call outside a function is in "<module>"."""
+    under any import alias; a call outside a function is in "<module>".
+    The aliases are read once, so the scan is linear in the tree's size."""
+    bound = numpy_aliases(module)
+
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -98,7 +113,7 @@ def opener_sites(module) -> list[tuple[str, str]]:
                         or isinstance(func, ast.Attribute)
                         and func.attr == "open"):
                     yield function, "open"
-                elif "numpy.loadtxt" in numpy_references(module, func):
+                elif "numpy.loadtxt" in numpy_names(func, bound):
                     yield function, "numpy.loadtxt"
             yield from visit(child, function)
     return sorted(visit(module, "<module>"))
@@ -511,12 +526,13 @@ def is_os_fork(node) -> bool:
             and any(alias.name == "fork" for alias in node.names))
 
 
-def test_src_forks_only_in_the_cloud_writer():
+def test_src_forks_only_for_the_cloud_codec():
     forks = [(path.name, function) for path in sorted(SRC.glob("**/*.py"))
              for function in sites(parse(path), is_os_fork)]
-    assert forks == [("spectrum.py", "_forked_text")]
+    assert forks == [("spectrum.py", "_forked")]
     assert sites(parse(SRC / "spectrum.py"), lambda node: isinstance(
-        node, ast.Name) and node.id == "_forked_text") == ["write_cloud_csv"]
+        node, ast.Name) and node.id == "_forked") == ["read_cloud_csv",
+                                                      "write_cloud_csv"]
 
 
 @pytest.mark.parametrize("source, found", [

@@ -65,6 +65,37 @@ def test_normal_form_sweep(tmp_path):
         assert rows == [p for seg in diagram.segments for p in seg.points]
 
 
+# run a script as __main__, then print its children's peak RSS
+CHILD_PEAK = """\
+import atexit, resource, runpy, sys
+atexit.register(lambda: print(
+    resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss))
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+                    < 2 or not hasattr(os, "fork"), reason="needs two CPUs")
+def test_spin_sweep_forks_its_cloud_writes_in_a_default_environment(tmp_path):
+    # the tests run with one BLAS thread (conftest); a caller's environment
+    # may set none, and numpy's OpenBLAS would then start a thread per CPU,
+    # so the sweep sets the count itself before numpy is imported
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_PEAK,
+         str(SCRIPTS / "spin_oscillator_sweep.py"), "--out-dir",
+         str(tmp_path), "--samples", "10000", "--j-steps", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout.splitlines()[-1]) > 0, "no cloud write forked"
+    cloud = spectrum.read_cloud_csv(tmp_path / "deformed_cloud.csv")
+    assert (cloud.count, cloud.seed) == (10_000, 1)
+
+
 @pytest.mark.parametrize("name, args", [
     ("spin_oscillator_sweep.py", ["--samples", "0"]),
     ("spin_oscillator_sweep.py", ["--samples", "-5"]),

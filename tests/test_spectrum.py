@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import threading
 import time
 import types
@@ -959,7 +960,7 @@ class TestSerialization:
                               cloud.points.view(np.int64))   # keeps -0.0
 
     def test_bit_patterns_read_back_as_float_reads_them(self, tmp_path):
-        # more than one 1 MiB batch of random bit patterns, subnormals and
+        # more than one read batch of random bit patterns, subnormals and
         # -0.0 among them: the same bits as written, and as float() reads
         cloud = bit_pattern_cloud(40_000, 29)
         path = tmp_path / "cloud.csv"
@@ -1038,7 +1039,8 @@ class TestSerialization:
             spectrum.read_cloud_csv(path)
 
     @pytest.mark.parametrize("rows", ["1.0", "1.0\n2.0", "1.0,2.0,3.0",
-                                      "1.0,", ",", "1.0;2.0"])
+                                      "1.0,", ",", "1.0;2.0", "",
+                                      "\n1.0,2.0"])
     def test_cloud_reader_needs_two_fields(self, tmp_path, rows):
         path = tmp_path / "cloud.csv"
         path.write_text(f"J,H\n0.5,0.5\n{rows}\n")   # no count= to check
@@ -1086,17 +1088,12 @@ class TestNonFiniteCloud:
                 spectrum.read_cloud_csv(path)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestSplitCloudWriter:
-    """``write_cloud_csv`` on two CPUs in a process of one OS thread: a
-    child forked before the file is opened formats the trailing half of the
-    points; the bytes are those of the per-row reference, and no child is
-    left behind."""
-    ROWS = bit_pattern_cloud(5 * 8192 + 7, 43).points
+class ForkCounting:
+    """The ``forks`` fixture, two CPUs and the list of ``os.fork`` calls
+    made in this process, and a check that no child is left behind."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Two CPUs, and the list of ``os.fork`` calls made in this process."""
         calls, fork = [], os.fork
 
         def counted():
@@ -1112,6 +1109,15 @@ class TestSplitCloudWriter:
     def assert_no_child_left():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSplitCloudWriter(ForkCounting):
+    """``write_cloud_csv`` on two CPUs in a process of one OS thread: a
+    child forked before the file is opened formats the trailing half of the
+    points; the bytes are those of the per-row reference, and no child is
+    left behind."""
+    ROWS = bit_pattern_cloud(5 * 8192 + 7, 43).points
 
     @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 2 * 8192,
                                    2 * 8192 + 1, 5 * 8192 + 7])
@@ -1220,4 +1226,227 @@ class TestSplitCloudWriter:
                 pytest.fail("the child still writes to a pipe no one reads")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(done[1]) == 1
+        self.assert_no_child_left()
+
+
+def float_rows(text: str) -> np.ndarray:
+    """The rows of a cloud CSV's text as ``float()`` reads each field."""
+    return np.array([[float(f) for f in line.split(",")]
+                     for line in text.splitlines()
+                     if not line.startswith(("#", "J"))]).reshape(-1, 2)
+
+
+def sized_cloud_text(n_bytes: int) -> str:
+    """A cloud CSV of exactly ``n_bytes`` bytes, no ``count=``: seeded rows,
+    then one row "0,1000...0" that pads it."""
+    text, rows = ["J,H\n"], iter(reference_cloud_csv(
+        seeded_cloud(n_bytes // 40, 61)).splitlines(keepends=True)[2:])
+    size = 4
+    while size + 100 < n_bytes:
+        text.append(next(rows))
+        size += len(text[-1])
+    return "".join(text) + "0,1" + "0" * (n_bytes - size - 4) + "\n"
+
+
+def planted(lines: list[str], bad: str | None, where: str) -> tuple[str,
+                                                                   int]:
+    """The text of ``lines`` (the comment and header first) with the fault
+    line ``bad`` put at ``where``, and the file line it is on.  ``bad``
+    replaces a row; None puts a copy of the row before it, one row too many.
+    "quarter" and "deep" are 1/4 and 3/4 of the way in; "lead" is the last
+    line that starts in the leading half of the file's bytes and "trail" the
+    first in the trailing half, the last row rewritten as "0,1000...0" of a
+    length that puts the halves' border there."""
+    def put(k):
+        return lines[:k] + [bad or lines[k]] + lines[k + (bad is not None):]
+    if where in ("quarter", "deep"):
+        k = len(lines) // 4 if where == "quarter" else 3 * len(lines) // 4
+        return "".join(put(k)), k + 1
+    sizes = [len(line) for line in lines]
+    start, total = sum(sizes[:len(lines) // 4]), sum(sizes)
+    for k in range(len(lines) // 4, 3 * len(lines) // 4):
+        # the new file without its last row, and the last row's length
+        # that makes its half (start + 1 or start) the border
+        rest = (total - sizes[-1] + len(bad or lines[k])
+                - (sizes[k] if bad is not None else 0))
+        pad = 2 * (start + (where == "lead")) - rest
+        if 4 <= pad <= 100:
+            new = put(k)
+            new[-1] = "0,1" + "0" * (pad - 4) + "\n"
+            return "".join(new), k + 1
+        start += sizes[k]
+    raise AssertionError(where)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSplitCloudReader(ForkCounting):
+    """``read_cloud_csv`` on two CPUs in a process of one OS thread: a
+    file of ``_SPLIT_BYTES`` or more is split, a child forked before the
+    file is opened parsing the lines that start in the trailing half of its
+    bytes.  The array is the one ``float()`` reads, every fault has the
+    message of the in-process read, and no child is left behind."""
+    CLOUD = bit_pattern_cloud(5 * 8192 + 7, 59)
+    TEXT = reference_cloud_csv(CLOUD)
+    ROWS = TEXT.partition("\n")[2]     # no count= to check the rows against
+
+    def read_both_ways(self, path, monkeypatch, forks):
+        """What the split read and the in-process read give or raise."""
+        got = []
+        for split in (True, False):
+            if not split:
+                monkeypatch.setattr(spectrum, "_may_fork", lambda: False)
+            try:
+                got.append(spectrum.read_cloud_csv(path).points)
+            except ValueError as exc:
+                got.append(str(exc))
+        assert forks == [1]
+        self.assert_no_child_left()
+        return got
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_split_array_is_the_reference(self, tmp_path, forks, shift):
+        # a file of _SPLIT_BYTES or more is split, with the same array
+        n_bytes = spectrum._SPLIT_BYTES + shift
+        text = sized_cloud_text(n_bytes)
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        assert path.stat().st_size == n_bytes
+        back = spectrum.read_cloud_csv(path).points
+        assert np.array_equal(back.view(np.int64),
+                              float_rows(text).view(np.int64))
+        assert len(forks) == (shift >= 0)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["split", "below the floor", "no fork"])
+    def test_a_clean_file_is_parsed_once(self, tmp_path, forks, monkeypatch,
+                                         how):
+        # no fallback read: the parent parses its half, or the whole file,
+        # once, and a split child exits with 0
+        spans, read_csv = [], spectrum._read_csv
+
+        def recorded(*args, span=None, **kwargs):
+            spans.append(span)
+            return read_csv(*args, span=span, **kwargs)
+        monkeypatch.setattr(spectrum, "_read_csv", recorded)
+        if how == "no fork":
+            monkeypatch.setattr(spectrum, "_may_fork", lambda: False)
+        text = (sized_cloud_text(spectrum._SPLIT_BYTES - 1)
+                if how == "below the floor" else self.TEXT)
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        back = spectrum.read_cloud_csv(path).points
+        assert np.array_equal(back.view(np.int64),
+                              float_rows(text).view(np.int64))
+        assert spans == ([(0, len(text) // 2)] if how == "split" else [None])
+        assert forks == ([1] if how == "split" else [])
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["lead", "trail"])
+    def test_a_row_at_the_border_is_read_once(self, tmp_path, forks, where):
+        # the last row of the leading half, or a row that starts at its end
+        text = planted(self.ROWS.splitlines(keepends=True), "0.5,0.25\n",
+                       where)[0]
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        back = spectrum.read_cloud_csv(path).points
+        assert np.array_equal(back.view(np.int64),
+                              float_rows(text).view(np.int64))
+        assert forks == [1]
+        self.assert_no_child_left()
+
+    def test_split_keeps_every_bit_pattern(self, tmp_path, forks):
+        path = tmp_path / "cloud.csv"
+        path.write_text(self.TEXT)
+        assert path.stat().st_size > spectrum._SPLIT_BYTES
+        back = spectrum.read_cloud_csv(path)
+        assert np.array_equal(back.points.view(np.int64),
+                              self.CLOUD.points.view(np.int64))
+        assert back.seed == 59 and not back.points.flags.writeable
+        assert forks == [1]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["lead", "trail", "deep", "both"])
+    @pytest.mark.parametrize("bad", ["\n", "1.0,2.0,3.0\n", "1_0,2.0\n",
+                                     "0.5,nan\n", None],
+                             ids=["blank", "fields", "1_0", "nan", "count"])
+    def test_a_fault_has_the_in_process_message(self, tmp_path, forks,
+                                                monkeypatch, bad, where):
+        # None: a row too many for count=; in both halves, the first fault
+        # is named
+        lines = (self.ROWS if bad else self.TEXT).splitlines(keepends=True)
+        text, line = planted(lines, bad, "quarter" if where == "both"
+                             else where)
+        if where == "both":
+            text = planted(text.splitlines(keepends=True), bad, "deep")[0]
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        split, in_process = self.read_both_ways(path, monkeypatch, forks)
+        assert split == in_process
+        assert split.startswith(f"{path}: ")
+        if bad is None:
+            assert split.endswith(f"rows, header says {self.CLOUD.count}")
+        else:
+            assert f"line {line}" in split, split
+
+    @pytest.mark.parametrize("death", ["exit", "kill"])
+    def test_a_failed_child_gives_the_same_array(self, tmp_path, forks,
+                                                 monkeypatch, death):
+        # the child cannot send its rows: the file is read in-process
+        def no_write(fd, data):
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "write", no_write)
+        path = tmp_path / "cloud.csv"
+        path.write_text(self.ROWS)
+        back = spectrum.read_cloud_csv(path).points
+        assert np.array_equal(back.view(np.int64),
+                              self.CLOUD.points.view(np.int64))
+        assert forks == [1]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("why", ["one CPU", "a second thread",
+                                     "a failed fork", "a missing file"])
+    def test_reads_in_process(self, tmp_path, forks, monkeypatch, why):
+        path = tmp_path / "cloud.csv"
+        path.write_text(self.TEXT)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if why == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+        elif why == "a second thread":
+            thread.start()      # its locks would be copied into the child
+        elif why == "a failed fork":
+            def no_fork():
+                forks.append(1)
+                raise OSError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", no_fork)
+        try:
+            if why == "a missing file":
+                with pytest.raises(FileNotFoundError):
+                    spectrum.read_cloud_csv(tmp_path / "missing.csv")
+            else:
+                back = spectrum.read_cloud_csv(path).points
+                assert np.array_equal(back.view(np.int64),
+                                      self.CLOUD.points.view(np.int64))
+        finally:
+            done.set()
+            if thread.is_alive():
+                thread.join(30.0)
+        assert not thread.is_alive()
+        assert forks == ([1] if why == "a failed fork" else [])
+        self.assert_no_child_left()
+
+    def test_an_exception_in_the_parent_ends_the_child(self, tmp_path, forks,
+                                                       monkeypatch):
+        # as a KeyboardInterrupt while the rows are received
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(spectrum, "_joined", interrupted)
+        path = tmp_path / "cloud.csv"
+        path.write_text(self.TEXT)
+        with pytest.raises(KeyboardInterrupt):
+            spectrum.read_cloud_csv(path)
+        assert forks == [1]
         self.assert_no_child_left()
