@@ -251,15 +251,15 @@ def criterion_08_region_exclusion() -> str:
     return f"0 HH, 0 EH; identity max relative error {worst:.2e}"
 
 
-def _region_exclusion(draw: np.ndarray, block: int = REGION_BLOCK):
+def _region_exclusion(draw: np.ndarray):
     """HH count, EH count and worst relative identity error over the
-    columns (w, alpha, gamma, delta) of ``draw``, ``block`` columns at a
-    time.  Every step is element-wise, so the result does not depend on
-    ``block``; a NaN error anywhere makes ``worst`` NaN."""
+    columns (w, alpha, gamma, delta) of ``draw``, ``REGION_BLOCK`` columns
+    at a time.  Every step is element-wise, so the result does not depend
+    on ``REGION_BLOCK``; a NaN error anywhere makes ``worst`` NaN."""
     hh = eh = 0
     worst = 0.0
-    for k in range(0, draw.shape[1], block):
-        w, al, ga, de = draw[:, k:k + block]
+    for k in range(0, draw.shape[1], REGION_BLOCK):
+        w, al, ga, de = draw[:, k:k + REGION_BLOCK]
         gd = ga * de
         a = (al * al + w * w - gd) ** 2
         b = 2.0 * (gd - al * al + w * w)

@@ -20,6 +20,7 @@ decimals.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,7 +32,11 @@ import numpy as np
 from . import hopf, models, spectrum, symplin
 
 
-def _env_int(name: str, default: int) -> int:
+def _flag_or_env(value: int | None, name: str, default: int) -> int:
+    """The flag's ``value`` if given, else the integer in the environment
+    variable ``name`` if set, else ``default``."""
+    if value is not None:
+        return value
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -114,9 +119,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hopf_curve(args) -> int:
-    samples = args.samples
-    if samples is None:
-        samples = _env_int("HOPFDIAG_SAMPLES", 400)
+    samples = _flag_or_env(args.samples, "HOPFDIAG_SAMPLES", 400)
     params = hopf.HopfParams(omega=args.omega, sigma=args.sigma,
                              nu=args.nu, D=args.D)
     diagram = spectrum.assemble_hopf_diagram(params, samples)
@@ -139,12 +142,8 @@ def cmd_jc_scan(args) -> int:
 
 
 def cmd_jc_spectrum(args) -> int:
-    samples = args.samples
-    if samples is None:
-        samples = _env_int("HOPFDIAG_SAMPLES", 10000)
-    seed = args.seed
-    if seed is None:
-        seed = _env_int("HOPFDIAG_SEED", 0)
+    samples = _flag_or_env(args.samples, "HOPFDIAG_SAMPLES", 10000)
+    seed = _flag_or_env(args.seed, "HOPFDIAG_SEED", 0)
     if not (args.j_steps >= 1 and samples >= 1 and seed >= 0
             and args.j_max > -1.0
             and -1.0 <= args.j_min <= args.j_max < math.inf):
@@ -165,9 +164,7 @@ def cmd_verify(args) -> int:
 
     results = acceptance.run_all()
     if args.json:
-        print(json.dumps([{"number": r.number, "name": r.name,
-                           "passed": r.passed, "detail": r.detail,
-                           "seconds": r.seconds} for r in results], indent=1))
+        print(json.dumps(list(map(dataclasses.asdict, results)), indent=1))
     else:
         for r in results:
             mark = "PASS" if r.passed else "FAIL"

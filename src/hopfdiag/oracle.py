@@ -146,17 +146,12 @@ def cubic_roots(p: Poly) -> np.ndarray:
     return _polish(p, [t + shift for t in ts])
 
 
-def _quadratic_roots(c0, c1, c2):
-    """Roots of c2 z^2 + c1 z + c0 (complex arithmetic, stable form)."""
-    disc = cmath.sqrt(complex(c1 * c1 - 4.0 * c2 * c0))
+def _quadratic_roots(c0: float, c1: float):
+    """Roots of z^2 + c1 z + c0 (complex arithmetic, stable form)."""
+    disc = cmath.sqrt(complex(c1 * c1 - 4.0 * c0))
     # avoid cancellation: pick same-signed combination first
-    if (c1.real if isinstance(c1, complex) else c1) >= 0:
-        q = -(c1 + disc) / 2.0
-    else:
-        q = -(c1 - disc) / 2.0
-    r1 = q / c2
-    r2 = (c0 / q) if q != 0 else -c1 / c2 - r1
-    return r1, r2
+    q = -(c1 + disc) / 2.0 if c1 >= 0 else -(c1 - disc) / 2.0
+    return q, (c0 / q if q != 0 else -c1 - q)
 
 
 def quartic_roots(p: Poly) -> np.ndarray:
@@ -180,14 +175,14 @@ def quartic_roots(p: Poly) -> np.ndarray:
     if y <= 0.0:
         # biquadratic t^2 = (-P +- sqrt(P^2-4R))/2; also the fallback, as a
         # biquadratic perturbation, when the resolvent has no root y > 0
-        ts = [t for w in map(cmath.sqrt, _quadratic_roots(R, P, 1.0))
+        ts = [t for w in map(cmath.sqrt, _quadratic_roots(R, P))
               for t in (w, -w)]
     else:
         alpha = math.sqrt(y)
         beta = (P + y - Q / alpha) / 2.0
         gamma = (P + y + Q / alpha) / 2.0
-        ts = [*_quadratic_roots(beta, alpha, 1.0),
-              *_quadratic_roots(gamma, -alpha, 1.0)]
+        ts = [*_quadratic_roots(beta, alpha),
+              *_quadratic_roots(gamma, -alpha)]
     return _polish(p, [t + shift for t in ts])
 
 

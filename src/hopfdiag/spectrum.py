@@ -245,7 +245,6 @@ def boundary(cloud: SpectrumCloud, bins: int) -> list[tuple[float, float, float]
 
 _CURVE_HEADER = "s,J,H,z_double,hessdet,kind"
 _JC_CRITICAL_HEADER = "J,H,z,branch,kind"
-_JC_NUMBERS = ("J", "H", "z_at")    # the fields of a row's numbers
 _CLOUD_HEADER = "J,H"
 _RASTER_HEADER = "J,H,count"
 _WRITE_ROWS = 8192          # rows per write call
@@ -380,57 +379,35 @@ def read_curve_csv(path) -> list[CurveSample]:
         kind=list(kinds))
 
 
-_BRANCH_TEXT = {None: "none", **{b: b.value for b in Branch}}
-_KIND_TEXT = {k: k.value for k in CriticalKind}
-
-
-def _jc_fields(p) -> tuple:
-    """A jc critical row, J, H and z as given, its labels as text: an
-    AttributeError, KeyError or TypeError if ``p`` lacks a field or its
-    branch is not a ``Branch`` or None or its kind not a ``CriticalKind``."""
-    return (p.J, p.H, p.z_at, _BRANCH_TEXT[p.branch], _KIND_TEXT[p.kind])
-
-
-def _jc_block(block) -> tuple | None:
-    """The flat fields of ``block`` if each row is as the solver gives it,
-    its J, H and z finite Python floats; else None."""
+def _jc_row(i: int, p) -> tuple:
+    """The fields of ``p``, row ``i`` of a jc critical table: J, H and z as
+    they are if all are finite Python floats, as the solver gives them, else
+    by ``symplin.finite_float``; the labels as text.  A missing field, a
+    branch not a ``Branch`` or None, or a kind not a ``CriticalKind`` is a
+    ValueError that names the row."""
     try:
-        fields = tuple(itertools.chain.from_iterable(map(_jc_fields, block)))
-    except (AttributeError, KeyError, TypeError):
-        return None
-    numbers = fields[0::5] + fields[1::5] + fields[2::5]
-    if {*map(type, numbers)} == {float} and all(map(math.isfinite, numbers)):
-        return fields
-    return None
-
-
-def _jc_checked(p, name: str) -> tuple:
-    """The fields of the row ``p``, named ``name``, by the number rule; a
-    row that ``_jc_fields`` refuses is a ValueError."""
-    try:
-        fields = _jc_fields(p)
+        j, h, z, branch, kind = p.J, p.H, p.z_at, p.branch, p.kind
     except AttributeError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-    except (KeyError, TypeError):
-        raise ValueError(f"{name} must have a Branch or None branch and a "
-                         f"CriticalKind kind, got {p.branch!r} and "
-                         f"{p.kind!r}") from None
-    return (*map(symplin.finite_float, fields[:3], itertools.repeat(name),
-                 _JC_NUMBERS), *fields[3:])
+        raise ValueError(f"points[{i}]: {exc}") from None
+    if type(kind) is not CriticalKind or not (branch is None
+                                              or type(branch) is Branch):
+        raise ValueError(f"points[{i}] must have a Branch or None branch and "
+                         f"a CriticalKind kind, got {branch!r} and {kind!r}")
+    if not (type(j) is type(h) is type(z) is float and math.isfinite(j)
+            and math.isfinite(h) and math.isfinite(z)):
+        j, h, z = map(symplin.finite_float, (j, h, z),
+                      itertools.repeat(f"points[{i}]"), ("J", "H", "z_at"))
+    # _value_, not .value: a Python-level property, about a tenth of the
+    # writer's time on the solver's rows
+    return j, h, z, "none" if branch is None else branch._value_, kind._value_
 
 
 def write_jc_critical_csv(points, path):
     """jc critical CSV from objects with J, H, z_at, branch (a ``Branch`` or
-    None) and kind (a ``CriticalKind``) attributes, checked before the file
-    is opened.  A block of 8192 rows not all as the solver gives them
-    (``_jc_block``) goes row by row through ``_jc_checked``."""
-    rows, blocks = iter(points), []
-    while block := list(itertools.islice(rows, _WRITE_ROWS)):
-        first = len(blocks) * _WRITE_ROWS
-        blocks.append(_jc_block(block) or tuple(itertools.chain.from_iterable(
-            _jc_checked(p, f"points[{first + i}]")
-            for i, p in enumerate(block))))
-    _write_csv(path, _JC_CRITICAL_HEADER, blocks)
+    None) and kind (a ``CriticalKind``) attributes, each row checked by
+    ``_jc_row`` before the file is opened."""
+    _write_csv(path, _JC_CRITICAL_HEADER,
+               list(_blocks(map(_jc_row, itertools.count(), points))))
 
 
 class JCCriticalRow(NamedTuple):

@@ -234,9 +234,11 @@ def _region_exclusion_reference(draw):
 @pytest.mark.parametrize("block", [7, 8191, acceptance.REGION_BLOCK, 99_999,
                                    300_000])
 @pytest.mark.parametrize("seed, width", [(8, 3.0), (81, 1e3)])
-def test_region_exclusion_blocks_match_the_whole_array(block, seed, width):
+def test_region_exclusion_blocks_match_the_whole_array(block, seed, width,
+                                                       monkeypatch):
+    monkeypatch.setattr(acceptance, "REGION_BLOCK", block)
     draw = np.random.default_rng(seed).uniform(-width, width, (4, 100_000))
-    got = acceptance._region_exclusion(draw, block)
+    got = acceptance._region_exclusion(draw)
     want = _region_exclusion_reference(draw)
     assert got == want and repr(got) == repr(want)
     assert got[2] > 0.0

@@ -830,26 +830,52 @@ class TestSerialization:
     @pytest.mark.parametrize("at, label", [
         (0, {"branch": "plus"}), (8195, {"kind": "E"}),
         (5, {"branch": CriticalKind.CUSP}), (8192, {"kind": Branch.PLUS}),
-        (8199, {"branch": []}), (8197, {"z_at": None})],
+        (8199, {"branch": []}), (8197, {"z_at": None}),
+        (3, {"branch": "plus", "kind": None})],
         ids=["text-branch", "text-kind", "kind-as-branch", "branch-as-kind",
-             "list-branch", "no-z_at"])
+             "list-branch", "no-z_at", "text-branch-no-kind"])
     def test_jc_critical_writer_refuses_a_row_without_its_labels(
             self, tmp_path, at, label):
         # a ValueError naming the row, in the first block and the second,
-        # and no file is left
+        # and no file is left; a field given as None is left out, and a
+        # missing field is named before a wrong label
         pts = seeded_critical_points(8200, 19)
         fields = {**vars(pts[at]), **label}
         message = (" must have a Branch or None branch and a CriticalKind "
                    f"kind, got {fields['branch']!r} and {fields['kind']!r}")
-        if fields["z_at"] is None:
-            del fields["z_at"]
-            message = ": 'types.SimpleNamespace' object has no attribute 'z_at'"
+        for name in ("z_at", "kind"):
+            if fields[name] is None:
+                del fields[name]
+                message = (": 'types.SimpleNamespace' object has no "
+                           f"attribute {name!r}")
         pts[at] = types.SimpleNamespace(**fields)
         path = tmp_path / "critical.csv"
         with pytest.raises(ValueError, match=rf"^points\[{at}\]"
                                              + re.escape(message) + "$"):
             spectrum.write_jc_critical_csv(pts, path)
         assert not path.exists()
+
+    def test_jc_critical_writer_takes_a_generator(self, tmp_path):
+        # the solver's rows as a generator are written as the list is; a NaN
+        # H in the generator's second block is named by its index, before a
+        # text branch in the row after it, and no file is left
+        pts = [p for rows in models.jc_critical_values(
+            models.PolyG(0.8), np.linspace(-1.0, 3.2, 4001)) for p in rows]
+        at = 8192 + 5
+        assert len(pts) > at
+        listed, streamed = tmp_path / "listed.csv", tmp_path / "streamed.csv"
+        spectrum.write_jc_critical_csv(pts, listed)
+        spectrum.write_jc_critical_csv((p for p in pts), streamed)
+        assert streamed.read_bytes() == listed.read_bytes()
+        assert listed.read_text() == reference_jc_critical_csv(pts)
+        streamed.unlink()
+        with pytest.raises(ValueError, match=rf"^points\[{at}\]\.H must be a "
+                                             "finite real number, got nan$"):
+            spectrum.write_jc_critical_csv(
+                (p._replace(H=math.nan) if i == at else
+                 p._replace(branch="plus") if i == at + 1 else p
+                 for i, p in enumerate(pts)), streamed)
+        assert not streamed.exists()
 
     def test_jc_critical_writer_refuses_text_labels(self, tmp_path):
         # the solver's row with a text branch, and the reader's rows, whose
