@@ -3,17 +3,24 @@
 Each criterion function returns a one-line detail string on success and
 raises AssertionError with a diagnostic on failure; ``run_all`` wraps them
 into timed pass/fail records (the ``verify`` CLI subcommand prints these).
+Where ``spectrum._may_fork`` holds (two CPUs, one OS thread), a forked
+child runs the ``CHILD_CRITERIA`` while this process runs the others; the
+records, their order and every outcome are those of one process.
 Tolerances are pinned here and nowhere else.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from . import cli, hopf, models, oracle, symplin
+from . import cli, hopf, models, oracle, spectrum, symplin
 
 REFERENCE_PARAMS = hopf.HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
 LOOP_GAMMA = models.PolyG(0.8)
@@ -54,17 +61,28 @@ def criterion_02_hyperbolic_anchor() -> str:
 
     The two positive roots of Q(.; J=0, H) merge into a double root exactly
     at the anchor level: bisect the root-count transition, then confirm the
-    double root itself with the defect minimizer.
+    double root itself with the defect minimizer.  With D's sign flipped
+    (sigma*D > 0) the bracket holds no such level, and ``hopf.regime``
+    must call the two cases subcritical and supercritical.
     """
     params = REFERENCE_PARAMS
+    mirror = replace(params, D=-params.D)
 
-    def positive_real_roots(h):
-        roots = oracle.cubic_roots(hopf.q_poly(0.0, float(h), params))
+    def positive_real_roots(h, p=params):
+        roots = oracle.cubic_roots(hopf.q_poly(0.0, float(h), p))
         return sum(1 for r in roots if abs(r.imag) < 1e-6 and r.real > 1e-6)
 
     lo, hi = 0.001, 0.05
     _require(positive_real_roots(lo) == 2 and positive_real_roots(hi) == 0,
              "bracket does not straddle the double-root level")
+    counts = positive_real_roots(lo, mirror), positive_real_roots(hi, mirror)
+    _require(counts != (2, 0),
+             f"bracket straddles a double-root level at sigma*D > 0: {counts}")
+    for p, want in ((params, hopf.Regime.SUBCRITICAL),
+                    (mirror, hopf.Regime.SUPERCRITICAL)):
+        got = hopf.regime(p)
+        _require(got is want, f"regime {got.value} at sigma*D = "
+                 f"{p.sigma * p.D:g}; the double-root search says {want.value}")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if positive_real_roots(mid) >= 2:
@@ -78,7 +96,8 @@ def criterion_02_hyperbolic_anchor() -> str:
     err = abs(h_star - expected)
     _require(err < 1e-9, f"|H* - 1/64| = {err:.3g} >= 1e-9")
     _require(abs(z_star - 1.0 / 16.0) < 1e-5, f"double root at z = {z_star}")
-    return f"H* = {h_star!r} (err {err:.2e}), double root z = {z_star:.8f}"
+    return (f"H* = {h_star!r} (err {err:.2e}), double root z = {z_star:.8f}; "
+            f"sigma*D > 0: {counts} positive roots, supercritical")
 
 
 def criterion_03_hessian_law() -> str:
@@ -507,17 +526,75 @@ CRITERIA = [
 ]
 
 
+# The criteria that a forked child runs beside the others.  Criterion 14
+# shares no state with them and is the longest; with {8, 14} the child
+# took 2.4 MB off the parent's peak but verify was slower in 9 of 12 timed
+# pairs (2 CPUs).
+CHILD_CRITERIA = frozenset({14})
+
+
+def _record(number: int, name: str, fn) -> CriterionResult:
+    t0 = time.perf_counter()
+    try:
+        detail, passed = fn(), True
+    except AssertionError as exc:
+        detail, passed = str(exc), False
+    return CriterionResult(number=number, name=name, passed=passed,
+                           detail=detail, seconds=time.perf_counter() - t0)
+
+
+def _records(criteria) -> dict:
+    """Each criterion's record by number, in order, up to the first that
+    raises an error other than AssertionError, which stands in its place."""
+    done = {}
+    for number, name, fn in criteria:
+        try:
+            done[number] = _record(number, name, fn)
+        except Exception as exc:
+            done[number] = exc
+            break
+    return done
+
+
+def _child_records(report: bytes, criteria) -> dict:
+    """The records that a child sent as ``report``, by number; none unless
+    it is whole and lists exactly ``criteria``, in order."""
+    try:
+        records = [CriterionResult(*r) for r in json.loads(report)]
+    except (TypeError, ValueError):
+        return {}
+    if [(r.number, r.name) for r in records] != [c[:2] for c in criteria]:
+        return {}
+    return {r.number: r for r in records}
+
+
 def run_all() -> list[CriterionResult]:
+    """Every criterion's record, in ``CRITERIA`` order; any error other
+    than AssertionError propagates, from the first criterion that raises.
+    Where ``spectrum._may_fork`` holds, a forked child runs the
+    ``CHILD_CRITERIA`` and sends their records as JSON while this process
+    runs the others, then reaps it (an error here waits for the child, so
+    criterion 14 removes its temporary directory; a KeyboardInterrupt kills
+    it).  A criterion with no record from the child, because it exited
+    nonzero or its report is short, runs here in its turn."""
+    there = [c for c in CRITERIA if c[0] in CHILD_CRITERIA]
+    here = [c for c in CRITERIA if c[0] not in CHILD_CRITERIA]
+    done, split = {}, None
+    if there and spectrum._may_fork():
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()      # else the child's flush repeats its text
+        split = spectrum._forked(
+            lambda: [json.dumps([astuple(_record(*c)) for c in there]).encode()],
+            lambda fd: (_records(here),
+                        b"".join(iter(partial(os.read, fd, 1 << 16), b""))))
+    if split:
+        (done, report), status = split
+        if not status:
+            done.update(_child_records(report, there))
     results = []
     for number, name, fn in CRITERIA:
-        t0 = time.perf_counter()
-        try:
-            detail = fn()
-            passed = True
-        except AssertionError as exc:
-            detail = str(exc)
-            passed = False
-        results.append(CriterionResult(number=number, name=name, passed=passed,
-                                       detail=detail,
-                                       seconds=time.perf_counter() - t0))
+        record = done.get(number) or _record(number, name, fn)
+        if isinstance(record, Exception):
+            raise record
+        results.append(record)
     return results

@@ -1,15 +1,25 @@
 """Release gate: every criterion runs at its pinned tolerance.
 
 Each test prints a one-line pass report; ``hopfdiag verify`` runs the same
-functions from the command line.
+functions from the command line.  ``run_all`` is tested on both paths: the
+split, where a forked child runs the ``CHILD_CRITERIA`` (two CPUs, one OS
+thread), and one process; both give the same records and raise the same
+errors, and the ``forks`` fixture checks that no child is left behind.
 """
 
+import json
+import os
+import re
+import sys
+import tempfile
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hopfdiag import acceptance, hopf, models, symplin
+from hopfdiag import acceptance, cli, hopf, models, spectrum, symplin
 
 
 @pytest.mark.parametrize("number, name, fn", acceptance.CRITERIA,
@@ -20,31 +30,212 @@ def test_criterion(number, name, fn):
     print(f"[{number:2d}] PASS {name}: {detail}")
 
 
-def test_run_all_aggregates(monkeypatch):
+@pytest.fixture(params=["split", "one process"])
+def route(request, forks, monkeypatch):
+    """``run_all``'s path; ``forked(route)`` is the forks it makes."""
+    if request.param == "one process":
+        monkeypatch.setattr(spectrum, "_may_fork", lambda: False)
+    return request.param
+
+
+def forked(route) -> list:
+    return [1] if route == "split" else []
+
+
+def records(results) -> list:
+    return [(r.number, r.name, r.passed, r.detail) for r in results]
+
+
+@pytest.mark.parametrize("child", [{2}, {5, 7}], ids=["fail_there",
+                                                      "fail_here"])
+def test_run_all_aggregates(monkeypatch, route, forks, child):
     """run_all keeps the criteria's order, and an AssertionError becomes a
-    failed record with the message as its detail; stub criteria stand in
-    for the real ones, which test_criterion runs."""
+    failed record with the message as its detail, in the child as here;
+    stub criteria stand in for the real ones, which test_criterion runs."""
     def failing():
         raise AssertionError("residual 1e-3 >= 1e-10")
 
+    monkeypatch.setattr(acceptance, "CHILD_CRITERIA", frozenset(child))
     monkeypatch.setattr(acceptance, "CRITERIA", [
         (7, "seven", lambda: "ok 7"), (2, "two", failing),
         (5, "five", lambda: "ok 5")])
     results = acceptance.run_all()
-    assert [(r.number, r.name, r.passed, r.detail) for r in results] == [
+    assert records(results) == [
         (7, "seven", True, "ok 7"),
         (2, "two", False, "residual 1e-3 >= 1e-10"),
         (5, "five", True, "ok 5")]
     assert all(r.seconds >= 0.0 for r in results)
+    assert forks == forked(route)
 
 
-def test_run_all_lets_other_errors_through(monkeypatch):
+@pytest.mark.parametrize("child", [{1}, {2}], ids=["raise_there",
+                                                   "raise_here"])
+def test_run_all_lets_other_errors_through(monkeypatch, route, forks, child):
+    """The error is the one of the first criterion that raises, as in one
+    process.  Here, no criterion runs after it; beside a child that raises,
+    this process runs its own, and their error gives way."""
+    ran = []
+
     def broken():
         raise ValueError("bug")
 
-    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "one", broken)])
+    def later():
+        ran.append(os.getpid())
+        raise TypeError("later bug")
+
+    monkeypatch.setattr(acceptance, "CHILD_CRITERIA", frozenset(child))
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "one", broken),
+                                                 (2, "two", later),
+                                                 (3, "three", later)])
     with pytest.raises(ValueError, match="bug"):
         acceptance.run_all()
+    beside = route == "split" and child == {1}
+    assert ran == [os.getpid()] * beside
+    assert forks == forked(route)
+
+
+def untimed(record: dict) -> dict:
+    """``record`` without its seconds and the times in its detail."""
+    return {k: re.sub(r"\b(in|scan) [\d.]+ ?m?s\b", r"\1 <time>", v)
+            if k == "detail" else v for k, v in record.items()
+            if k != "seconds"}
+
+
+def test_verify_reports_the_same_on_both_paths(monkeypatch, forks, capsys):
+    reports = []
+    for split in (True, False):
+        if not split:
+            monkeypatch.setattr(spectrum, "_may_fork", lambda: False)
+        code = cli.main(["verify", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        reports.append((code, [untimed(r) for r in report]))
+    assert reports[0] == reports[1]
+    code, report = reports[0]
+    assert code == 0 and [r["number"] for r in report] == list(range(1, 15))
+    assert forks == [1]
+
+
+@pytest.mark.parametrize("how", ["exit", "kill"])
+def test_a_failed_child_reruns_its_criteria_here(monkeypatch, forks, how):
+    parent, ran = os.getpid(), []
+
+    def fragile():
+        if os.getpid() != parent:
+            if how == "exit":
+                os._exit(1)
+            os.kill(os.getpid(), 9)     # SIGKILL
+        ran.append(1)
+        return "ran here"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "one", lambda: "ok"),
+                                                 (14, "fourteen", fragile)])
+    assert records(acceptance.run_all()) == [(1, "one", True, "ok"),
+                                             (14, "fourteen", True,
+                                              "ran here")]
+    assert ran == [1] and forks == [1]
+
+
+CHILD_SET = [(3, "three", None), (14, "fourteen", None)]
+WHOLE = [[3, "three", True, "ok", 0.5], [14, "fourteen", False, "no", 0.25]]
+
+
+@pytest.mark.parametrize("report, whole", [
+    (json.dumps(WHOLE), True),
+    (json.dumps(WHOLE)[:-3], False),                  # short
+    (b"", False),
+    (b"\xff[", False),
+    (json.dumps(WHOLE[:1]), False),                   # a record missing
+    (json.dumps(WHOLE + WHOLE[1:]), False),           # one too many
+    (json.dumps(WHOLE[::-1]), False),                 # out of order
+    (json.dumps([WHOLE[0], [14, "four", False, "no", 0.25]]), False),
+    (json.dumps([WHOLE[0], WHOLE[1][:4]]), False),    # a field missing
+    (json.dumps({"3": WHOLE[0]}), False),
+    (json.dumps([3, 14]), False),
+])
+def test_only_a_whole_child_report_is_taken(report, whole):
+    got = acceptance._child_records(report, CHILD_SET)
+    want = {3: acceptance.CriterionResult(*WHOLE[0]),
+            14: acceptance.CriterionResult(*WHOLE[1])}
+    assert got == (want if whole else {})
+
+
+@pytest.mark.parametrize("why", ["one cpu", "second thread", "failed fork"])
+def test_no_split_runs_in_process(monkeypatch, forks, why):
+    if why == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+    elif why == "failed fork":
+        def no_fork():
+            forks.append(1)
+            raise OSError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+    pid = os.getpid()
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (1, "one", lambda: "ok"), (14, "fourteen", lambda: str(os.getpid()))])
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if why == "second thread":
+        thread.start()
+    try:
+        results = acceptance.run_all()
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join(10.0)
+    assert records(results) == [(1, "one", True, "ok"),
+                                (14, "fourteen", True, str(pid))]
+    assert forks == ([1] if why == "failed fork" else [])
+
+
+def test_an_interrupt_here_ends_the_child(monkeypatch, forks):
+    parent = os.getpid()
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    def slow():
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        return "ok"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "one", interrupted),
+                                                 (14, "fourteen", slow)])
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        acceptance.run_all()
+    assert time.monotonic() - t0 < 30.0 and forks == [1]
+
+
+def test_pending_output_is_written_once(monkeypatch, forks, tmp_path):
+    """Text held in a block-buffered stdout is flushed before the fork, so
+    the child's flush (in criterion 14's ``cli.main``) cannot repeat it."""
+    path = tmp_path / "stdout.txt"
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        c for c in acceptance.CRITERIA if c[0] in (5, 14)])
+    with open(path, "w", buffering=1 << 16) as out, \
+            monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        out.write("pending\n")
+        results = acceptance.run_all()
+    assert path.read_text() == "pending\n"
+    assert all(r.passed for r in results) and forks == [1]
+
+
+def test_an_error_here_waits_for_the_child(monkeypatch, forks, tmp_path):
+    """An error in this process is raised once the child has ended, so
+    criterion 14 removes its temporary directory."""
+    def broken():
+        deadline = time.monotonic() + 30.0
+        while not any(tmp_path.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.001)       # until criterion 14 has made it
+        raise ValueError("bug")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (1, "one", broken), *acceptance.CRITERIA[13:]])
+    with pytest.raises(ValueError, match="bug"):
+        acceptance.run_all()
+    assert list(tmp_path.iterdir()) == [] and forks == [1]
 
 
 def _crossings_reference(p0, p1, poly) -> bool:

@@ -25,7 +25,8 @@ onto from a reader of its own, is the one exception.  No module of ``src/`` has 
 refers to ``math.isfinite`` or calls ``isinstance(..., bool)`` itself:
 every record checks its numbers by ``symplin.finite_float``.  ``os.fork``
 appears once in ``src/``, in ``spectrum._forked``, which only the cloud
-writer and the cloud reader call, and ``src/`` imports no ``subprocess``,
+writer, the cloud reader and ``acceptance.run_all`` refer to (by name, by
+attribute or by import), and ``src/`` imports no ``subprocess``,
 ``multiprocessing`` or ``concurrent``.
 """
 
@@ -526,13 +527,24 @@ def is_os_fork(node) -> bool:
             and any(alias.name == "fork" for alias in node.names))
 
 
-def test_src_forks_only_for_the_cloud_codec():
-    forks = [(path.name, function) for path in sorted(SRC.glob("**/*.py"))
-             for function in sites(parse(path), is_os_fork)]
-    assert forks == [("spectrum.py", "_forked")]
-    assert sites(parse(SRC / "spectrum.py"), lambda node: isinstance(
-        node, ast.Name) and node.id == "_forked") == ["read_cloud_csv",
-                                                      "write_cloud_csv"]
+def is_forked(node) -> bool:
+    """``_forked`` as a bare name, an attribute of anything, or a name
+    imported."""
+    return (isinstance(node, ast.Name) and node.id == "_forked"
+            or isinstance(node, ast.Attribute) and node.attr == "_forked"
+            or isinstance(node, ast.alias) and node.name == "_forked")
+
+
+def src_sites(hit) -> list[tuple[str, str]]:
+    return [(path.name, function) for path in sorted(SRC.glob("**/*.py"))
+            for function in sites(parse(path), hit)]
+
+
+def test_src_forks_only_for_the_cloud_codec_and_verify():
+    assert src_sites(is_os_fork) == [("spectrum.py", "_forked")]
+    assert src_sites(is_forked) == [("acceptance.py", "run_all"),
+                                    ("spectrum.py", "read_cloud_csv"),
+                                    ("spectrum.py", "write_cloud_csv")]
 
 
 @pytest.mark.parametrize("source, found", [
@@ -545,3 +557,16 @@ def test_src_forks_only_for_the_cloud_codec():
 ])
 def test_fork_scan_sees(source, found):
     assert sites(ast.parse(source), is_os_fork) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    return _forked(a, b)", ["f"]),
+    ("def g():\n    spectrum._forked(a, b)", ["g"]),
+    ("def h():\n    run = hopfdiag.spectrum._forked\n", ["h"]),
+    ("from .spectrum import _forked as split\ndef f():\n    split()",
+     ["<module>"]),
+    ("def _forked(work, run):\n    return work, run", []),
+    ("forked(); x._forks; _forked_text(); '_forked'", []),
+])
+def test_forked_scan_sees(source, found):
+    assert sites(ast.parse(source), is_forked) == found

@@ -1115,21 +1115,8 @@ class TestNonFiniteCloud:
 
 
 class ForkCounting:
-    """The ``forks`` fixture, two CPUs and the list of ``os.fork`` calls
-    made in this process, and a check that no child is left behind."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        calls, fork = [], os.fork
-
-        def counted():
-            calls.append(1)
-            return fork()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        monkeypatch.setattr(os, "fork", counted)
-        assert spectrum._may_fork(), "the test process has another thread"
-        return calls
+    """A check that no child is left behind, at a given point of a test
+    that takes the ``forks`` fixture (``conftest.py``)."""
 
     @staticmethod
     def assert_no_child_left():

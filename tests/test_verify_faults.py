@@ -4,7 +4,11 @@ Each entry monkeypatches one name that ``acceptance.run_all`` reaches, and
 the run must fail at least one criterion.  The faults that no criterion
 sees yet are strict xfails with their reason, so a check that closes one
 turns its entry into an XPASS, which fails until the mark is taken off.
-One in-process ``run_all`` takes about 40 ms.
+Each fault is planted on three routes: one process, the split (a forked
+child runs ``CHILD_CRITERIA``), and a child that runs every criterion, so
+the fault is caught whichever process runs the criterion that sees it.
+One ``run_all`` takes about 65 ms in one process and 50 ms split (two
+CPUs).
 """
 
 import cmath
@@ -13,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hopfdiag import acceptance, hopf, models, symplin
+from hopfdiag import acceptance, hopf, models, spectrum, symplin
 
 
 def _eigen_closed_wide_root(q):
@@ -69,15 +73,20 @@ FAULTS = {
 MARKS = {
     "fold_offsets_scale": _survivor(
         "criterion 12 places the folds only between grid points 0.0105 apart"),
-    "regime_swapped": _survivor(
-        "only criterion 14 reaches regime, comparing two runs of one code"),
 }
 
 
+@pytest.mark.parametrize("route", ["one_process", "split", "all_in_child"])
 @pytest.mark.parametrize("fault", [
     pytest.param(name, marks=MARKS.get(name, ())) for name in FAULTS])
-def test_verify_fails_a_criterion(monkeypatch, fault):
+def test_verify_fails_a_criterion(monkeypatch, forks, fault, route):
+    if route == "one_process":
+        monkeypatch.setattr(spectrum, "_may_fork", lambda: False)
+    elif route == "all_in_child":
+        monkeypatch.setattr(acceptance, "CHILD_CRITERIA", frozenset(
+            number for number, _, _ in acceptance.CRITERIA))
     module, name, make = FAULTS[fault]
     monkeypatch.setattr(module, name, make(getattr(module, name)))
     failed = [r.number for r in acceptance.run_all() if not r.passed]
+    assert forks == [1] * (route != "one_process")
     assert failed, f"{fault}: all {len(acceptance.CRITERIA)} criteria pass"
