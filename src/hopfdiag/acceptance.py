@@ -3,9 +3,9 @@
 Each criterion function returns a one-line detail string on success and
 raises AssertionError with a diagnostic on failure; ``run_all`` wraps them
 into timed pass/fail records (the ``verify`` CLI subcommand prints these).
-Where ``spectrum._may_fork`` holds (two CPUs, one OS thread), a forked
-child runs the ``CHILD_CRITERIA`` while this process runs the others; the
-records, their order and every outcome are those of one process.
+A forked child runs the ``CHILD_CRITERIA`` while this process runs the
+others, by the two-core rule of ``spectrum._forked``; the records, their
+order and every outcome are those of one process.
 Tolerances are pinned here and nowhere else.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from dataclasses import astuple, dataclass, replace
 from functools import partial
@@ -556,41 +555,23 @@ def _records(criteria) -> dict:
     return done
 
 
-def _child_records(report: bytes, criteria) -> dict:
-    """The records that a child sent as ``report``, by number; none unless
-    it is whole and lists exactly ``criteria``, in order."""
-    try:
-        records = [CriterionResult(*r) for r in json.loads(report)]
-    except (TypeError, ValueError):
-        return {}
-    if [(r.number, r.name) for r in records] != [c[:2] for c in criteria]:
-        return {}
-    return {r.number: r for r in records}
-
-
 def run_all() -> list[CriterionResult]:
     """Every criterion's record, in ``CRITERIA`` order; any error other
     than AssertionError propagates, from the first criterion that raises.
-    Where ``spectrum._may_fork`` holds, a forked child runs the
-    ``CHILD_CRITERIA`` and sends their records as JSON while this process
-    runs the others, then reaps it (an error here waits for the child, so
-    criterion 14 removes its temporary directory; a KeyboardInterrupt kills
-    it).  A criterion with no record from the child, because it exited
-    nonzero or its report is short, runs here in its turn."""
+    By ``spectrum._forked``, a child runs the ``CHILD_CRITERIA`` and sends
+    their records as JSON while this process runs the others and keeps
+    their records in ``done`` (an error here is held until the child is
+    reaped, so criterion 14 removes its temporary directory).  Where there
+    is no report, the child's criteria run here in their turn."""
     there = [c for c in CRITERIA if c[0] in CHILD_CRITERIA]
     here = [c for c in CRITERIA if c[0] not in CHILD_CRITERIA]
-    done, split = {}, None
-    if there and spectrum._may_fork():
-        for stream in filter(None, (sys.stdout, sys.stderr)):
-            stream.flush()      # else the child's flush repeats its text
-        split = spectrum._forked(
-            lambda: [json.dumps([astuple(_record(*c)) for c in there]).encode()],
-            lambda fd: (_records(here),
-                        b"".join(iter(partial(os.read, fd, 1 << 16), b""))))
-    if split:
-        (done, report), status = split
-        if not status:
-            done.update(_child_records(report, there))
+    done = {}
+    report = spectrum._forked(
+        lambda: [json.dumps([astuple(_record(*c)) for c in there]).encode()],
+        lambda fd: done.update(_records(here)) or b"".join(
+            iter(partial(os.read, fd, spectrum._PIPE_BYTES), b"")),
+        lambda: b"[]")
+    done.update((r[0], CriterionResult(*r)) for r in json.loads(report))
     results = []
     for number, name, fn in CRITERIA:
         record = done.get(number) or _record(number, name, fn)

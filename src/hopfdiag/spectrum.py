@@ -13,7 +13,7 @@ is written, and a cloud file of 1 MiB or more read, by two processes where
 OS thread: a child forked before the file is opened formats the trailing
 half of the points, or parses the lines that start in the trailing half
 of the bytes, and sends the text or the rows through a pipe; otherwise,
-or if ``os.fork`` fails, all is done in-process.
+or if the fork or either process fails, all is done in-process.
  - curve CSV:          ``s,J,H,z_double,hessdet,kind``, kind in {E,H,CUSP,END}
  - jc critical CSV:    ``J,H,z,branch,kind``, branch in {plus,minus,none},
                        kind in {E,H,CUSP,EQ}
@@ -39,6 +39,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -429,28 +430,25 @@ def read_jc_critical_csv(path) -> list[JCCriticalRow]:
 
 def write_cloud_csv(cloud: SpectrumCloud, path):
     """Blocks are sliced from the points array, never built row by row.
-    A cloud of ``_SPLIT_ROWS`` points or more is written by two processes
-    where ``_may_fork`` holds: a child forked before the file is opened
-    formats the trailing half of the points into a pipe, which is copied
-    into the file after the leading half, with the same bytes.  Otherwise,
-    or if ``os.fork`` fails, every block is formatted here.  A child that
-    does not exit with 0 is an OSError."""
+    A cloud of ``_SPLIT_ROWS`` points or more is written by ``_forked``: a
+    child forked before the file is opened formats the trailing half of the
+    points into a pipe, which is copied into the file after the leading
+    half, with the same bytes as ``whole()``, its fallback."""
     def blocks(points):
         return (tuple(points[i:i + _WRITE_ROWS].ravel().tolist())
                 for i in range(0, len(points), _WRITE_ROWS))
 
     meta = {"seed": cloud.seed, "count": cloud.count}
+    whole = partial(_write_csv, path, _CLOUD_HEADER, blocks(cloud.points),
+                    meta)   # a generator: no block is sliced until it runs
+    if cloud.count < _SPLIT_ROWS:
+        return whole()
     half = cloud.count // 2
-    split = _forked(lambda: map(str.encode, list(_block_text(
+    _forked(lambda: map(str.encode, list(_block_text(
         blocks(cloud.points[half:]), 2))), lambda fd: _write_csv(
         path, _CLOUD_HEADER, blocks(cloud.points[:half]), meta,
-        map(bytes.decode, iter(partial(os.read, fd, _PIPE_BYTES), b"")))) \
-        if cloud.count >= _SPLIT_ROWS and _may_fork() else None
-    if split is None:
-        _write_csv(path, _CLOUD_HEADER, blocks(cloud.points), meta)
-    elif split[1]:
-        raise OSError(f"{path}: the process formatting the second half of "
-                      f"the rows ended with exit code {split[1]}")
+        map(bytes.decode, iter(partial(os.read, fd, _PIPE_BYTES), b""))),
+        whole)
 
 
 def _may_fork() -> bool:
@@ -465,22 +463,26 @@ def _may_fork() -> bool:
         return False
 
 
-def _forked(work, run):
-    """``(run(fd), status)``: a forked child runs ``work()`` and writes each
-    bytes-like object it gives to a pipe whose read end ``fd`` this process
-    passes to ``run``; ``status`` is the child's exit code, 0 once all is
-    written.  The child ends by ``os._exit`` and never returns into the
-    caller's frames; it is killed if ``run`` raises, and always reaped.
-    None if ``os.fork`` fails with an OSError."""
+def _forked(work, run, alone):
+    """``run(fd)`` beside a forked child that runs ``work()``, writes each
+    bytes-like object it gives to a pipe read by ``fd`` and ends by
+    ``os._exit``, if ``_may_fork`` holds, stdout and stderr flush and
+    ``os.fork`` succeeds, ``run`` returns and the child exits with 0; else
+    ``alone()``, once the child is killed (if ``run`` raises) and reaped.
+    A BaseException that is not an Exception is raised."""
+    if not _may_fork():
+        return alone()
     r, w = os.pipe()
     try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()  # else the child's flush repeats their text
         pid = os.fork()
     except BaseException as exc:    # a child forked all the same dies of EPIPE
         os.close(r)
         os.close(w)
-        if isinstance(exc, OSError):
-            return None
-        raise
+        if not isinstance(exc, Exception):
+            raise
+        return alone()
     if pid == 0:
         status = 1
         try:
@@ -492,15 +494,17 @@ def _forked(work, run):
         finally:
             os._exit(status)
     os.close(w)
+    ok = False
     try:
-        value = run(r)
-    except BaseException:
-        os.kill(pid, 9)                 # SIGKILL
-        raise
+        value, ok = run(r), True
+    except Exception:
+        pass                        # the child's share is of no use now
     finally:
         os.close(r)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return value, status
+        if not ok:
+            os.kill(pid, 9)         # SIGKILL
+        ok &= not os.waitpid(pid, 0)[1]
+    return value if ok else alone()
 
 
 def _joined(build, fd, meta, rows):
@@ -518,9 +522,9 @@ def _joined(build, fd, meta, rows):
 
 def read_cloud_csv(path) -> SpectrumCloud:
     """Cloud CSV reader; ``count=``, when given, must match the rows read.
-    Where ``_may_fork`` holds, a child parses the lines that start in the
-    trailing half of a file of ``_SPLIT_BYTES`` or more; after any fault or
-    failure there, the file is read in-process, which names the fault."""
+    A file of ``_SPLIT_BYTES`` or more is read by ``_forked``, a child
+    parsing the lines that start in the trailing half of its bytes; after
+    any fault or failure, the file is read in-process, which names it."""
     def build(meta, rows):
         rows.flags.writeable = False    # held here alone: the cloud keeps it
         pts = rows.view(float).reshape(-1, 2)    # the same memory, no copy
@@ -529,24 +533,20 @@ def read_cloud_csv(path) -> SpectrumCloud:
             raise ValueError(f"{len(pts)} rows, header says {count}")
         return SpectrumCloud(points=pts, seed=int(meta.get("seed", 0)))
 
+    whole = partial(_read_csv, path, _CLOUD_HEADER, build)
     try:
         size = os.stat(os.fspath(path)).st_size
     except (OSError, TypeError, ValueError):
         size = 0                        # not split: the open raises as ever
-    half, split = size // 2, None
-    try:
-        if size >= _SPLIT_BYTES and _may_fork():
-            split = _forked(lambda: _read_csv(
-                path, _CLOUD_HEADER, lambda meta, rows: (
-                    len(rows).to_bytes(8, "little"), rows.view(np.uint8)),
-                span=(half, math.inf)), lambda fd: _read_csv(
-                path, _CLOUD_HEADER, partial(_joined, build, fd),
-                span=(0, half)))
-    except ValueError:
-        pass                            # named by the read below
-    if split and not split[1]:
-        return split[0]
-    return _read_csv(path, _CLOUD_HEADER, build)
+    if size < _SPLIT_BYTES:
+        return whole()
+    half = size // 2
+    return _forked(lambda: _read_csv(
+        path, _CLOUD_HEADER, lambda meta, rows: (
+            len(rows).to_bytes(8, "little"), rows.view(np.uint8)),
+        span=(half, math.inf)), lambda fd: _read_csv(
+        path, _CLOUD_HEADER, partial(_joined, build, fd), span=(0, half)),
+        whole)
 
 
 def write_raster_csv(grid: RasterGrid, path):

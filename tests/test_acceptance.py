@@ -4,7 +4,9 @@ Each test prints a one-line pass report; ``hopfdiag verify`` runs the same
 functions from the command line.  ``run_all`` is tested on both paths: the
 split, where a forked child runs the ``CHILD_CRITERIA`` (two CPUs, one OS
 thread), and one process; both give the same records and raise the same
-errors, and the ``forks`` fixture checks that no child is left behind.
+errors, and the ``forks`` fixture checks that no child is left behind.  A
+child that fails gives no report, and its criteria run here; the rule
+itself, ``spectrum._forked``, is tested once in ``test_spectrum.py``.
 """
 
 import json
@@ -133,30 +135,6 @@ def test_a_failed_child_reruns_its_criteria_here(monkeypatch, forks, how):
                                              (14, "fourteen", True,
                                               "ran here")]
     assert ran == [1] and forks == [1]
-
-
-CHILD_SET = [(3, "three", None), (14, "fourteen", None)]
-WHOLE = [[3, "three", True, "ok", 0.5], [14, "fourteen", False, "no", 0.25]]
-
-
-@pytest.mark.parametrize("report, whole", [
-    (json.dumps(WHOLE), True),
-    (json.dumps(WHOLE)[:-3], False),                  # short
-    (b"", False),
-    (b"\xff[", False),
-    (json.dumps(WHOLE[:1]), False),                   # a record missing
-    (json.dumps(WHOLE + WHOLE[1:]), False),           # one too many
-    (json.dumps(WHOLE[::-1]), False),                 # out of order
-    (json.dumps([WHOLE[0], [14, "four", False, "no", 0.25]]), False),
-    (json.dumps([WHOLE[0], WHOLE[1][:4]]), False),    # a field missing
-    (json.dumps({"3": WHOLE[0]}), False),
-    (json.dumps([3, 14]), False),
-])
-def test_only_a_whole_child_report_is_taken(report, whole):
-    got = acceptance._child_records(report, CHILD_SET)
-    want = {3: acceptance.CriterionResult(*WHOLE[0]),
-            14: acceptance.CriterionResult(*WHOLE[1])}
-    assert got == (want if whole else {})
 
 
 @pytest.mark.parametrize("why", ["one cpu", "second thread", "failed fork"])

@@ -1,8 +1,9 @@
 """Symbolic certificates: the quintic behind the per-J critical set with
 the closed-form cuts and fold values of its solve, the normal-form cubic
 Q(z) behind torus counting, the closed forms of ``hopf`` for
-H_nu = omega G1 + sigma (G2 + nu G3) + 2 D G3^2, and ``symplin``'s
-biquadratic (a, b) with its closed-form roots."""
+H_nu = omega G1 + sigma (G2 + nu G3) + 2 D G3^2 (the curve, its cusps and
+origin slopes, and the eigenvalues at the origin for each sign of nu), and
+``symplin``'s biquadratic (a, b) with its closed-form roots."""
 
 import types
 
@@ -265,3 +266,70 @@ def test_eigen_closed_gives_the_four_roots(monkeypatch):
     product = sp.prod([lam - _exact(r) for r in roots])
     assert sp.expand(product - (lam ** 4 + _exact(q.b) * lam ** 2
                                 + _exact(q.a))) == 0
+
+
+# ``hopf``'s closed forms at the origin and the cusps, read through
+# symbolic stand-ins for ``math.sqrt``, ``complex`` and ``np.array``.
+nu_pos, m_pos = sp.symbols("nu m", positive=True)
+
+
+def _symbolic_hopf(monkeypatch):
+    monkeypatch.setattr(hopf, "math", types.SimpleNamespace(
+        sqrt=lambda v: sp.sqrt(_exact(v))))     # nu / 3.0 as nu / 3
+    monkeypatch.setattr(hopf, "complex", lambda re, im: re + sp.I * im,
+                        raising=False)
+    monkeypatch.setattr(hopf, "np", types.SimpleNamespace(
+        array=lambda values: values))
+
+
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_cusps_are_the_zeros_of_dj_ds(sigma, monkeypatch):
+    # hopf.cusps at nu > 0: exactly the zeros of dJ_c/ds, in order
+    _symbolic_hopf(monkeypatch)
+    params = types.SimpleNamespace(omega=omega, sigma=sigma, nu=nu_pos,
+                                   D=big_d)
+    cusps = [_exact(c) for c in hopf.cusps(params)]
+    dj = sp.diff(_exact(hopf.curve_j(params, s)), s)
+    zeros = sp.solve(dj, s)
+    assert len(cusps) == 2 and len(zeros) == 2
+    assert all(sp.simplify(c - w) == 0 for c, w in zip(cusps, sorted(
+        zeros, key=lambda v: v.subs(nu_pos, 1))))
+    assert sp.simplify(cusps[0] + cusps[1]) == 0
+
+
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_origin_slopes_are_the_limits_of_h_over_j(sigma, monkeypatch):
+    # hopf.origin_slopes: H_c/J_c as s -> sigma sqrt(nu), then as
+    # s -> -sigma sqrt(nu), along the elliptic segments into (0, 0)
+    _symbolic_hopf(monkeypatch)
+    params = types.SimpleNamespace(omega=omega, sigma=sigma, nu=nu_pos,
+                                   D=big_d)
+    ratio = _exact(hopf.curve_h(params, s)) / _exact(hopf.curve_j(params, s))
+    slopes = [_exact(v) for v in hopf.origin_slopes(params)]
+    for slope, end in zip(slopes, (sigma, -sigma)):
+        side = "-" if end > 0 else "+"      # from inside the segment
+        limit = sp.limit(ratio, s, end * sp.sqrt(nu_pos), side)
+        assert sp.simplify(limit - slope) == 0
+
+
+@pytest.mark.parametrize("sigma", [-1, 1])
+@pytest.mark.parametrize("nu_value", [-m_pos, 0, m_pos],
+                         ids=["nu<0", "nu=0", "nu>0"])
+def test_equilibrium_eigenvalues_are_the_characteristic_roots(
+        sigma, nu_value, monkeypatch):
+    # hopf.equilibrium_eigenvalues: the product of (lambda - root) is
+    # det(lambda I - B S), S the Hessian of omega G1 + sigma (G2 + nu G3)
+    # built here from symplin's invariants
+    point = sp.symbols("x y xi eta", real=True)
+    coords = list(point)
+    quadratic = omega * symplin.j1(coords) + sigma * (
+        symplin.k2(coords) + nu_value * symplin.k1(coords))
+    bs = sp.Matrix(symplin.SYMPLECTIC_MATRIX.astype(int)) \
+        * sp.hessian(_exact(quadratic), point)
+    char = sp.expand((lam * sp.eye(4) - bs).det())
+    _symbolic_hopf(monkeypatch)
+    params = types.SimpleNamespace(omega=omega, sigma=sigma, nu=nu_value,
+                                   D=big_d)
+    roots = hopf.equilibrium_eigenvalues(params)
+    assert len(roots) == 4
+    assert sp.expand(sp.prod([lam - _exact(r) for r in roots]) - char) == 0

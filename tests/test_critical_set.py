@@ -7,18 +7,25 @@
   discriminant of p_J in z, at 60 digits;
 - elsewhere: the brute-force grid scan in ``brute_reference``;
 - counts per branch change only at the folds and at J = +-1;
+- row counts: the exact number of real roots of p_J in the domain, by
+  Sturm sequences over the rationals in ``exact_reference``, on both
+  solve paths, with each exception a root within half an ulp of an end;
 - regressions: no rows at the pole itself, no RuntimeWarning next to J = -1.
 """
 
+import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hopfdiag import models
 from hopfdiag.models import Branch, CriticalKind, PolyG
 from brute_reference import spin_critical_scan
+from exact_reference import exact_count
 
 NEAR_POLES = [-1.0 + 1e-9, -1.0 + 1e-6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,
               1.0 - 1e-6, 1.0 + 1e-6]
@@ -253,3 +260,79 @@ def test_counts_change_only_at_the_folds_and_the_poles(gamma, j0, u):
     assume(all(abs(j - w) > 1e-9 * max(1.0, abs(w))
                for j in (j0, j1) for w in walls))
     assert _branch_counts(gamma, j0) == _branch_counts(gamma, j1)
+
+
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _exact_pairs() -> list[tuple[float, float]]:
+    """198 (gamma, J): 70 seeded over gamma in (-3, 3), J in (-1, 4); J
+    = +-1 and 1 to 3 floats inside or past them at 8 gamma; the folds of 6
+    gamma > 1/2 in size x (1 -+ 1e-9); and 40 seeded J in (-1, 3) at gamma
+    in {1e-5, 3e-6, -1e-6, 1e-8, 1e-12, 0}."""
+    rng = np.random.default_rng(1534)
+    pairs = list(zip(rng.uniform(-3.0, 3.0, 70).tolist(),
+                     rng.uniform(-1.0, 4.0, 70).tolist()))
+    pairs += [(g, _ulps(pole, k)) for g in (0.0, 1e-6, 0.3, 0.5, -0.5, 0.8,
+                                           -2.0, 123.4)
+              for pole, k in ((-1.0, 0), (-1.0, 1), (-1.0, 3), (1.0, -2),
+                              (1.0, -1), (1.0, 0), (1.0, 1), (1.0, 3))]
+    pairs += [(g, (1.0 + offset) * factor)
+              for g in (0.55, 0.8, -0.8, 1.3, 3.0, -7.5)
+              for offset in models.fold_offsets(PolyG(g))
+              for factor in (1.0 - 1e-9, 1.0 + 1e-9)]
+    pairs += list(zip(rng.choice([1e-5, 3e-6, -1e-6, 1e-8, 1e-12, 0.0],
+                                 40).tolist(),
+                      rng.uniform(-1.0, 3.0, 40).tolist()))
+    return pairs
+
+
+# (gamma, J): the rows lost to roots within half an ulp of min(J, 1) and
+# of -1, where no float lies between them and the end they round onto.
+# J = -1 + 1 or 3 floats leaves a domain one or three floats wide.
+_LOST_AT_THE_ENDS = {
+    (0.0, _ulps(-1.0, 1)): (0, 2),      # the double root at gamma = 0
+    **{(g, _ulps(-1.0, 1)): (1, 1) for g in (1e-6, 0.3, 0.5, -0.5, 0.8,
+                                             -2.0, 123.4)},
+    **{(g, _ulps(-1.0, 3)): (1, 1) for g in (0.5, -0.5, 0.8, -2.0, 123.4)},
+    **{(g, _ulps(1.0, k)): (1, 0) for g in (0.8, -2.0, 123.4)
+       for k in (-2, -1, 1)},
+    **{(g, _ulps(1.0, 3)): (1, 0) for g in (-2.0, 123.4)},
+}
+
+
+def _near_the_ends(gamma, j) -> tuple[int, int]:
+    """Roots of p_J within half an ulp of min(J, 1), and of -1, inside the
+    domain: those that round onto that end."""
+    top = min(j, 1.0)
+    half_top = (Fraction(top) - Fraction(math.nextafter(top, -2.0))) / 2
+    half_low = (Fraction(math.nextafter(-1.0, 2.0)) + 1) / 2
+    return (exact_count(gamma, j, lo=Fraction(top) - half_top),
+            exact_count(gamma, j, hi=Fraction(-1) + half_low))
+
+
+def test_row_counts_are_the_exact_root_counts():
+    # every distinct root in the open domain is one row, two at gamma = 0
+    # (p_J = A^2 and each root serves both branches), on the per-J solve and
+    # the grid solve alike; the exceptions are asserted case by case
+    pairs = _exact_pairs()
+    assert len(pairs) == len(set(pairs)) == 198
+    grid = {}
+    for g in {g for g, _ in pairs}:
+        js = [j for h, j in pairs if h == g]
+        grid.update(((g, j), rows) for j, rows in zip(
+            js, models.jc_critical_values(PolyG(g), js)))
+    for g, j in pairs:
+        per_j = models.jc_reduced_critical_values(PolyG(g), j)
+        counts = {sum(p.branch is not None for p in rows)
+                  for rows in (per_j, grid[g, j])}
+        double = 2 if g == 0.0 else 1
+        lost = _LOST_AT_THE_ENDS.get((g, j), (0, 0))
+        assert counts == {double * exact_count(g, j) - sum(lost)}, (g, j)
+        if (g, j) in _LOST_AT_THE_ENDS:
+            assert lost == tuple(double * n for n in _near_the_ends(g, j))
+    assert set(_LOST_AT_THE_ENDS) <= set(pairs)

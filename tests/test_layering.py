@@ -4,9 +4,10 @@ No module of ``src/`` calls a library root or eigenvalue solver
 (``numpy.roots``, ``numpy.linalg.eig*``): the per-J solve in ``models``
 brackets its roots by cut points in closed form.  ``oracle`` checks the
 closed forms, so it shares no code with them: it imports no hopfdiag
-module, and neither does ``tests/brute_reference.py``, the references
-that only tests call.  The symbolic and property-test tools (sympy, mpmath,
-hypothesis) stay in the tests.  ``acceptance`` calls the other modules
+module, and neither do ``tests/brute_reference.py`` and
+``tests/exact_reference.py``, the references that only tests call, which
+call no library root or eigenvalue solver either.  The symbolic and
+property-test tools (sympy, mpmath, hypothesis) stay in the tests.  ``acceptance`` calls the other modules
 through their module objects, never through names imported from them.
 Files are read and written by one codec: in ``src/`` only ``spectrum``
 calls ``open`` (the builtin, ``io.open`` or a ``Path.open`` method) or
@@ -27,7 +28,10 @@ every record checks its numbers by ``symplin.finite_float``.  ``os.fork``
 appears once in ``src/``, in ``spectrum._forked``, which only the cloud
 writer, the cloud reader and ``acceptance.run_all`` refer to (by name, by
 attribute or by import), and ``src/`` imports no ``subprocess``,
-``multiprocessing`` or ``concurrent``.
+``multiprocessing`` or ``concurrent``.  The two-core rule has one home:
+only ``_forked`` refers to the gate ``_may_fork``, and it is the one place
+that flushes ``sys.stdout``/``sys.stderr`` other than the CLI, which
+flushes its own output to report a failed write.
 """
 
 import ast
@@ -131,14 +135,19 @@ def parse(path) -> ast.AST:
     return ast.parse(Path(path).read_text(), filename=str(path))
 
 
+INDEPENDENT = (SRC / "oracle.py", ROOT / "tests" / "brute_reference.py",
+               ROOT / "tests" / "exact_reference.py")
+
+
 def test_oracle_imports_no_hopfdiag_module():
-    for path in (SRC / "oracle.py", ROOT / "tests" / "brute_reference.py"):
+    for path in INDEPENDENT:
         modules = imported_modules(parse(path))
         assert not {m for m in modules if m.split(".")[0] == "hopfdiag"}, path
 
 
 def test_oracle_calls_no_library_solver():
-    assert not forbidden_solvers(numpy_references(parse(SRC / "oracle.py")))
+    for path in INDEPENDENT:
+        assert not forbidden_solvers(numpy_references(parse(path))), path
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
@@ -527,12 +536,37 @@ def is_os_fork(node) -> bool:
             and any(alias.name == "fork" for alias in node.names))
 
 
-def is_forked(node) -> bool:
-    """``_forked`` as a bare name, an attribute of anything, or a name
-    imported."""
-    return (isinstance(node, ast.Name) and node.id == "_forked"
-            or isinstance(node, ast.Attribute) and node.attr == "_forked"
-            or isinstance(node, ast.alias) and node.name == "_forked")
+def referrer(name: str):
+    """A test for ``name`` as a bare name, an attribute of anything, or a
+    name imported."""
+    def hit(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name)
+    return hit
+
+
+is_forked = referrer("_forked")
+is_may_fork = referrer("_may_fork")
+
+
+def is_std_stream(node) -> bool:
+    """``sys.stdout`` or ``sys.stderr``."""
+    return (isinstance(node, ast.Attribute)
+            and node.attr in ("stdout", "stderr")
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def is_flush(node) -> bool:
+    """A ``.flush`` attribute or a ``flush=`` keyword."""
+    return (isinstance(node, ast.Attribute) and node.attr == "flush"
+            or isinstance(node, ast.keyword) and node.arg == "flush")
+
+
+def std_flush_sites(tree) -> list[str]:
+    """Functions that refer to ``sys.stdout`` or ``sys.stderr`` and flush,
+    sorted; "<module>" outside a function."""
+    return sorted(set(sites(tree, is_std_stream)) & set(sites(tree, is_flush)))
 
 
 def src_sites(hit) -> list[tuple[str, str]]:
@@ -570,3 +604,36 @@ def test_fork_scan_sees(source, found):
 ])
 def test_forked_scan_sees(source, found):
     assert sites(ast.parse(source), is_forked) == found
+
+
+def test_the_two_core_gate_has_one_home():
+    # the CLI flushes its own output, where a closed stdout is an I/O fault
+    assert src_sites(is_may_fork) == [("spectrum.py", "_forked")]
+    assert [(path.name, function) for path in sorted(SRC.glob("**/*.py"))
+            for function in std_flush_sites(parse(path))] == [
+        ("cli.py", "guarded_main"), ("cli.py", "print_help"),
+        ("spectrum.py", "_forked")]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    if not _may_fork():\n        return 1", ["f"]),
+    ("def g():\n    return spectrum._may_fork() and x", ["g"]),
+    ("from .spectrum import _may_fork\ndef h():\n    pass", ["<module>"]),
+    ("def _may_fork():\n    return True", []),
+    ("may_fork(); x._may_forks; '_may_fork'", []),
+])
+def test_may_fork_scan_sees(source, found):
+    assert sites(ast.parse(source), is_may_fork) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import sys\ndef f():\n    sys.stdout.flush()", ["f"]),
+    ("def g():\n    for s in (sys.stdout, sys.stderr):\n        s.flush()",
+     ["g"]),
+    ("def h():\n    print(1, file=sys.stderr, flush=True)", ["h"]),
+    ("sys.stdout.flush()\ndef f():\n    pass", ["<module>"]),
+    ("def f():\n    fh.flush()\ndef g():\n    print(sys.stdout)", []),
+    ("def f():\n    os.stdout.flush(); stdout.flush()", []),
+])
+def test_std_flush_scan_sees(source, found):
+    assert std_flush_sites(ast.parse(source)) == found

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import signal
+import sys
 import threading
 import time
 import types
@@ -1124,6 +1125,121 @@ class ForkCounting:
             os.waitpid(-1, os.WNOHANG)
 
 
+def drained(fd) -> bytes:
+    """Every byte that arrives on ``fd`` until the writers close it."""
+    return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForked(ForkCounting):
+    """``spectrum._forked(work, run, alone)``, the one rule for a second
+    core, on trivial callables: ``run(fd)`` only if ``_may_fork`` holds,
+    ``os.fork`` succeeds, ``run`` returns and the child exits with 0, and
+    otherwise ``alone()``, with no child left behind in any case."""
+
+    @staticmethod
+    def alone():
+        ForkCounting.assert_no_child_left()     # the child is reaped first
+        return "alone"
+
+    @staticmethod
+    def sleeping():
+        time.sleep(60.0)        # unless it is killed
+        yield b"late"
+
+    def forked(self, work=lambda: [b"ab", bytearray(b"cd"), b""],
+               run=drained):
+        return spectrum._forked(work, run, self.alone)
+
+    def test_the_child_sends_its_bytes(self, forks):
+        assert self.forked() == b"abcd" and forks == [1]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("why", ["one CPU", "a second thread"])
+    def test_no_fork_runs_alone(self, forks, monkeypatch, why):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if why == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+        else:
+            thread.start()      # its locks would be copied into the child
+        try:
+            got = self.forked(work=pytest.fail, run=pytest.fail)
+        finally:
+            done.set()
+            if thread.is_alive():
+                thread.join(30.0)
+        assert got == "alone" and forks == []
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [
+        OSError(11, "Resource temporarily unavailable"),
+        RuntimeError("fork not supported")])
+    def test_a_failed_fork_runs_alone(self, forks, monkeypatch, error):
+        def no_fork():
+            forks.append(1)
+            raise error
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert self.forked(run=pytest.fail) == "alone" and forks == [1]
+        assert len(os.listdir("/proc/self/fd")) == fds      # pipe closed
+        self.assert_no_child_left()
+
+    def test_a_failed_flush_runs_alone(self, forks, monkeypatch, tmp_path):
+        # pending text that cannot be flushed would be the child's to write
+        with open(tmp_path / "stdout.txt", "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+        assert self.forked(run=pytest.fail) == "alone" and forks == []
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("death", ["exit", "kill"])
+    def test_a_failed_child_runs_alone(self, forks, death):
+        def work():
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield b"half"
+            raise OSError(28, "No space left on device")
+        sent = []
+        assert self.forked(work, lambda fd: sent.append(drained(fd))) \
+            == "alone"
+        assert sent == [b"half" * (death == "exit")] and forks == [1]
+        self.assert_no_child_left()
+
+    def test_an_error_in_run_ends_the_child_then_runs_alone(self, forks):
+        def run(fd):
+            raise ValueError("a fault in this half")
+        t0 = time.monotonic()
+        assert self.forked(self.sleeping, run) == "alone" and forks == [1]
+        assert time.monotonic() - t0 < 30.0
+        self.assert_no_child_left()
+
+    def test_an_interrupt_in_run_ends_the_child_and_propagates(self, forks):
+        def run(fd):
+            raise KeyboardInterrupt
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            spectrum._forked(self.sleeping, run, pytest.fail)
+        assert time.monotonic() - t0 < 30.0 and forks == [1]
+        self.assert_no_child_left()
+
+    def test_pending_output_is_written_once(self, forks, monkeypatch,
+                                            tmp_path):
+        # text held in a block-buffered stdout is flushed before the fork,
+        # so the child's flush cannot repeat it
+        def work():
+            sys.stdout.flush()
+            return [b"x"]
+        path = tmp_path / "stdout.txt"
+        with open(path, "w", buffering=1 << 16) as out, \
+                monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            out.write("pending\n")
+            assert self.forked(work) == b"x"
+        assert path.read_text() == "pending\n" and forks == [1]
+        self.assert_no_child_left()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestSplitCloudWriter(ForkCounting):
     """``write_cloud_csv`` on two CPUs in a process of one OS thread: a
@@ -1196,17 +1312,20 @@ class TestSplitCloudWriter(ForkCounting):
         assert forks == [1]
         self.assert_no_child_left()
 
-    def test_a_failed_child_is_an_os_error(self, tmp_path, forks, monkeypatch):
-        # the child cannot write its half: the short file is not a success
+    @pytest.mark.parametrize("death", ["exit", "kill"])
+    def test_a_failed_child_gives_the_reference_bytes(self, tmp_path, forks,
+                                                      monkeypatch, death):
+        # the child cannot send its half: the file is written in-process
         def no_write(fd, data):
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
             raise OSError(28, "No space left on device")
         monkeypatch.setattr(os, "write", no_write)
+        cloud = SpectrumCloud(points=self.ROWS, seed=4)
         path = tmp_path / "cloud.csv"
-        with pytest.raises(OSError, match=re.escape(
-                f"{path}: the process formatting the second half of the rows "
-                "ended with exit code 1")):
-            spectrum.write_cloud_csv(SpectrumCloud(points=self.ROWS, seed=4),
-                                     path)
+        spectrum.write_cloud_csv(cloud, path)
+        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
+        assert forks == [1]
         self.assert_no_child_left()
 
     def test_an_exception_after_the_fork_ends_the_child(self, tmp_path,
