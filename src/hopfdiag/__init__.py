@@ -3,7 +3,7 @@ classification on R^4, and bifurcation diagrams of the deformed coupled
 spin-oscillator, with every closed form cross-checked against brute-force
 numerical oracles."""
 
-from . import hopf, models, oracle, spectrum, symplin
+from . import hopf, models, spectrum, symplin
 from .hopf import (CurveSample, EliassonParams, HopfParams, Regime,
                    SegmentKind)
 from .models import (Branch, CriticalKind, CriticalValuePoint, PolyG,

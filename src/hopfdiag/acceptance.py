@@ -68,7 +68,7 @@ def criterion_02_hyperbolic_anchor() -> str:
     mirror = replace(params, D=-params.D)
 
     def positive_real_roots(h, p=params):
-        roots = oracle.cubic_roots(hopf.q_poly(0.0, float(h), p))
+        roots = oracle.cubic_roots(oracle.Poly(hopf.q_coeffs(0.0, float(h), p)))
         return sum(1 for r in roots if abs(r.imag) < 1e-6 and r.real > 1e-6)
 
     lo, hi = 0.001, 0.05
@@ -89,8 +89,8 @@ def criterion_02_hyperbolic_anchor() -> str:
         else:
             hi = mid
     h_star = 0.5 * (lo + hi)
-    z_star = oracle.double_root_find(hopf.q_poly(0.0, h_star, params),
-                                     (1e-3, 0.3))
+    z_star = oracle.double_root_find(
+        oracle.Poly(hopf.q_coeffs(0.0, h_star, params)), (1e-3, 0.3))
     expected = -params.nu ** 2 / (8.0 * params.D)
     err = abs(h_star - expected)
     _require(err < 1e-9, f"|H* - 1/64| = {err:.3g} >= 1e-9")
@@ -131,7 +131,8 @@ def criterion_03_hessian_law() -> str:
 
 
 def criterion_04_tangent_cusp_law() -> str:
-    """Closed-form tangent vs FD (1e-6); exact zeros only at the cusps."""
+    """Closed-form tangent vs FD (1e-6, and 1e-8 relative to the largest FD
+    component); exact zeros only at the cusps."""
     params = REFERENCE_PARAMS
     step = hopf.TANGENT_FD_STEP
     ss = _s_grid(params)
@@ -140,6 +141,9 @@ def criterion_04_tangent_cusp_law() -> str:
     fd_h = (hopf.curve_h(params, ss + step) - hopf.curve_h(params, ss - step)) / (2 * step)
     worst = float(np.max(np.maximum(np.abs(dj - fd_j), np.abs(dh - fd_h))))
     _require(worst < 1e-6, f"tangent FD mismatch {worst:.3g} >= 1e-6")
+    relative = worst / float(np.max(np.abs([fd_j, fd_h])))
+    _require(relative < 1e-8, f"tangent FD mismatch {relative:.3g} >= 1e-8 "
+             "of the largest FD component")
 
     for s_cusp in hopf.cusps(params):
         dj_c, dh_c = hopf.curve_tangent(params, s_cusp)
@@ -291,13 +295,16 @@ def _region_exclusion(draw: np.ndarray):
 
 
 def criterion_09_jc_linearization() -> str:
-    """Analytic (a, b)(gamma) matches H~'s pole Jacobian; types transition."""
+    """Analytic (a, b)(gamma) matches H~'s biquadratic pole Jacobian; types transition."""
     worst = 0.0
     for gamma in (0.0, 0.25, 0.4, 0.5, 0.8, 1.5):
         g = models.PolyG(gamma)
         analytic, _ = models.jc_linearization(g)
-        numeric = models.jc_linearization_numeric(g)
-        worst = max(worst, abs(analytic.a - numeric.a), abs(analytic.b - numeric.b))
+        p0, p1, p2, p3 = oracle.char_poly4(models.north_pole_matrix(
+            lambda s: models.jc_grad_Htilde(s, g)))
+        _require(max(abs(p1), abs(p3)) <= 1e-10 * max(1.0, abs(p0), abs(p2)),
+                 f"gamma={gamma}: pole Jacobian is not biquadratic")
+        worst = max(worst, abs(analytic.a - p0), abs(analytic.b - p2))
     _require(worst < 1e-10, f"analytic/numeric (a, b) differ by {worst:.3g}")
     for gamma, expected in ((0.25, "FocusFocus"), (0.4, "FocusFocus"),
                             (0.5, "Boundary(ParabolaPlus)"),

@@ -48,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import oracle, symplin
+from . import symplin
 
 # Implementation constants (grids, steps, residual tolerances).
 TANGENT_FD_STEP = 1e-5
@@ -155,15 +155,6 @@ def q_coeffs(j, h, params: HopfParams) -> tuple:
     ``j`` and ``h`` may be arrays."""
     return (-j * j, 4.0 * params.sigma * (h - params.omega * j),
             -4.0 * params.nu, -8.0 * params.sigma * params.D)
-
-
-def q_poly(j: float, h: float, params: HopfParams) -> oracle.Poly:
-    """The cubic Q(z) whose nonnegative part carries the reduced motion.
-
-    Q(z) = 4 z^2 p_z^2 whenever h is the reduced Hamiltonian value at
-    (z, p_z; j); coefficients from ``q_coeffs``.
-    """
-    return oracle.Poly(q_coeffs(j, h, params))
 
 
 def curve_j(params: HopfParams, s: float) -> float:

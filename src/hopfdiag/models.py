@@ -10,8 +10,8 @@ mixed brackets zero.  With this sphere sign the north-pole linearization of
     J = (u^2 + v^2)/2 + z,      H~ = (x u + y v)/2 + G(z)
 
 has characteristic polynomial lambda^4 + b lambda^2 + 1/16 with
-b = (2 G'(1)^2 - 1)/2 (``jc_linearization``); ``jc_linearization_numeric``
-recomputes (a, b) from the Jacobian of H~'s field poisson_tensor @ grad H~
+b = (2 G'(1)^2 - 1)/2 (``jc_linearization``); only ``verify`` (criterion 9)
+recomputes (a, b), from the Jacobian of H~'s field poisson_tensor @ grad H~
 at the pole (``north_pole_matrix``).  As everywhere in the package, a stack
 of states is (5, m), one state per column: the Poisson layer gives (5, m),
 (5, 5, m) and (m,) results for it, and (5,), (5, 5) and () for one state.
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import oracle, symplin
+from . import symplin
 
 CUSP_TOL = 1e-8          # |h''| below this classifies as a degenerate cusp
 NEWTON_STEPS = 100       # cap on bracketed Newton/bisection steps per point
@@ -120,15 +120,6 @@ def north_pole_matrix(grad) -> np.ndarray:
     states = np.eye(5)[:, [2]] + np.hstack([unit, -unit])
     field = np.einsum("ijn,jn->in", poisson_tensor(states), grad(states))
     return ((field[:, :4] - field[:, 4:]) / 2.0)[axes]
-
-
-def jc_linearization_numeric(g: PolyG) -> symplin.QuarticCoeffs:
-    """(a, b) of the characteristic polynomial of H~'s field at the pole."""
-    p0, p1, p2, p3 = oracle.char_poly4(
-        north_pole_matrix(lambda s: jc_grad_Htilde(s, g)))
-    if max(abs(p1), abs(p3)) > 1e-10 * max(1.0, abs(p0), abs(p2)):
-        raise ArithmeticError("north-pole linearization is not biquadratic")
-    return symplin.QuarticCoeffs(a=p0, b=p2)
 
 
 def jc_linearization(g: PolyG) -> tuple[symplin.QuarticCoeffs, symplin.EquilibriumType]:
@@ -328,8 +319,11 @@ def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
     J >~ 1e10 the z < 0 points, near -1/(2J), are solved in the chart of
     z = 1 and keep about 1e-16 absolute, not relative, error, so the plus
     and minus rows there may come out in either order; a root within half
-    an ulp of min(J, 1) rounds onto it and is dropped (at gamma = 123.4 and
-    J = 1 + 2^-52, 3 rows for 4 roots, the fourth 9.1e-22 below 1).
+    an ulp of min(J, 1) or of -1 rounds onto that end and is dropped (at
+    gamma = 123.4 and J = 1 + 2^-52, 3 rows for 4 roots, the fourth 9.1e-22
+    below 1; at gamma = 0.3 and J = -1 + 2^-53, one float above -1, no rows
+    for 2 roots, one within half an ulp of each end, as at J = -1 + 3 ulps
+    for |gamma| >= 1/2).
     """
     gamma, j = g.gamma, float(j)
     if not (abs(j) < J_LIMIT and abs(gamma) < GAMMA_LIMIT):

@@ -10,7 +10,9 @@ Everything here is deliberately primitive and self-contained:
  - Golden-section extremization
 
 None of these routines share code with the closed forms they are used to
-check (no numpy.roots, no numpy.linalg.eig).
+check (no numpy.roots, no numpy.linalg.eig).  In the package only
+``acceptance`` (``verify``) imports this module; ``import hopfdiag`` and the
+other commands do not load it.
 """
 
 from __future__ import annotations

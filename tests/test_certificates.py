@@ -2,8 +2,11 @@
 the closed-form cuts and fold values of its solve, the normal-form cubic
 Q(z) behind torus counting, the closed forms of ``hopf`` for
 H_nu = omega G1 + sigma (G2 + nu G3) + 2 D G3^2 (the curve, its cusps and
-origin slopes, and the eigenvalues at the origin for each sign of nu), and
-``symplin``'s biquadratic (a, b) with its closed-form roots."""
+origin slopes, and the eigenvalues at the origin for each sign of nu),
+``symplin``'s biquadratic (a, b) with its closed-form roots, and ``models``'
+pole linearization (a, b)(gamma), h'' of the branches and the constraint
+on the invariants (w1, w2).  Each of the last three also fails on a
+planted wrong constant, so the check can see one."""
 
 import types
 
@@ -333,3 +336,118 @@ def test_equilibrium_eigenvalues_are_the_characteristic_roots(
     roots = hopf.equilibrium_eigenvalues(params)
     assert len(roots) == 4
     assert sp.expand(sp.prod([lam - _exact(r) for r in roots]) - char) == 0
+
+
+# ``models``' spin-oscillator closed forms on symbols: PolyG refuses a
+# symbol by the number rule, so the shipped functions get a stand-in
+# G(z) = gamma z^2 with PolyG's own value and deriv, and the Poisson layer
+# builds its arrays as object arrays.
+sx, sy, sz, su, sv = sp.symbols("x y z u v", real=True)
+
+
+def _symbolic_g():
+    g = types.SimpleNamespace(gamma=gamma)
+    g.value = lambda zz: models.PolyG.value(g, zz)
+    g.deriv = lambda zz: models.PolyG.deriv(g, zz)
+    return g
+
+
+def _pole_jacobian(monkeypatch):
+    """The 4 x 4 Jacobian on (x, y, u, v) of poisson_tensor @ jc_grad_Htilde
+    at the north pole, on symbols; z stays 1 since dz = 0 on the sphere
+    there."""
+    monkeypatch.setattr(models, "np", types.SimpleNamespace(
+        zeros=lambda shape: np.zeros(shape, dtype=object), shape=np.shape,
+        stack=np.stack))
+    state = (sx, sy, sz, su, sv)
+    field = sp.Matrix(models.poisson_tensor(state)) \
+        * sp.Matrix(models.jc_grad_Htilde(state, _symbolic_g()))
+    axes = [sx, sy, su, sv]
+    pole = {sx: 0, sy: 0, sz: 1, su: 0, sv: 0}
+    rows = field.extract([0, 1, 3, 4], [0])
+    return _exact(rows.jacobian(axes).subs(pole))
+
+
+def _linearization(monkeypatch, linearization):
+    """(a, b) of ``linearization`` on the symbolic G, its region left out:
+    ``symplin.classify`` compares numbers."""
+    monkeypatch.setattr(symplin, "QuarticCoeffs", types.SimpleNamespace)
+    monkeypatch.setattr(symplin, "classify", lambda q: None)
+    q, _ = linearization(_symbolic_g())
+    return _exact(q.a), _exact(q.b)
+
+
+def _b_off(linearization):
+    """``linearization`` with b's constant 1/2 planted as 0.501 (``_exact``
+    snaps a float within about 1e-7 of a simple rational onto it)."""
+    def planted(g):
+        q, typ = linearization(g)
+        return types.SimpleNamespace(a=q.a, b=q.b + 0.5 - 0.501), typ
+    return planted
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["shipped", "planted"])
+def test_jc_linearization_is_the_pole_characteristic_polynomial(
+        monkeypatch, planted):
+    # models.jc_linearization's (a, b) = (1/16, (2 G'(1)^2 - 1)/2) are the
+    # coefficients of det(lambda I - M), M the pole Jacobian of H~'s field
+    linearization = models.jc_linearization
+    if planted:
+        linearization = _b_off(linearization)
+    a, b = _linearization(monkeypatch, linearization)
+    char = sp.expand((lam * sp.eye(4) - _pole_jacobian(monkeypatch)).det())
+    holds = sp.expand(char - (lam ** 4 + b * lam ** 2 + a)) == 0
+    assert holds is not planted
+    if not planted:
+        assert a == sp.Rational(1, 16)
+        assert sp.expand(b - (8 * gamma ** 2 - 1) / 2) == 0
+
+
+def test_jc_linearization_at_the_hopf_parameter(monkeypatch):
+    # gamma = 1/2 puts (a, b) on the parabola b^2 = 4a with b > 0, the
+    # boundary between focus-focus (b^2 < 4a, 0 < |gamma| < 1/2) and
+    # elliptic-elliptic (b^2 > 4a, b > 0, |gamma| > 1/2)
+    a, b = _linearization(monkeypatch, models.jc_linearization)
+    half = {gamma: sp.Rational(1, 2)}
+    assert sp.simplify((b ** 2 - 4 * a).subs(half)) == 0
+    assert b.subs(half) > 0
+    assert sp.factor(b ** 2 - 4 * a) == 4 * gamma ** 2 * (2 * gamma - 1) \
+        * (2 * gamma + 1)
+    a_off, b_off = _linearization(monkeypatch,
+                                  _b_off(models.jc_linearization))
+    assert sp.simplify((b_off ** 2 - 4 * a_off).subs(half)) != 0
+
+
+def _branch_residual(monkeypatch, second_deriv, branch):
+    """d^2/dz^2 of models.branch_value minus ``second_deriv``, on symbols,
+    with sympy's sqrt for numpy's."""
+    monkeypatch.setattr(models, "np", types.SimpleNamespace(sqrt=sp.sqrt))
+    g = _symbolic_g()
+    value = _exact(models.branch_value(z, big_j, g, branch))
+    return sp.simplify(sp.diff(value, z, 2)
+                       - _exact(second_deriv(z, big_j, g, branch)))
+
+
+@pytest.mark.parametrize("branch", list(models.Branch))
+def test_branch_second_deriv_is_the_second_derivative(monkeypatch, branch):
+    assert _branch_residual(monkeypatch, models.branch_second_deriv,
+                            branch) == 0
+    # a planted constant: h'' with 2 gamma as 2.001 gamma
+    shipped = models.branch_second_deriv
+    assert _branch_residual(
+        monkeypatch, lambda *a: shipped(*a) + 1e-3 * gamma, branch) != 0
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["shipped", "planted"])
+def test_reduced_radius_sq_is_the_invariant_constraint(planted):
+    # w1 = x u + y v, w2 = x v - y u and J = (u^2 + v^2)/2 + z give
+    # w1^2 + w2^2 - 2 (J - z)(1 - z^2) = (u^2 + v^2)(x^2 + y^2 + z^2 - 1),
+    # zero on the sphere
+    radius_sq = models.reduced_radius_sq
+    if planted:
+        radius_sq = lambda j, zz: 2.002 * (j - zz) * (1.0 - zz * zz)  # noqa: E731
+    w1, w2 = sx * su + sy * sv, sx * sv - sy * su
+    j = (su ** 2 + sv ** 2) / 2 + sz
+    residual = w1 ** 2 + w2 ** 2 - _exact(radius_sq(j, sz))
+    sphere = (su ** 2 + sv ** 2) * (sx ** 2 + sy ** 2 + sz ** 2 - 1)
+    assert (sp.expand(residual - sphere) == 0) is not planted

@@ -216,13 +216,13 @@ class TestReducedHamiltonian:
 
 class TestQPoly:
     def test_zero_energy_roots(self):
-        q = hopf.q_poly(0.0, 0.0, REF)
+        q = oracle.Poly(hopf.q_coeffs(0.0, 0.0, REF))
         roots = sorted(r.real for r in oracle.cubic_roots(q))
         # {0, 0, -nu/(2 sigma D)} = {0, 0, 1/8}
         assert np.allclose(roots, [0.0, 0.0, 0.125], atol=1e-7)
 
     def test_positive_roots_example(self):
-        q = hopf.q_poly(0.0, 1.0 / 128.0, REF)
+        q = oracle.Poly(hopf.q_coeffs(0.0, 1.0 / 128.0, REF))
         roots = sorted(r.real for r in oracle.cubic_roots(q))
         assert roots[1] == pytest.approx(0.018305826175840777, abs=1e-9)
         assert roots[2] == pytest.approx(0.10669417382415923, abs=1e-9)
@@ -232,7 +232,7 @@ class TestQPoly:
     def test_energy_surface_identity(self, z, p_z, j):
         # Q(z) = 4 z^2 p_z^2 whenever H is the reduced Hamiltonian value
         h = hopf.reduced_hamiltonian(z, p_z, j, REF)
-        q = hopf.q_poly(j, h, REF)
+        q = oracle.Poly(hopf.q_coeffs(j, h, REF))
         assert q(z) == pytest.approx(4.0 * z * z * p_z * p_z,
                                      abs=1e-10 * q.scale)
 
@@ -275,7 +275,7 @@ class TestCriticalCurve:
         root = math.sqrt(REF.nu)
         for s in np.linspace(-root, root, 101):
             c = hopf.critical_curve_point(REF, float(s))
-            q = hopf.q_poly(c.J, c.H, REF)
+            q = oracle.Poly(hopf.q_coeffs(c.J, c.H, REF))
             assert abs(q(c.d)) < 1e-10 * q.scale
             assert abs(q.deriv()(c.d)) < 1e-10 * q.scale
 

@@ -6,7 +6,10 @@ brackets its roots by cut points in closed form.  ``oracle`` checks the
 closed forms, so it shares no code with them: it imports no hopfdiag
 module, and neither do ``tests/brute_reference.py`` and
 ``tests/exact_reference.py``, the references that only tests call, which
-call no library root or eigenvalue solver either.  The symbolic and
+call no library root or eigenvalue solver either.  In ``src/`` only
+``acceptance`` imports ``oracle``, so ``import hopfdiag`` and every command
+but ``verify`` run without it; a fresh process per command shows that
+``verify`` alone loads ``oracle`` and ``acceptance``.  The symbolic and
 property-test tools (sympy, mpmath, hypothesis) stay in the tests.  ``acceptance`` calls the other modules
 through their module objects, never through names imported from them.
 Files are read and written by one codec: in ``src/`` only ``spectrum``
@@ -35,6 +38,9 @@ flushes its own output to report a failed write.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,6 +285,61 @@ def test_acceptance_reaches_hopfdiag_through_its_modules():
 ])
 def test_module_import_scan_sees(source, found):
     assert names_imported_from_hopfdiag_modules(ast.parse(source)) == found
+
+
+def test_only_acceptance_imports_the_oracle():
+    # the numeric twins of the closed forms live in the criteria that use
+    # them, so no other command pays for compiling oracle.py
+    assert [path.name for path in sorted(SRC.glob("**/*.py"))
+            if "hopfdiag.oracle" in imported_modules(parse(path))] == [
+        "acceptance.py"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from . import hopf, oracle, symplin", True),
+    ("from .oracle import Poly as P", True),
+    ("import hopfdiag.oracle", True),
+    ("def f():\n    from hopfdiag import oracle\n", True),
+    ("from . import hopf, symplin\nimport oracle_tools", False),
+    ("from .hopf import oracle", False),
+    ("x = 'hopfdiag.oracle'; hopf.oracle.Poly", False),
+])
+def test_oracle_import_scan_sees(source, found):
+    assert ("hopfdiag.oracle" in imported_modules(ast.parse(source))) is found
+
+
+REPORT_LOADED = (
+    "import sys\nfrom hopfdiag import cli\ncode = cli.main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules\n"
+    "                    if m in ('hopfdiag.oracle', 'hopfdiag.acceptance')),"
+    " file=sys.stderr)\n")
+
+
+# each command with small sizes; "{tmp}" is the test's directory
+COMMANDS = {
+    "classify": ["--a", "2", "--b", "1"],
+    "hopf-curve": ["--omega", "1", "--sigma", "1", "--nu", "0.5", "--D", "-2",
+                   "--samples", "50", "--out", "{tmp}/ref"],
+    "jc-scan": ["--gamma-min", "0", "--gamma-max", "1", "--steps", "11",
+                "--out", "{tmp}/scan.csv"],
+    "jc-spectrum": ["--gamma", "0.8", "--j-min", "-1", "--j-max", "3",
+                    "--j-steps", "20", "--samples", "1000", "--seed", "0",
+                    "--out", "{tmp}/jc"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_only_verify_loads_the_oracle(tmp_path, command):
+    # a fresh process per command: what one command loads stays loaded
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [command, *(a.format(tmp=tmp_path) for a in COMMANDS[command])]
+    proc = subprocess.run([sys.executable, "-c", REPORT_LOADED, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    loaded = ["hopfdiag.acceptance", "hopfdiag.oracle"] * (command == "verify")
+    assert proc.stderr.splitlines()[-1].split() == ["0", *loaded], \
+        proc.stderr
 
 
 def test_models_imports_nothing_from_spectrum():

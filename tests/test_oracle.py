@@ -122,7 +122,8 @@ class TestDoubleRoot:
         params = hopf.HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
         s = math.sqrt(1.0 / 6.0)
         c = hopf.critical_curve_point(params, s)
-        z = oracle.double_root_find(hopf.q_poly(c.J, c.H, params), (0.005, 0.2))
+        z = oracle.double_root_find(Poly(hopf.q_coeffs(c.J, c.H, params)),
+                                    (0.005, 0.2))
         assert abs(z - 1.0 / 24.0) < 1e-6
 
     def test_no_double_root(self):

@@ -15,11 +15,12 @@ CPUs).
 
 import cmath
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from hopfdiag import acceptance, hopf, models, spectrum, symplin
+from hopfdiag import acceptance, cli, hopf, models, spectrum, symplin
 
 
 def _eigen_closed_wide_root(q):
@@ -56,6 +57,12 @@ def _b_scaled(fn, factor):
 
 def _gamma_scaled(htilde, factor):
     return dataclasses.replace(htilde, gamma=htilde.gamma * factor)
+
+
+def _pole_field_swapped(grad):
+    """``models.jc_grad_Htilde`` with its y and u components swapped: the
+    pole Jacobian's characteristic polynomial then has odd terms."""
+    return lambda state, g: grad(state, g)[[0, 3, 2, 1, 4]]
 
 
 def _survivor(reason):
@@ -100,14 +107,11 @@ FAULTS = {
                                shipped, 1.0 + 1e-6)),
     "transformation_T_scale": (hopf, "transformation_T",
                                lambda shipped: _times(shipped, 1.0 + 1e-6)),
+    "jc_grad_Htilde_swap": (models, "jc_grad_Htilde", _pole_field_swapped),
 }
 MARKS = {
     "fold_offsets_scale": _survivor(
         "criterion 12 places the folds only between grid points 0.0105 apart"),
-    "curve_tangent_scale": _survivor(
-        "criterion 4 holds the tangent to central differences at 1e-6 "
-        "absolute, and |dH_c/ds| <= 0.43 on its grid, so the scale moves it "
-        "by 4.3e-7 at most"),
 }
 # Faults that change no output of the shipped function that matters: no
 # criterion can fail them, and each must pass verify, with the reason.
@@ -149,3 +153,19 @@ def test_an_equivalent_fault_passes_verify(monkeypatch, forks, fault, route):
     results = acceptance.run_all()
     assert forks == [1] * (route != "one_process")
     assert [r.number for r in results if not r.passed] == []
+
+
+@pytest.mark.parametrize("route", ["one_process", "split", "all_in_child"])
+def test_a_non_biquadratic_pole_jacobian_fails_criterion_9(
+        monkeypatch, forks, capsys, route):
+    # criterion 9 reports the odd terms as its own failure, and verify
+    # exits 1, rather than raising out of run_all
+    _take(monkeypatch, route)
+    monkeypatch.setattr(models, "jc_grad_Htilde",
+                        _pole_field_swapped(models.jc_grad_Htilde))
+    assert cli.main(["verify", "--json"]) == 1
+    assert forks == [1] * (route != "one_process")
+    records = {r["number"]: r for r in json.loads(capsys.readouterr().out)}
+    assert len(records) == len(acceptance.CRITERIA)
+    assert not records[9]["passed"]
+    assert "not biquadratic" in records[9]["detail"]
