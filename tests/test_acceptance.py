@@ -2,11 +2,12 @@
 
 Each test prints a one-line pass report; ``hopfdiag verify`` runs the same
 functions from the command line.  ``run_all`` is tested on both paths: the
-split, where a forked child runs the ``CHILD_CRITERIA`` (two CPUs, one OS
-thread), and one process; both give the same records and raise the same
-errors, and the ``forks`` fixture checks that no child is left behind.  A
-child that fails gives no report, and its criteria run here; the rule
-itself, ``spectrum._forked``, is tested once in ``test_spectrum.py``.
+split, where a forked child runs the last criterion (two CPUs, one OS
+thread), and one process; both give the same records, fail the same slow
+criteria and raise the same errors, and the ``forks`` fixture checks that
+no child is left behind.  A child that fails gives no report, and the last
+criterion runs here; the rule itself, ``spectrum._forked``, is tested once
+in ``test_spectrum.py``.
 """
 
 import json
@@ -17,6 +18,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -48,73 +50,124 @@ def records(results) -> list:
     return [(r.number, r.name, r.passed, r.detail) for r in results]
 
 
-@pytest.mark.parametrize("child", [{2}, {5, 7}], ids=["fail_there",
-                                                      "fail_here"])
-def test_run_all_aggregates(monkeypatch, route, forks, child):
+@pytest.mark.parametrize("there", [True, False], ids=["fail_there",
+                                                       "fail_here"])
+def test_run_all_aggregates(monkeypatch, route, forks, there):
     """run_all keeps the criteria's order, and an AssertionError becomes a
-    failed record with the message as its detail, in the child as here;
-    stub criteria stand in for the real ones, which test_criterion runs."""
+    failed record with the message as its detail, in the child (the last
+    criterion) as here; stub criteria stand in for the real ones, which
+    test_criterion runs."""
     def failing():
         raise AssertionError("residual 1e-3 >= 1e-10")
 
-    monkeypatch.setattr(acceptance, "CHILD_CRITERIA", frozenset(child))
-    monkeypatch.setattr(acceptance, "CRITERIA", [
-        (7, "seven", lambda: "ok 7"), (2, "two", failing),
-        (5, "five", lambda: "ok 5")])
+    criteria = [(7, "seven", lambda: "ok 7"), (5, "five", lambda: "ok 5")]
+    criteria.insert(2 if there else 1, (2, "two", failing))
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     results = acceptance.run_all()
     assert records(results) == [
-        (7, "seven", True, "ok 7"),
-        (2, "two", False, "residual 1e-3 >= 1e-10"),
-        (5, "five", True, "ok 5")]
+        (n, name, n != 2, "residual 1e-3 >= 1e-10" if n == 2 else f"ok {n}")
+        for n, name, _ in criteria]
     assert all(r.seconds >= 0.0 for r in results)
     assert forks == forked(route)
 
 
-@pytest.mark.parametrize("child", [{1}, {2}], ids=["raise_there",
-                                                   "raise_here"])
-def test_run_all_lets_other_errors_through(monkeypatch, route, forks, child):
+@pytest.mark.parametrize("there", [True, False], ids=["raise_there",
+                                                       "raise_here"])
+def test_run_all_lets_other_errors_through(monkeypatch, route, forks, there):
     """The error is the one of the first criterion that raises, as in one
-    process.  Here, no criterion runs after it; beside a child that raises,
-    this process runs its own, and their error gives way."""
+    process.  Here, no criterion runs after it, and the child's error, in
+    the last criterion, gives way to it; a child that raises alone gives no
+    report, and the last criterion raises again here, in its turn."""
     ran = []
 
     def broken():
+        ran.append(os.getpid())
         raise ValueError("bug")
 
     def later():
         ran.append(os.getpid())
         raise TypeError("later bug")
 
-    monkeypatch.setattr(acceptance, "CHILD_CRITERIA", frozenset(child))
-    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "one", broken),
-                                                 (2, "two", later),
-                                                 (3, "three", later)])
+    def fine():
+        ran.append(os.getpid())
+        return "ok"
+
+    raise_there = [(1, "one", fine), (2, "two", fine), (3, "three", broken)]
+    raise_here = [(1, "one", fine), (2, "two", broken), (3, "three", later),
+                  (4, "four", later)]
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        raise_there if there else raise_here)
     with pytest.raises(ValueError, match="bug"):
         acceptance.run_all()
-    beside = route == "split" and child == {1}
-    assert ran == [os.getpid()] * beside
+    assert ran == [os.getpid()] * (3 if there else 2)
     assert forks == forked(route)
 
 
+@pytest.mark.parametrize("there", [True, False], ids=["slow_there",
+                                                       "slow_here"])
+def test_run_all_fails_a_slow_criterion(monkeypatch, route, forks, there):
+    """A criterion that passes its checks in ``TIME_LIMITS[number]`` or
+    longer fails with the time it took, in the child as here; one that
+    fails a check keeps its own message however long it took, and a
+    criterion without a limit is not timed out."""
+    def slow():
+        time.sleep(0.02)
+        return "ok"
+
+    def slow_failing():
+        time.sleep(0.02)
+        raise AssertionError("residual 1e-3 >= 1e-10")
+
+    monkeypatch.setattr(acceptance, "TIME_LIMITS", {1: 0.01, 2: 0.01,
+                                                    3: 10.0})
+    criteria = [(3, "three", slow), (2, "two", slow_failing),
+                (4, "four", slow)]
+    criteria.insert(3 if there else 0, (1, "one", slow))
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    got = {r.number: r for r in acceptance.run_all()}
+    assert [r.number for r in got.values()] == [n for n, _, _ in criteria]
+    assert not got[1].passed and got[1].seconds >= 0.02
+    assert re.fullmatch(r"took \d+\.\d{3}s >= 0\.01s", got[1].detail)
+    assert (got[2].passed, got[2].detail) == (False,
+                                              "residual 1e-3 >= 1e-10")
+    assert got[3].passed and got[4].passed
+    assert forks == forked(route)
+
+
+@pytest.mark.parametrize("number, limit", [(1, 1.0), (12, 10.0)])
+def test_criteria_1_and_12_fail_at_their_pinned_time_limits(monkeypatch,
+                                                            number, limit):
+    """On a clock that reads ``limit`` seconds across the criterion, the
+    real criterion fails with the time it took; just under it, it passes."""
+    ticks = iter([0.0, limit, 0.0, np.nextafter(limit, 0.0)])
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(
+        perf_counter=lambda: next(ticks)))
+    criterion = acceptance.CRITERIA[number - 1]
+    late, in_time = (acceptance._record(*criterion) for _ in range(2))
+    assert (late.number, late.passed) == (number, False)
+    assert late.detail == f"took {limit:.3f}s >= {limit:g}s"
+    assert in_time.passed
+
+
 def untimed(record: dict) -> dict:
-    """``record`` without its seconds and the times in its detail."""
-    return {k: re.sub(r"\b(in|scan) [\d.]+ ?m?s\b", r"\1 <time>", v)
-            if k == "detail" else v for k, v in record.items()
-            if k != "seconds"}
+    """``record`` without its seconds."""
+    return {k: v for k, v in record.items() if k != "seconds"}
 
 
 def test_verify_reports_the_same_on_both_paths(monkeypatch, forks, capsys):
+    """Two split runs and one run in one process report the same records
+    apart from ``seconds``: no detail carries a time."""
     reports = []
-    for split in (True, False):
+    for split in (True, True, False):
         if not split:
             monkeypatch.setattr(spectrum, "_may_fork", lambda: False)
         code = cli.main(["verify", "--json"])
         report = json.loads(capsys.readouterr().out)
         reports.append((code, [untimed(r) for r in report]))
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     code, report = reports[0]
     assert code == 0 and [r["number"] for r in report] == list(range(1, 15))
-    assert forks == [1]
+    assert forks == [1, 1]
 
 
 @pytest.mark.parametrize("how", ["exit", "kill"])

@@ -6,7 +6,8 @@ origin slopes, and the eigenvalues at the origin for each sign of nu),
 ``symplin``'s biquadratic (a, b) with its closed-form roots, and ``models``'
 pole linearization (a, b)(gamma), h'' of the branches and the constraint
 on the invariants (w1, w2).  Each of the last three also fails on a
-planted wrong constant, so the check can see one."""
+planted wrong constant, so the check can see one: the code's floats are
+read exactly, as the binary doubles they are."""
 
 import types
 
@@ -155,10 +156,17 @@ def _symbolic_params(sigma):
     return types.SimpleNamespace(omega=omega, sigma=sigma, nu=nu, D=big_d)
 
 
-def _exact(expr):
-    """``expr`` with the float literals of the code (2.0, 4.0, ...) made
-    rational, so that simplification is exact."""
-    return sp.nsimplify(expr, rational=True)
+def _exact(expr, meant=()):
+    """``expr`` with each float of the code read as the exact rational
+    value of its binary double (2.0 as 2, 2.000000002 as itself), so that
+    simplification is exact; a float that is the nearest double to a
+    rational of ``meant`` reads as that rational instead, where the code
+    means it (1/3 in ``nu / 3.0``, which sympy makes a product)."""
+    expr = sp.sympify(expr)
+    nearest = {float(r): r for r in meant}
+    expr = expr.xreplace({f: nearest[float(f)] for f in expr.atoms(sp.Float)
+                          if float(f) in nearest})
+    return sp.nsimplify(expr, rational=True, rational_conversion="exact")
 
 
 def _on_curve(sigma):
@@ -278,7 +286,7 @@ nu_pos, m_pos = sp.symbols("nu m", positive=True)
 
 def _symbolic_hopf(monkeypatch):
     monkeypatch.setattr(hopf, "math", types.SimpleNamespace(
-        sqrt=lambda v: sp.sqrt(_exact(v))))     # nu / 3.0 as nu / 3
+        sqrt=lambda v: sp.sqrt(_exact(v, meant=[sp.Rational(1, 3)]))))
     monkeypatch.setattr(hopf, "complex", lambda re, im: re + sp.I * im,
                         raising=False)
     monkeypatch.setattr(hopf, "np", types.SimpleNamespace(
@@ -378,8 +386,7 @@ def _linearization(monkeypatch, linearization):
 
 
 def _b_off(linearization):
-    """``linearization`` with b's constant 1/2 planted as 0.501 (``_exact``
-    snaps a float within about 1e-7 of a simple rational onto it)."""
+    """``linearization`` with b's constant 1/2 planted as 0.501."""
     def planted(g):
         q, typ = linearization(g)
         return types.SimpleNamespace(a=q.a, b=q.b + 0.5 - 0.501), typ
@@ -438,16 +445,20 @@ def test_branch_second_deriv_is_the_second_derivative(monkeypatch, branch):
         monkeypatch, lambda *a: shipped(*a) + 1e-3 * gamma, branch) != 0
 
 
-@pytest.mark.parametrize("planted", [False, True], ids=["shipped", "planted"])
+@pytest.mark.parametrize("planted", [None, 2.002, 2.000000002,
+                                     np.nextafter(2.0, 3.0)],
+                         ids=["shipped", "planted", "planted_2e-9",
+                              "planted_1ulp"])
 def test_reduced_radius_sq_is_the_invariant_constraint(planted):
     # w1 = x u + y v, w2 = x v - y u and J = (u^2 + v^2)/2 + z give
     # w1^2 + w2^2 - 2 (J - z)(1 - z^2) = (u^2 + v^2)(x^2 + y^2 + z^2 - 1),
-    # zero on the sphere
+    # zero on the sphere; the constant 2 planted as 2.002, 2.000000002 or
+    # the next double above 2 fails, each read exactly
     radius_sq = models.reduced_radius_sq
     if planted:
-        radius_sq = lambda j, zz: 2.002 * (j - zz) * (1.0 - zz * zz)  # noqa: E731
+        radius_sq = lambda j, zz: planted * (j - zz) * (1.0 - zz * zz)  # noqa: E731
     w1, w2 = sx * su + sy * sv, sx * sv - sy * su
     j = (su ** 2 + sv ** 2) / 2 + sz
     residual = w1 ** 2 + w2 ** 2 - _exact(radius_sq(j, sz))
     sphere = (su ** 2 + sv ** 2) * (sx ** 2 + sy ** 2 + sz ** 2 - 1)
-    assert (sp.expand(residual - sphere) == 0) is not planted
+    assert (sp.expand(residual - sphere) == 0) is (planted is None)

@@ -34,7 +34,9 @@ attribute or by import), and ``src/`` imports no ``subprocess``,
 ``multiprocessing`` or ``concurrent``.  The two-core rule has one home:
 only ``_forked`` refers to the gate ``_may_fork``, and it is the one place
 that flushes ``sys.stdout``/``sys.stderr`` other than the CLI, which
-flushes its own output to report a failed write.
+flushes its own output to report a failed write.  Only
+``acceptance._record`` reads ``time.perf_counter``: it times every
+criterion and applies the time limits, so no criterion keeps its own clock.
 """
 
 import ast
@@ -588,13 +590,19 @@ def sites(tree, hit) -> list[str]:
     return sorted(visit(tree, "<module>"))
 
 
-def is_os_fork(node) -> bool:
-    """``os.fork`` as an attribute of a name ``os``, or ``fork`` imported
-    from ``os`` (the import is the site)."""
-    return (isinstance(node, ast.Attribute) and node.attr == "fork"
-            and isinstance(node.value, ast.Name) and node.value.id == "os"
-            or isinstance(node, ast.ImportFrom) and node.module == "os"
-            and any(alias.name == "fork" for alias in node.names))
+def member(module: str, name: str):
+    """A test for ``module.name`` as an attribute of a name ``module``, or
+    ``name`` imported from ``module`` (the import is the site)."""
+    def hit(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.value, ast.Name) and node.value.id == module
+                or isinstance(node, ast.ImportFrom) and node.module == module
+                and any(alias.name == name for alias in node.names))
+    return hit
+
+
+is_os_fork = member("os", "fork")
+is_perf_counter = member("time", "perf_counter")
 
 
 def referrer(name: str):
@@ -698,3 +706,24 @@ def test_may_fork_scan_sees(source, found):
 ])
 def test_std_flush_scan_sees(source, found):
     assert std_flush_sites(ast.parse(source)) == found
+
+
+def test_src_reads_the_clock_only_in_the_criterion_record():
+    # one clock per criterion: acceptance._record times it and applies
+    # TIME_LIMITS, so no criterion keeps a clock of its own
+    assert sorted(set(src_sites(is_perf_counter))) == [
+        ("acceptance.py", "_record")]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import time\ndef f():\n    t0 = time.perf_counter()", ["f"]),
+    ("from time import perf_counter\ndef g():\n    perf_counter()",
+     ["<module>"]),
+    ("def f():\n    from time import perf_counter as clock\n    clock()",
+     ["f"]),
+    ("import time\nclass C:\n    def m(self):\n        time.perf_counter",
+     ["m"]),
+    ("import time\ntime.monotonic(); x.perf_counter(); perf_counter()", []),
+])
+def test_clock_scan_sees(source, found):
+    assert sites(ast.parse(source), is_perf_counter) == found

@@ -1,16 +1,13 @@
 """Planted faults in the shipped closed forms that ``verify`` must see.
 
 Each entry monkeypatches one name that ``acceptance.run_all`` reaches, and
-the run must fail at least one criterion.  The faults that no criterion
-sees yet are strict xfails with their reason, so a check that closes one
-turns its entry into an XPASS, which fails until the mark is taken off.
-A fault that changes nothing that the function's callers rely on is
-listed apart, with the reason, and must pass every criterion.
-Each fault is planted on three routes: one process, the split (a forked
-child runs ``CHILD_CRITERIA``), and a child that runs every criterion, so
-the fault is caught whichever process runs the criterion that sees it.
-One ``run_all`` takes about 65 ms in one process and 50 ms split (two
-CPUs).
+the run must fail at least one criterion; every fault here is caught.  A
+fault that changes nothing that the function's callers rely on is listed
+apart, with the reason, and must pass every criterion.
+Each fault is planted on two routes: one process, and the split, where a
+forked child runs the last criterion, so the fault is caught whichever
+process runs the criterion that sees it.  One ``run_all`` takes about
+65 ms in one process and 50 ms split (two CPUs).
 """
 
 import cmath
@@ -65,10 +62,6 @@ def _pole_field_swapped(grad):
     return lambda state, g: grad(state, g)[[0, 3, 2, 1, 4]]
 
 
-def _survivor(reason):
-    return pytest.mark.xfail(strict=True, reason=reason)
-
-
 # (module, name, replacement from the shipped function)
 FAULTS = {
     "eigen_closed_root": (symplin, "eigen_closed",
@@ -86,6 +79,8 @@ FAULTS = {
                             lambda shipped: _scaled(shipped, 1.0 + 1e-6)),
     "fold_offsets_scale": (models, "fold_offsets",
                            lambda shipped: _scaled(shipped, 1.0 + 1e-6)),
+    "fold_offsets_shrunk": (models, "fold_offsets",
+                            lambda shipped: _scaled(shipped, 1.0 - 1e-6)),
     "regime_swapped": (hopf, "regime", lambda shipped: lambda p: (
         hopf.Regime.SUPERCRITICAL if shipped(p) is hopf.Regime.SUBCRITICAL
         else hopf.Regime.SUBCRITICAL)),
@@ -109,10 +104,6 @@ FAULTS = {
                                lambda shipped: _times(shipped, 1.0 + 1e-6)),
     "jc_grad_Htilde_swap": (models, "jc_grad_Htilde", _pole_field_swapped),
 }
-MARKS = {
-    "fold_offsets_scale": _survivor(
-        "criterion 12 places the folds only between grid points 0.0105 apart"),
-}
 # Faults that change no output of the shipped function that matters: no
 # criterion can fail them, and each must pass verify, with the reason.
 EQUIVALENT = {
@@ -124,17 +115,13 @@ EQUIVALENT = {
 
 
 def _take(monkeypatch, route):
-    """Run the criteria in one process, split, or all in the child."""
+    """Run the criteria in one process, or split."""
     if route == "one_process":
         monkeypatch.setattr(spectrum, "_may_fork", lambda: False)
-    elif route == "all_in_child":
-        monkeypatch.setattr(acceptance, "CHILD_CRITERIA", frozenset(
-            number for number, _, _ in acceptance.CRITERIA))
 
 
-@pytest.mark.parametrize("route", ["one_process", "split", "all_in_child"])
-@pytest.mark.parametrize("fault", [
-    pytest.param(name, marks=MARKS.get(name, ())) for name in FAULTS])
+@pytest.mark.parametrize("route", ["one_process", "split"])
+@pytest.mark.parametrize("fault", list(FAULTS))
 def test_verify_fails_a_criterion(monkeypatch, forks, fault, route):
     _take(monkeypatch, route)
     module, name, make = FAULTS[fault]
@@ -144,7 +131,7 @@ def test_verify_fails_a_criterion(monkeypatch, forks, fault, route):
     assert failed, f"{fault}: all {len(acceptance.CRITERIA)} criteria pass"
 
 
-@pytest.mark.parametrize("route", ["one_process", "split", "all_in_child"])
+@pytest.mark.parametrize("route", ["one_process", "split"])
 @pytest.mark.parametrize("fault", list(EQUIVALENT))
 def test_an_equivalent_fault_passes_verify(monkeypatch, forks, fault, route):
     _take(monkeypatch, route)
@@ -155,7 +142,7 @@ def test_an_equivalent_fault_passes_verify(monkeypatch, forks, fault, route):
     assert [r.number for r in results if not r.passed] == []
 
 
-@pytest.mark.parametrize("route", ["one_process", "split", "all_in_child"])
+@pytest.mark.parametrize("route", ["one_process", "split"])
 def test_a_non_biquadratic_pole_jacobian_fails_criterion_9(
         monkeypatch, forks, capsys, route):
     # criterion 9 reports the odd terms as its own failure, and verify
