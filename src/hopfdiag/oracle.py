@@ -3,10 +3,9 @@
 Everything here is deliberately primitive and self-contained:
  - Polynomial container with trimming (degree <= 4)
  - Cubic roots: Cardano / trigonometric closed form + Newton polish
- - Quartic roots: resolvent-cubic factorization + Newton polish
  - Double-root search by minimizing p^2 + p'^2 over a bracket
  - Central finite-difference Hessian, optional Richardson level
- - 4x4 eigensolver via exact characteristic polynomial
+ - 4x4 characteristic polynomial, ``char_poly4`` (Faddeev-LeVerrier)
  - Golden-section extremization
 
 None of these routines share code with the closed forms they are used to
@@ -18,7 +17,6 @@ other commands do not load it.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +24,6 @@ import numpy as np
 
 # Residual / tolerance constants (module-wide, referenced by tests).
 ROOT_RESIDUAL_TOL = 1e-12     # |p(root)| < tol * max|coeff| after polish (cubic)
-EIG_RESIDUAL_TOL = 1e-9       # char-poly residual for eig4 roots, scaled
 DOUBLE_ROOT_TOL = 1e-10       # |p|, |p'| at an accepted double root, scaled
 COEFF_TRIM = 1e-300           # leading coefficients below this are dropped
 NEWTON_STEPS = 3
@@ -145,46 +142,6 @@ def cubic_roots(p: Poly) -> np.ndarray:
             arg = min(1.0, max(-1.0, arg))
             theta = math.acos(arg) / 3.0
             ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    return _polish(p, [t + shift for t in ts])
-
-
-def _quadratic_roots(c0: float, c1: float):
-    """Roots of z^2 + c1 z + c0 (complex arithmetic, stable form)."""
-    disc = cmath.sqrt(complex(c1 * c1 - 4.0 * c0))
-    # avoid cancellation: pick same-signed combination first
-    q = -(c1 + disc) / 2.0 if c1 >= 0 else -(c1 - disc) / 2.0
-    return q, (c0 / q if q != 0 else -c1 - q)
-
-
-def quartic_roots(p: Poly) -> np.ndarray:
-    """All four complex roots of a real quartic (resolvent cubic + polish)."""
-    if p.degree != 4:
-        raise ValueError(f"quartic_roots needs degree 4, got {p.degree}")
-    e, d, c, b, a = p.coeffs
-    b, c, d, e = b / a, c / a, d / a, e / a
-    # Depress: z = t - b/4  ->  t^4 + P t^2 + Q t + R
-    P = c - 3.0 * b * b / 8.0
-    Q = d - b * c / 2.0 + b ** 3 / 8.0
-    R = e - b * d / 4.0 + b * b * c / 16.0 - 3.0 * b ** 4 / 256.0
-    shift = -b / 4.0
-    qscale = max(1.0, abs(P), math.sqrt(abs(R))) ** 1.5
-    y = 0.0
-    if abs(Q) > 1e-11 * qscale:
-        # resolvent: y^3 + 2P y^2 + (P^2 - 4R) y - Q^2 = 0 has a root y > 0
-        ys = cubic_roots(Poly((-Q * Q, P * P - 4.0 * R, 2.0 * P, 1.0)))
-        y = max((r.real for r in ys if abs(r.imag) <= 1e-8 * max(1.0, abs(r))),
-                default=0.0)
-    if y <= 0.0:
-        # biquadratic t^2 = (-P +- sqrt(P^2-4R))/2; also the fallback, as a
-        # biquadratic perturbation, when the resolvent has no root y > 0
-        ts = [t for w in map(cmath.sqrt, _quadratic_roots(R, P))
-              for t in (w, -w)]
-    else:
-        alpha = math.sqrt(y)
-        beta = (P + y - Q / alpha) / 2.0
-        gamma = (P + y + Q / alpha) / 2.0
-        ts = [*_quadratic_roots(beta, alpha),
-              *_quadratic_roots(gamma, -alpha)]
     return _polish(p, [t + shift for t in ts])
 
 
@@ -319,26 +276,3 @@ def char_poly4(m) -> tuple[float, float, float, float]:
     n4 = m @ (n3 + p1 * ident)
     p0 = -np.trace(n4) / 4.0
     return float(p0), float(p1), float(p2), float(p3)
-
-
-def eig4(m) -> np.ndarray:
-    """Eigenvalues of a real 4x4 matrix via its characteristic polynomial.
-
-    Exact Faddeev-LeVerrier coefficients, quartic closed form, Newton polish.
-    Char-poly residual at each root stays below EIG_RESIDUAL_TOL, scaled.
-    """
-    p0, p1, p2, p3 = char_poly4(m)
-    return quartic_roots(Poly((p0, p1, p2, p3, 1.0)))
-
-
-def match_eigensets(got, expected) -> float:
-    """Max pointwise distance under the best pairing of two eigenvalue sets."""
-    got = list(np.asarray(got, dtype=complex))
-    expected = list(np.asarray(expected, dtype=complex))
-    if len(got) != len(expected):
-        raise ValueError("eigenvalue sets differ in size")
-    best = math.inf
-    for perm in itertools.permutations(range(len(got))):
-        worst = max(abs(got[i] - expected[p]) for i, p in enumerate(perm))
-        best = min(best, worst)
-    return best

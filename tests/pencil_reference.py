@@ -1,7 +1,7 @@
 """Sampled non-degeneracy test of a pencil of quadratic forms on R^4.
 
 A reference that tests compare the closed forms against; nothing in
-``hopfdiag`` calls it.  Eigenvalues come from ``oracle.eig4``.
+``hopfdiag`` calls it.  Eigenvalues come from ``eigen_reference.eig4``.
 """
 
 import math
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hopfdiag import oracle, symplin
+from eigen_reference import eig4
 
 PENCIL_RANK_TOL = 1e-10       # second singular value relative to first
 PENCIL_SEP_TOL = 1e-8         # minimum pairwise eigenvalue separation
@@ -64,7 +65,7 @@ def pencil_nondegenerate(s1, s2) -> PencilResult:
         return PencilResult(False, 1.0, 0.0, 0.0)
 
     def probe(t):
-        eig = oracle.eig4(math.cos(t) * m1 + math.sin(t) * m2)
+        eig = eig4(math.cos(t) * m1 + math.sin(t) * m2)
         return _min_pairwise_separation(eig), float(np.max(np.abs(eig)))
 
     def separation(t):

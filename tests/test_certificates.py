@@ -3,12 +3,14 @@ the closed-form cuts and fold values of its solve, the normal-form cubic
 Q(z) behind torus counting, the closed forms of ``hopf`` for
 H_nu = omega G1 + sigma (G2 + nu G3) + 2 D G3^2 (the curve, its cusps and
 origin slopes, and the eigenvalues at the origin for each sign of nu),
-``symplin``'s biquadratic (a, b) with its closed-form roots, and ``models``'
-pole linearization (a, b)(gamma), h'' of the branches and the constraint
-on the invariants (w1, w2).  Each of the last three also fails on a
-planted wrong constant, so the check can see one: the code's floats are
-read exactly, as the binary doubles they are."""
+``symplin``'s biquadratic (a, b) with its closed-form roots and region
+labels, and ``models``' pole linearization (a, b)(gamma), h'' of the
+branches and the constraint on the invariants (w1, w2).  The region labels
+and each of the last three also fail on a planted wrong constant, so the
+check can see one: the code's floats are read exactly, as the binary
+doubles they are."""
 
+import inspect
 import types
 
 import numpy as np
@@ -277,6 +279,64 @@ def test_eigen_closed_gives_the_four_roots(monkeypatch):
     product = sp.prod([lam - _exact(r) for r in roots])
     assert sp.expand(product - (lam ** 4 + _exact(q.b) * lam ** 2
                                 + _exact(q.a))) == 0
+
+
+# ``symplin.classify`` at dyadic (a, b) where b*b/4.0 is exact: in each
+# open region, on each boundary stratum, one ulp to either side of the
+# parabola and next to a = 0.  The label must follow from the exact roots
+# of mu^2 + b mu + a, mu = lambda^2.
+CLASSIFY_POINTS = [
+    (1.0, 4.0), (0.5, 3.0), (1.0, -4.0), (0.5, -3.0),   # 0 < a < b^2/4
+    (1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (4.0, 2.0),    # a > b^2/4
+    (-1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0),             # a < 0
+    (0.0, 1.0), (0.0, -1.0), (0.0, 0.0),                # a = 0
+    (1.0, 2.0), (0.25, 1.0), (1.0, -2.0), (0.25, -1.0),  # a = b^2/4
+    *((np.nextafter(1.0, side), b) for b in (2.0, -2.0) for side in (0.0, 2.0)),
+    (2.0 ** -52, 1.0), (-(2.0 ** -52), 1.0), (2.0 ** -52, -1.0),
+]
+
+
+def _label_of_the_roots(a, b) -> symplin.EquilibriumType:
+    """The region of (a, b), from the exact roots mu of mu^2 + b mu + a:
+    two negative reals EE, a complex pair FF, two positive reals HH,
+    opposite signs EH, a double root on the parabola (b > 0 where it is
+    negative), a zero root on a = 0 (both zero at the origin)."""
+    t, mu = symplin.EquilibriumType, sp.Symbol("mu")
+    roots = sp.Poly(mu ** 2 + sp.Rational(b) * mu + sp.Rational(a),
+                    mu).all_roots(radicals=False)
+    if 0 in roots:
+        return t.ORIGIN if roots == [0, 0] else t.A_ZERO
+    if roots[0] == roots[1]:
+        return t.PARABOLA_PLUS if roots[0].is_negative else t.PARABOLA_MINUS
+    if not all(r.is_real for r in roots):
+        return t.FOCUS_FOCUS
+    negative = sum(bool(r.is_negative) for r in roots)
+    return (t.HYPERBOLIC_HYPERBOLIC, t.ELLIPTIC_HYPERBOLIC,
+            t.ELLIPTIC_ELLIPTIC)[negative]
+
+
+def _parabola_moved(toward: str):
+    """``symplin.classify`` with its parabola b*b/4.0 moved one ulp toward
+    ``toward``, compiled from the shipped source."""
+    source, line = inspect.getsource(symplin.classify), "parab = b * b / 4.0"
+    assert source.count(line) == 1
+    namespace = dict(vars(symplin))
+    exec(source.replace(line, f"parab = np.nextafter(b * b / 4.0, {toward})"),
+         namespace)
+    return namespace["classify"]
+
+
+@pytest.mark.parametrize("moved", [None, "np.inf", "-np.inf"],
+                         ids=["shipped", "parabola_up_1ulp",
+                              "parabola_down_1ulp"])
+def test_classify_regions_follow_from_the_exact_roots(moved):
+    classify = _parabola_moved(moved) if moved else symplin.classify
+    wrong = [(a, b) for a, b in CLASSIFY_POINTS
+             if classify(symplin.QuarticCoeffs(a=a, b=b))
+             is not _label_of_the_roots(a, b)]
+    assert set(map(_label_of_the_roots, *zip(*CLASSIFY_POINTS))) == \
+        set(symplin.EquilibriumType)
+    assert (wrong == []) is (moved is None), wrong
 
 
 # ``hopf``'s closed forms at the origin and the cusps, read through

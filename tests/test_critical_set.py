@@ -1,7 +1,8 @@
 """The spin-oscillator's per-J critical set against independent references.
 
 - near the poles J = +-1, next to the folds and at large J: the real
-  roots of the quintic p_J solved by mpmath at 60 digits (models
+  roots of the quintic p_J in the domain, exact to 60 digits from
+  ``exact_reference``, with the branch and h'' taken at 60 digits (models
   docstring);
 - the fold values: the real roots of the sextic S_gamma(J), the
   discriminant of p_J in z, at 60 digits;
@@ -42,37 +43,17 @@ def _rows(gamma, j):
                   for p in pts if p.branch is not None)
 
 
-def _mp_real_roots(gamma, j):
-    """The real roots of p_J at 60 digits, gamma != 0, as mpf.
-
-    At J = 1 the double root z = 1 (the pole) is divided out exactly.
-    """
-    with mp.workdps(60):
-        big_j, g = mp.mpf(j), mp.mpf(gamma)
-        k = 32 * g * g
-        coeffs = [-k, 9 + k * big_j, k - 12 * big_j,
-                  4 * big_j ** 2 - 6 - k * big_j, 4 * big_j, mp.mpf(1)]
-        if j == 1.0:
-            for _ in range(2):   # synthetic division by (z - 1)
-                acc = [coeffs[0]]
-                for c in coeffs[1:]:
-                    acc.append(c + acc[-1])
-                assert acc.pop() == 0
-                coeffs = acc
-        return [mp.re(root) for root in
-                mp.polyroots(coeffs, maxsteps=2000, extraprec=600)
-                if abs(mp.im(root)) <= mp.mpf(10) ** -30]
-
-
 def _mp_rows(gamma, j):
-    """(sb, z, kind) from the roots of p_J at 60 digits, gamma != 0.
+    """(sb, z, kind) from the exact roots of p_J to 60 digits, gamma != 0,
+    with h'' evaluated there at 60 digits.
 
     The branch is sb = -sign(gamma z A), the kind the sign of h'' there.
     """
     with mp.workdps(60):
         big_j, g = mp.mpf(j), mp.mpf(gamma)
         out = []
-        for z in _mp_real_roots(gamma, j):
+        for root in exact_roots(gamma, j, 60):
+            z = mp.mpf(root.numerator) / root.denominator
             if not -1.0 < float(z) < min(j, 1.0):
                 continue
             a = 3 * z * z - 2 * big_j * z - 1
@@ -122,12 +103,11 @@ def test_a_root_within_half_an_ulp_of_the_domain_end_is_dropped():
     # 9.1e-22 below 1, rounds onto min(J, 1) = 1, which -1 < z < min(J, 1)
     # leaves out
     gamma, j = 123.4, 1.0 + 2.0 ** -52
-    with mp.workdps(60):
-        roots = sorted(z for z in _mp_real_roots(gamma, j) if -1 < z < 1)
-        assert len(roots) == 4
-        gap = min(j, 1.0) - roots[-1]
-        assert 0 < gap < mp.mpf(2) ** -54       # half an ulp below 1
-        assert 9.0e-22 < gap < 9.2e-22
+    roots = exact_roots(gamma, j, 60)
+    assert len(roots) == 4
+    gap = Fraction(min(j, 1.0)) - roots[-1]
+    assert 0 < gap < Fraction(1, 2 ** 54)       # half an ulp below 1
+    assert 9.0e-22 < gap < 9.2e-22
     got = _rows(gamma, j)
     assert len(got) == 3 and float(roots[-1]) == 1.0
     assert sorted(z for _, z, _ in got) == pytest.approx(

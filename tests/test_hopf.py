@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hopfdiag import hopf, oracle, spectrum, symplin
 from hopfdiag.hopf import (EliassonParams, HopfParams, Regime, SegmentKind)
 from brute_reference import fd_gradient
+from eigen_reference import eig4, match_eigensets
 
 REF = HopfParams(omega=1.0, sigma=1, nu=0.5, D=-2.0)
 CURVE_SAMPLE_REFUSES = r"^CurveSample\.\w+ must be a finite real number, got "
@@ -389,17 +390,17 @@ class TestEquilibriumEigenvalues:
     def test_closed_form_vs_oracle(self, nu, want):
         params = HopfParams(omega=1.0, sigma=1, nu=nu, D=-2.0)
         closed = hopf.equilibrium_eigenvalues(params)
-        assert oracle.match_eigensets(closed, want) < 1e-12
-        numeric = oracle.eig4(
+        assert match_eigensets(closed, want) < 1e-12
+        numeric = eig4(
             symplin.hamiltonian_matrix(hopf.linearization_hessian(params)))
-        assert oracle.match_eigensets(closed, numeric) < 1e-10
+        assert match_eigensets(closed, numeric) < 1e-10
 
     def test_collision_continuity(self):
         # quadruplets from both sides approach +-i omega doubled as nu -> 0
         doubled = np.array([1j, 1j, -1j, -1j])
         for nu in (1e-10, -1e-10):
             params = HopfParams(omega=1.0, sigma=1, nu=nu, D=-2.0)
-            dist = oracle.match_eigensets(
+            dist = match_eigensets(
                 hopf.equilibrium_eigenvalues(params), doubled)
             assert dist < 2e-5
 

@@ -6,7 +6,9 @@ brackets its roots by cut points in closed form.  ``oracle`` checks the
 closed forms, so it shares no code with them: it imports no hopfdiag
 module, and neither do ``tests/brute_reference.py`` and
 ``tests/exact_reference.py``, the references that only tests call, which
-call no library root or eigenvalue solver either.  In ``src/`` only
+call no library root or eigenvalue solver either.  Nor does
+``tests/eigen_reference.py``, the quartic and 4x4 eigensolver that tests
+build on the oracle's primitives.  In ``src/`` only
 ``acceptance`` imports ``oracle``, so ``import hopfdiag`` and every command
 but ``verify`` run without it; a fresh process per command shows that
 ``verify`` alone loads ``oracle`` and ``acceptance``.  The symbolic and
@@ -154,14 +156,14 @@ def test_oracle_imports_no_hopfdiag_module():
 
 
 def test_oracle_calls_no_library_solver():
-    for path in INDEPENDENT:
+    # the eigen reference builds on the oracle, so it is not INDEPENDENT
+    for path in (*INDEPENDENT, ROOT / "tests" / "eigen_reference.py"):
         assert not forbidden_solvers(numpy_references(parse(path))), path
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("**/*.py")),
                          ids=lambda p: p.name)
-def test_src_solves_with_eigvals_only_in_models(path):
-    # the name predates the rule: models calls no library solver either
+def test_src_calls_no_library_solver(path):
     assert not forbidden_solvers(numpy_references(parse(path)))
 
 

@@ -9,6 +9,7 @@ from hopfdiag import models, oracle, symplin
 from hopfdiag.models import Branch, CriticalKind, PolyG
 from critical_reference import jc_critical_values as reference_critical_values
 from pencil_reference import pencil_nondegenerate
+from eigen_reference import eig4, match_eigensets
 
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 zval = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -169,9 +170,9 @@ class TestLinearization:
                                   [-0.5, 0.0, 0.0, 0.0]])
 
     def test_undeformed_matrix_has_double_real_pair(self):
-        eig = oracle.eig4(models.north_pole_matrix(
+        eig = eig4(models.north_pole_matrix(
             lambda s: models.jc_grad_Htilde(s, PolyG(0.0))))
-        assert oracle.match_eigensets(eig, [0.5, 0.5, -0.5, -0.5]) < 1e-7
+        assert match_eigensets(eig, [0.5, 0.5, -0.5, -0.5]) < 1e-7
 
     def test_pencil_is_focus_focus_nondegenerate_at_gamma_zero(self):
         # the Darboux chart (x_c, y_c, xi_c, eta_c) = (-y, v, x, u) at the

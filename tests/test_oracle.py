@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from hopfdiag import oracle
 from hopfdiag.oracle import NoDoubleRootError, Poly
 from brute_reference import fd_gradient, spin_critical_scan
+from eigen_reference import (EIG_RESIDUAL_TOL, eig4, exact_char_poly4,
+                             match_eigensets, quartic_roots)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -68,18 +70,18 @@ class TestCubicRoots:
     @given(st.tuples(finite, finite, finite, nonzero))
     def test_conjugation_closure(self, coeffs):
         roots = oracle.cubic_roots(Poly(coeffs))
-        assert oracle.match_eigensets(roots, np.conj(roots)) < 1e-9
+        assert match_eigensets(roots, np.conj(roots)) < 1e-9
 
 
 class TestQuarticAndEig4:
     def test_diagonal(self):
-        got = oracle.eig4(np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert oracle.match_eigensets(got, [1, 2, 3, 4]) < 1e-12
+        got = eig4(np.diag([1.0, 2.0, 3.0, 4.0]))
+        assert match_eigensets(got, [1, 2, 3, 4]) < 1e-12
 
     def test_symplectic_matrix_spectrum(self):
         from hopfdiag.symplin import SYMPLECTIC_MATRIX
-        got = oracle.eig4(SYMPLECTIC_MATRIX)
-        assert oracle.match_eigensets(got, [1j, 1j, -1j, -1j]) < 1e-9
+        got = eig4(SYMPLECTIC_MATRIX)
+        assert match_eigensets(got, [1j, 1j, -1j, -1j]) < 1e-9
 
     def test_focus_focus_quadruplet(self):
         # linearization of the normal form at nu = -1/4, omega = 1
@@ -87,7 +89,7 @@ class TestQuarticAndEig4:
         params = hopf.HopfParams(omega=1.0, sigma=1, nu=-0.25, D=-2.0)
         m = symplin.hamiltonian_matrix(hopf.linearization_hessian(params))
         want = [0.5 + 1j, 0.5 - 1j, -0.5 + 1j, -0.5 - 1j]
-        assert oracle.match_eigensets(oracle.eig4(m), want) < 1e-10
+        assert match_eigensets(eig4(m), want) < 1e-10
 
     @given(st.lists(finite, min_size=16, max_size=16))
     def test_char_poly_residual(self, entries):
@@ -95,20 +97,36 @@ class TestQuarticAndEig4:
         p0, p1, p2, p3 = oracle.char_poly4(m)
         coeffs = (p0, p1, p2, p3, 1.0)
         scale = max(1.0, max(abs(c) for c in coeffs))
-        for r in oracle.quartic_roots(Poly(coeffs)):
+        for r in quartic_roots(Poly(coeffs)):
             acc = 0.0
             for c in reversed(coeffs):
                 acc = acc * r + c
-            assert abs(acc) < oracle.EIG_RESIDUAL_TOL * scale
+            assert abs(acc) < EIG_RESIDUAL_TOL * scale
 
     @given(st.lists(finite, min_size=16, max_size=16))
     def test_eig4_conjugation_closure(self, entries):
-        roots = oracle.eig4(np.array(entries).reshape(4, 4))
-        assert oracle.match_eigensets(roots, np.conj(roots)) < 1e-9
+        roots = eig4(np.array(entries).reshape(4, 4))
+        assert match_eigensets(roots, np.conj(roots)) < 1e-9
 
     def test_char_poly4_known(self):
         m = np.diag([1.0, 2.0, 3.0, 4.0])
         assert np.allclose(oracle.char_poly4(m), (24.0, -50.0, 35.0, -10.0))
+
+    def test_exact_char_poly_keeps_a_hamiltonian_spectrum_paired(self):
+        # eigenvalues near +-1 doubled: oracle.char_poly4 rounds p1 to
+        # about 3e-16, which moves the roots out of their +- pairs by
+        # 1.9e-9; the exact coefficients have p1 = p3 = 0
+        from hopfdiag.symplin import hamiltonian_matrix
+        e = 1.192092896e-07
+        m = hamiltonian_matrix(np.array([
+            [0.0, 3.0, e, 1.0], [3.0, 0.0, 1.0, 0.0],
+            [e, 1.0, 1.3966658242010994, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+        p0, p1, p2, p3 = exact_char_poly4(m)
+        assert (p1, p3) == (0.0, 0.0)
+        roots = eig4(m)
+        assert match_eigensets(roots, -roots) == 0.0
+        assert exact_char_poly4(np.diag([1.0, 2.0, 3.0, 4.0])) == \
+            (24.0, -50.0, 35.0, -10.0)
 
 
 class TestDoubleRoot:

@@ -7,8 +7,9 @@ from hypothesis import assume, given, strategies as st
 from hopfdiag import oracle, symplin
 from hopfdiag.symplin import EquilibriumType, QuarticCoeffs, SYMPLECTIC_MATRIX
 from pencil_reference import pencil_nondegenerate
+from eigen_reference import eig4, match_eigensets
 
-EIGEN_AGREEMENT_TOL = 1e-10   # eigen_closed vs oracle.eig4
+EIGEN_AGREEMENT_TOL = 1e-10   # eigen_closed vs eig4
 finite3 = st.floats(min_value=-3.0, max_value=3.0,
                     allow_nan=False, allow_infinity=False)
 
@@ -45,7 +46,7 @@ class TestHamiltonianMatrix:
     def test_identity_gives_symplectic_matrix(self):
         m = symplin.hamiltonian_matrix(np.eye(4))
         assert np.array_equal(m, SYMPLECTIC_MATRIX)
-        assert oracle.match_eigensets(oracle.eig4(m), [1j, 1j, -1j, -1j]) < 1e-9
+        assert match_eigensets(eig4(m), [1j, 1j, -1j, -1j]) < 1e-9
 
     def test_family_char_poly(self):
         # Hess of J1 + K1 + 2 K2 has characteristic polynomial l^4 + 6 l^2 + 1
@@ -70,7 +71,7 @@ class TestQuarticCoeffs:
         q = symplin.quartic_coeffs(1.0, 0.0, 0.0, 0.0)
         assert (q.a, q.b) == (1.0, 2.0)
         eig = symplin.eigen_closed(q)
-        assert oracle.match_eigensets(eig, [1j, 1j, -1j, -1j]) < 1e-12
+        assert match_eigensets(eig, [1j, 1j, -1j, -1j]) < 1e-12
 
     @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan),
                                       (math.inf, 1.0), (0.0, -math.inf)])
@@ -150,19 +151,19 @@ class TestEigenClosed:
 
     def test_double_imaginary(self):
         eig = symplin.eigen_closed(QuarticCoeffs(1.0, 2.0))
-        assert oracle.match_eigensets(eig, [1j, 1j, -1j, -1j]) < 1e-12
+        assert match_eigensets(eig, [1j, 1j, -1j, -1j]) < 1e-12
 
     def test_golden_pair(self):
         eig = symplin.eigen_closed(QuarticCoeffs(1.0, 3.0))
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         want = [phi * 1j, -phi * 1j, 1j / phi, -1j / phi]
-        assert oracle.match_eigensets(eig, want) < 1e-12
+        assert match_eigensets(eig, want) < 1e-12
 
     def test_focus_focus_signs(self):
         eig = symplin.eigen_closed(QuarticCoeffs(2.0, 1.0))
         assert np.all(np.abs(eig.real) > 0.1)
         assert np.all(np.abs(eig.imag) > 0.1)
-        assert oracle.match_eigensets(eig, np.conj(eig)) < 1e-12
+        assert match_eigensets(eig, np.conj(eig)) < 1e-12
 
     def test_agrees_with_eig4_on_family(self):
         rng = np.random.default_rng(42)
@@ -170,15 +171,15 @@ class TestEigenClosed:
             w, al, ga, de = rng.uniform(-3.0, 3.0, 4)
             q = symplin.quartic_coeffs(w, al, ga, de)
             m = symplin.hamiltonian_matrix(symplin.family_hessian(w, al, ga, de))
-            err = oracle.match_eigensets(symplin.eigen_closed(q), oracle.eig4(m))
+            err = match_eigensets(symplin.eigen_closed(q), eig4(m))
             assert err < EIGEN_AGREEMENT_TOL, f"params {(w, al, ga, de)}"
 
     @given(st.lists(finite3, min_size=10, max_size=10))
     def test_hamiltonian_spectrum_symmetry(self, entries):
         m = symplin.hamiltonian_matrix(sym4_from(entries))
-        roots = oracle.eig4(m)
-        assert oracle.match_eigensets(roots, -roots) < 1e-9
-        assert oracle.match_eigensets(roots, np.conj(roots)) < 1e-9
+        roots = eig4(m)
+        assert match_eigensets(roots, -roots) < 1e-9
+        assert match_eigensets(roots, np.conj(roots)) < 1e-9
 
 
 class TestPencil:

@@ -56,6 +56,18 @@ def _gamma_scaled(htilde, factor):
     return dataclasses.replace(htilde, gamma=htilde.gamma * factor)
 
 
+_SPLIT_COLLISION = np.array([1j * (1.0 + 1e-6), -1j * (1.0 + 1e-6),
+                             1j * (1.0 - 1e-6), -1j * (1.0 - 1e-6)])
+
+
+def _split_at_the_collision(fn, collides):
+    """``fn`` returning +-i(1 +- 1e-6) where ``collides`` holds of its
+    argument: a split that moves the characteristic polynomial's
+    coefficients by only about 2e-12, so that only the root-by-root match
+    sees it."""
+    return lambda arg: _SPLIT_COLLISION if collides(arg) else fn(arg)
+
+
 def _pole_field_swapped(grad):
     """``models.jc_grad_Htilde`` with its y and u components swapped: the
     pole Jacobian's characteristic polynomial then has odd terms."""
@@ -103,6 +115,18 @@ FAULTS = {
     "transformation_T_scale": (hopf, "transformation_T",
                                lambda shipped: _times(shipped, 1.0 + 1e-6)),
     "jc_grad_Htilde_swap": (models, "jc_grad_Htilde", _pole_field_swapped),
+    "linearization_hessian_scale": (
+        hopf, "linearization_hessian",
+        lambda shipped: _times(shipped, 1.0 + 1e-6)),
+    "HESS_K1_scale": (symplin, "HESS_K1",
+                      lambda shipped: shipped * (1.0 + 1e-6)),
+    "equilibrium_eigenvalues_split": (
+        hopf, "equilibrium_eigenvalues",
+        lambda shipped: _split_at_the_collision(shipped, lambda p: p.nu == 0.0)),
+    "eigen_closed_split": (
+        symplin, "eigen_closed",
+        lambda shipped: _split_at_the_collision(
+            shipped, lambda q: q.b * q.b / 4.0 == q.a)),
 }
 # Faults that change no output of the shipped function that matters: no
 # criterion can fail them, and each must pass verify, with the reason.
@@ -111,6 +135,10 @@ EQUIVALENT = {
         hopf, "transformation_T", lambda shipped: _times(shipped, -1.0),
         "-T conjugates as T does: the invariants G1, G2, G3 and H~ are even "
         "in the point, and (-T)^t B (-T) = T^t B T"),
+    "HESS_J1_sign": (
+        symplin, "HESS_J1", lambda shipped: -shipped,
+        "omega~ -> -omega~ maps the spectrum +-i(sqrt(nu) +- omega) onto "
+        "itself, and criterion 7 evaluates symplin.j1, not its Hessian"),
 }
 
 
