@@ -13,10 +13,8 @@ Tolerances and time limits are pinned here and nowhere else.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import astuple, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -573,8 +571,7 @@ def run_all() -> list[CriterionResult]:
     done = []
     report = spectrum._forked(
         lambda: [json.dumps(astuple(_record(*last))).encode()],
-        lambda fd: _records(here, done) or b"".join(
-            iter(partial(os.read, fd, spectrum._PIPE_BYTES), b"")),
+        lambda pipe: _records(here, done) or pipe.read(),
         lambda: b"")
     if not done:        # no child: this process has not run its share yet
         _records(here, done)

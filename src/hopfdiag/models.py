@@ -315,10 +315,11 @@ def jc_reduced_critical_values(g: PolyG, j: float) -> list[CriticalValuePoint]:
     in order of z, then pole < minus < plus.  A J out of range raises
     ValueError.  One J costs about 5 us at gamma = 0 and 20 us at gamma =
     0.8 (one x86-64 core).  Known limits: within float rounding of a fold
-    value (``fold_offsets``) the two merging points may be miscounted; for
-    J >~ 1e10 the z < 0 points, near -1/(2J), are solved in the chart of
-    z = 1 and keep about 1e-16 absolute, not relative, error, so the plus
-    and minus rows there may come out in either order; a root within half
+    value (``fold_offsets``) the two merging points may be miscounted; z is
+    resolved to about 1.5 ulps of max(|z|, |1 - sigma z|), so where |z| << 1
+    its error is absolute, not relative (3.8e-14 relative at gamma = 123.4,
+    J = 1, z ~ 0.0014); for J >~ 1e10 the plus and minus rows of the z < 0
+    points, near -1/(2J), may come out in either order; a root within half
     an ulp of min(J, 1) or of -1 rounds onto that end and is dropped (at
     gamma = 123.4 and J = 1 + 2^-52, 3 rows for 4 roots, the fourth 9.1e-22
     below 1; at gamma = 0.3 and J = -1 + 2^-53, one float above -1, no rows

@@ -39,6 +39,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -251,7 +252,6 @@ _RASTER_HEADER = "J,H,count"
 _WRITE_ROWS = 8192          # rows per write call
 _READ_BYTES = 1 << 18       # text per read call: 1 MiB read diagram_io's
                             # peak RSS about 2 MB higher
-_PIPE_BYTES = 1 << 16       # text per pipe read, a Linux pipe's buffer
 _SPLIT_ROWS = 8192          # fewest cloud points written by two processes:
                             # the split won 30/30 timed pairs at 8192 points
                             # and broke even near 3000-4096 (2 CPUs)
@@ -273,15 +273,18 @@ def _block_text(blocks, width: int):
     return (line * (len(fields) // width) % fields for fields in blocks)
 
 
-def _write_csv(path, header: str, blocks, meta: dict | None = None, tail=()):
+def _write_csv(path, header: str, blocks, meta: dict | None = None,
+               tail=None):
     """Write ``# k=v ...`` if there is ``meta``, the header, the text of
-    ``blocks``, each the flat field tuple of up to 8192 rows, then the text
-    chunks of ``tail``."""
+    ``blocks``, each the flat field tuple of up to 8192 rows, then every
+    byte of ``tail``, a binary file, if there is one."""
     comment = "".join(f" {k}={v}" for k, v in meta.items()) if meta else ""
     with open(path, "w", newline="") as fh:
         fh.write(f"#{comment}\n{header}\n" if comment else f"{header}\n")
         fh.writelines(_block_text(blocks, header.count(",") + 1))
-        fh.writelines(tail)
+        if tail:
+            fh.flush()              # the text goes before the tail's bytes
+            shutil.copyfileobj(tail, fh.buffer)
 
 
 def _blocks(rows):
@@ -432,8 +435,8 @@ def write_cloud_csv(cloud: SpectrumCloud, path):
     """Blocks are sliced from the points array, never built row by row.
     A cloud of ``_SPLIT_ROWS`` points or more is written by ``_forked``: a
     child forked before the file is opened formats the trailing half of the
-    points into a pipe, which is copied into the file after the leading
-    half, with the same bytes as ``whole()``, its fallback."""
+    points into a pipe, whose bytes are copied into the file after the
+    leading half, with the same bytes as ``whole()``, its fallback."""
     def blocks(points):
         return (tuple(points[i:i + _WRITE_ROWS].ravel().tolist())
                 for i in range(0, len(points), _WRITE_ROWS))
@@ -445,10 +448,8 @@ def write_cloud_csv(cloud: SpectrumCloud, path):
         return whole()
     half = cloud.count // 2
     _forked(lambda: map(str.encode, list(_block_text(
-        blocks(cloud.points[half:]), 2))), lambda fd: _write_csv(
-        path, _CLOUD_HEADER, blocks(cloud.points[:half]), meta,
-        map(bytes.decode, iter(partial(os.read, fd, _PIPE_BYTES), b""))),
-        whole)
+        blocks(cloud.points[half:]), 2))), lambda pipe: _write_csv(
+        path, _CLOUD_HEADER, blocks(cloud.points[:half]), meta, pipe), whole)
 
 
 def _may_fork() -> bool:
@@ -464,12 +465,12 @@ def _may_fork() -> bool:
 
 
 def _forked(work, run, alone):
-    """``run(fd)`` beside a forked child that runs ``work()``, writes each
-    bytes-like object it gives to a pipe read by ``fd`` and ends by
-    ``os._exit``, if ``_may_fork`` holds, stdout and stderr flush and
-    ``os.fork`` succeeds, ``run`` returns and the child exits with 0; else
-    ``alone()``, once the child is killed (if ``run`` raises) and reaped.
-    A BaseException that is not an Exception is raised."""
+    """``run(pipe)`` beside a forked child that runs ``work()``, writes each
+    bytes-like object it gives to ``pipe``, a binary file that ``run`` reads,
+    and ends by ``os._exit``, if ``_may_fork`` holds, stdout and stderr flush
+    and ``os.fork`` succeeds, ``run`` returns and the child exits with 0;
+    else ``alone()``, once the child is killed (if ``run`` raises) and
+    reaped.  A BaseException that is not an Exception is raised."""
     if not _may_fork():
         return alone()
     r, w = os.pipe()
@@ -487,36 +488,33 @@ def _forked(work, run, alone):
         status = 1
         try:
             os.close(r)
-            for data in map(memoryview, work()):
-                while data:
-                    data = data[os.write(w, data):]
+            with os.fdopen(w, "wb") as pipe:
+                pipe.writelines(work())
             status = 0
         finally:
             os._exit(status)
     os.close(w)
     ok = False
     try:
-        value, ok = run(r), True
+        with os.fdopen(r, "rb") as pipe:
+            value, ok = run(pipe), True
     except Exception:
         pass                        # the child's share is of no use now
     finally:
-        os.close(r)
         if not ok:
             os.kill(pid, 9)         # SIGKILL
         ok &= not os.waitpid(pid, 0)[1]
     return value if ok else alone()
 
 
-def _joined(build, fd, meta, rows):
+def _joined(build, pipe, meta, rows):
     """``build(meta, rows)``, ``rows`` grown in place by the rows that a
-    child sends on ``fd``, their count as 8 bytes and then their bytes,
+    child sends on ``pipe``, their count as 8 bytes and then their bytes,
     read straight into it (a child cut short exits nonzero).  ``rows`` must
     be ``_read_csv``'s new array: a view of it would outlive the resize."""
     n = len(rows)
-    rows.resize(n + int.from_bytes(os.read(fd, 8), "little"), refcheck=False)
-    view = memoryview(rows[n:].view(np.uint8))
-    while view and (got := os.readv(fd, [view])):
-        view = view[got:]
+    rows.resize(n + int.from_bytes(pipe.read(8), "little"), refcheck=False)
+    pipe.readinto(rows[n:].view(np.uint8))
     return build(meta, rows)
 
 
@@ -544,8 +542,8 @@ def read_cloud_csv(path) -> SpectrumCloud:
     return _forked(lambda: _read_csv(
         path, _CLOUD_HEADER, lambda meta, rows: (
             len(rows).to_bytes(8, "little"), rows.view(np.uint8)),
-        span=(half, math.inf)), lambda fd: _read_csv(
-        path, _CLOUD_HEADER, partial(_joined, build, fd), span=(0, half)),
+        span=(half, math.inf)), lambda pipe: _read_csv(
+        path, _CLOUD_HEADER, partial(_joined, build, pipe), span=(0, half)),
         whole)
 
 

@@ -196,11 +196,11 @@ def quartic_coeffs(omega_t: float, alpha_t: float, gamma: float,
 
 
 def classify(q: QuarticCoeffs) -> EquilibriumType:
-    """Region of the (b, a) plane, by exact comparisons on the stored reals.
-
-    Boundary detection is deliberately exact: callers that want fuzzy
-    boundaries pre-round their inputs.
-    """
+    """Region of the (b, a) plane.  a is compared with the parabola as
+    rounded, fl(b*b)/4, not the exact b^2/4: where ``quartic_coeffs``'s
+    family lies on the parabola its a is that same rounding, and an exact
+    test would read HyperbolicHyperbolic wherever it rounds down (b < 0).
+    No boundary is epsilon-snapped: callers pre-round inputs for fuzzy ones."""
     a, b = q.a, q.b
     parab = b * b / 4.0
     t = EquilibriumType

@@ -15,11 +15,14 @@ but ``verify`` run without it; a fresh process per command shows that
 property-test tools (sympy, mpmath, hypothesis) stay in the tests.  ``acceptance`` calls the other modules
 through their module objects, never through names imported from them.
 Files are read and written by one codec: in ``src/`` only ``spectrum``
-calls ``open`` (the builtin, ``io.open`` or a ``Path.open`` method) or
-``numpy.loadtxt``; there ``numpy.loadtxt`` is called once, by the row
-parser ``_parse_rows``, and ``open`` once each by the CSV writer and
-reader (``_write_csv``, ``_read_csv``) and the diagram JSON writer and
-reader, so no table grows a reader or writer of its own.  Imports run
+calls ``open`` (the builtin, ``io.open`` or a ``Path.open`` method),
+``os.fdopen`` or ``numpy.loadtxt``; there ``numpy.loadtxt`` is called
+once, by the row parser ``_parse_rows``, ``open`` once each by the CSV
+writer and reader (``_write_csv``, ``_read_csv``) and the diagram JSON
+writer and reader, so no table grows a reader or writer of its own, and
+``os.fdopen`` twice by ``_forked``, once for each end of its pipe.  No
+module of ``src/`` calls ``os.read``, ``os.write`` or ``os.readv``: bytes
+move through files, the pipe included.  Imports run
 ``spectrum`` -> ``models`` only, and every
 hopfdiag import sits at module top except ``cli.cmd_verify``'s
 ``acceptance``, which drives the CLI.  Every public top-level function
@@ -33,7 +36,9 @@ every record checks its numbers by ``symplin.finite_float``.  ``os.fork``
 appears once in ``src/``, in ``spectrum._forked``, which only the cloud
 writer, the cloud reader and ``acceptance.run_all`` refer to (by name, by
 attribute or by import), and ``src/`` imports no ``subprocess``,
-``multiprocessing`` or ``concurrent``.  The two-core rule has one home:
+``multiprocessing`` or ``concurrent``; ``_forked`` is the one underscore
+name of ``spectrum`` that ``acceptance`` refers to.
+The two-core rule has one home:
 only ``_forked`` refers to the gate ``_may_fork``, and it is the one place
 that flushes ``sys.stdout``/``sys.stderr`` other than the CLI, which
 flushes its own output to report a failed write.  Only
@@ -112,8 +117,9 @@ def forbidden_solvers(refs) -> set[str]:
 
 def opener_sites(module) -> list[tuple[str, str]]:
     """(innermost function, opener) for each call of a file opener, sorted:
-    "open" for ``open``/``*.open``, "numpy.loadtxt" for ``numpy.loadtxt``
-    under any import alias; a call outside a function is in "<module>".
+    "open" for ``open``/``*.open``, "os.fdopen" for ``fdopen``/``*.fdopen``,
+    "numpy.loadtxt" for ``numpy.loadtxt`` under any import alias; a call
+    outside a function is in "<module>".
     The aliases are read once, so the scan is linear in the tree's size."""
     bound = numpy_aliases(module)
 
@@ -128,6 +134,10 @@ def opener_sites(module) -> list[tuple[str, str]]:
                         or isinstance(func, ast.Attribute)
                         and func.attr == "open"):
                     yield function, "open"
+                elif (isinstance(func, ast.Name) and func.id == "fdopen"
+                        or isinstance(func, ast.Attribute)
+                        and func.attr == "fdopen"):
+                    yield function, "os.fdopen"
                 elif "numpy.loadtxt" in numpy_names(func, bound):
                     yield function, "numpy.loadtxt"
             yield from visit(child, function)
@@ -136,7 +146,8 @@ def opener_sites(module) -> list[tuple[str, str]]:
 
 def file_openers(tree) -> set[str]:
     """Calls that open a file or parse one: ``open``/``*.open`` as "open",
-    and ``numpy.loadtxt`` under any import alias, called or not."""
+    ``fdopen``/``*.fdopen`` as "os.fdopen", and ``numpy.loadtxt`` under any
+    import alias, called or not."""
     return {opener for _, opener in opener_sites(tree)} | {
         r for r in numpy_references(tree) if r == "numpy.loadtxt"}
 
@@ -205,8 +216,8 @@ def test_src_opens_and_parses_files_only_in_spectrum(path):
 
 
 def test_spectrum_is_the_codec():
-    assert file_openers(parse(SRC / "spectrum.py")) == {"open",
-                                                       "numpy.loadtxt"}
+    assert file_openers(parse(SRC / "spectrum.py")) == {
+        "open", "os.fdopen", "numpy.loadtxt"}
 
 
 @pytest.mark.parametrize("source, found", [
@@ -219,6 +230,10 @@ def test_spectrum_is_the_codec():
     ("import numpy\nx = numpy.loadtxt\nopen(p)", {"open", "numpy.loadtxt"}),
     ("import numpy as np\nPath(p).read_bytes(); fh.read(); np.load(p)",
      set()),
+    ("import os\nwith os.fdopen(w, 'wb') as pipe:\n    pipe.write(b)",
+     {"os.fdopen"}),
+    ("from os import fdopen\nfdopen(r, 'rb').read(); os.pipe()",
+     {"os.fdopen"}),
 ])
 def test_file_scan_sees(source, found):
     assert file_openers(ast.parse(source)) == found
@@ -237,6 +252,10 @@ def test_spectrum_opens_files_only_in_the_codec():
              in opener_sites(parse(SRC / "spectrum.py")) if opener == "open"]
     assert opens == ["_read_csv", "_write_csv", "read_diagram_json",
                      "write_diagram_json"]
+    # and the two ends of the second core's pipe
+    assert [function for function, opener
+            in opener_sites(parse(SRC / "spectrum.py"))
+            if opener == "os.fdopen"] == ["_forked", "_forked"]
 
 
 @pytest.mark.parametrize("source, found", [
@@ -270,6 +289,29 @@ def names_imported_from_hopfdiag_modules(tree) -> set[str]:
                 found.update(f"{module.removeprefix('hopfdiag.')}.{alias.name}"
                              for alias in node.names)
     return found
+
+
+def private_spectrum_names(tree) -> set[str]:
+    """Each underscore name read as an attribute of a name ``spectrum``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "spectrum"}
+
+
+def test_acceptance_reaches_only_the_two_core_rule_inside_spectrum():
+    assert private_spectrum_names(parse(SRC / "acceptance.py")) == {"_forked"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("spectrum._forked(a, b, c)", {"_forked"}),
+    ("def f():\n    return spectrum._PIPE_BYTES + spectrum._SPLIT_ROWS",
+     {"_PIPE_BYTES", "_SPLIT_ROWS"}),
+    ("spectrum.write_cloud_csv(c, p); models._chart_roots; x.spectrum._y",
+     set()),
+])
+def test_private_spectrum_scan_sees(source, found):
+    assert private_spectrum_names(ast.parse(source)) == found
 
 
 def test_acceptance_reaches_hopfdiag_through_its_modules():
@@ -675,6 +717,28 @@ def test_fork_scan_sees(source, found):
 ])
 def test_forked_scan_sees(source, found):
     assert sites(ast.parse(source), is_forked) == found
+
+
+def is_raw_io(node) -> bool:
+    """``os.read``, ``os.write`` or ``os.readv``, as ``member`` sees it."""
+    return any(member("os", name)(node) for name in ("read", "write", "readv"))
+
+
+def test_src_moves_bytes_only_through_files():
+    # both ends of the second core's pipe are binary files (spectrum._forked)
+    assert src_sites(is_raw_io) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import os\ndef f(fd):\n    return os.read(fd, 8)", ["f"]),
+    ("def g(fd, b):\n    while b:\n        b = b[os.write(fd, b):]", ["g"]),
+    ("from os import readv\ndef h(fd, v):\n    readv(fd, [v])", ["<module>"]),
+    ("def f():\n    from os import write as put\n    put(1, b)", ["f"]),
+    ("pipe.read(8); fh.write(s); pipe.readinto(v); os.fdopen(r); os.readlink(p)",
+     []),
+])
+def test_raw_io_scan_sees(source, found):
+    assert sites(ast.parse(source), is_raw_io) == found
 
 
 def test_the_two_core_gate_has_one_home():

@@ -1125,15 +1125,15 @@ class ForkCounting:
             os.waitpid(-1, os.WNOHANG)
 
 
-def drained(fd) -> bytes:
-    """Every byte that arrives on ``fd`` until the writers close it."""
-    return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+def drained(pipe) -> bytes:
+    """Every byte that arrives on ``pipe`` until the writers close it."""
+    return pipe.read()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForked(ForkCounting):
     """``spectrum._forked(work, run, alone)``, the one rule for a second
-    core, on trivial callables: ``run(fd)`` only if ``_may_fork`` holds,
+    core, on trivial callables: ``run(pipe)`` only if ``_may_fork`` holds,
     ``os.fork`` succeeds, ``run`` returns and the child exits with 0, and
     otherwise ``alone()``, with no child left behind in any case."""
 
@@ -1151,8 +1151,16 @@ class TestForked(ForkCounting):
                run=drained):
         return spectrum._forked(work, run, self.alone)
 
-    def test_the_child_sends_its_bytes(self, forks):
-        assert self.forked() == b"abcd" and forks == [1]
+    @pytest.mark.parametrize("payload", [
+        [b"ab", bytearray(b"cd"), b""],
+        # 3 * 65536 + 5 bytes, more than a Linux pipe's buffer holds, in
+        # each bytes-like type: they arrive whole and in order
+        [bytes(range(256)) * 256, bytearray(b"x" * 65536),
+         memoryview(bytes(range(255, -1, -1)) * 256),
+         np.arange(16, dtype=np.uint8)[3:8]]], ids=["short", "long"])
+    def test_the_child_sends_its_bytes(self, forks, payload):
+        sent = b"".join(map(bytes, payload))
+        assert self.forked(lambda: payload) == sent and forks == [1]
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("why", ["one CPU", "a second thread"])
@@ -1201,13 +1209,13 @@ class TestForked(ForkCounting):
             yield b"half"
             raise OSError(28, "No space left on device")
         sent = []
-        assert self.forked(work, lambda fd: sent.append(drained(fd))) \
+        assert self.forked(work, lambda pipe: sent.append(drained(pipe))) \
             == "alone"
         assert sent == [b"half" * (death == "exit")] and forks == [1]
         self.assert_no_child_left()
 
     def test_an_error_in_run_ends_the_child_then_runs_alone(self, forks):
-        def run(fd):
+        def run(pipe):
             raise ValueError("a fault in this half")
         t0 = time.monotonic()
         assert self.forked(self.sleeping, run) == "alone" and forks == [1]
@@ -1215,7 +1223,7 @@ class TestForked(ForkCounting):
         self.assert_no_child_left()
 
     def test_an_interrupt_in_run_ends_the_child_and_propagates(self, forks):
-        def run(fd):
+        def run(pipe):
             raise KeyboardInterrupt
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from hopfdiag import oracle, symplin
 from hopfdiag.symplin import EquilibriumType, QuarticCoeffs, SYMPLECTIC_MATRIX
@@ -90,6 +90,11 @@ class TestQuarticCoeffs:
         assert str(symplin.classify(q)) == "Boundary(ParabolaPlus)"
 
     @given(finite3, finite3, finite3, finite3)
+    # b < 0 and a == fl(b*b)/4 < b*b/4: the rounded parabola test reads
+    # ParabolaMinus where an exact one would read HyperbolicHyperbolic
+    @example(0.0, 1.1, 0.3, 0.7)
+    @example(-2.329616902456162e-31, -2.3277393063394567, 2.87086271772385,
+             -2.3403276983063925)
     def test_identity_and_region_exclusion(self, w, al, ga, de):
         q = symplin.quartic_coeffs(w, al, ga, de)
         assert q.a >= 0.0
