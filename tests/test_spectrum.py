@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -1124,10 +1125,21 @@ class ForkCounting:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @staticmethod
+    def fail_the_child(monkeypatch, death):
+        """The child's end of the pipe refuses its first write: the child
+        exits nonzero ("exit") or is killed there ("kill").  The parent's
+        end opens as ever."""
+        fdopen = os.fdopen
 
-def drained(pipe) -> bytes:
-    """Every byte that arrives on ``pipe`` until the writers close it."""
-    return pipe.read()
+        class FullPipe(io.FileIO):
+            def write(self, data):
+                if death == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode="r", *args, **kw:
+                            FullPipe(fd, "w") if mode == "wb"
+                            else fdopen(fd, mode, *args, **kw))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -1148,7 +1160,7 @@ class TestForked(ForkCounting):
         yield b"late"
 
     def forked(self, work=lambda: [b"ab", bytearray(b"cd"), b""],
-               run=drained):
+               run=lambda pipe: pipe.read()):
         return spectrum._forked(work, run, self.alone)
 
     @pytest.mark.parametrize("payload", [
@@ -1209,7 +1221,7 @@ class TestForked(ForkCounting):
             yield b"half"
             raise OSError(28, "No space left on device")
         sent = []
-        assert self.forked(work, lambda pipe: sent.append(drained(pipe))) \
+        assert self.forked(work, lambda pipe: sent.append(pipe.read())) \
             == "alone"
         assert sent == [b"half" * (death == "exit")] and forks == [1]
         self.assert_no_child_left()
@@ -1323,17 +1335,17 @@ class TestSplitCloudWriter(ForkCounting):
     @pytest.mark.parametrize("death", ["exit", "kill"])
     def test_a_failed_child_gives_the_reference_bytes(self, tmp_path, forks,
                                                       monkeypatch, death):
-        # the child cannot send its half: the file is written in-process
-        def no_write(fd, data):
-            if death == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise OSError(28, "No space left on device")
-        monkeypatch.setattr(os, "write", no_write)
+        # the child cannot send its half: after its own half, the parent
+        # writes the whole file again in-process
+        self.fail_the_child(monkeypatch, death)
+        calls, write_csv = [], spectrum._write_csv
+        monkeypatch.setattr(spectrum, "_write_csv", lambda *args: (
+            calls.append(len(args)), write_csv(*args))[1])
         cloud = SpectrumCloud(points=self.ROWS, seed=4)
         path = tmp_path / "cloud.csv"
         spectrum.write_cloud_csv(cloud, path)
         assert path.read_bytes() == reference_cloud_csv(cloud).encode()
-        assert forks == [1]
+        assert calls == [5, 4] and forks == [1]     # with a tail, then whole
         self.assert_no_child_left()
 
     def test_an_exception_after_the_fork_ends_the_child(self, tmp_path,
@@ -1531,17 +1543,18 @@ class TestSplitCloudReader(ForkCounting):
     @pytest.mark.parametrize("death", ["exit", "kill"])
     def test_a_failed_child_gives_the_same_array(self, tmp_path, forks,
                                                  monkeypatch, death):
-        # the child cannot send its rows: the file is read in-process
-        def no_write(fd, data):
-            if death == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise OSError(28, "No space left on device")
-        monkeypatch.setattr(os, "write", no_write)
+        # the child cannot send its rows: after its own half, the parent
+        # reads the whole file again in-process
+        self.fail_the_child(monkeypatch, death)
+        spans, read_csv = [], spectrum._read_csv
+        monkeypatch.setattr(spectrum, "_read_csv", lambda *args, **kw: (
+            spans.append(kw.get("span")), read_csv(*args, **kw))[1])
         path = tmp_path / "cloud.csv"
         path.write_text(self.ROWS)
         back = spectrum.read_cloud_csv(path).points
         assert np.array_equal(back.view(np.int64),
                               self.CLOUD.points.view(np.int64))
+        assert spans == [(0, path.stat().st_size // 2), None]
         assert forks == [1]
         self.assert_no_child_left()
 
