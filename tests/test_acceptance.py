@@ -5,17 +5,15 @@ functions from the command line.  ``run_all`` is tested on both paths: the
 split, where a forked child runs the last criterion (two CPUs, one OS
 thread), and one process; both give the same records, fail the same slow
 criteria and raise the same errors, and the ``forks`` fixture checks that
-no child is left behind.  A child that fails gives no report, and the last
-criterion runs here; the rule itself, ``spectrum._forked``, is tested once
-in ``test_spectrum.py``.
+no child is left behind.  The rule itself, ``spectrum._forked``, is tested
+once for every site, ``run_all`` included, by ``test_two_core_rule`` in
+``test_spectrum.py``: a failed gate, flush, fork or child, and an error or
+interrupt in this process's share.
 """
 
 import json
 import os
 import re
-import sys
-import tempfile
-import threading
 import time
 import tracemalloc
 import types
@@ -168,105 +166,6 @@ def test_verify_reports_the_same_on_both_paths(monkeypatch, forks, capsys):
     code, report = reports[0]
     assert code == 0 and [r["number"] for r in report] == list(range(1, 15))
     assert forks == [1, 1]
-
-
-@pytest.mark.parametrize("how", ["exit", "kill"])
-def test_a_failed_child_reruns_its_criteria_here(monkeypatch, forks, how):
-    parent, ran = os.getpid(), []
-
-    def fragile():
-        if os.getpid() != parent:
-            if how == "exit":
-                os._exit(1)
-            os.kill(os.getpid(), 9)     # SIGKILL
-        ran.append(1)
-        return "ran here"
-
-    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "one", lambda: "ok"),
-                                                 (14, "fourteen", fragile)])
-    assert records(acceptance.run_all()) == [(1, "one", True, "ok"),
-                                             (14, "fourteen", True,
-                                              "ran here")]
-    assert ran == [1] and forks == [1]
-
-
-@pytest.mark.parametrize("why", ["one cpu", "second thread", "failed fork"])
-def test_no_split_runs_in_process(monkeypatch, forks, why):
-    if why == "one cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-    elif why == "failed fork":
-        def no_fork():
-            forks.append(1)
-            raise OSError(11, "Resource temporarily unavailable")
-        monkeypatch.setattr(os, "fork", no_fork)
-    pid = os.getpid()
-    monkeypatch.setattr(acceptance, "CRITERIA", [
-        (1, "one", lambda: "ok"), (14, "fourteen", lambda: str(os.getpid()))])
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    if why == "second thread":
-        thread.start()
-    try:
-        results = acceptance.run_all()
-    finally:
-        done.set()
-        if thread.is_alive():
-            thread.join(10.0)
-    assert records(results) == [(1, "one", True, "ok"),
-                                (14, "fourteen", True, str(pid))]
-    assert forks == ([1] if why == "failed fork" else [])
-
-
-def test_an_interrupt_here_ends_the_child(monkeypatch, forks):
-    parent = os.getpid()
-
-    def interrupted():
-        raise KeyboardInterrupt
-
-    def slow():
-        if os.getpid() != parent:
-            time.sleep(60.0)
-        return "ok"
-
-    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "one", interrupted),
-                                                 (14, "fourteen", slow)])
-    t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        acceptance.run_all()
-    assert time.monotonic() - t0 < 30.0 and forks == [1]
-
-
-def test_pending_output_is_written_once(monkeypatch, forks, tmp_path):
-    """Text held in a block-buffered stdout is flushed before the fork, so
-    the child's flush (in criterion 14's ``cli.main``) cannot repeat it."""
-    path = tmp_path / "stdout.txt"
-    monkeypatch.setattr(acceptance, "CRITERIA", [
-        c for c in acceptance.CRITERIA if c[0] in (5, 14)])
-    with open(path, "w", buffering=1 << 16) as out, \
-            monkeypatch.context() as patch:
-        patch.setattr(sys, "stdout", out)
-        out.write("pending\n")
-        results = acceptance.run_all()
-    assert path.read_text() == "pending\n"
-    assert all(r.passed for r in results) and forks == [1]
-
-
-def test_an_error_here_waits_for_the_child(monkeypatch, forks, tmp_path):
-    """An error in this process is raised once the child has ended, so
-    criterion 14 removes its temporary directory."""
-    def broken():
-        deadline = time.monotonic() + 30.0
-        while not any(tmp_path.iterdir()) and time.monotonic() < deadline:
-            time.sleep(0.001)       # until criterion 14 has made it
-        raise ValueError("bug")
-
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(acceptance, "CRITERIA", [
-        (1, "one", broken), *acceptance.CRITERIA[13:]])
-    with pytest.raises(ValueError, match="bug"):
-        acceptance.run_all()
-    assert list(tmp_path.iterdir()) == [] and forks == [1]
 
 
 def _crossings_reference(p0, p1, poly) -> bool:

@@ -682,114 +682,93 @@ def std_flush_sites(tree) -> list[str]:
     return sorted(set(sites(tree, is_std_stream)) & set(sites(tree, is_flush)))
 
 
-def src_sites(hit) -> list[tuple[str, str]]:
-    return [(path.name, function) for path in sorted(SRC.glob("**/*.py"))
-            for function in sites(parse(path), hit)]
-
-
-def test_src_forks_only_for_the_cloud_codec_and_verify():
-    assert src_sites(is_os_fork) == [("spectrum.py", "_forked")]
-    assert src_sites(is_forked) == [("acceptance.py", "run_all"),
-                                    ("spectrum.py", "read_cloud_csv"),
-                                    ("spectrum.py", "write_cloud_csv")]
-
-
-@pytest.mark.parametrize("source, found", [
-    ("import os\ndef f():\n    return os.fork()", ["f"]),
-    ("from os import fork\ndef g():\n    fork()", ["<module>"]),
-    ("def f():\n    from os import fork as spawn\n    spawn()", ["f"]),
-    ("import os\npid = os.fork()\nclass C:\n    def m(self):\n"
-     "        os.fork", ["<module>", "m"]),
-    ("import os\nos.forkpty(); os.getpid(); x.fork()", []),
-])
-def test_fork_scan_sees(source, found):
-    assert sites(ast.parse(source), is_os_fork) == found
-
-
-@pytest.mark.parametrize("source, found", [
-    ("def f():\n    return _forked(a, b)", ["f"]),
-    ("def g():\n    spectrum._forked(a, b)", ["g"]),
-    ("def h():\n    run = hopfdiag.spectrum._forked\n", ["h"]),
-    ("from .spectrum import _forked as split\ndef f():\n    split()",
-     ["<module>"]),
-    ("def _forked(work, run):\n    return work, run", []),
-    ("forked(); x._forks; _forked_text(); '_forked'", []),
-])
-def test_forked_scan_sees(source, found):
-    assert sites(ast.parse(source), is_forked) == found
-
-
 def is_raw_io(node) -> bool:
     """``os.read``, ``os.write`` or ``os.readv``, as ``member`` sees it."""
     return any(member("os", name)(node) for name in ("read", "write", "readv"))
 
 
-def test_src_moves_bytes_only_through_files():
-    # both ends of the second core's pipe are binary files (spectrum._forked)
-    assert src_sites(is_raw_io) == []
+def scan(hit):
+    """The sites of the nodes for which ``hit(node)`` holds, in a tree."""
+    return lambda tree: sites(tree, hit)
 
 
-@pytest.mark.parametrize("source, found", [
-    ("import os\ndef f(fd):\n    return os.read(fd, 8)", ["f"]),
-    ("def g(fd, b):\n    while b:\n        b = b[os.write(fd, b):]", ["g"]),
-    ("from os import readv\ndef h(fd, v):\n    readv(fd, [v])", ["<module>"]),
-    ("def f():\n    from os import write as put\n    put(1, b)", ["f"]),
-    ("pipe.read(8); fh.write(s); pipe.readinto(v); os.fdopen(r); os.readlink(p)",
-     []),
-])
-def test_raw_io_scan_sees(source, found):
-    assert sites(ast.parse(source), is_raw_io) == found
+# Names with one home in src/, and the scan that finds each one's sites.
+SCANS = {"os.fork": scan(is_os_fork), "_forked": scan(is_forked),
+         "_may_fork": scan(is_may_fork), "std flush": std_flush_sites,
+         "raw io": scan(is_raw_io), "perf_counter": scan(is_perf_counter)}
 
 
-def test_the_two_core_gate_has_one_home():
+@pytest.mark.parametrize("name, homes", [
+    ("os.fork", [("spectrum.py", "_forked")]),
+    # only the cloud codec and verify use the second core
+    ("_forked", [("acceptance.py", "run_all"),
+                 ("spectrum.py", "read_cloud_csv"),
+                 ("spectrum.py", "write_cloud_csv")]),
+    ("_may_fork", [("spectrum.py", "_forked")]),
     # the CLI flushes its own output, where a closed stdout is an I/O fault
-    assert src_sites(is_may_fork) == [("spectrum.py", "_forked")]
+    ("std flush", [("cli.py", "guarded_main"), ("cli.py", "print_help"),
+                   ("spectrum.py", "_forked")]),
+    # both ends of the second core's pipe are binary files (_forked)
+    ("raw io", []),
+    # one clock per criterion, read at its start and end: _record times it
+    # and applies TIME_LIMITS, so no criterion keeps a clock of its own
+    ("perf_counter", [("acceptance.py", "_record")] * 2),
+])
+def test_src_has_one_home_for(name, homes):
     assert [(path.name, function) for path in sorted(SRC.glob("**/*.py"))
-            for function in std_flush_sites(parse(path))] == [
-        ("cli.py", "guarded_main"), ("cli.py", "print_help"),
-        ("spectrum.py", "_forked")]
+            for function in SCANS[name](parse(path))] == homes
 
 
-@pytest.mark.parametrize("source, found", [
-    ("def f():\n    if not _may_fork():\n        return 1", ["f"]),
-    ("def g():\n    return spectrum._may_fork() and x", ["g"]),
-    ("from .spectrum import _may_fork\ndef h():\n    pass", ["<module>"]),
-    ("def _may_fork():\n    return True", []),
-    ("may_fork(); x._may_forks; '_may_fork'", []),
-])
-def test_may_fork_scan_sees(source, found):
-    assert sites(ast.parse(source), is_may_fork) == found
-
-
-@pytest.mark.parametrize("source, found", [
-    ("import sys\ndef f():\n    sys.stdout.flush()", ["f"]),
-    ("def g():\n    for s in (sys.stdout, sys.stderr):\n        s.flush()",
-     ["g"]),
-    ("def h():\n    print(1, file=sys.stderr, flush=True)", ["h"]),
-    ("sys.stdout.flush()\ndef f():\n    pass", ["<module>"]),
-    ("def f():\n    fh.flush()\ndef g():\n    print(sys.stdout)", []),
-    ("def f():\n    os.stdout.flush(); stdout.flush()", []),
-])
-def test_std_flush_scan_sees(source, found):
-    assert std_flush_sites(ast.parse(source)) == found
-
-
-def test_src_reads_the_clock_only_in_the_criterion_record():
-    # one clock per criterion: acceptance._record times it and applies
-    # TIME_LIMITS, so no criterion keeps a clock of its own
-    assert sorted(set(src_sites(is_perf_counter))) == [
-        ("acceptance.py", "_record")]
-
-
-@pytest.mark.parametrize("source, found", [
-    ("import time\ndef f():\n    t0 = time.perf_counter()", ["f"]),
-    ("from time import perf_counter\ndef g():\n    perf_counter()",
-     ["<module>"]),
-    ("def f():\n    from time import perf_counter as clock\n    clock()",
+@pytest.mark.parametrize("name, source, found", [
+    ("os.fork", "import os\ndef f():\n    return os.fork()", ["f"]),
+    ("os.fork", "from os import fork\ndef g():\n    fork()", ["<module>"]),
+    ("os.fork", "def f():\n    from os import fork as spawn\n    spawn()",
      ["f"]),
-    ("import time\nclass C:\n    def m(self):\n        time.perf_counter",
-     ["m"]),
-    ("import time\ntime.monotonic(); x.perf_counter(); perf_counter()", []),
+    ("os.fork", "import os\npid = os.fork()\nclass C:\n    def m(self):\n"
+     "        os.fork", ["<module>", "m"]),
+    ("os.fork", "import os\nos.forkpty(); os.getpid(); x.fork()", []),
+    ("_forked", "def f():\n    return _forked(a, b)", ["f"]),
+    ("_forked", "def g():\n    spectrum._forked(a, b)", ["g"]),
+    ("_forked", "def h():\n    run = hopfdiag.spectrum._forked\n", ["h"]),
+    ("_forked", "from .spectrum import _forked as split\ndef f():\n"
+     "    split()", ["<module>"]),
+    ("_forked", "def _forked(work, run):\n    return work, run", []),
+    ("_forked", "forked(); x._forks; _forked_text(); '_forked'", []),
+    ("_may_fork", "def f():\n    if not _may_fork():\n        return 1",
+     ["f"]),
+    ("_may_fork", "def g():\n    return spectrum._may_fork() and x", ["g"]),
+    ("_may_fork", "from .spectrum import _may_fork\ndef h():\n    pass",
+     ["<module>"]),
+    ("_may_fork", "def _may_fork():\n    return True", []),
+    ("_may_fork", "may_fork(); x._may_forks; '_may_fork'", []),
+    ("std flush", "import sys\ndef f():\n    sys.stdout.flush()", ["f"]),
+    ("std flush", "def g():\n    for s in (sys.stdout, sys.stderr):\n"
+     "        s.flush()", ["g"]),
+    ("std flush", "def h():\n    print(1, file=sys.stderr, flush=True)",
+     ["h"]),
+    ("std flush", "sys.stdout.flush()\ndef f():\n    pass", ["<module>"]),
+    ("std flush", "def f():\n    fh.flush()\ndef g():\n    print(sys.stdout)",
+     []),
+    ("std flush", "def f():\n    os.stdout.flush(); stdout.flush()", []),
+    ("raw io", "import os\ndef f(fd):\n    return os.read(fd, 8)", ["f"]),
+    ("raw io", "def g(fd, b):\n    while b:\n        b = b[os.write(fd, b):]",
+     ["g"]),
+    ("raw io", "from os import readv\ndef h(fd, v):\n    readv(fd, [v])",
+     ["<module>"]),
+    ("raw io", "def f():\n    from os import write as put\n    put(1, b)",
+     ["f"]),
+    ("raw io", "pipe.read(8); fh.write(s); pipe.readinto(v); os.fdopen(r); "
+     "os.readlink(p)", []),
+    ("perf_counter", "import time\ndef f():\n    t0 = time.perf_counter()",
+     ["f"]),
+    ("perf_counter", "from time import perf_counter\ndef g():\n"
+     "    perf_counter()", ["<module>"]),
+    ("perf_counter", "def f():\n    from time import perf_counter as clock\n"
+     "    clock()", ["f"]),
+    ("perf_counter", "import time\nclass C:\n    def m(self):\n"
+     "        time.perf_counter", ["m"]),
+    ("perf_counter", "import time\ntime.monotonic(); x.perf_counter(); "
+     "perf_counter()", []),
 ])
-def test_clock_scan_sees(source, found):
-    assert sites(ast.parse(source), is_perf_counter) == found
+def test_one_home_scan_sees(name, source, found):
+    assert SCANS[name](ast.parse(source)) == found

@@ -6,17 +6,19 @@ import os
 import re
 import signal
 import sys
+import tempfile
 import threading
 import time
 import types
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfdiag import hopf, models, spectrum
+from hopfdiag import acceptance, hopf, models, spectrum
 from hopfdiag.hopf import CurveSample, HopfParams, Regime, SegmentKind
 from hopfdiag.models import Branch, CriticalKind, SpectrumCloud
 from hopfdiag.spectrum import (Diagram, DiagramSegment, JCCriticalRow,
@@ -1116,152 +1118,45 @@ class TestNonFiniteCloud:
                 spectrum.read_cloud_csv(path)
 
 
-class ForkCounting:
-    """A check that no child is left behind, at a given point of a test
-    that takes the ``forks`` fixture (``conftest.py``)."""
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def fail_the_child(monkeypatch, death):
-        """The child's end of the pipe refuses its first write: the child
-        exits nonzero ("exit") or is killed there ("kill").  The parent's
-        end opens as ever."""
-        fdopen = os.fdopen
-
-        class FullPipe(io.FileIO):
-            def write(self, data):
-                if death == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise OSError(28, "No space left on device")
-        monkeypatch.setattr(os, "fdopen", lambda fd, mode="r", *args, **kw:
-                            FullPipe(fd, "w") if mode == "wb"
-                            else fdopen(fd, mode, *args, **kw))
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestForked(ForkCounting):
-    """``spectrum._forked(work, run, alone)``, the one rule for a second
-    core, on trivial callables: ``run(pipe)`` only if ``_may_fork`` holds,
-    ``os.fork`` succeeds, ``run`` returns and the child exits with 0, and
-    otherwise ``alone()``, with no child left behind in any case."""
+def fail_the_child(monkeypatch, death):
+    """The child's end of the pipe fails at its first write: the child is
+    killed there ("kill"), or it writes half of it and exits nonzero
+    ("exit").  The parent's end opens as ever."""
+    fdopen = os.fdopen
 
-    @staticmethod
-    def alone():
-        ForkCounting.assert_no_child_left()     # the child is reaped first
-        return "alone"
-
-    @staticmethod
-    def sleeping():
-        time.sleep(60.0)        # unless it is killed
-        yield b"late"
-
-    def forked(self, work=lambda: [b"ab", bytearray(b"cd"), b""],
-               run=lambda pipe: pipe.read()):
-        return spectrum._forked(work, run, self.alone)
-
-    @pytest.mark.parametrize("payload", [
-        [b"ab", bytearray(b"cd"), b""],
-        # 3 * 65536 + 5 bytes, more than a Linux pipe's buffer holds, in
-        # each bytes-like type: they arrive whole and in order
-        [bytes(range(256)) * 256, bytearray(b"x" * 65536),
-         memoryview(bytes(range(255, -1, -1)) * 256),
-         np.arange(16, dtype=np.uint8)[3:8]]], ids=["short", "long"])
-    def test_the_child_sends_its_bytes(self, forks, payload):
-        sent = b"".join(map(bytes, payload))
-        assert self.forked(lambda: payload) == sent and forks == [1]
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("why", ["one CPU", "a second thread"])
-    def test_no_fork_runs_alone(self, forks, monkeypatch, why):
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        if why == "one CPU":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                                raising=False)
-        else:
-            thread.start()      # its locks would be copied into the child
-        try:
-            got = self.forked(work=pytest.fail, run=pytest.fail)
-        finally:
-            done.set()
-            if thread.is_alive():
-                thread.join(30.0)
-        assert got == "alone" and forks == []
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("error", [
-        OSError(11, "Resource temporarily unavailable"),
-        RuntimeError("fork not supported")])
-    def test_a_failed_fork_runs_alone(self, forks, monkeypatch, error):
-        def no_fork():
-            forks.append(1)
-            raise error
-        monkeypatch.setattr(os, "fork", no_fork)
-        fds = len(os.listdir("/proc/self/fd"))
-        assert self.forked(run=pytest.fail) == "alone" and forks == [1]
-        assert len(os.listdir("/proc/self/fd")) == fds      # pipe closed
-        self.assert_no_child_left()
-
-    def test_a_failed_flush_runs_alone(self, forks, monkeypatch, tmp_path):
-        # pending text that cannot be flushed would be the child's to write
-        with open(tmp_path / "stdout.txt", "w") as out:
-            monkeypatch.setattr(sys, "stdout", out)
-        assert self.forked(run=pytest.fail) == "alone" and forks == []
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("death", ["exit", "kill"])
-    def test_a_failed_child_runs_alone(self, forks, death):
-        def work():
+    class FullPipe(io.FileIO):
+        def write(self, data):
             if death == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-            yield b"half"
+            super().write(data[:len(data) // 2])
             raise OSError(28, "No space left on device")
-        sent = []
-        assert self.forked(work, lambda pipe: sent.append(pipe.read())) \
-            == "alone"
-        assert sent == [b"half" * (death == "exit")] and forks == [1]
-        self.assert_no_child_left()
-
-    def test_an_error_in_run_ends_the_child_then_runs_alone(self, forks):
-        def run(pipe):
-            raise ValueError("a fault in this half")
-        t0 = time.monotonic()
-        assert self.forked(self.sleeping, run) == "alone" and forks == [1]
-        assert time.monotonic() - t0 < 30.0
-        self.assert_no_child_left()
-
-    def test_an_interrupt_in_run_ends_the_child_and_propagates(self, forks):
-        def run(pipe):
-            raise KeyboardInterrupt
-        t0 = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            spectrum._forked(self.sleeping, run, pytest.fail)
-        assert time.monotonic() - t0 < 30.0 and forks == [1]
-        self.assert_no_child_left()
-
-    def test_pending_output_is_written_once(self, forks, monkeypatch,
-                                            tmp_path):
-        # text held in a block-buffered stdout is flushed before the fork,
-        # so the child's flush cannot repeat it
-        def work():
-            sys.stdout.flush()
-            return [b"x"]
-        path = tmp_path / "stdout.txt"
-        with open(path, "w", buffering=1 << 16) as out, \
-                monkeypatch.context() as patch:
-            patch.setattr(sys, "stdout", out)
-            out.write("pending\n")
-            assert self.forked(work) == b"x"
-        assert path.read_text() == "pending\n" and forks == [1]
-        self.assert_no_child_left()
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode="r", *args, **kw:
+                        FullPipe(fd, "w") if mode == "wb"
+                        else fdopen(fd, mode, *args, **kw))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestSplitCloudWriter(ForkCounting):
+@pytest.mark.parametrize("payload", [
+    [b"ab", bytearray(b"cd"), b""],
+    # 3 * 65536 + 5 bytes, more than a Linux pipe's buffer holds, in each
+    # bytes-like type: they arrive whole and in order
+    [bytes(range(256)) * 256, bytearray(b"x" * 65536),
+     memoryview(bytes(range(255, -1, -1)) * 256),
+     np.arange(16, dtype=np.uint8)[3:8]]], ids=["short", "long"])
+def test_the_child_sends_its_bytes(forks, payload):
+    sent = b"".join(map(bytes, payload))
+    assert spectrum._forked(lambda: payload, lambda pipe: pipe.read(),
+                            pytest.fail) == sent
+    assert forks == [1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSplitCloudWriter:
     """``write_cloud_csv`` on two CPUs in a process of one OS thread: a
     child forked before the file is opened formats the trailing half of the
     points; the bytes are those of the per-row reference, and no child is
@@ -1277,7 +1172,6 @@ class TestSplitCloudWriter(ForkCounting):
         spectrum.write_cloud_csv(cloud, path)
         assert path.read_bytes() == reference_cloud_csv(cloud).encode()
         assert len(forks) == (n >= spectrum._SPLIT_ROWS)
-        self.assert_no_child_left()
 
     def test_split_keeps_every_bit_pattern(self, tmp_path, forks):
         cloud = SpectrumCloud(points=self.ROWS, seed=43)   # subnormals, -0.0
@@ -1288,65 +1182,12 @@ class TestSplitCloudWriter(ForkCounting):
         back = spectrum.read_cloud_csv(path).points
         assert np.array_equal(back.view(np.int64), self.ROWS.view(np.int64))
 
-    def test_one_cpu_writes_in_process(self, tmp_path, forks, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        cloud = SpectrumCloud(points=self.ROWS, seed=1)
-        path = tmp_path / "cloud.csv"
-        spectrum.write_cloud_csv(cloud, path)
-        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
-        assert forks == []
-
-    def test_a_second_thread_writes_in_process(self, tmp_path, forks):
-        # no fork beside another thread, whose locks the child would copy
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            cloud = SpectrumCloud(points=self.ROWS, seed=6)
-            path = tmp_path / "cloud.csv"
-            spectrum.write_cloud_csv(cloud, path)
-        finally:
-            done.set()
-            thread.join()
-        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
-        assert forks == []
-
-    def test_a_failed_fork_writes_in_process(self, tmp_path, forks,
-                                             monkeypatch):
-        def no_fork():
-            forks.append(1)
-            raise OSError(11, "Resource temporarily unavailable")
-        monkeypatch.setattr(os, "fork", no_fork)
-        cloud = SpectrumCloud(points=self.ROWS, seed=2)
-        path = tmp_path / "cloud.csv"
-        spectrum.write_cloud_csv(cloud, path)
-        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
-        assert forks == [1]
-
     def test_a_missing_directory_leaves_no_child(self, tmp_path, forks):
         # the child is forked before the open fails, then killed and reaped
         cloud = SpectrumCloud(points=self.ROWS, seed=3)
         with pytest.raises(FileNotFoundError):
             spectrum.write_cloud_csv(cloud, tmp_path / "missing" / "cloud.csv")
         assert forks == [1]
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("death", ["exit", "kill"])
-    def test_a_failed_child_gives_the_reference_bytes(self, tmp_path, forks,
-                                                      monkeypatch, death):
-        # the child cannot send its half: after its own half, the parent
-        # writes the whole file again in-process
-        self.fail_the_child(monkeypatch, death)
-        calls, write_csv = [], spectrum._write_csv
-        monkeypatch.setattr(spectrum, "_write_csv", lambda *args: (
-            calls.append(len(args)), write_csv(*args))[1])
-        cloud = SpectrumCloud(points=self.ROWS, seed=4)
-        path = tmp_path / "cloud.csv"
-        spectrum.write_cloud_csv(cloud, path)
-        assert path.read_bytes() == reference_cloud_csv(cloud).encode()
-        assert calls == [5, 4] and forks == [1]     # with a tail, then whole
-        self.assert_no_child_left()
 
     def test_an_exception_after_the_fork_ends_the_child(self, tmp_path,
                                                         monkeypatch):
@@ -1378,7 +1219,7 @@ class TestSplitCloudWriter(ForkCounting):
                 pytest.fail("the child still writes to a pipe no one reads")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(done[1]) == 1
-        self.assert_no_child_left()
+        assert_no_child_left()
 
 
 def float_rows(text: str) -> np.ndarray:
@@ -1431,7 +1272,7 @@ def planted(lines: list[str], bad: str | None, where: str) -> tuple[str,
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestSplitCloudReader(ForkCounting):
+class TestSplitCloudReader:
     """``read_cloud_csv`` on two CPUs in a process of one OS thread: a
     file of ``_SPLIT_BYTES`` or more is split, a child forked before the
     file is opened parsing the lines that start in the trailing half of its
@@ -1452,7 +1293,6 @@ class TestSplitCloudReader(ForkCounting):
             except ValueError as exc:
                 got.append(str(exc))
         assert forks == [1]
-        self.assert_no_child_left()
         return got
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -1467,7 +1307,6 @@ class TestSplitCloudReader(ForkCounting):
         assert np.array_equal(back.view(np.int64),
                               float_rows(text).view(np.int64))
         assert len(forks) == (shift >= 0)
-        self.assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["split", "below the floor", "no fork"])
     def test_a_clean_file_is_parsed_once(self, tmp_path, forks, monkeypatch,
@@ -1491,7 +1330,6 @@ class TestSplitCloudReader(ForkCounting):
                               float_rows(text).view(np.int64))
         assert spans == ([(0, len(text) // 2)] if how == "split" else [None])
         assert forks == ([1] if how == "split" else [])
-        self.assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["lead", "trail"])
     def test_a_row_at_the_border_is_read_once(self, tmp_path, forks, where):
@@ -1504,7 +1342,6 @@ class TestSplitCloudReader(ForkCounting):
         assert np.array_equal(back.view(np.int64),
                               float_rows(text).view(np.int64))
         assert forks == [1]
-        self.assert_no_child_left()
 
     def test_split_keeps_every_bit_pattern(self, tmp_path, forks):
         path = tmp_path / "cloud.csv"
@@ -1515,7 +1352,6 @@ class TestSplitCloudReader(ForkCounting):
                               self.CLOUD.points.view(np.int64))
         assert back.seed == 59 and not back.points.flags.writeable
         assert forks == [1]
-        self.assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["lead", "trail", "deep", "both"])
     @pytest.mark.parametrize("bad", ["\n", "1.0,2.0,3.0\n", "1_0,2.0\n",
@@ -1540,66 +1376,268 @@ class TestSplitCloudReader(ForkCounting):
         else:
             assert f"line {line}" in split, split
 
-    @pytest.mark.parametrize("death", ["exit", "kill"])
-    def test_a_failed_child_gives_the_same_array(self, tmp_path, forks,
-                                                 monkeypatch, death):
-        # the child cannot send its rows: after its own half, the parent
-        # reads the whole file again in-process
-        self.fail_the_child(monkeypatch, death)
-        spans, read_csv = [], spectrum._read_csv
-        monkeypatch.setattr(spectrum, "_read_csv", lambda *args, **kw: (
-            spans.append(kw.get("span")), read_csv(*args, **kw))[1])
-        path = tmp_path / "cloud.csv"
-        path.write_text(self.ROWS)
-        back = spectrum.read_cloud_csv(path).points
-        assert np.array_equal(back.view(np.int64),
-                              self.CLOUD.points.view(np.int64))
-        assert spans == [(0, path.stat().st_size // 2), None]
-        assert forks == [1]
-        self.assert_no_child_left()
+    def test_a_missing_file_raises_in_process(self, tmp_path, forks):
+        with pytest.raises(FileNotFoundError):
+            spectrum.read_cloud_csv(tmp_path / "missing.csv")
+        assert forks == []
 
-    @pytest.mark.parametrize("why", ["one CPU", "a second thread",
-                                     "a failed fork", "a missing file"])
-    def test_reads_in_process(self, tmp_path, forks, monkeypatch, why):
-        path = tmp_path / "cloud.csv"
-        path.write_text(self.TEXT)
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        if why == "one CPU":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                                raising=False)
-        elif why == "a second thread":
-            thread.start()      # its locks would be copied into the child
-        elif why == "a failed fork":
-            def no_fork():
-                forks.append(1)
-                raise OSError(11, "Resource temporarily unavailable")
-            monkeypatch.setattr(os, "fork", no_fork)
-        try:
-            if why == "a missing file":
-                with pytest.raises(FileNotFoundError):
-                    spectrum.read_cloud_csv(tmp_path / "missing.csv")
-            else:
-                back = spectrum.read_cloud_csv(path).points
-                assert np.array_equal(back.view(np.int64),
-                                      self.CLOUD.points.view(np.int64))
-        finally:
-            done.set()
-            if thread.is_alive():
-                thread.join(30.0)
-        assert not thread.is_alive()
-        assert forks == ([1] if why == "a failed fork" else [])
-        self.assert_no_child_left()
 
-    def test_an_exception_in_the_parent_ends_the_child(self, tmp_path, forks,
-                                                       monkeypatch):
-        # as a KeyboardInterrupt while the rows are received
-        def interrupted(*args):
-            raise KeyboardInterrupt
-        monkeypatch.setattr(spectrum, "_joined", interrupted)
-        path = tmp_path / "cloud.csv"
-        path.write_text(self.TEXT)
-        with pytest.raises(KeyboardInterrupt):
-            spectrum.read_cloud_csv(path)
-        assert forks == [1]
-        self.assert_no_child_left()
+# The two-core rule, ``spectrum._forked``, at each site that uses it.  A
+# site runs one job on two cores or in one process, and it states three
+# things: ``run()`` runs it, ``want`` and ``here`` are what one process
+# gives and logs, and ``plant(exc)`` makes the parent's own share raise
+# ``exc`` while the child's share sleeps until it is killed.  Its ``log``
+# lists what ran in this process: "share", the parent's own share of a
+# split, and "whole", the job in one process (at ``verify``, the last
+# criterion here).
+
+class Site:
+    fault, here = None, ["whole"]
+
+    def __init__(self, monkeypatch, tmp_path):
+        self.monkeypatch, self.tmp_path = monkeypatch, tmp_path
+        self.parent, self.log = os.getpid(), []
+
+    def part(self, name):
+        """Mark a part of the job as run.  In the child, sleep while a
+        fault is planted.  Here, log ``name`` and raise the fault in the
+        share; "child" names code that both processes run, which counts
+        in the child only."""
+        if os.getpid() != self.parent:
+            if self.fault:
+                time.sleep(60.0)        # unless it is killed
+        elif name != "child":
+            self.log.append(name)
+            if self.fault and name == "share":
+                raise self.fault
+
+    def plant(self, exc):
+        self.fault = exc
+
+
+class Trivial(Site):
+    """``_forked`` on small callables."""
+    want = b"abcd"
+
+    def run(self):
+        def work():
+            self.part("child")
+            sys.stdout.flush()          # as a child that prints would
+            return [b"ab", bytearray(b"cd"), b""]
+
+        def run(pipe):
+            self.part("share")
+            return pipe.read()
+
+        def alone():
+            assert_no_child_left()      # the child is reaped first
+            self.part("whole")
+            return self.want
+        return spectrum._forked(work, run, alone)
+
+
+class Writer(Site):
+    """``write_cloud_csv`` on a cloud of every bit pattern; its share is
+    ``_write_csv`` with a tail, and the child's share calls
+    ``_block_text``, as ``_write_csv`` does here."""
+    CLOUD = SpectrumCloud(points=TestSplitCloudWriter.ROWS, seed=4)
+    want = reference_cloud_csv(CLOUD).encode()
+
+    def __init__(self, monkeypatch, tmp_path):
+        super().__init__(monkeypatch, tmp_path)
+        write_csv, block_text = spectrum._write_csv, spectrum._block_text
+        monkeypatch.setattr(spectrum, "_write_csv", lambda *args: (
+            self.part("share" if len(args) == 5 else "whole"),
+            write_csv(*args))[1])
+        monkeypatch.setattr(spectrum, "_block_text", lambda *args: (
+            self.part("child"), block_text(*args))[1])
+
+    def run(self):
+        path = self.tmp_path / "cloud.csv"
+        spectrum.write_cloud_csv(self.CLOUD, path)
+        return path.read_bytes()
+
+
+class Reader(Site):
+    """``read_cloud_csv`` on a file of every bit pattern, with no count=
+    that a short array would fail; its share is ``_read_csv`` on the
+    leading half of the bytes."""
+    want = TestSplitCloudReader.CLOUD.points.tobytes()
+
+    def __init__(self, monkeypatch, tmp_path):
+        super().__init__(monkeypatch, tmp_path)
+        self.path = tmp_path / "cloud.csv"
+        self.path.write_text(TestSplitCloudReader.ROWS)
+        parts = {(0, self.path.stat().st_size // 2): "share", None: "whole"}
+        read_csv = spectrum._read_csv
+
+        def logged(*args, span=None, **kwargs):
+            self.part(parts.get(span, span))
+            return read_csv(*args, span=span, **kwargs)
+        monkeypatch.setattr(spectrum, "_read_csv", logged)
+
+    def run(self):
+        return spectrum.read_cloud_csv(self.path).points.tobytes()
+
+
+class Verify(Site):
+    """``acceptance.run_all`` on two stub criteria; the share is the first,
+    the child's the last."""
+    want = [(1, "one", True, "ok"), (14, "fourteen", True, "ok")]
+    here = ["share", "whole"]       # one process runs the first one too
+
+    def __init__(self, monkeypatch, tmp_path):
+        super().__init__(monkeypatch, tmp_path)
+        self.criterion_14 = acceptance.CRITERIA[-1]
+
+        def last():
+            if os.getpid() != self.parent:
+                sys.stdout.flush()      # as criterion 14's cli.main does
+            self.part("whole")
+            return "ok"
+        monkeypatch.setattr(acceptance, "CRITERIA", [
+            (1, "one", lambda: self.part("share") or "ok"),
+            (14, "fourteen", last)])
+
+    def run(self):
+        return [(r.number, r.name, r.passed, r.detail)
+                for r in acceptance.run_all()]
+
+    def plant(self, exc):
+        if not isinstance(exc, Exception):
+            return super().plant(exc)
+        # an error here waits for the child, so the last criterion is the
+        # real criterion 14, whose temporary directory must be gone
+        self.temp = self.tmp_path / "temp"
+        self.temp.mkdir()
+        self.monkeypatch.setattr(tempfile, "tempdir", str(self.temp))
+
+        def broken():
+            deadline = time.monotonic() + 30.0
+            while not any(self.temp.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.001)       # until criterion 14 has made it
+            raise exc
+        self.monkeypatch.setattr(acceptance, "CRITERIA", [
+            (1, "one", broken), self.criterion_14])
+
+
+SITES = {"trivial": Trivial, "writer": Writer, "reader": Reader,
+         "verify": Verify}
+
+
+def in_process(site, forks, tried=0):
+    """One process gives the result; ``tried`` forks were tried."""
+    assert site.run() == site.want
+    assert forks == [1] * tried and site.log == site.here
+
+
+def split(site, forks):
+    assert site.run() == site.want
+    assert forks == [1] and site.log == ["share"]
+
+
+def one_cpu(site, forks):
+    site.monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                             raising=False)
+    in_process(site, forks)
+
+
+def second_thread(site, forks):
+    # no fork beside another thread, whose locks the child would copy
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        in_process(site, forks)
+    finally:
+        done.set()
+        thread.join(30.0)
+    assert not thread.is_alive()
+
+
+def failed_fork(error, site, forks):
+    def no_fork():
+        forks.append(1)
+        raise error
+    site.monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    in_process(site, forks, tried=1)
+    assert len(os.listdir("/proc/self/fd")) == fds      # pipe closed
+
+
+def failed_flush(site, forks):
+    # pending text that cannot be flushed would be the child's to write
+    with open(site.tmp_path / "stdout.txt", "w") as out:
+        site.monkeypatch.setattr(sys, "stdout", out)
+    in_process(site, forks)
+
+
+def failed_child(death, site, forks):
+    # after its own share, the parent does the whole job in-process
+    fail_the_child(site.monkeypatch, death)
+    assert site.run() == site.want
+    assert forks == [1] and site.log == ["share", "whole"]
+
+
+def error_in_share(site, forks):
+    error = ValueError("a fault in this share")
+    site.plant(error)
+    t0 = time.monotonic()
+    if isinstance(site, Verify):
+        # raised once the child has ended and removed its directory
+        with pytest.raises(ValueError) as raised:
+            site.run()
+        assert raised.value is error and not any(site.temp.iterdir())
+    else:
+        # the child is killed, then one process gives the result
+        assert site.run() == site.want and site.log == ["share", "whole"]
+    assert time.monotonic() - t0 < 30.0 and forks == [1]
+
+
+def interrupt_in_share(site, forks):
+    # the child is killed and reaped, then the interrupt propagates
+    site.plant(KeyboardInterrupt())
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        site.run()
+    assert time.monotonic() - t0 < 30.0 and forks == [1]
+
+
+def pending_output(site, forks):
+    # text held in a block-buffered stdout is flushed before the fork, so
+    # the child's flush cannot repeat it
+    path = site.tmp_path / "stdout.txt"
+    with open(path, "w", buffering=1 << 16) as out, \
+            site.monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        out.write("pending\n")
+        assert site.run() == site.want
+    assert path.read_text() == "pending\n" and forks == [1]
+
+
+SCENARIOS = {
+    "split": split, "one_cpu": one_cpu, "second_thread": second_thread,
+    "failed_fork_eagain": partial(failed_fork, OSError(
+        11, "Resource temporarily unavailable")),
+    "failed_fork_runtime": partial(failed_fork,
+                                   RuntimeError("fork not supported")),
+    "failed_flush": failed_flush,
+    "failed_child_exit": partial(failed_child, "exit"),
+    "failed_child_kill": partial(failed_child, "kill"),
+    "error_in_share": error_in_share, "interrupt_in_share": interrupt_in_share,
+    "pending_output": pending_output}
+
+# the scenarios that cannot fail at a site, whatever the fault in _forked
+NOT_RUN = {("writer", "pending_output"): "its child never touches stdout",
+           ("reader", "pending_output"): "its child never touches stdout"}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("site, scenario", [
+    (site, scenario) for site in SITES for scenario in SCENARIOS
+    if (site, scenario) not in NOT_RUN])
+def test_two_core_rule(site, scenario, forks, monkeypatch, tmp_path):
+    """Every way a split can go, at every site of ``spectrum._forked``: it
+    gives what one process gives, and the ``forks`` fixture checks that no
+    child is left behind."""
+    SCENARIOS[scenario](SITES[site](monkeypatch, tmp_path), forks)

@@ -6,8 +6,10 @@ fault that changes nothing that the function's callers rely on is listed
 apart, with the reason, and must pass every criterion.
 Each fault is planted on two routes: one process, and the split, where a
 forked child runs the last criterion, so the fault is caught whichever
-process runs the criterion that sees it.  One ``run_all`` takes about
-65 ms in one process and 50 ms split (two CPUs).
+process runs the criterion that sees it.  The split's gate and fallbacks
+are not planted here: ``test_two_core_rule`` in ``test_spectrum.py`` tests
+them once for every site.  One ``run_all`` takes about 65 ms in one
+process and 50 ms split (two CPUs).
 """
 
 import cmath
